@@ -1,0 +1,68 @@
+# Byte-identity goldens for the seven demo apps: the SHA-256 of stdout of
+#   dsspy run <app> --report --summary --csv-usecases --csv-instances
+#       (once with --postmortem, once with --incremental: one shared digest,
+#       both engines must render the same bytes);
+#   dsspy advise <app> --json;
+#   dsspy run <app> --json --plan --csv-patterns.
+# Every output is deterministic (fixed app seeds, thread-count-independent
+# analysis), so a changed digest means a changed report, not noise.
+# Run as: cmake -DDSSPY_BIN=<path-to-dsspy> -P cli_golden_outputs.cmake
+if(NOT DEFINED DSSPY_BIN)
+  message(FATAL_ERROR "pass -DDSSPY_BIN=<path to the dsspy binary>")
+endif()
+
+function(expect_digest digest)
+  execute_process(COMMAND ${DSSPY_BIN} ${ARGN}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_QUIET)
+  string(JOIN " " shown ${ARGN})
+  if(NOT code EQUAL 0)
+    message(SEND_ERROR "dsspy ${shown}: exit ${code}")
+    return()
+  endif()
+  string(SHA256 actual "${out}")
+  if(NOT actual STREQUAL digest)
+    message(SEND_ERROR
+      "dsspy ${shown}: stdout digest ${actual}, expected ${digest}")
+  endif()
+endfunction()
+
+# app  report+summary+csv digest  advise --json digest  json+plan+csv digest
+function(expect_app app report advise json)
+  foreach(engine --postmortem --incremental)
+    expect_digest(${report} run ${app} ${engine}
+                  --report --summary --csv-usecases --csv-instances)
+  endforeach()
+  expect_digest(${advise} advise ${app} --json)
+  expect_digest(${json} run ${app} --json --plan --csv-patterns)
+endfunction()
+
+expect_app("Algorithmia"
+  669c1dee2b476155831d0148c3dda44fbb9c972255a7ca6b9960590525cae09f
+  c7a1cd4b967b47a119856a6bb71e0c8117fd0ee019dd0c2dbcbeeb10fa8acd8e
+  8310527770a29342c21aa555f5c3f7cd6aa9fee05cd504ea10fd26cc6a8e79c5)
+expect_app("Astrogrep"
+  97c587b1453495a96723f7234456b750e8761600008d5f08772c338aa02059fa
+  8adacc6a098375b67636cae6a4fbaf65cb66df7a5b46ad5ee20e623f829105cc
+  46b5a31e32a72a6b9876970d98c044ef10e1a66ec3c98c82688db9cc778ef031)
+expect_app("Contentfinder"
+  f48ed363c2d8d4721b93c6467c27e1a609f77dd676e17bfb5330ba883db50e23
+  9604e86580987c5ad2f65be89eef3d6e8e01cd5f09cca3233b3ee792b06eaa0e
+  fd003039c54eda9c6ec390d60444bae42871e8273e939c68c10f0f87cf48044d)
+expect_app("CPU Benchmarks"
+  6888e22ec2e7c2840d82c870042450c94484faada02b258d0a591e5c647b2f85
+  ed8251b58d36c76abda7d1419a49c33369cda144c9240c5f328b1fea41a15ae0
+  d99479d38adcc6df20556c4649cf000f5f1507e44a7be5566ab2d4d94f6e548a)
+expect_app("Gpdotnet"
+  32ee5d6fac469a54c7008b4782f4b1b44d626191b39efb92c905b811f753b53f
+  2da6f56c5fad0d8823c01f4213dea6224865dd90b1edcd290af3ccb96da67246
+  20bd847948e61945ee703337dfab229a28263ec4945f62f156796a03fc29429b)
+expect_app("Mandelbrot"
+  bff2e0357bfba6a840ea7b338fa939c044524aee474ce08c9b191897d09caa34
+  9f3cf1a78a8ea6856fb8ad6ceb7d28be0a44b1e787a8fcec0f2647239017ccdb
+  b5b5f8cf33fd6e8089cd0b5265bec5d65133253a66331749d3e4e421499d1da5)
+expect_app("WordWheelSolver"
+  226dd05fb141e0fbf0aa3c9b75e0e10e2e9fe2111cc93aab20a9ed1034113702
+  205de7f7d36ad476bd9f62dd990f7f79daf8593681264a23472ca278e6749dbb
+  d769027368abf7fe9c36a48d9a0b57d7ac452094ff5060eb20a470071544c92b)
