@@ -119,8 +119,7 @@ void drive_workload(runtime::ProfilingSession& session,
 
 // --- report digest -----------------------------------------------------------
 
-template <typename Report>
-std::uint64_t digest(const Report& report) {
+std::uint64_t digest(const core::AnalysisResult& report) {
     std::ostringstream os;
     core::print_use_case_report(os, report);
     core::print_instance_summary(os, report);
@@ -155,7 +154,7 @@ int run_child(const std::string& mode, std::uint64_t events) {
             std::fprintf(stderr, "incremental store not empty\n");
             return 1;
         }
-        const core::StreamReport report =
+        const core::AnalysisResult report =
             core::Dsspy::finish(analyzer, session);
         report_digest = digest(report);
         flagged = report.flagged_instances();

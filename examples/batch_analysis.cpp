@@ -67,10 +67,9 @@ int main() {
         std::cout << ") ===\n" << job.out_text;
         // The typed outcome is richer than the text: the analysis (and
         // the session backing it) ride along for further inspection.
-        if (job.outcome.analysis)
+        if (const core::AnalysisResult* result = job.outcome.result())
             std::cout << "[use cases detected: "
-                      << job.outcome.analysis->all_use_cases().size()
-                      << "]\n";
+                      << result->all_use_cases().size() << "]\n";
     }
     std::cout << summary.jobs << " jobs, " << summary.failed
               << " failed, peak concurrency " << summary.max_concurrent

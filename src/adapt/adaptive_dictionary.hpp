@@ -44,7 +44,7 @@
 #include "ds/dictionary.hpp"
 #include "ds/type_names.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 #include "runtime/access_event.hpp"
 
@@ -339,10 +339,8 @@ private:
     }
 
     [[nodiscard]] std::vector<core::UseCase> current_verdicts() const {
-        core::StreamReport report = analyzer_.snapshot({info_});
-        for (const core::StreamInstance& si : report.instances())
-            if (si.stats.info.id == info_.id) return si.use_cases;
-        return {};
+        const core::AnalysisResult result = analyzer_.snapshot({info_});
+        return result.all_use_cases();
     }
 
     void do_reclassify() const {
@@ -372,7 +370,7 @@ private:
     }
 
     void migrate(Strategy from, Strategy to) const {
-        DSSPY_SPAN("adapt.switch");
+        DSSPY_TRACE_SPAN("adapt.switch");
         if (obs::enabled())
             obs::MetricsRegistry::global().add(
                 detail::AdaptMetrics::get().switches);

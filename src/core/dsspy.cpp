@@ -12,39 +12,6 @@
 
 namespace dsspy::core {
 
-std::vector<UseCase> AnalysisResult::all_use_cases() const {
-    std::vector<UseCase> out;
-    for (const InstanceAnalysis& ia : instances_)
-        out.insert(out.end(), ia.use_cases.begin(), ia.use_cases.end());
-    return out;
-}
-
-std::array<std::size_t, kUseCaseKindCount> AnalysisResult::use_case_counts()
-    const {
-    std::array<std::size_t, kUseCaseKindCount> counts{};
-    for (const InstanceAnalysis& ia : instances_)
-        for (const UseCase& uc : ia.use_cases)
-            ++counts[static_cast<std::size_t>(uc.kind)];
-    return counts;
-}
-
-std::size_t AnalysisResult::flagged_instances() const noexcept {
-    std::size_t flagged = 0;
-    for (const InstanceAnalysis& ia : instances_) {
-        const runtime::DsKind kind = ia.profile.info().kind;
-        const bool counted = kind == runtime::DsKind::List ||
-                             kind == runtime::DsKind::Array;
-        if (counted && ia.flagged_parallel()) ++flagged;
-    }
-    return flagged;
-}
-
-double AnalysisResult::search_space_reduction() const noexcept {
-    if (list_array_instances_ == 0) return 0.0;
-    return 1.0 - static_cast<double>(flagged_instances()) /
-                     static_cast<double>(list_array_instances_);
-}
-
 AnalysisResult Dsspy::analyze(const runtime::ProfilingSession& session,
                               par::ThreadPool* pool) const {
     return analyze(session.registry().snapshot(), session.store(), pool);
@@ -71,14 +38,7 @@ AnalysisResult Dsspy::analyze_columns_impl(
     std::size_t total_events) const {
     DSSPY_TRACE_SPAN("analyze.total");
     AnalysisResult result;
-    result.total_instances_ = instances.size();
-    result.total_events_ = total_events;
-
-    for (const runtime::InstanceInfo& info : instances) {
-        if (info.kind == runtime::DsKind::List ||
-            info.kind == runtime::DsKind::Array)
-            ++result.list_array_instances_;
-    }
+    result.reset(instances, total_events);
 
     // Derived access types for the whole store, computed once and shared
     // read-only by every shard (one pshufb pass instead of a per-event
@@ -89,7 +49,6 @@ AnalysisResult Dsspy::analyze_columns_impl(
     // Each instance is independent (stateless detector/engine, read-only
     // store) and writes only its pre-sized slot, so the parallel loop is
     // deterministic: same instances, same order, same bits.
-    result.instances_.resize(instances.size());
     // Per-instance latency histogram, registered once (call sites guard on
     // obs::enabled(); threads observe into their own shards, so the
     // parallel loop stays contention-free).
@@ -106,14 +65,14 @@ AnalysisResult Dsspy::analyze_columns_impl(
                 make_slice(columns, columns.range(info.id), types.data());
             ProfileAggregates agg = aggregates_from_columns(slice);
             ia.patterns = detect_patterns_columns(slice, config_);
-            const InstanceStats stats = instance_stats_from_columns(
-                info, slice, agg, ia.patterns, config_);
+            ia.stats = instance_stats_from_columns(info, slice, agg,
+                                                   ia.patterns, config_);
             const std::span<const runtime::AccessEvent> events =
                 aos_store != nullptr
                     ? aos_store->events(info.id)
                     : std::span<const runtime::AccessEvent>{};
             ia.profile = RuntimeProfile(info, events, std::move(agg));
-            ia.use_cases = engine_.classify(stats);
+            ia.use_cases = engine_.classify(ia.stats);
             if (telemetry)
                 obs::MetricsRegistry::global().observe(
                     instance_ns_metric, support::now_ns() - begin_ns);
@@ -165,16 +124,7 @@ AnalysisResult Dsspy::analyze_reference(
     const runtime::ProfileStore& store, par::ThreadPool* pool) const {
     DSSPY_TRACE_SPAN("analyze.total");
     AnalysisResult result;
-    result.total_instances_ = instances.size();
-    result.total_events_ = store.total_events();
-
-    for (const runtime::InstanceInfo& info : instances) {
-        if (info.kind == runtime::DsKind::List ||
-            info.kind == runtime::DsKind::Array)
-            ++result.list_array_instances_;
-    }
-
-    result.instances_.resize(instances.size());
+    result.reset(instances, store.total_events());
     static const obs::MetricId instance_ns_metric =
         obs::MetricsRegistry::global().histogram("analyze.instance_ns");
     auto analyze_range = [&](std::size_t lo, std::size_t hi) {
@@ -186,7 +136,9 @@ AnalysisResult Dsspy::analyze_reference(
             InstanceAnalysis& ia = result.instances_[i];
             ia.profile = RuntimeProfile(info, store.events(info.id));
             ia.patterns = detector_.detect(ia.profile);
-            ia.use_cases = engine_.classify(ia.profile, ia.patterns);
+            ia.stats =
+                compute_instance_stats(ia.profile, ia.patterns, config_);
+            ia.use_cases = engine_.classify(ia.stats);
             if (telemetry)
                 obs::MetricsRegistry::global().observe(
                     instance_ns_metric, support::now_ns() - begin_ns);

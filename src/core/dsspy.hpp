@@ -6,14 +6,12 @@
 // post-mortem half of that pipeline over a stopped ProfilingSession.
 #pragma once
 
-#include <array>
-#include <cstddef>
 #include <vector>
 
+#include "core/analysis_result.hpp"
 #include "core/detector_config.hpp"
 #include "core/incremental.hpp"
 #include "core/patterns.hpp"
-#include "core/profile.hpp"
 #include "core/use_cases.hpp"
 #include "runtime/column_store.hpp"
 #include "runtime/session.hpp"
@@ -23,72 +21,6 @@ class ThreadPool;
 }
 
 namespace dsspy::core {
-
-/// Per-instance analysis output: the profile view, its patterns, and the
-/// use cases found on it.
-struct InstanceAnalysis {
-    RuntimeProfile profile;
-    std::vector<Pattern> patterns;
-    std::vector<UseCase> use_cases;
-
-    [[nodiscard]] bool flagged() const noexcept { return !use_cases.empty(); }
-
-    [[nodiscard]] bool flagged_parallel() const noexcept {
-        for (const UseCase& uc : use_cases)
-            if (uc.parallel_potential()) return true;
-        return false;
-    }
-};
-
-/// Whole-session analysis result.
-///
-/// Lifetime: holds spans into the session's ProfileStore — the session must
-/// outlive the result.
-class AnalysisResult {
-public:
-    [[nodiscard]] const std::vector<InstanceAnalysis>& instances()
-        const noexcept {
-        return instances_;
-    }
-
-    /// All use cases across all instances, in instance order.
-    [[nodiscard]] std::vector<UseCase> all_use_cases() const;
-
-    /// Count of use cases per kind (indexed by UseCaseKind).
-    [[nodiscard]] std::array<std::size_t, kUseCaseKindCount>
-    use_case_counts() const;
-
-    /// Number of registered list/array instances — the search-space
-    /// denominator used in Table IV ("we manually counted the number of
-    /// instantiations of both data structures").
-    [[nodiscard]] std::size_t list_array_instances() const noexcept {
-        return list_array_instances_;
-    }
-
-    /// All registered instances regardless of kind.
-    [[nodiscard]] std::size_t total_instances() const noexcept {
-        return total_instances_;
-    }
-
-    /// List/array instances flagged with at least one parallel use case.
-    [[nodiscard]] std::size_t flagged_instances() const noexcept;
-
-    /// 1 - flagged/total over list+array instances (Table IV's
-    /// "Search Space Reduction"); 0 when there are no instances.
-    [[nodiscard]] double search_space_reduction() const noexcept;
-
-    /// Total number of recorded access events.
-    [[nodiscard]] std::size_t total_events() const noexcept {
-        return total_events_;
-    }
-
-private:
-    friend class Dsspy;
-    std::vector<InstanceAnalysis> instances_;
-    std::size_t list_array_instances_ = 0;
-    std::size_t total_instances_ = 0;
-    std::size_t total_events_ = 0;
-};
 
 /// The analyzer.  Stateless apart from its configuration; reusable.
 class Dsspy {
@@ -137,14 +69,14 @@ public:
     /// session (attach_incremental): classifies everything folded so far
     /// against the session's current registry, without stopping the
     /// session or disturbing the analyzer's state.
-    [[nodiscard]] static StreamReport snapshot(
+    [[nodiscard]] static AnalysisResult snapshot(
         const IncrementalAnalyzer& analyzer,
         const runtime::ProfilingSession& session) {
         return analyzer.snapshot(session.registry().snapshot());
     }
 
-    /// Terminal incremental report for a stopped session.
-    [[nodiscard]] static StreamReport finish(
+    /// Terminal incremental result for a stopped session.
+    [[nodiscard]] static AnalysisResult finish(
         IncrementalAnalyzer& analyzer,
         const runtime::ProfilingSession& session) {
         return analyzer.finish(session.registry().snapshot());

@@ -112,59 +112,22 @@ void write_instances_csv(std::ostream& os, const AnalysisResult& result) {
     os << "id,class,method,position,kind,type,events,reads,writes,inserts,"
           "deletes,searches,patterns,threads,max_size,flagged_parallel\n";
     for (const InstanceAnalysis& ia : result.instances()) {
-        const RuntimeProfile& p = ia.profile;
-        const runtime::InstanceInfo& info = p.info();
-        os << info.id << ',' << csv_escape(info.location.class_name) << ','
-           << csv_escape(info.location.method) << ','
-           << info.location.position << ','
-           << runtime::ds_kind_name(info.kind) << ','
-           << csv_escape(info.type_name) << ',' << p.total_events() << ','
-           << p.count(AccessType::Read) << ',' << p.count(AccessType::Write)
-           << ',' << p.count(AccessType::Insert) << ','
-           << p.count(AccessType::Delete) << ','
-           << p.count(AccessType::Search) << ',' << ia.patterns.size()
-           << ',' << p.thread_count() << ',' << p.max_size() << ','
-           << (ia.flagged_parallel() ? 1 : 0) << '\n';
-    }
-}
-
-void write_use_cases_csv(std::ostream& os, const StreamReport& report) {
-    os << "class,method,position,type,use_case,code,parallel,action,"
-          "confidence,reason,recommendation\n";
-    for (const StreamInstance& si : report.instances()) {
-        for (const UseCase& uc : si.use_cases) {
-            os << csv_escape(uc.instance.location.class_name) << ','
-               << csv_escape(uc.instance.location.method) << ','
-               << uc.instance.location.position << ','
-               << csv_escape(uc.instance.type_name) << ','
-               << use_case_name(uc.kind) << ',' << use_case_code(uc.kind)
-               << ',' << (uc.parallel_potential() ? 1 : 0) << ','
-               << advice_action_name(uc.advice.action) << ','
-               << fmt_double(uc.confidence()) << ','
-               << csv_escape(uc.reason()) << ','
-               << csv_escape(uc.recommendation()) << '\n';
-        }
-    }
-}
-
-void write_instances_csv(std::ostream& os, const StreamReport& report) {
-    os << "id,class,method,position,kind,type,events,reads,writes,inserts,"
-          "deletes,searches,patterns,threads,max_size,flagged_parallel\n";
-    for (const StreamInstance& si : report.instances()) {
-        const InstanceStats& s = si.stats;
+        const InstanceStats& s = ia.stats;
         const runtime::InstanceInfo& info = s.info;
+        const auto count = [&s](AccessType type) {
+            return s.counts[static_cast<std::size_t>(type)];
+        };
         os << info.id << ',' << csv_escape(info.location.class_name) << ','
            << csv_escape(info.location.method) << ','
            << info.location.position << ','
            << runtime::ds_kind_name(info.kind) << ','
            << csv_escape(info.type_name) << ',' << s.total << ','
-           << s.counts[static_cast<std::size_t>(AccessType::Read)] << ','
-           << s.counts[static_cast<std::size_t>(AccessType::Write)] << ','
-           << s.counts[static_cast<std::size_t>(AccessType::Insert)] << ','
-           << s.counts[static_cast<std::size_t>(AccessType::Delete)] << ','
-           << s.counts[static_cast<std::size_t>(AccessType::Search)] << ','
-           << si.total_patterns() << ',' << s.thread_count << ','
-           << s.max_size << ',' << (si.flagged_parallel() ? 1 : 0) << '\n';
+           << count(AccessType::Read) << ',' << count(AccessType::Write)
+           << ',' << count(AccessType::Insert) << ','
+           << count(AccessType::Delete) << ','
+           << count(AccessType::Search) << ',' << ia.total_patterns() << ','
+           << s.thread_count << ',' << s.max_size << ','
+           << (ia.flagged_parallel() ? 1 : 0) << '\n';
     }
 }
 
@@ -173,7 +136,7 @@ void write_patterns_csv(std::ostream& os, const AnalysisResult& result) {
           "thread,synthetic\n";
     for (const InstanceAnalysis& ia : result.instances()) {
         for (const Pattern& p : ia.patterns) {
-            os << ia.profile.info().id << ',' << pattern_name(p.kind) << ','
+            os << ia.stats.info.id << ',' << pattern_name(p.kind) << ','
                << p.first << ',' << p.last << ',' << p.length << ','
                << p.start_pos << ',' << p.end_pos << ','
                << fmt_double(p.coverage) << ',' << p.thread << ','
@@ -196,8 +159,8 @@ void write_analysis_json(std::ostream& os, const AnalysisResult& result) {
     for (const InstanceAnalysis& ia : result.instances()) {
         if (!first_instance) os << ",\n";
         first_instance = false;
-        const RuntimeProfile& p = ia.profile;
-        const runtime::InstanceInfo& info = p.info();
+        const InstanceStats& s = ia.stats;
+        const runtime::InstanceInfo& info = s.info;
         os << "    {\n";
         os << "      \"id\": " << info.id << ",\n";
         os << "      \"kind\": \"" << runtime::ds_kind_name(info.kind)
@@ -208,9 +171,9 @@ void write_analysis_json(std::ostream& os, const AnalysisResult& result) {
         os << "      \"method\": \"" << json_escape(info.location.method)
            << "\",\n";
         os << "      \"position\": " << info.location.position << ",\n";
-        os << "      \"events\": " << p.total_events() << ",\n";
-        os << "      \"threads\": " << p.thread_count() << ",\n";
-        os << "      \"max_size\": " << p.max_size() << ",\n";
+        os << "      \"events\": " << s.total << ",\n";
+        os << "      \"threads\": " << s.thread_count << ",\n";
+        os << "      \"max_size\": " << s.max_size << ",\n";
         os << "      \"patterns\": [";
         bool first_pattern = true;
         for (const Pattern& pat : ia.patterns) {
@@ -243,12 +206,7 @@ void write_analysis_json(std::ostream& os, const AnalysisResult& result) {
     os << "\n  ]\n}\n";
 }
 
-namespace {
-
-/// Shared frame of the advice-only document: summary counts plus one
-/// entry per verdict, ranked by report order.
-template <typename Result>
-void write_advice_document(std::ostream& os, const Result& result) {
+void write_advice_json(std::ostream& os, const AnalysisResult& result) {
     os << "{\n";
     os << "  \"advice_version\": 1,\n";
     os << "  \"total_instances\": " << result.total_instances() << ",\n";
@@ -257,24 +215,12 @@ void write_advice_document(std::ostream& os, const Result& result) {
        << fmt_double(result.search_space_reduction()) << ",\n";
     os << "  \"verdicts\": [\n";
     bool first = true;
-    for (const auto& entry : result.instances()) {
-        for (const UseCase& uc : entry.use_cases) {
-            if (!first) os << ",\n";
-            first = false;
-            write_advice_entry(os, uc);
-        }
+    for (const UseCase& uc : result.all_use_cases()) {
+        if (!first) os << ",\n";
+        first = false;
+        write_advice_entry(os, uc);
     }
     os << "\n  ]\n}\n";
-}
-
-}  // namespace
-
-void write_advice_json(std::ostream& os, const AnalysisResult& result) {
-    write_advice_document(os, result);
-}
-
-void write_advice_json(std::ostream& os, const StreamReport& report) {
-    write_advice_document(os, report);
 }
 
 }  // namespace dsspy::core

@@ -8,7 +8,7 @@
 
 #include <iosfwd>
 
-#include "core/dsspy.hpp"
+#include "core/analysis_result.hpp"
 
 namespace dsspy::core {
 
@@ -22,12 +22,8 @@ void write_use_cases_csv(std::ostream& os, const AnalysisResult& result);
 /// searches,patterns,threads,max_size,flagged_parallel
 void write_instances_csv(std::ostream& os, const AnalysisResult& result);
 
-/// StreamReport overloads: same columns, same rows as the post-mortem
-/// exporters on equivalent analyses.
-void write_use_cases_csv(std::ostream& os, const StreamReport& report);
-void write_instances_csv(std::ostream& os, const StreamReport& report);
-
-/// One CSV row per detected pattern:
+/// One CSV row per detected pattern (post-mortem results only; an
+/// incremental result has no pattern lists and yields just the header):
 /// instance_id,kind,first,last,length,start_pos,end_pos,coverage,thread,
 /// synthetic
 void write_patterns_csv(std::ostream& os, const AnalysisResult& result);
@@ -41,6 +37,5 @@ void write_analysis_json(std::ostream& os, const AnalysisResult& result);
 /// verdict with the structured action, confidence and evidence — the
 /// machine-consumable form of the report, without profiles or patterns.
 void write_advice_json(std::ostream& os, const AnalysisResult& result);
-void write_advice_json(std::ostream& os, const StreamReport& report);
 
 }  // namespace dsspy::core

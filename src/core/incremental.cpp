@@ -51,39 +51,6 @@ const IncrementalMetricIds& incremental_metrics() {
 
 }  // namespace
 
-std::vector<UseCase> StreamReport::all_use_cases() const {
-    std::vector<UseCase> out;
-    for (const StreamInstance& si : instances_)
-        out.insert(out.end(), si.use_cases.begin(), si.use_cases.end());
-    return out;
-}
-
-std::array<std::size_t, kUseCaseKindCount> StreamReport::use_case_counts()
-    const {
-    std::array<std::size_t, kUseCaseKindCount> counts{};
-    for (const StreamInstance& si : instances_)
-        for (const UseCase& uc : si.use_cases)
-            ++counts[static_cast<std::size_t>(uc.kind)];
-    return counts;
-}
-
-std::size_t StreamReport::flagged_instances() const noexcept {
-    std::size_t flagged = 0;
-    for (const StreamInstance& si : instances_) {
-        const runtime::DsKind kind = si.stats.info.kind;
-        const bool counted = kind == runtime::DsKind::List ||
-                             kind == runtime::DsKind::Array;
-        if (counted && si.flagged_parallel()) ++flagged;
-    }
-    return flagged;
-}
-
-double StreamReport::search_space_reduction() const noexcept {
-    if (list_array_instances_ == 0) return 0.0;
-    return 1.0 - static_cast<double>(flagged_instances()) /
-                     static_cast<double>(list_array_instances_);
-}
-
 IncrementalAnalyzer::State& IncrementalAnalyzer::state_for(
     runtime::InstanceId id) {
     if (id >= states_.size()) {
@@ -286,7 +253,7 @@ InstanceStats IncrementalAnalyzer::to_stats(
     return s;
 }
 
-StreamReport IncrementalAnalyzer::report_from(
+AnalysisResult IncrementalAnalyzer::report_from(
     std::vector<State> states,
     const std::vector<runtime::InstanceInfo>& instances) const {
     // Flush open runs as if the stream ended here; the pending-Sort checks
@@ -300,27 +267,23 @@ StreamReport IncrementalAnalyzer::report_from(
         });
     }
 
-    StreamReport report;
-    report.total_instances_ = instances.size();
-    for (const State& st : states)
-        report.total_events_ += st.next_index;
-    report.instances_.reserve(instances.size());
+    std::size_t total_events = 0;
+    for (const State& st : states) total_events += st.next_index;
+    AnalysisResult result;
+    result.reset(instances, total_events);
     static const State kEmptyState;
-    for (const runtime::InstanceInfo& info : instances) {
-        if (info.kind == runtime::DsKind::List ||
-            info.kind == runtime::DsKind::Array)
-            ++report.list_array_instances_;
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+        const runtime::InstanceInfo& info = instances[i];
         const State& st =
             info.id < states.size() ? states[info.id] : kEmptyState;
-        StreamInstance si;
-        si.stats = to_stats(st, info);
-        si.use_cases = engine_.classify(si.stats);
-        report.instances_.push_back(std::move(si));
+        InstanceAnalysis& ia = result.instances_[i];
+        ia.stats = to_stats(st, info);
+        ia.use_cases = engine_.classify(ia.stats);
     }
-    return report;
+    return result;
 }
 
-StreamReport IncrementalAnalyzer::snapshot(
+AnalysisResult IncrementalAnalyzer::snapshot(
     const std::vector<runtime::InstanceInfo>& instances) const {
     DSSPY_TRACE_SPAN("incremental.snapshot");
     std::vector<State> copy;
@@ -331,7 +294,7 @@ StreamReport IncrementalAnalyzer::snapshot(
     return report_from(std::move(copy), instances);
 }
 
-StreamReport IncrementalAnalyzer::finish(
+AnalysisResult IncrementalAnalyzer::finish(
     const std::vector<runtime::InstanceInfo>& instances) {
     DSSPY_TRACE_SPAN("incremental.finish");
     const std::lock_guard<std::mutex> lock(mutex_);

@@ -29,6 +29,7 @@
 #include <span>
 #include <vector>
 
+#include "core/analysis_result.hpp"
 #include "core/detector_config.hpp"
 #include "core/instance_stats.hpp"
 #include "core/pattern_machine.hpp"
@@ -41,75 +42,6 @@ class ProfilingSession;
 }  // namespace dsspy::runtime
 
 namespace dsspy::core {
-
-/// One instance in a streaming report: folded aggregates plus the use
-/// cases classified from them.
-struct StreamInstance {
-    InstanceStats stats;
-    std::vector<UseCase> use_cases;
-
-    [[nodiscard]] bool flagged() const noexcept { return !use_cases.empty(); }
-
-    [[nodiscard]] bool flagged_parallel() const noexcept {
-        for (const UseCase& uc : use_cases)
-            if (uc.parallel_potential()) return true;
-        return false;
-    }
-
-    /// Completed patterns on the instance (sum over pattern kinds); equals
-    /// the post-mortem pattern count for the same events.
-    [[nodiscard]] std::size_t total_patterns() const noexcept {
-        std::size_t n = 0;
-        for (const std::size_t c : stats.pattern_counts) n += c;
-        return n;
-    }
-};
-
-/// Streaming counterpart of AnalysisResult: same aggregate accessors,
-/// produced from folded state instead of a materialized event store.
-class StreamReport {
-public:
-    [[nodiscard]] const std::vector<StreamInstance>& instances()
-        const noexcept {
-        return instances_;
-    }
-
-    /// All use cases across all instances, in instance order.
-    [[nodiscard]] std::vector<UseCase> all_use_cases() const;
-
-    /// Count of use cases per kind (indexed by UseCaseKind).
-    [[nodiscard]] std::array<std::size_t, kUseCaseKindCount>
-    use_case_counts() const;
-
-    /// Number of registered list/array instances (Table IV denominator).
-    [[nodiscard]] std::size_t list_array_instances() const noexcept {
-        return list_array_instances_;
-    }
-
-    /// All registered instances regardless of kind.
-    [[nodiscard]] std::size_t total_instances() const noexcept {
-        return total_instances_;
-    }
-
-    /// List/array instances flagged with at least one parallel use case.
-    [[nodiscard]] std::size_t flagged_instances() const noexcept;
-
-    /// 1 - flagged/total over list+array instances; 0 with no instances.
-    [[nodiscard]] double search_space_reduction() const noexcept;
-
-    /// Total number of folded access events (including instances that are
-    /// not in the registered list).
-    [[nodiscard]] std::size_t total_events() const noexcept {
-        return total_events_;
-    }
-
-private:
-    friend class IncrementalAnalyzer;
-    std::vector<StreamInstance> instances_;
-    std::size_t list_array_instances_ = 0;
-    std::size_t total_instances_ = 0;
-    std::size_t total_events_ = 0;
-};
 
 /// Folds a per-instance seq-ordered event stream into bounded state and
 /// classifies it on demand.  Thread-safe: fold/declare/snapshot may be
@@ -139,13 +71,15 @@ public:
     /// runs are flushed virtually (on a copy), exactly as if the stream
     /// ended here.  `instances` is the registered-instance list (e.g.
     /// session.registry().snapshot() or a trace's instance table); kinds
-    /// recorded at declare/fold time are used for rule selection.
-    [[nodiscard]] StreamReport snapshot(
+    /// recorded at declare/fold time are used for rule selection.  The
+    /// result carries stats and use cases; profiles and pattern lists stay
+    /// empty (no events are kept).
+    [[nodiscard]] AnalysisResult snapshot(
         const std::vector<runtime::InstanceInfo>& instances) const;
 
     /// Terminal classification: flushes open runs in place and reports.
     /// Further folding after finish() is not supported.
-    [[nodiscard]] StreamReport finish(
+    [[nodiscard]] AnalysisResult finish(
         const std::vector<runtime::InstanceInfo>& instances);
 
     [[nodiscard]] const DetectorConfig& config() const noexcept {
@@ -214,7 +148,7 @@ private:
     void on_sort(State& st, std::uint32_t index);
     static void merge_sai(State& st, std::uint32_t sort_index,
                           std::uint32_t first, std::uint32_t length);
-    [[nodiscard]] StreamReport report_from(
+    [[nodiscard]] AnalysisResult report_from(
         std::vector<State> states,
         const std::vector<runtime::InstanceInfo>& instances) const;
     [[nodiscard]] static InstanceStats to_stats(

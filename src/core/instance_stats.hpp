@@ -40,6 +40,8 @@ struct EndTraffic {
     [[nodiscard]] std::size_t deletes() const noexcept {
         return front_delete + back_delete;
     }
+
+    friend bool operator==(const EndTraffic&, const EndTraffic&) = default;
 };
 
 /// Fold one access into the end-traffic counters (accesses within `window`
@@ -133,6 +135,9 @@ struct InstanceStats {
     AccessType tail_type = AccessType::Read;
     std::size_t tail_length = 0;
     std::uint32_t tail_last_size = 0;  ///< Size at the profile's last event.
+
+    friend bool operator==(const InstanceStats&,
+                           const InstanceStats&) = default;
 };
 
 /// Post-mortem producer: reduce a finalized profile + its patterns to the

@@ -31,51 +31,30 @@ void print_use_case_report(std::ostream& os, const AnalysisResult& result,
     if (ordinal == 0) os << "No use cases detected.\n";
 }
 
+void print_report_with_footer(std::ostream& os,
+                              const AnalysisResult& result) {
+    print_use_case_report(os, result);
+    os << "Search space reduction: "
+       << support::Table::pct(result.search_space_reduction()) << " ("
+       << result.flagged_instances() << " of "
+       << result.list_array_instances()
+       << " list/array instances flagged)\n";
+}
+
 void print_instance_summary(std::ostream& os, const AnalysisResult& result) {
     support::Table table({"Instance", "Type", "Events", "Patterns",
                           "Use cases"});
     for (const InstanceAnalysis& ia : result.instances()) {
-        if (ia.profile.total_events() == 0) continue;
+        const InstanceStats& s = ia.stats;
+        if (s.total == 0) continue;
         std::string codes;
         for (const UseCase& uc : ia.use_cases) {
             if (!codes.empty()) codes += ", ";
             codes += use_case_code(uc.kind);
         }
-        table.add_row({ia.profile.info().location.to_string(),
-                       ia.profile.info().type_name,
-                       std::to_string(ia.profile.total_events()),
-                       std::to_string(ia.patterns.size()),
-                       codes.empty() ? "-" : codes});
-    }
-    table.print(os);
-}
-
-void print_use_case_report(std::ostream& os, const StreamReport& report,
-                           bool parallel_only) {
-    std::size_t ordinal = 0;
-    for (const StreamInstance& si : report.instances()) {
-        for (const UseCase& uc : si.use_cases) {
-            if (parallel_only && !uc.parallel_potential()) continue;
-            os << format_use_case(uc, ++ordinal) << '\n';
-        }
-    }
-    if (ordinal == 0) os << "No use cases detected.\n";
-}
-
-void print_instance_summary(std::ostream& os, const StreamReport& report) {
-    support::Table table({"Instance", "Type", "Events", "Patterns",
-                          "Use cases"});
-    for (const StreamInstance& si : report.instances()) {
-        if (si.stats.total == 0) continue;
-        std::string codes;
-        for (const UseCase& uc : si.use_cases) {
-            if (!codes.empty()) codes += ", ";
-            codes += use_case_code(uc.kind);
-        }
-        table.add_row({si.stats.info.location.to_string(),
-                       si.stats.info.type_name,
-                       std::to_string(si.stats.total),
-                       std::to_string(si.total_patterns()),
+        table.add_row({s.info.location.to_string(), s.info.type_name,
+                       std::to_string(s.total),
+                       std::to_string(ia.total_patterns()),
                        codes.empty() ? "-" : codes});
     }
     table.print(os);

@@ -4,7 +4,7 @@
 #include <ostream>
 #include <string>
 
-#include "core/dsspy.hpp"
+#include "core/analysis_result.hpp"
 
 namespace dsspy::core {
 
@@ -21,15 +21,14 @@ namespace dsspy::core {
 void print_use_case_report(std::ostream& os, const AnalysisResult& result,
                            bool parallel_only = false);
 
+/// The `--report` output: the full use-case report followed by the
+/// search-space reduction footer
+///
+///   Search space reduction: 42.86% (4 of 7 list/array instances flagged)
+void print_report_with_footer(std::ostream& os, const AnalysisResult& result);
+
 /// One-line summary per instance: events, patterns, use-case codes.
 void print_instance_summary(std::ostream& os, const AnalysisResult& result);
-
-/// StreamReport overloads: byte-identical output to the post-mortem
-/// printers on equivalent analyses (the differential tests hold them to
-/// that).
-void print_use_case_report(std::ostream& os, const StreamReport& report,
-                           bool parallel_only = false);
-void print_instance_summary(std::ostream& os, const StreamReport& report);
 
 /// Compact single-use-case block (used by the report and the examples).
 [[nodiscard]] std::string format_use_case(const UseCase& use_case,

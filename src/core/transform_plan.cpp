@@ -90,7 +90,7 @@ TransformPlan plan_transformations(const AnalysisResult& result,
             step.source = uc.kind;
             step.instance = uc.instance;
             step.confidence = uc.confidence();
-            step.events = ia.profile.total_events();
+            step.events = ia.stats.total;
             step.impact =
                 static_cast<double>(step.events) * uc.confidence();
             step.parallel = uc.parallel_potential();

@@ -10,7 +10,6 @@
 #include "obs/self_overhead.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
-#include "support/table.hpp"
 #include "viz/html_report.hpp"
 
 namespace dsspy::pipeline {
@@ -25,11 +24,8 @@ public:
     }
     bool emit(const RunOutcome& outcome, std::ostream& out,
               std::ostream&) override {
-        if (outcome.analysis) {
-            core::print_instance_summary(out, *outcome.analysis);
-        } else if (outcome.stream) {
-            core::print_instance_summary(out, *outcome.stream);
-        }
+        if (const core::AnalysisResult* result = outcome.result())
+            core::print_instance_summary(out, *result);
         out << '\n';
         return true;
     }
@@ -44,23 +40,8 @@ public:
     }
     bool emit(const RunOutcome& outcome, std::ostream& out,
               std::ostream&) override {
-        const auto footer = [&out](double reduction, std::size_t flagged,
-                                   std::size_t total) {
-            out << "Search space reduction: " << support::Table::pct(reduction)
-                << " (" << flagged << " of " << total
-                << " list/array instances flagged)\n";
-        };
-        if (outcome.analysis) {
-            core::print_use_case_report(out, *outcome.analysis);
-            footer(outcome.analysis->search_space_reduction(),
-                   outcome.analysis->flagged_instances(),
-                   outcome.analysis->list_array_instances());
-        } else if (outcome.stream) {
-            core::print_use_case_report(out, *outcome.stream);
-            footer(outcome.stream->search_space_reduction(),
-                   outcome.stream->flagged_instances(),
-                   outcome.stream->list_array_instances());
-        }
+        if (const core::AnalysisResult* result = outcome.result())
+            core::print_report_with_footer(out, *result);
         return true;
     }
 };
@@ -70,9 +51,6 @@ class TransformPlanSink final : public ReportSink {
 public:
     [[nodiscard]] std::string_view name() const noexcept override {
         return "plan";
-    }
-    [[nodiscard]] bool supports_stream() const noexcept override {
-        return false;
     }
     bool emit(const RunOutcome& outcome, std::ostream& out,
               std::ostream&) override {
@@ -85,8 +63,6 @@ public:
 };
 
 /// Structured advice as one JSON document (`dsspy advise`, `--advice`).
-/// Works on both engines: the advice entries render from the classified
-/// use cases, which both result types carry.
 class AdviceSink final : public ReportSink {
 public:
     [[nodiscard]] std::string_view name() const noexcept override {
@@ -94,11 +70,8 @@ public:
     }
     bool emit(const RunOutcome& outcome, std::ostream& out,
               std::ostream&) override {
-        if (outcome.analysis) {
-            core::write_advice_json(out, *outcome.analysis);
-        } else if (outcome.stream) {
-            core::write_advice_json(out, *outcome.stream);
-        }
+        if (const core::AnalysisResult* result = outcome.result())
+            core::write_advice_json(out, *result);
         return true;
     }
 };
@@ -108,9 +81,6 @@ class JsonSink final : public ReportSink {
 public:
     [[nodiscard]] std::string_view name() const noexcept override {
         return "json";
-    }
-    [[nodiscard]] bool supports_stream() const noexcept override {
-        return false;
     }
     bool emit(const RunOutcome& outcome, std::ostream& out,
               std::ostream&) override {
@@ -126,11 +96,8 @@ public:
     }
     bool emit(const RunOutcome& outcome, std::ostream& out,
               std::ostream&) override {
-        if (outcome.analysis) {
-            core::write_use_cases_csv(out, *outcome.analysis);
-        } else if (outcome.stream) {
-            core::write_use_cases_csv(out, *outcome.stream);
-        }
+        if (const core::AnalysisResult* result = outcome.result())
+            core::write_use_cases_csv(out, *result);
         return true;
     }
 };
@@ -142,11 +109,8 @@ public:
     }
     bool emit(const RunOutcome& outcome, std::ostream& out,
               std::ostream&) override {
-        if (outcome.analysis) {
-            core::write_instances_csv(out, *outcome.analysis);
-        } else if (outcome.stream) {
-            core::write_instances_csv(out, *outcome.stream);
-        }
+        if (const core::AnalysisResult* result = outcome.result())
+            core::write_instances_csv(out, *result);
         return true;
     }
 };
@@ -155,9 +119,6 @@ class CsvPatternsSink final : public ReportSink {
 public:
     [[nodiscard]] std::string_view name() const noexcept override {
         return "csv-patterns";
-    }
-    [[nodiscard]] bool supports_stream() const noexcept override {
-        return false;
     }
     bool emit(const RunOutcome& outcome, std::ostream& out,
               std::ostream&) override {
@@ -172,9 +133,6 @@ public:
     explicit HtmlSink(std::string path) : path_(std::move(path)) {}
     [[nodiscard]] std::string_view name() const noexcept override {
         return "html";
-    }
-    [[nodiscard]] bool supports_stream() const noexcept override {
-        return false;
     }
     bool emit(const RunOutcome& outcome, std::ostream&,
               std::ostream& err) override {
@@ -265,10 +223,8 @@ std::vector<std::unique_ptr<ReportSink>> build_sinks(
 bool emit_reports(const OutputSelection& outputs, const RunOutcome& outcome,
                   std::ostream& out, std::ostream& err) {
     bool ok = true;
-    for (const std::unique_ptr<ReportSink>& sink : build_sinks(outputs)) {
-        if (!outcome.analysis && !sink->supports_stream()) continue;
+    for (const std::unique_ptr<ReportSink>& sink : build_sinks(outputs))
         ok = sink->emit(outcome, out, err) && ok;
-    }
     return ok;
 }
 

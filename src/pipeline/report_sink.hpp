@@ -5,10 +5,11 @@
 // self-telemetry documents).  ReportSink unifies them: every output format
 // is one sink; build_sinks() assembles the sinks a plan requests in the
 // canonical emission order, and emit_reports() runs them over an outcome.
-// Sinks render whichever typed result the outcome carries — post-mortem
-// sinks declare supports_stream() == false and are skipped (plan
-// validation rejects such combinations up front) when only a streaming
-// report is available.
+// Most sinks render RunOutcome::result(), which either engine fills.  The
+// post-mortem sinks (plan, json, csv-patterns, html) need profiles and
+// patterns, so they render only `outcome.analysis` and emit nothing for an
+// incremental outcome; plan validation rejects those combinations up
+// front (OutputSelection::needs_postmortem).
 #pragma once
 
 #include <iosfwd>
@@ -30,11 +31,6 @@ public:
     /// Stable name for diagnostics ("report", "json", "html", ...).
     [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-    /// False when the sink needs the materialized post-mortem analysis.
-    [[nodiscard]] virtual bool supports_stream() const noexcept {
-        return true;
-    }
-
     /// Render the outcome.  `out` is the job's primary stream (stdout for
     /// the CLI); `err` carries side-channel notes ("Wrote FILE").
     /// Returns false when the sink failed (e.g. an unwritable HTML path);
@@ -51,7 +47,7 @@ public:
     const OutputSelection& outputs);
 
 /// Run every requested sink over `outcome`.  Returns false when any sink
-/// failed.  Sinks that cannot render a streaming-only outcome are skipped.
+/// failed.
 bool emit_reports(const OutputSelection& outputs, const RunOutcome& outcome,
                   std::ostream& out, std::ostream& err);
 

@@ -129,9 +129,10 @@ inline constexpr int kExitRuntimeError = 1;
 inline constexpr int kExitUsageError = 2;
 
 /// Typed result of executing one RunPlan.  Exactly one of `analysis` /
-/// `stream` is engaged on success (postmortem vs incremental engine); the
-/// outcome owns the session/trace backing them, because an AnalysisResult
-/// holds spans into its session's ProfileStore.
+/// `stream` is engaged on success (postmortem vs incremental engine; both
+/// hold the same result type, but only `analysis` carries profiles and
+/// patterns); the outcome owns the session/trace backing them, because a
+/// post-mortem result holds spans into its session's ProfileStore.
 struct RunOutcome {
     int exit_code = kExitOk;
     std::string label;       ///< The plan's display name.
@@ -144,7 +145,7 @@ struct RunOutcome {
     std::uint64_t wall_ns = 0;    ///< Wall-clock of the whole job.
 
     std::optional<core::AnalysisResult> analysis;  ///< Post-mortem result.
-    std::optional<core::StreamReport> stream;      ///< Incremental result.
+    std::optional<core::AnalysisResult> stream;    ///< Incremental result.
 
     /// Backing storage for `analysis` (live runs / trace loads).  Binary
     /// traces analyzed without event-level outputs load as columns only
@@ -155,6 +156,13 @@ struct RunOutcome {
     std::unique_ptr<runtime::ColumnTrace> column_trace;
 
     [[nodiscard]] bool ok() const noexcept { return exit_code == kExitOk; }
+
+    /// Whichever of `analysis` / `stream` is engaged (nullptr when neither
+    /// is): what every engine-agnostic sink renders from.
+    [[nodiscard]] const core::AnalysisResult* result() const noexcept {
+        if (analysis) return &*analysis;
+        return stream ? &*stream : nullptr;
+    }
 };
 
 }  // namespace dsspy::pipeline

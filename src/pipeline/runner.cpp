@@ -292,7 +292,7 @@ RunOutcome PipelineRunner::run_live(const RunPlan& plan, std::ostream& out,
             while (!done.load(std::memory_order_acquire)) {
                 std::this_thread::sleep_for(interval);
                 if (!on_tick) continue;
-                const core::StreamReport snap =
+                const core::AnalysisResult snap =
                     core::Dsspy::snapshot(incremental, *session);
                 on_tick(WatchTick{snap, session->events_recorded(),
                                   incremental.events_folded()});

@@ -29,7 +29,7 @@ namespace dsspy::pipeline {
 
 /// One live-snapshot observation delivered to the watch callback.
 struct WatchTick {
-    const core::StreamReport& snapshot;
+    const core::AnalysisResult& snapshot;
     std::uint64_t events_captured = 0;  ///< Recorded by the session so far.
     std::uint64_t events_folded = 0;    ///< Absorbed by the analyzer so far.
 };

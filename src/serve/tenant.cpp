@@ -5,25 +5,8 @@
 
 #include "core/export.hpp"
 #include "core/report.hpp"
-#include "support/table.hpp"
 
 namespace dsspy::serve {
-
-namespace {
-
-/// The `--report` rendering: use-case report plus the search-space
-/// reduction footer, exactly as the CLI's report sink emits it — which
-/// is what keeps tenant reports byte-identical to `dsspy analyze`.
-void render_report(std::ostream& os, const core::StreamReport& report) {
-    core::print_use_case_report(os, report);
-    os << "Search space reduction: "
-       << support::Table::pct(report.search_space_reduction()) << " ("
-       << report.flagged_instances() << " of "
-       << report.list_array_instances()
-       << " list/array instances flagged)\n";
-}
-
-}  // namespace
 
 const char* tenant_state_name(TenantState state) {
     switch (state) {
@@ -76,22 +59,24 @@ void TenantSession::add_frame(std::uint64_t bytes) {
 }
 
 std::uint64_t TenantSession::count_orphans(
-    const core::StreamReport& report) {
+    const core::AnalysisResult& result) {
     std::uint64_t declared = 0;
-    for (const core::StreamInstance& si : report.instances())
-        declared += si.stats.total;
-    const std::uint64_t total = report.total_events();
+    for (const core::InstanceAnalysis& ia : result.instances())
+        declared += ia.stats.total;
+    const std::uint64_t total = result.total_events();
     return total > declared ? total - declared : 0;
 }
 
-void TenantSession::fill_report_fields(const core::StreamReport& report) {
-    orphan_events_ = count_orphans(report);
-    flagged_ = report.flagged_instances();
+void TenantSession::fill_report_fields(const core::AnalysisResult& result) {
+    orphan_events_ = count_orphans(result);
+    flagged_ = result.flagged_instances();
+    // The CLI's --report rendering, which keeps tenant reports
+    // byte-identical to `dsspy analyze`.
     std::ostringstream os;
-    render_report(os, report);
+    core::print_report_with_footer(os, result);
     final_report_ = os.str();
     std::ostringstream advice_os;
-    core::write_advice_json(advice_os, report);
+    core::write_advice_json(advice_os, result);
     final_advice_ = advice_os.str();
 }
 
@@ -142,9 +127,8 @@ std::string TenantSession::report_text() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (state_ != TenantState::Streaming) return final_report_;
     // Live view: virtual flush on a copy, stream state undisturbed.
-    const core::StreamReport report = analyzer_.snapshot(instances_);
     std::ostringstream os;
-    render_report(os, report);
+    core::print_report_with_footer(os, analyzer_.snapshot(instances_));
     return os.str();
 }
 
@@ -152,9 +136,8 @@ std::string TenantSession::advice_json() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (state_ != TenantState::Streaming) return final_advice_;
     // Live view: virtual flush on a copy, stream state undisturbed.
-    const core::StreamReport report = analyzer_.snapshot(instances_);
     std::ostringstream os;
-    core::write_advice_json(os, report);
+    core::write_advice_json(os, analyzer_.snapshot(instances_));
     return os.str();
 }
 

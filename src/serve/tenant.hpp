@@ -114,8 +114,8 @@ public:
 private:
     /// Orphans = folded events minus events attributed to declared
     /// instances (the same subtraction ProfileStore does post-mortem).
-    static std::uint64_t count_orphans(const core::StreamReport& report);
-    void fill_report_fields(const core::StreamReport& report);
+    static std::uint64_t count_orphans(const core::AnalysisResult& result);
+    void fill_report_fields(const core::AnalysisResult& result);
 
     const std::uint32_t id_;
     const std::string name_;

@@ -8,7 +8,7 @@ namespace dsspy::support {
 
 /// Monotonic nanoseconds since an arbitrary epoch (steady_clock).  The
 /// single timing source shared by the capture hot path, the span tracer
-/// (obs/span.hpp), and the Stopwatch below — keep every timing consumer on
+/// (obs/trace.hpp), and the Stopwatch below — keep every timing consumer on
 /// this helper so there is exactly one clock in the system.
 [[nodiscard]] inline std::uint64_t now_ns() noexcept {
     return static_cast<std::uint64_t>(

@@ -78,7 +78,8 @@ void write_html_report(std::ostream& os, const core::AnalysisResult& result,
           "<th>Events</th><th>Threads</th><th>Patterns</th>"
           "<th>Use cases</th></tr>\n";
     for (const core::InstanceAnalysis& ia : result.instances()) {
-        if (ia.profile.total_events() == 0) continue;
+        const core::InstanceStats& s = ia.stats;
+        if (s.total == 0) continue;
         std::string codes;
         for (const core::UseCase& uc : ia.use_cases) {
             if (!codes.empty()) codes += ", ";
@@ -86,11 +87,10 @@ void write_html_report(std::ostream& os, const core::AnalysisResult& result,
         }
         os << "<tr" << (ia.flagged_parallel() ? " class=\"flagged\"" : "")
            << "><td><code>"
-           << html_escape(ia.profile.info().location.to_string())
-           << "</code></td><td>" << html_escape(ia.profile.info().type_name)
-           << "</td><td>" << ia.profile.total_events() << "</td><td>"
-           << ia.profile.thread_count() << "</td><td>"
-           << ia.patterns.size() << "</td><td>"
+           << html_escape(s.info.location.to_string())
+           << "</code></td><td>" << html_escape(s.info.type_name)
+           << "</td><td>" << s.total << "</td><td>" << s.thread_count
+           << "</td><td>" << ia.total_patterns() << "</td><td>"
            << (codes.empty() ? "&mdash;" : html_escape(codes))
            << "</td></tr>\n";
     }
@@ -103,13 +103,13 @@ void write_html_report(std::ostream& os, const core::AnalysisResult& result,
         const bool charted =
             ia.flagged() ||
             (options.chart_unflagged_min_events > 0 &&
-             ia.profile.total_events() >= options.chart_unflagged_min_events);
+             ia.stats.total >= options.chart_unflagged_min_events);
         if (!charted) continue;
         any = true;
 
         os << "<h3><code>"
-           << html_escape(ia.profile.info().location.to_string())
-           << "</code> &mdash; " << html_escape(ia.profile.info().type_name)
+           << html_escape(ia.stats.info.location.to_string())
+           << "</code> &mdash; " << html_escape(ia.stats.info.type_name)
            << "</h3>\n";
 
         os << "<div class=\"chart\">"

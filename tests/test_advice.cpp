@@ -400,7 +400,7 @@ TEST(AdviceJson, StreamDocumentMatchesPostmortemDocument) {
     for (const auto& info : instances) analyzer.declare_instance(info);
     for (const auto& info : instances)
         analyzer.fold(session.store().events(info.id));
-    const dsspy::core::StreamReport stream = analyzer.finish(instances);
+    const dsspy::core::AnalysisResult stream = analyzer.finish(instances);
     std::ostringstream st_os;
     dsspy::core::write_advice_json(st_os, stream);
 

@@ -3,6 +3,7 @@
 
 #include <sstream>
 
+#include "core/dsspy.hpp"
 #include "core/export.hpp"
 #include "ds/ds.hpp"
 #include "support/strings.hpp"

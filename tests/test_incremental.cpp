@@ -35,7 +35,6 @@ using core::AnalysisResult;
 using core::DetectorConfig;
 using core::Dsspy;
 using core::IncrementalAnalyzer;
-using core::StreamReport;
 using core::UseCaseKind;
 using runtime::AccessEvent;
 using runtime::AnalysisMode;
@@ -49,51 +48,88 @@ using runtime::ProfilingSession;
 
 // --- equivalence helpers ----------------------------------------------------
 
-template <typename Report>
-std::string report_text(const Report& report) {
+std::string report_text(const AnalysisResult& result) {
     std::ostringstream os;
-    core::print_use_case_report(os, report);
+    core::print_use_case_report(os, result);
     os << "---\n";
-    core::print_use_case_report(os, report, /*parallel_only=*/true);
+    core::print_use_case_report(os, result, /*parallel_only=*/true);
     os << "---\n";
-    core::print_instance_summary(os, report);
+    core::print_instance_summary(os, result);
     os << "---\n";
-    core::write_use_cases_csv(os, report);
+    core::write_use_cases_csv(os, result);
     os << "---\n";
-    core::write_instances_csv(os, report);
+    core::write_instances_csv(os, result);
     return os.str();
 }
 
-/// Assert the post-mortem result and the stream report agree on every
-/// observable: aggregates, per-instance verdicts, and all rendered text.
-void expect_reports_equal(const AnalysisResult& pm, const StreamReport& sr) {
-    ASSERT_EQ(pm.instances().size(), sr.instances().size());
-    EXPECT_EQ(pm.total_instances(), sr.total_instances());
-    EXPECT_EQ(pm.list_array_instances(), sr.list_array_instances());
-    EXPECT_EQ(pm.flagged_instances(), sr.flagged_instances());
-    EXPECT_EQ(pm.total_events(), sr.total_events());
-    EXPECT_DOUBLE_EQ(pm.search_space_reduction(), sr.search_space_reduction());
-    EXPECT_EQ(pm.use_case_counts(), sr.use_case_counts());
+/// A post-mortem result's stats must agree with the profile view they
+/// were folded from: the printers read the stats, so a drift here would
+/// change post-mortem output.
+void expect_stats_match_profiles(const AnalysisResult& pm) {
+    for (const core::InstanceAnalysis& ia : pm.instances()) {
+        SCOPED_TRACE("instance " + std::to_string(ia.stats.info.id));
+        const core::RuntimeProfile& p = ia.profile;
+        EXPECT_EQ(ia.stats.info, p.info());
+        EXPECT_EQ(ia.stats.total, p.total_events());
+        for (std::size_t t = 0; t < core::kAccessTypeCount; ++t)
+            EXPECT_EQ(ia.stats.counts[t],
+                      p.count(static_cast<core::AccessType>(t)));
+        EXPECT_EQ(ia.stats.thread_count, p.thread_count());
+        EXPECT_EQ(ia.stats.max_size, p.max_size());
+        EXPECT_EQ(ia.total_patterns(), ia.patterns.size());
+    }
+}
+
+/// The stats with the wall-clock fields zeroed: two live recordings of
+/// the same workload fold the same events at different timestamps.
+core::InstanceStats without_clock(core::InstanceStats s) {
+    s.duration_ns = 0;
+    s.long_insert_ns = 0;
+    return s;
+}
+
+/// Assert a post-mortem and an incremental result agree on every
+/// observable: aggregates, per-instance stats and verdicts, and all
+/// rendered text.  `same_recording` is false when the two engines saw two
+/// separate live runs of one workload; stats then match up to timestamps.
+void expect_results_equal(const AnalysisResult& pm,
+                          const AnalysisResult& inc,
+                          bool same_recording = true) {
+    expect_stats_match_profiles(pm);
+    ASSERT_EQ(pm.instances().size(), inc.instances().size());
+    EXPECT_EQ(pm.total_instances(), inc.total_instances());
+    EXPECT_EQ(pm.list_array_instances(), inc.list_array_instances());
+    EXPECT_EQ(pm.flagged_instances(), inc.flagged_instances());
+    EXPECT_EQ(pm.total_events(), inc.total_events());
+    EXPECT_DOUBLE_EQ(pm.search_space_reduction(),
+                     inc.search_space_reduction());
+    EXPECT_EQ(pm.use_case_counts(), inc.use_case_counts());
     for (std::size_t i = 0; i < pm.instances().size(); ++i) {
         SCOPED_TRACE("instance index " + std::to_string(i));
-        const core::InstanceAnalysis& ia = pm.instances()[i];
-        const core::StreamInstance& si = sr.instances()[i];
-        EXPECT_EQ(ia.patterns.size(), si.total_patterns());
-        ASSERT_EQ(ia.use_cases.size(), si.use_cases.size());
-        for (std::size_t u = 0; u < ia.use_cases.size(); ++u) {
+        const core::InstanceAnalysis& a = pm.instances()[i];
+        const core::InstanceAnalysis& b = inc.instances()[i];
+        if (same_recording) {
+            EXPECT_TRUE(a.stats == b.stats);
+        } else {
+            EXPECT_TRUE(without_clock(a.stats) == without_clock(b.stats));
+        }
+        EXPECT_TRUE(b.patterns.empty());
+        EXPECT_EQ(b.profile.total_events(), 0u);
+        ASSERT_EQ(a.use_cases.size(), b.use_cases.size());
+        for (std::size_t u = 0; u < a.use_cases.size(); ++u) {
             SCOPED_TRACE("use case " + std::to_string(u));
-            EXPECT_EQ(ia.use_cases[u].kind, si.use_cases[u].kind);
-            EXPECT_EQ(ia.use_cases[u].reason(), si.use_cases[u].reason());
-            EXPECT_EQ(ia.use_cases[u].recommendation(),
-                      si.use_cases[u].recommendation());
-            EXPECT_EQ(ia.use_cases[u].parallel_potential(),
-                      si.use_cases[u].parallel_potential());
-            EXPECT_DOUBLE_EQ(ia.use_cases[u].confidence(),
-                             si.use_cases[u].confidence());
-            EXPECT_TRUE(ia.use_cases[u] == si.use_cases[u]);
+            EXPECT_EQ(a.use_cases[u].kind, b.use_cases[u].kind);
+            EXPECT_EQ(a.use_cases[u].reason(), b.use_cases[u].reason());
+            EXPECT_EQ(a.use_cases[u].recommendation(),
+                      b.use_cases[u].recommendation());
+            EXPECT_EQ(a.use_cases[u].parallel_potential(),
+                      b.use_cases[u].parallel_potential());
+            EXPECT_DOUBLE_EQ(a.use_cases[u].confidence(),
+                             b.use_cases[u].confidence());
+            EXPECT_TRUE(a.use_cases[u] == b.use_cases[u]);
         }
     }
-    EXPECT_EQ(report_text(pm), report_text(sr));
+    EXPECT_EQ(report_text(pm), report_text(inc));
 }
 
 /// Replay a stopped session's store through an IncrementalAnalyzer
@@ -107,8 +143,7 @@ void expect_equivalent(const ProfilingSession& session,
     for (const InstanceInfo& info : instances) inc.declare_instance(info);
     for (const InstanceInfo& info : instances)
         inc.fold(session.store().events(info.id));
-    const StreamReport sr = inc.finish(instances);
-    expect_reports_equal(pm, sr);
+    expect_results_equal(pm, inc.finish(instances));
 }
 
 bool has_kind(const AnalysisResult& result, UseCaseKind kind) {
@@ -267,7 +302,7 @@ TEST(LiveSessionDifferential, StreamingSinkMatchesPostmortem) {
     ASSERT_GT(session.events_recorded(), 0u);
     EXPECT_EQ(inc.events_folded(), session.events_recorded());
     const AnalysisResult pm = Dsspy{}.analyze(session);
-    expect_reports_equal(pm, Dsspy::finish(inc, session));
+    expect_results_equal(pm, Dsspy::finish(inc, session));
 }
 
 TEST(LiveSessionDifferential, BufferedSinkMatchesPostmortem) {
@@ -279,7 +314,7 @@ TEST(LiveSessionDifferential, BufferedSinkMatchesPostmortem) {
 
     EXPECT_EQ(inc.events_folded(), session.events_recorded());
     const AnalysisResult pm = Dsspy{}.analyze(session);
-    expect_reports_equal(pm, Dsspy::finish(inc, session));
+    expect_results_equal(pm, Dsspy::finish(inc, session));
 }
 
 TEST(LiveSessionDifferential, IncrementalModeRetainsNoEvents) {
@@ -301,7 +336,8 @@ TEST(LiveSessionDifferential, IncrementalModeRetainsNoEvents) {
     EXPECT_EQ(session.store().total_events(), 0u);
     EXPECT_EQ(inc.events_folded(), session.events_recorded());
     EXPECT_EQ(session.events_recorded(), reference.events_recorded());
-    expect_reports_equal(pm, Dsspy::finish(inc, session));
+    expect_results_equal(pm, Dsspy::finish(inc, session),
+                         /*same_recording=*/false);
 }
 
 TEST(LiveSessionDifferential, SnapshotDoesNotPerturbAndMatchesPrefix) {
@@ -328,7 +364,7 @@ TEST(LiveSessionDifferential, SnapshotDoesNotPerturbAndMatchesPrefix) {
     // ... and taking it must not change the final verdicts.
     streamed.fold(events.subspan(half));
     const AnalysisResult pm = Dsspy{}.analyze(session);
-    expect_reports_equal(pm, streamed.finish(instances));
+    expect_results_equal(pm, streamed.finish(instances));
 }
 
 // --- adversarial synthetic workloads ----------------------------------------
@@ -660,7 +696,7 @@ TEST(StreamingTraceReader, StreamedAnalyzeMatchesPostmortemBothFormats) {
         } sink{inc};
         std::istringstream stream_in(bytes);
         (void)runtime::read_trace_stream(stream_in, sink, 128);
-        expect_reports_equal(pm, inc.finish(sink.instances));
+        expect_results_equal(pm, inc.finish(sink.instances));
     }
 }
 

@@ -56,9 +56,9 @@ Text run_plan(const pipeline::RunPlan& plan) {
 
 /// The pre-pipeline CLI's post-mortem emitter, replicated verbatim: the
 /// differential tests compare the runner against this exact order.
-template <typename Result>
-void seed_emit(const pipeline::OutputSelection& o, const Result& analysis,
-               std::ostream& out, std::ostream& err) {
+void seed_emit(const pipeline::OutputSelection& o,
+               const core::AnalysisResult& analysis, std::ostream& out,
+               std::ostream& err) {
     if (o.summary) {
         core::print_instance_summary(out, analysis);
         out << '\n';
@@ -71,19 +71,14 @@ void seed_emit(const pipeline::OutputSelection& o, const Result& analysis,
             << analysis.list_array_instances()
             << " list/array instances flagged)\n";
     }
-    if constexpr (std::is_same_v<Result, core::AnalysisResult>) {
-        if (o.plan) {
-            const core::TransformPlan plan =
-                core::plan_transformations(analysis);
-            core::print_transform_plan(out, plan);
-        }
-        if (o.json) core::write_analysis_json(out, analysis);
+    if (o.plan) {
+        const core::TransformPlan plan = core::plan_transformations(analysis);
+        core::print_transform_plan(out, plan);
     }
+    if (o.json) core::write_analysis_json(out, analysis);
     if (o.csv_usecases) core::write_use_cases_csv(out, analysis);
     if (o.csv_instances) core::write_instances_csv(out, analysis);
-    if constexpr (std::is_same_v<Result, core::AnalysisResult>) {
-        if (o.csv_patterns) core::write_patterns_csv(out, analysis);
-    }
+    if (o.csv_patterns) core::write_patterns_csv(out, analysis);
     (void)err;
 }
 
@@ -228,7 +223,7 @@ TEST(PipelineDifferential, TraceIncrementalMatchesSeedStreamWiring) {
         core::IncrementalAnalyzer& analyzer;
     } sink{incremental};
     runtime::read_trace_stream_file(path, sink);
-    const core::StreamReport report = incremental.finish(sink.instances);
+    const core::AnalysisResult report = incremental.finish(sink.instances);
     std::ostringstream seed_out;
     std::ostringstream seed_err;
     pipeline::OutputSelection outputs = report_only();

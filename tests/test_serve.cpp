@@ -92,7 +92,7 @@ private:
 /// What `dsspy analyze <trace> --report` prints for this CSV: the
 /// use-case report plus the search-space reduction footer the CLI's
 /// report sink appends.
-std::string render_report(const core::StreamReport& report) {
+std::string render_report(const core::AnalysisResult& report) {
     std::ostringstream os;
     core::print_use_case_report(os, report);
     os << "Search space reduction: "

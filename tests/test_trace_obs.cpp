@@ -409,7 +409,11 @@ std::string record_app_trace() {
     runtime::ProfilingSession session;
     app->run_sequential(&session);
     session.stop();
-    const std::string path = testing::TempDir() + "trace_obs_run.csv";
+    // One file per test: ctest runs these tests as concurrent processes.
+    const std::string path =
+        testing::TempDir() + "trace_obs_run_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".csv";
     EXPECT_TRUE(runtime::write_trace_file(path, session,
                                           runtime::TraceFormat::Csv));
     return path;
