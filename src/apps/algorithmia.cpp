@@ -297,8 +297,8 @@ RunResult run_algorithmia_parallel(par::ThreadPool& pool) {
     return result;
 }
 
-RunResult run_algorithmia_simulated(unsigned workers) {
-    RunResult result;
+SimulatedRunResult run_algorithmia_simulated(unsigned workers) {
+    SimulatedRunResult result;
     Stopwatch total;
     Rng rng(2014);
     std::uint64_t region_work = 0;
@@ -353,6 +353,7 @@ RunResult run_algorithmia_simulated(unsigned workers) {
     const std::uint64_t wall = total.elapsed_ns();
     result.total_ns = wall - region_work + region_span;
     result.parallelizable_ns = region_span;
+    result.region_work_ns = region_work;
     return result;
 }
 

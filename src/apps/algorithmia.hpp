@@ -17,6 +17,6 @@ namespace dsspy::apps {
 
 RunResult run_algorithmia(runtime::ProfilingSession* session);
 RunResult run_algorithmia_parallel(par::ThreadPool& pool);
-RunResult run_algorithmia_simulated(unsigned workers);
+SimulatedRunResult run_algorithmia_simulated(unsigned workers);
 
 }  // namespace dsspy::apps

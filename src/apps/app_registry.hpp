@@ -51,6 +51,13 @@ struct RunResult {
     }
 };
 
+/// Outcome of run_simulated: `parallelizable_ns` is the recommendation
+/// regions' makespan on the virtual workers, `region_work_ns` their summed
+/// chunk time (the makespan on one worker), both from the same run.
+struct SimulatedRunResult : RunResult {
+    std::uint64_t region_work_ns = 0;
+};
+
 /// Registry entry: metadata from Table IV plus the two run hooks.
 struct AppInfo {
     std::string name;
@@ -66,7 +73,7 @@ struct AppInfo {
 
     RunResult (*run_sequential)(runtime::ProfilingSession*) = nullptr;
     RunResult (*run_parallel)(par::ThreadPool&) = nullptr;
-    RunResult (*run_simulated)(unsigned workers) = nullptr;
+    SimulatedRunResult (*run_simulated)(unsigned workers) = nullptr;
 };
 
 /// All seven evaluation apps, in Table IV row order.

@@ -170,8 +170,8 @@ RunResult run_astrogrep_parallel(par::ThreadPool& pool) {
     return result;
 }
 
-RunResult run_astrogrep_simulated(unsigned workers) {
-    RunResult result;
+SimulatedRunResult run_astrogrep_simulated(unsigned workers) {
+    SimulatedRunResult result;
     const std::vector<Document> docs = make_documents(
         kVolumes * kDocsPerVolume, kLinesPerDoc, 42, /*words_per_line=*/28);
     Stopwatch total;
@@ -242,6 +242,7 @@ RunResult run_astrogrep_simulated(unsigned workers) {
     const std::uint64_t wall = total.elapsed_ns();
     result.total_ns = wall - region_work + region_span;
     result.parallelizable_ns = region_span;
+    result.region_work_ns = region_work;
     return result;
 }
 

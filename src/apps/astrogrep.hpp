@@ -13,6 +13,6 @@ namespace dsspy::apps {
 
 RunResult run_astrogrep(runtime::ProfilingSession* session);
 RunResult run_astrogrep_parallel(par::ThreadPool& pool);
-RunResult run_astrogrep_simulated(unsigned workers);
+SimulatedRunResult run_astrogrep_simulated(unsigned workers);
 
 }  // namespace dsspy::apps

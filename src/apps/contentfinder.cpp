@@ -153,8 +153,8 @@ RunResult run_contentfinder_parallel(par::ThreadPool& pool) {
     return result;
 }
 
-RunResult run_contentfinder_simulated(unsigned workers) {
-    RunResult result;
+SimulatedRunResult run_contentfinder_simulated(unsigned workers) {
+    SimulatedRunResult result;
     const std::vector<Document> docs =
         make_documents(kFiles, kLinesPerFile, 99);
     Stopwatch total;
@@ -208,6 +208,7 @@ RunResult run_contentfinder_simulated(unsigned workers) {
     const std::uint64_t wall = total.elapsed_ns();
     result.total_ns = wall - region_work + region_span;
     result.parallelizable_ns = region_span;
+    result.region_work_ns = region_work;
     return result;
 }
 

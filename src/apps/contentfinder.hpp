@@ -14,6 +14,6 @@ namespace dsspy::apps {
 
 RunResult run_contentfinder(runtime::ProfilingSession* session);
 RunResult run_contentfinder_parallel(par::ThreadPool& pool);
-RunResult run_contentfinder_simulated(unsigned workers);
+SimulatedRunResult run_contentfinder_simulated(unsigned workers);
 
 }  // namespace dsspy::apps

@@ -277,8 +277,8 @@ RunResult run_cpubench_parallel(par::ThreadPool& pool) {
     return result;
 }
 
-RunResult run_cpubench_simulated(unsigned workers) {
-    RunResult result;
+SimulatedRunResult run_cpubench_simulated(unsigned workers) {
+    SimulatedRunResult result;
     Stopwatch total;
     std::uint64_t region_work = 0;
     std::uint64_t region_span = 0;
@@ -377,6 +377,7 @@ RunResult run_cpubench_simulated(unsigned workers) {
     const std::uint64_t wall = total.elapsed_ns();
     result.total_ns = wall - region_work + region_span;
     result.parallelizable_ns = region_span;
+    result.region_work_ns = region_work;
     return result;
 }
 

@@ -16,6 +16,6 @@ namespace dsspy::apps {
 
 RunResult run_cpubench(runtime::ProfilingSession* session);
 RunResult run_cpubench_parallel(par::ThreadPool& pool);
-RunResult run_cpubench_simulated(unsigned workers);
+SimulatedRunResult run_cpubench_simulated(unsigned workers);
 
 }  // namespace dsspy::apps

@@ -273,8 +273,8 @@ RunResult run_gpdotnet_parallel(par::ThreadPool& pool) {
     return result;
 }
 
-RunResult run_gpdotnet_simulated(unsigned workers) {
-    RunResult result;
+SimulatedRunResult run_gpdotnet_simulated(unsigned workers) {
+    SimulatedRunResult result;
     Stopwatch total;
     Rng rng(20140101);
     std::uint64_t region_work = 0;
@@ -347,6 +347,7 @@ RunResult run_gpdotnet_simulated(unsigned workers) {
     const std::uint64_t wall = total.elapsed_ns();
     result.total_ns = wall - region_work + region_span;
     result.parallelizable_ns = region_span;
+    result.region_work_ns = region_work;
     return result;
 }
 

@@ -22,6 +22,6 @@ namespace dsspy::apps {
 
 RunResult run_gpdotnet(runtime::ProfilingSession* session);
 RunResult run_gpdotnet_parallel(par::ThreadPool& pool);
-RunResult run_gpdotnet_simulated(unsigned workers);
+SimulatedRunResult run_gpdotnet_simulated(unsigned workers);
 
 }  // namespace dsspy::apps

@@ -16,6 +16,6 @@ namespace dsspy::apps {
 
 RunResult run_mandelbrot(runtime::ProfilingSession* session);
 RunResult run_mandelbrot_parallel(par::ThreadPool& pool);
-RunResult run_mandelbrot_simulated(unsigned workers);
+SimulatedRunResult run_mandelbrot_simulated(unsigned workers);
 
 }  // namespace dsspy::apps

@@ -15,6 +15,6 @@ namespace dsspy::apps {
 
 RunResult run_wordwheel(runtime::ProfilingSession* session);
 RunResult run_wordwheel_parallel(par::ThreadPool& pool);
-RunResult run_wordwheel_simulated(unsigned workers);
+SimulatedRunResult run_wordwheel_simulated(unsigned workers);
 
 }  // namespace dsspy::apps

@@ -108,20 +108,20 @@ template <typename T>
 // ---------------------------------------------------------------------------
 
 /// Parallel reduction: combine(map(e0), map(e1), ...) with `identity` as
-/// the neutral element.  `combine` must be associative.
+/// the neutral element.  `combine` must be associative.  Each chunk folds
+/// its range into its own slot and the slots combine in chunk order, so the
+/// result depends only on the pool width, never on which chunk finishes
+/// first (floating-point sums are bit-identical from call to call).
 template <typename T, typename R, typename Map, typename Combine>
 [[nodiscard]] R parallel_reduce(ThreadPool& pool, std::span<const T> data,
                                 R identity, Map map, Combine combine) {
-    const std::size_t chunks =
-        std::min<std::size_t>(pool.thread_count() * 4,
-                              data.size() == 0 ? 1 : data.size());
-    std::vector<R> partial(chunks, identity);
-    std::atomic<std::size_t> next{0};
+    const ChunkPlan plan = chunk_plan(pool, data.size());
+    std::vector<R> partial(plan.count, identity);
     parallel_for_chunks(pool, 0, data.size(),
                         [&](std::size_t lo, std::size_t hi) {
         R acc = identity;
         for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, map(data[i]));
-        partial[next.fetch_add(1, std::memory_order_relaxed)] = acc;
+        partial[lo / plan.size] = acc;
     });
     R out = identity;
     for (const R& p : partial) out = combine(out, p);
@@ -172,17 +172,10 @@ void parallel_sort(ThreadPool& pool, std::span<T> data, Less less = {}) {
         runs.emplace_back(lo, std::min(n, lo + chunk_size));
 
     // Sort each run in parallel.
-    {
-        std::latch done(static_cast<std::ptrdiff_t>(runs.size()));
-        for (auto [lo, hi] : runs) {
-            pool.submit([&data, lo, hi, &less, &done] {
-                dsspy::ds::detail::introsort(data.data() + lo,
-                                             data.data() + hi, less);
-                done.count_down();
-            });
-        }
-        done.wait();
-    }
+    parallel_for(pool, 0, runs.size(), [&](std::size_t r) {
+        dsspy::ds::detail::introsort(data.data() + runs[r].first,
+                                     data.data() + runs[r].second, less);
+    });
 
     // Pairwise merge rounds (log(chunks) rounds), merging into a scratch
     // buffer and swapping roles each round.
@@ -192,29 +185,25 @@ void parallel_sort(ThreadPool& pool, std::span<T> data, Less less = {}) {
     while (runs.size() > 1) {
         std::vector<std::pair<std::size_t, std::size_t>> next_runs;
         const std::size_t pairs = runs.size() / 2;
-        std::latch done(static_cast<std::ptrdiff_t>(pairs));
-        for (std::size_t p = 0; p < pairs; ++p) {
-            const auto [alo, ahi] = runs[2 * p];
-            const auto [blo, bhi] = runs[2 * p + 1];
-            next_runs.emplace_back(alo, bhi);
-            pool.submit([src, dst, alo, ahi, blo, bhi, &less, &done] {
-                std::size_t i = alo;
-                std::size_t j = blo;
-                std::size_t o = alo;
-                while (i < ahi && j < bhi)
-                    dst[o++] = less(src[j], src[i]) ? std::move(src[j++])
-                                                    : std::move(src[i++]);
-                while (i < ahi) dst[o++] = std::move(src[i++]);
-                while (j < bhi) dst[o++] = std::move(src[j++]);
-                done.count_down();
-            });
-        }
+        for (std::size_t p = 0; p < pairs; ++p)
+            next_runs.emplace_back(runs[2 * p].first, runs[2 * p + 1].second);
         if (runs.size() % 2 == 1) {
             const auto [lo, hi] = runs.back();
             for (std::size_t i = lo; i < hi; ++i) dst[i] = std::move(src[i]);
             next_runs.push_back(runs.back());
         }
-        done.wait();
+        parallel_for(pool, 0, pairs, [&](std::size_t p) {
+            const auto [alo, ahi] = runs[2 * p];
+            const auto [blo, bhi] = runs[2 * p + 1];
+            std::size_t i = alo;
+            std::size_t j = blo;
+            std::size_t o = alo;
+            while (i < ahi && j < bhi)
+                dst[o++] = less(src[j], src[i]) ? std::move(src[j++])
+                                                : std::move(src[i++]);
+            while (i < ahi) dst[o++] = std::move(src[i++]);
+            while (j < bhi) dst[o++] = std::move(src[j++]);
+        });
         runs = std::move(next_runs);
         std::swap(src, dst);
     }

@@ -1,39 +1,95 @@
 // Blocking data-parallel loops over index ranges.
+//
+// parallel_for_chunks is the one fork-join primitive of the parallel
+// runtime (DESIGN.md §17).  A region splits [begin, end) into at most
+// thread_count() * 4 contiguous chunks (chunk_plan, the decomposition
+// simulate_chunks replays) and runs them as follows:
+//   * the calling thread claims chunks from one shared atomic counter and
+//     runs them itself; it returns as soon as every chunk has completed,
+//     never waiting for a helper that has not claimed one;
+//   * helpers wake on demand: the caller submits one pool task, and each
+//     helper whose first claim leaves chunks unclaimed submits the next, up
+//     to the pool width — one submission per helper, none per chunk;
+//   * a helper that runs after the region returned touches only the
+//     region's reference-counted block, never the caller's `body`;
+//   * the first exception `body` throws, on any thread, cancels the
+//     unclaimed chunks and is rethrown on the caller once every claimed
+//     chunk has finished.
+// There is no grain-size knob.  The runtime measures how long a woken
+// helper takes to start and what one index of each call site costs; a
+// region the caller is predicted to finish before a helper could start
+// runs on the caller, chunk by chunk, without waking one.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <latch>
+#include <cstdint>
+#include <utility>
 
 #include "parallel/thread_pool.hpp"
 
 namespace dsspy::par {
 
+/// How a region of `n` indices splits into contiguous chunks.
+struct ChunkPlan {
+    std::size_t count = 0;  ///< Non-empty chunks.
+    std::size_t size = 0;   ///< Indices per chunk; the last may be shorter.
+};
+
+/// Split `n` indices into at most `max_chunks` chunks of equal size (the
+/// last may be shorter).  `n == 0` yields no chunks.
+[[nodiscard]] constexpr ChunkPlan chunk_plan(std::size_t n,
+                                             std::size_t max_chunks) noexcept {
+    if (n == 0) return {};
+    const std::size_t chunks = std::clamp<std::size_t>(max_chunks, 1, n);
+    const std::size_t size = (n + chunks - 1) / chunks;
+    return {(n + size - 1) / size, size};
+}
+
+/// The plan parallel_for_chunks uses for `n` indices on `pool`: chunk
+/// `(i - begin) / size` holds index i.
+[[nodiscard]] inline ChunkPlan chunk_plan(const ThreadPool& pool,
+                                          std::size_t n) noexcept {
+    return chunk_plan(n, std::size_t{pool.thread_count()} * 4);
+}
+
+namespace detail {
+
+using ChunkFn = void (*)(void* body, std::size_t lo, std::size_t hi);
+
+/// Measured cost per index of one call site (one `Body` type) of
+/// parallel_for_chunks, in picoseconds; 0 until first measured.
+struct SiteCost {
+    std::atomic<std::uint64_t> ps_per_index{0};
+};
+
+/// Run `fn(body, lo, hi)` over every chunk of `plan` laid from `begin` to
+/// `end`, with the calling thread participating (see the header comment).
+void fork_join(ThreadPool& pool, std::size_t begin, std::size_t end,
+               ChunkPlan plan, ChunkFn fn, void* body, SiteCost& site);
+
+}  // namespace detail
+
 /// Invoke `body(begin, end)` over contiguous chunks of [begin, end) on the
-/// pool; blocks until all chunks are done.  `body` must be safe to run
-/// concurrently on disjoint ranges.
+/// calling thread and the pool; blocks until all chunks are done.  `body`
+/// must be safe to run concurrently on disjoint ranges.
 template <typename Body>
 void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
                          Body body) {
     if (begin >= end) return;
-    const std::size_t n = end - begin;
-    const std::size_t chunks =
-        std::min<std::size_t>(pool.thread_count() * 4, n);
-    if (chunks <= 1) {
+    const ChunkPlan plan = chunk_plan(pool, end - begin);
+    if (plan.count <= 1) {
         body(begin, end);
         return;
     }
-    std::latch done(static_cast<std::ptrdiff_t>(chunks));
-    const std::size_t chunk_size = (n + chunks - 1) / chunks;
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t lo = begin + c * chunk_size;
-        const std::size_t hi = std::min(end, lo + chunk_size);
-        pool.submit([lo, hi, &body, &done] {
-            if (lo < hi) body(lo, hi);
-            done.count_down();
-        });
-    }
-    done.wait();
+    static detail::SiteCost site;
+    detail::fork_join(
+        pool, begin, end, plan,
+        [](void* b, std::size_t lo, std::size_t hi) {
+            (*static_cast<Body*>(b))(lo, hi);
+        },
+        &body, site);
 }
 
 /// Invoke `body(i)` for every i in [begin, end) in parallel.

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "parallel/parallel_for.hpp"
 #include "support/stopwatch.hpp"
 
 namespace dsspy::par {
@@ -78,8 +79,9 @@ private:
     std::vector<std::uint64_t> chunk_ns_;
 };
 
-/// Execute `body(lo, hi)` sequentially over `chunks` contiguous slices of
-/// [begin, end), timing each slice.  Functionally identical to running the
+/// Execute `body(lo, hi)` sequentially over the chunk_plan of at most
+/// `chunks` contiguous slices of [begin, end), timing each slice (with
+/// `chunks` = workers * 4 these are parallel_for_chunks' boundaries).  Functionally identical to running the
 /// region (all side effects happen); the returned schedule replays it on
 /// any virtual machine size.
 template <typename Body>
@@ -89,11 +91,9 @@ template <typename Body>
                                                 Body body) {
     SimulatedSchedule schedule;
     if (begin >= end) return schedule;
-    const std::size_t n = end - begin;
-    chunks = std::clamp<std::size_t>(chunks, 1, n);
-    const std::size_t chunk_size = (n + chunks - 1) / chunks;
-    for (std::size_t lo = begin; lo < end; lo += chunk_size) {
-        const std::size_t hi = std::min(end, lo + chunk_size);
+    const ChunkPlan plan = chunk_plan(end - begin, chunks);
+    for (std::size_t lo = begin; lo < end; lo += plan.size) {
+        const std::size_t hi = std::min(end, lo + plan.size);
         support::Stopwatch sw;
         body(lo, hi);
         schedule.record_chunk(sw.elapsed_ns());

@@ -8,8 +8,10 @@ namespace dsspy::par {
 
 namespace {
 
-/// Self-telemetry: peak task-queue depth (lazy-registered; call sites
-/// guard on obs::enabled()).
+/// Self-telemetry: peak task-queue depth.  parallel_for_chunks submits one
+/// task per helper it wakes, not one per chunk, so for fork-join work this
+/// counts queued helpers (lazy-registered; call sites guard on
+/// obs::enabled()).
 obs::MetricId queue_depth_metric() {
     static const obs::MetricId id =
         obs::MetricsRegistry::global().gauge("parallel.queue_depth_hwm");

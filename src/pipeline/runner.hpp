@@ -12,8 +12,9 @@
 // ProfilingSession.  Sessions are fully independent — the only process
 // state they share is the monotonic session-token counter, the optional
 // global metrics registry (sharded, lock-free), and the shared analysis
-// ThreadPool (safe: parallel sections wait on per-call latches, never on
-// pool-wide idleness).  The batch driver (batch.hpp) leans on exactly this.
+// ThreadPool (safe: a parallel region waits only for its own chunks, and
+// its caller runs every chunk no worker claims, never waiting on pool-wide
+// idleness).  run_batch_jobs() (batch.hpp) leans on exactly this.
 #pragma once
 
 #include <functional>

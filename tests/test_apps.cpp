@@ -132,13 +132,14 @@ TEST_P(AppTest, SimulatedRunMatchesSequentialChecksum) {
 }
 
 TEST_P(AppTest, SimulatedSpeedupGrowsWithWorkers) {
-    const RunResult one = app().run_simulated(1);
-    const RunResult eight = app().run_simulated(8);
-    // The 8-worker projection is at least as fast as the 1-worker one
-    // (allow 25% timing noise on this shared machine).
-    EXPECT_LT(static_cast<double>(eight.total_ns),
-              static_cast<double>(one.total_ns) * 1.25)
-        << app().name;
+    // Judged on one run's measured schedule: the regions' makespan on 8
+    // virtual workers must not exceed their summed work, which is the
+    // makespan on 1.  Both come from the same chunk timings, so host noise
+    // cannot flip the comparison, yet a simulator that projected more
+    // workers as slower still fails it.
+    const SimulatedRunResult eight = app().run_simulated(8);
+    EXPECT_GT(eight.region_work_ns, 0u) << app().name;
+    EXPECT_LE(eight.parallelizable_ns, eight.region_work_ns) << app().name;
 }
 
 TEST_P(AppTest, ParallelizableFractionIsMeasured) {

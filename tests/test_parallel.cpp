@@ -1,8 +1,16 @@
 // Tests for the parallel runtime: pool, loops, algorithms, queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
+#include <chrono>
+#include <cstdint>
+#include <latch>
+#include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <set>
 #include <thread>
 #include <vector>
@@ -86,6 +94,161 @@ TEST(ParallelForChunks, ChunksAreDisjointAndCoverRange) {
         EXPECT_EQ(chunks[i - 1].second, chunks[i].first);
 }
 
+TEST(ParallelForChunks, BoundariesFollowChunkPlan) {
+    ThreadPool pool(3);
+    std::mutex mutex;
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+    parallel_for_chunks(pool, 5, 105, [&](std::size_t lo, std::size_t hi) {
+        std::scoped_lock lock(mutex);
+        chunks.emplace_back(lo, hi);
+    });
+    std::sort(chunks.begin(), chunks.end());
+    const ChunkPlan plan = chunk_plan(pool, 100);
+    EXPECT_EQ(plan.count, 12u);  // 3 workers * 4
+    EXPECT_EQ(plan.size, 9u);
+    ASSERT_EQ(chunks.size(), plan.count);
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+        EXPECT_EQ(chunks[c].first, 5 + c * plan.size);
+        EXPECT_EQ(chunks[c].second, std::min<std::size_t>(105, 5 + (c + 1) * plan.size));
+    }
+}
+
+TEST(ChunkPlan, CoversEveryIndexWithNoEmptyChunk) {
+    EXPECT_EQ(chunk_plan(0, 16).count, 0u);
+    for (std::size_t n = 1; n < 200; ++n) {
+        for (std::size_t max_chunks : {1u, 2u, 4u, 16u, 64u}) {
+            const ChunkPlan plan = chunk_plan(n, max_chunks);
+            EXPECT_LE(plan.count, std::min(n, max_chunks));
+            EXPECT_GE(plan.count * plan.size, n);
+            EXPECT_LT((plan.count - 1) * plan.size, n);  // last is non-empty
+        }
+    }
+}
+
+// A region started from inside a pool task must not depend on a free
+// worker: the caller runs every chunk nobody else claims.  With a
+// single-worker pool the only worker is the caller itself.
+TEST(ForkJoin, NestedRegionOnSingleWorkerPoolCompletes) {
+    ThreadPool pool(1);
+    std::atomic<std::size_t> sum{0};
+    std::atomic<bool> done{false};
+    pool.submit([&] {
+        parallel_for(pool, 0, 1000, [&sum](std::size_t i) {
+            sum.fetch_add(i, std::memory_order_relaxed);
+        });
+        done.store(true);
+    });
+    pool.wait_idle();
+    EXPECT_TRUE(done.load());
+    EXPECT_EQ(sum.load(), 1000u * 999 / 2);
+}
+
+// Many tiny back-to-back regions whose body and data live in a loop-local
+// scope: a helper that woke after its region returned and touched `body`
+// would read a dead stack frame (caught under ASan/TSan).
+TEST(ForkJoin, BackToBackTinyRegionsWithStackBodies) {
+    ThreadPool pool(4);
+    std::uint64_t total = 0;
+    for (int region = 0; region < 20'000; ++region) {
+        std::array<std::atomic<int>, 8> hits{};
+        const int weight = region % 3 + 1;
+        parallel_for_chunks(pool, 0, hits.size(),
+                            [&hits, weight](std::size_t lo, std::size_t hi) {
+                                for (std::size_t i = lo; i < hi; ++i)
+                                    hits[i].fetch_add(weight);
+                            });
+        for (const auto& h : hits) total += static_cast<std::uint64_t>(h.load());
+    }
+    std::uint64_t expected = 0;
+    for (int region = 0; region < 20'000; ++region)
+        expected += 8u * static_cast<std::uint64_t>(region % 3 + 1);
+    EXPECT_EQ(total, expected);
+}
+
+// A helper that starts only after its region returned must not touch the
+// region's body: the single worker is held busy until the caller has run
+// every chunk alone and the body's frame is gone.
+TEST(ForkJoin, LateHelperStartsAfterRegionReturned) {
+    ThreadPool pool(1);
+    std::latch worker_busy(1);
+    std::latch release_worker(1);
+    pool.submit([&] {
+        worker_busy.count_down();
+        release_worker.wait();
+    });
+    worker_busy.wait();
+    std::size_t sum = 0;
+    {
+        const std::vector<std::size_t> data(64, 1);
+        std::atomic<std::size_t> local{0};
+        parallel_for_chunks(pool, 0, data.size(),
+                            [&](std::size_t lo, std::size_t hi) {
+                                for (std::size_t i = lo; i < hi; ++i)
+                                    local.fetch_add(data[i]);
+                            });
+        sum = local.load();
+    }
+    release_worker.count_down();
+    pool.wait_idle();  // the queued helper runs now and finds nothing
+    EXPECT_EQ(sum, 64u);
+}
+
+// An exception thrown on the caller's thread reaches the caller only after
+// the chunks helpers had already claimed have finished.
+TEST(ForkJoin, CallerExceptionWaitsForClaimedHelperChunks) {
+    ThreadPool pool(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> helper_started{0};
+    std::atomic<int> helper_finished{0};
+    bool caught = false;
+    try {
+        parallel_for_chunks(pool, 0, 64, [&](std::size_t, std::size_t) {
+            if (std::this_thread::get_id() == caller) {
+                const auto deadline =
+                    std::chrono::steady_clock::now() + std::chrono::seconds(10);
+                while (helper_started.load() == 0 &&
+                       std::chrono::steady_clock::now() < deadline)
+                    std::this_thread::yield();
+                throw std::runtime_error("caller chunk failed");
+            }
+            helper_started.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            helper_finished.fetch_add(1);
+        });
+    } catch (const std::runtime_error& e) {
+        caught = true;
+        EXPECT_STREQ(e.what(), "caller chunk failed");
+        EXPECT_GT(helper_started.load(), 0);
+        EXPECT_EQ(helper_finished.load(), helper_started.load());
+    }
+    EXPECT_TRUE(caught);
+    // The caller's failure cancelled the chunks nobody had claimed.
+    EXPECT_LT(static_cast<std::size_t>(helper_started.load()),
+              chunk_plan(pool, 64).count);
+}
+
+// A helper's exception is not lost on the worker: it reaches the caller.
+TEST(ForkJoin, HelperExceptionReachesCaller) {
+    ThreadPool pool(2);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> helper_threw{false};
+    const auto body = [&](std::size_t, std::size_t) {
+        if (std::this_thread::get_id() != caller) {
+            if (!helper_threw.exchange(true))
+                throw std::logic_error("helper failed");
+            return;
+        }
+        // Hold the caller's chunk until a helper has arrived and thrown.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!helper_threw.load() &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+    };
+    EXPECT_THROW(parallel_for_chunks(pool, 0, 64, body), std::logic_error);
+    EXPECT_TRUE(helper_threw.load());
+}
+
 TEST(ParallelBuild, MatchesSequentialConstruction) {
     ThreadPool pool(4);
     const auto list = parallel_build<std::int64_t>(
@@ -162,6 +325,45 @@ TEST(ParallelReduce, SumsCorrectly) {
     EXPECT_EQ(sum, 100'000LL * 99'999 / 2);
 }
 
+TEST(ParallelReduce, FloatingPointSumIsDeterministicInChunkOrder) {
+    ThreadPool pool(4);
+    support::Rng rng(11);
+    std::vector<double> data(1'000'000);
+    for (auto& v : data)
+        v = static_cast<double>(rng.next_below(1'000'000)) * 1e-3 /
+            static_cast<double>(rng.next_below(97) + 1);
+    const auto sum = [&pool, &data] {
+        return parallel_reduce<double, double>(
+            pool, data, 0.0, [](double v) { return v; },
+            [](double a, double b) { return a + b; });
+    };
+    // Sequential fold in chunk order: each chunk from the identity, then
+    // the partials left to right.
+    const ChunkPlan plan = chunk_plan(pool, data.size());
+    double expected = 0.0;
+    for (std::size_t c = 0; c < plan.count; ++c) {
+        double acc = 0.0;
+        const std::size_t hi = std::min(data.size(), (c + 1) * plan.size);
+        for (std::size_t i = c * plan.size; i < hi; ++i) acc += data[i];
+        expected += acc;
+    }
+    for (int call = 0; call < 100; ++call) {
+        const double got = sum();
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "call " << call;
+    }
+}
+
+TEST(ParallelReduce, EmptyInputReturnsIdentity) {
+    ThreadPool pool(4);
+    const std::vector<int> empty;
+    EXPECT_EQ((parallel_reduce<int, int>(
+                  pool, empty, 7, [](int v) { return v; },
+                  [](int a, int b) { return a + b; })),
+              7);
+}
+
 TEST(ParallelMaxIndex, MatchesSequentialArgmaxIncludingTies) {
     ThreadPool pool(4);
     support::Rng rng(17);
@@ -185,6 +387,17 @@ TEST(ParallelSort, SortsLargeRandomInput) {
     ThreadPool pool(4);
     support::Rng rng(31);
     std::vector<std::int64_t> data(200'000);
+    for (auto& v : data) v = static_cast<std::int64_t>(rng.next());
+    std::vector<std::int64_t> expected = data;
+    std::sort(expected.begin(), expected.end());
+    parallel_sort<std::int64_t>(pool, data);
+    EXPECT_EQ(data, expected);
+}
+
+TEST(ParallelSort, SortsOnSingleWorkerPool) {
+    ThreadPool pool(1);
+    support::Rng rng(37);
+    std::vector<std::int64_t> data(50'000);
     for (auto& v : data) v = static_cast<std::int64_t>(rng.next());
     std::vector<std::int64_t> expected = data;
     std::sort(expected.begin(), expected.end());
