@@ -4,12 +4,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 
 #include "ds/ds.hpp"
-#include "parallel/algorithms.hpp"
 #include "support/rng.hpp"
-#include "parallel/simulation.hpp"
 #include "support/stopwatch.hpp"
 
 namespace dsspy::apps {
@@ -266,29 +267,50 @@ RunResult run_algorithmia(runtime::ProfilingSession* session) {
     return result;
 }
 
-RunResult run_algorithmia_parallel(par::ThreadPool& pool) {
+namespace {
+
+/// Tests 1 and 2 with the recommendations applied, then the unchanged
+/// auxiliary tests; `regions` runs the parallel regions.
+template <typename Regions>
+RunResult parallel_program(Regions& regions) {
     RunResult result;
     Stopwatch total;
     Rng rng(2014);
 
-    // Test 1 with the recommendation applied: parallel max-search.
+    // Test 1: parallel max-search — a local max per chunk, merged under a
+    // lock, ties broken toward the lower index as in the sequential scan.
     {
         ds::List<double> queue(kPriorityElements);
         for (std::size_t i = 0; i < kPriorityElements; ++i)
             queue.add(heavy_value(i));
+        const double* data = queue.data();
         for (std::size_t sweep = 0; sweep < kPrioritySweeps; ++sweep) {
-            const std::ptrdiff_t best = par::parallel_max_index(
-                pool, std::span<const double>(queue.data(), queue.count()));
-            result.checksum += queue[static_cast<std::size_t>(best)];
-            queue.set(static_cast<std::size_t>(best), -1.0);
+            std::mutex merge_mutex;
+            std::optional<std::size_t> best;
+            regions(0, queue.count(), [&](std::size_t lo, std::size_t hi) {
+                std::size_t local = lo;
+                for (std::size_t i = lo + 1; i < hi; ++i)
+                    if (data[local] < data[i]) local = i;
+                std::scoped_lock lock(merge_mutex);
+                if (!best || data[*best] < data[local] ||
+                    (!(data[local] < data[*best]) && local < *best)) {
+                    best = local;
+                }
+            });
+            result.checksum += queue[*best];
+            queue.set(*best, -1.0);
         }
     }
 
-    // Test 2 with the recommendation applied: parallel build.
+    // Test 2: parallel build — elements land directly at their index.
     {
-        ds::List<double> values = par::parallel_build<double>(
-            pool, kHeavyInitElements,
-            [](std::size_t i) { return heavy_value(0xABCD0000 + i); });
+        ds::List<double> values(kHeavyInitElements);
+        double* dest = values.data();
+        regions(0, kHeavyInitElements, [dest](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                std::construct_at(dest + i, heavy_value(0xABCD0000 + i));
+        });
+        values.set_count_after_parallel_build(kHeavyInitElements);
         result.checksum += values[0] + values[values.count() - 1];
     }
 
@@ -297,64 +319,14 @@ RunResult run_algorithmia_parallel(par::ThreadPool& pool) {
     return result;
 }
 
+}  // namespace
+
+RunResult run_algorithmia_parallel(par::ThreadPool& pool) {
+    return run_on_pool(pool, parallel_program<par::PoolExecutor>);
+}
+
 SimulatedRunResult run_algorithmia_simulated(unsigned workers) {
-    SimulatedRunResult result;
-    Stopwatch total;
-    Rng rng(2014);
-    std::uint64_t region_work = 0;
-    std::uint64_t region_span = 0;
-
-    // Test 1: priority queue — simulated chunked max-search per sweep.
-    {
-        ds::List<double> queue(kPriorityElements);
-        for (std::size_t i = 0; i < kPriorityElements; ++i)
-            queue.add(heavy_value(i));
-        for (std::size_t sweep = 0; sweep < kPrioritySweeps; ++sweep) {
-            std::mutex merge_mutex;
-            std::size_t best = 0;
-            bool have_best = false;
-            const par::SimulatedSchedule schedule = par::simulate_chunks(
-                0, queue.count(), workers * 4,
-                [&](std::size_t lo, std::size_t hi) {
-                    std::size_t local = lo;
-                    for (std::size_t i = lo + 1; i < hi; ++i)
-                        if (queue[local] < queue[i]) local = i;
-                    std::scoped_lock lock(merge_mutex);
-                    if (!have_best || queue[best] < queue[local] ||
-                        (!(queue[local] < queue[best]) && local < best)) {
-                        best = local;
-                        have_best = true;
-                    }
-                });
-            region_work += schedule.total_work_ns();
-            region_span += schedule.makespan_ns(workers);
-            result.checksum += queue[best];
-            queue.set(best, -1.0);
-        }
-    }
-
-    // Test 2: heavy initialization — simulated chunked parallel build.
-    {
-        ds::List<double> values(kHeavyInitElements);
-        double* dest = values.data();
-        const par::SimulatedSchedule schedule = par::simulate_chunks(
-            0, kHeavyInitElements, workers * 4,
-            [dest](std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i)
-                    std::construct_at(dest + i, heavy_value(0xABCD0000 + i));
-            });
-        values.set_count_after_parallel_build(kHeavyInitElements);
-        region_work += schedule.total_work_ns();
-        region_span += schedule.makespan_ns(workers);
-        result.checksum += values[0] + values[values.count() - 1];
-    }
-
-    result.checksum += run_auxiliary_tests(nullptr, rng);
-    const std::uint64_t wall = total.elapsed_ns();
-    result.total_ns = wall - region_work + region_span;
-    result.parallelizable_ns = region_span;
-    result.region_work_ns = region_work;
-    return result;
+    return run_on_simulator(workers, parallel_program<par::SimulationExecutor>);
 }
 
 }  // namespace dsspy::apps

@@ -6,7 +6,7 @@
 //     the whole list (Frequent-Long-Read; paper speedup 2.30 at 100k
 //     elements), parallelized with a chunked parallel max-search;
 //   * list initialization with random values (Long-Insert; paper speedup
-//     1.35), parallelized with parallel_build.
+//     1.35), parallelized with a chunked parallel build.
 // The other tests exercise sorting, searching, reversal, stacks, queues,
 // and graph traversal without parallel potential.
 #pragma once

@@ -12,27 +12,27 @@
 //   Mandelbrot       — fractal renderer
 //   WordWheelSolver  — 9-letter word-wheel puzzle solver
 //
-// Every app exposes two entry points:
+// Every app is written twice: the sequential reference program, and one
+// parallel program run under two region executors (parallel/simulation.hpp).
 //   * run_sequential(session) — the original sequential program; when
 //     `session` is non-null every container is instrumented (that is how
 //     Table IV's slowdown column is measured: same code, null vs live
 //     session).  Returns a checksum plus the time spent in the regions the
 //     DSspy recommendations target (for Table VI's runtime fractions).
-//   * run_parallel(pool) — the program with the recommended actions
-//     applied (parallel insert / parallel search / parallel queue ...).
-//     Returns the same checksum so tests can verify semantic equivalence.
-//   * run_simulated(workers) — the same decomposition executed through
-//     the virtual-time scheduler (parallel/simulation.hpp): every chunk
-//     of every recommendation region is measured sequentially and
-//     replayed on `workers` virtual cores.  `total_ns` is the projected
-//     wall-clock on that machine — how the paper's 8-core testbed is
-//     simulated on smaller hosts, load imbalance included.
+//   * run_parallel(pool) — the recommended actions applied (parallel
+//     insert / parallel search / parallel queue ...), each region run on
+//     `pool`.  Returns the same checksum so tests can verify equivalence.
+//   * run_simulated(workers) — the same program with every region's chunks
+//     measured sequentially and replayed on `workers` virtual cores.
+//     `total_ns` is the projected wall-clock on that machine — how the
+//     paper's 8-core testbed is simulated on smaller hosts.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "parallel/simulation.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/session.hpp"
 
@@ -58,7 +58,28 @@ struct SimulatedRunResult : RunResult {
     std::uint64_t region_work_ns = 0;
 };
 
-/// Registry entry: metadata from Table IV plus the two run hooks.
+/// run_parallel for an app whose parallel program is `program(regions)`.
+template <typename Program>
+RunResult run_on_pool(par::ThreadPool& pool, Program program) {
+    par::PoolExecutor regions(pool);
+    return program(regions);
+}
+
+/// run_simulated for the same program: every region shrinks from its
+/// measured work to its makespan on `workers` virtual cores.
+template <typename Program>
+SimulatedRunResult run_on_simulator(unsigned workers, Program program) {
+    par::SimulationExecutor regions(workers);
+    const RunResult run = program(regions);
+    SimulatedRunResult result;
+    result.checksum = run.checksum;
+    result.total_ns = run.total_ns - regions.work_ns() + regions.span_ns();
+    result.parallelizable_ns = regions.span_ns();
+    result.region_work_ns = regions.work_ns();
+    return result;
+}
+
+/// Registry entry: metadata from Table IV plus the three run hooks.
 struct AppInfo {
     std::string name;
     std::string domain;

@@ -1,12 +1,10 @@
 #include "apps/astrogrep.hpp"
 
-#include <atomic>
+#include <memory>
 #include <string>
 
 #include "apps/text_corpus.hpp"
 #include "ds/ds.hpp"
-#include "parallel/algorithms.hpp"
-#include "parallel/simulation.hpp"
 #include "support/stopwatch.hpp"
 
 namespace dsspy::apps {
@@ -112,7 +110,12 @@ RunResult run_astrogrep(runtime::ProfilingSession* session) {
     return result;
 }
 
-RunResult run_astrogrep_parallel(par::ThreadPool& pool) {
+namespace {
+
+/// The search with both recommendations applied; `regions` runs the
+/// parallel regions.
+template <typename Regions>
+RunResult parallel_program(Regions& regions) {
     RunResult result;
     const std::vector<Document> docs = make_documents(
         kVolumes * kDocsPerVolume, kLinesPerDoc, 42, /*words_per_line=*/28);
@@ -136,15 +139,17 @@ RunResult run_astrogrep_parallel(par::ThreadPool& pool) {
     // Recommended action: search the volumes in parallel.
     for (std::size_t t = 0; t < terms.count(); ++t) {
         const std::string& term = terms[t];
-        par::parallel_for(pool, 0, kVolumes, [&, t](std::size_t v) {
-            std::int64_t volume_hits = 0;
-            for (std::size_t l = 0; l < volumes[v].count(); ++l) {
-                if (volumes[v][l].find(term) != std::string::npos) {
-                    per_volume_hits[v].add(hit_checksum(v, l, t));
-                    ++volume_hits;
+        regions(0, kVolumes, [&, t](std::size_t lo, std::size_t hi) {
+            for (std::size_t v = lo; v < hi; ++v) {
+                std::int64_t volume_hits = 0;
+                for (std::size_t l = 0; l < volumes[v].count(); ++l) {
+                    if (volumes[v][l].find(term) != std::string::npos) {
+                        per_volume_hits[v].add(hit_checksum(v, l, t));
+                        ++volume_hits;
+                    }
                 }
+                match_counts[v] += volume_hits;
             }
-            match_counts[v] += volume_hits;
         });
     }
 
@@ -153,10 +158,16 @@ RunResult run_astrogrep_parallel(par::ThreadPool& pool) {
         for (std::size_t i = 0; i < per_volume_hits[v].count(); ++i)
             results.add(per_volume_hits[v][i]);
 
-    // Parallel score initialization (second recommendation).
-    ds::List<double> scores = par::parallel_build<double>(
-        pool, results.count(),
-        [&results](std::size_t i) { return results[i] * 0.5; });
+    // Parallel score initialization (second recommendation): a parallel
+    // build, each score constructed at its final index.
+    ds::List<double> scores(results.count());
+    double* dest = scores.data();
+    regions(0, results.count(),
+            [dest, &results](std::size_t lo, std::size_t hi) {
+                for (std::size_t i = lo; i < hi; ++i)
+                    std::construct_at(dest + i, results[i] * 0.5);
+            });
+    scores.set_count_after_parallel_build(results.count());
     for (std::size_t i = 0; i < scores.count(); ++i)
         result.checksum += scores[i] * 1e-3;
 
@@ -170,80 +181,14 @@ RunResult run_astrogrep_parallel(par::ThreadPool& pool) {
     return result;
 }
 
+}  // namespace
+
+RunResult run_astrogrep_parallel(par::ThreadPool& pool) {
+    return run_on_pool(pool, parallel_program<par::PoolExecutor>);
+}
+
 SimulatedRunResult run_astrogrep_simulated(unsigned workers) {
-    SimulatedRunResult result;
-    const std::vector<Document> docs = make_documents(
-        kVolumes * kDocsPerVolume, kLinesPerDoc, 42, /*words_per_line=*/28);
-    Stopwatch total;
-    std::uint64_t region_work = 0;
-    std::uint64_t region_span = 0;
-
-    std::vector<ds::List<std::string>> volumes(kVolumes);
-    for (std::size_t v = 0; v < kVolumes; ++v) {
-        for (std::size_t d = 0; d < kDocsPerVolume; ++d) {
-            const Document& doc = docs[v * kDocsPerVolume + d];
-            for (const std::string& line : doc.lines)
-                volumes[v].add(line);
-        }
-    }
-
-    ds::List<std::string> terms;
-    for (const std::string& term : search_terms()) terms.add(term);
-
-    std::vector<std::int64_t> match_counts(kVolumes, 0);
-    std::vector<ds::List<double>> per_volume_hits(kVolumes);
-
-    // Recommendation target: per-term search over the volumes, chunked by
-    // volume (what the parallel variant hands to the pool).
-    for (std::size_t t = 0; t < terms.count(); ++t) {
-        const std::string& term = terms[t];
-        const par::SimulatedSchedule schedule = par::simulate_chunks(
-            0, kVolumes, kVolumes, [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t v = lo; v < hi; ++v) {
-                    std::int64_t volume_hits = 0;
-                    for (std::size_t l = 0; l < volumes[v].count(); ++l) {
-                        if (volumes[v][l].find(term) != std::string::npos) {
-                            per_volume_hits[v].add(hit_checksum(v, l, t));
-                            ++volume_hits;
-                        }
-                    }
-                    match_counts[v] += volume_hits;
-                }
-            });
-        region_work += schedule.total_work_ns();
-        region_span += schedule.makespan_ns(workers);
-    }
-
-    ds::List<double> results;
-    for (std::size_t v = 0; v < kVolumes; ++v)
-        for (std::size_t i = 0; i < per_volume_hits[v].count(); ++i)
-            results.add(per_volume_hits[v][i]);
-
-    std::vector<double> scores(results.count());
-    {
-        const par::SimulatedSchedule schedule = par::simulate_chunks(
-            0, results.count(), workers * 4,
-            [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i)
-                    scores[i] = results[i] * 0.5;
-            });
-        region_work += schedule.total_work_ns();
-        region_span += schedule.makespan_ns(workers);
-    }
-
-    for (std::size_t i = 0; i < results.count(); ++i)
-        result.checksum += results[i];
-    for (std::size_t v = 0; v < kVolumes; ++v)
-        result.checksum += static_cast<double>(match_counts[v]);
-    result.checksum += 12.0;
-    for (std::size_t i = 0; i < scores.size(); ++i)
-        result.checksum += scores[i] * 1e-3;
-
-    const std::uint64_t wall = total.elapsed_ns();
-    result.total_ns = wall - region_work + region_span;
-    result.parallelizable_ns = region_span;
-    result.region_work_ns = region_work;
-    return result;
+    return run_on_simulator(workers, parallel_program<par::SimulationExecutor>);
 }
 
 }  // namespace dsspy::apps

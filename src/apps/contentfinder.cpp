@@ -4,8 +4,6 @@
 
 #include "apps/text_corpus.hpp"
 #include "ds/ds.hpp"
-#include "parallel/parallel_for.hpp"
-#include "parallel/simulation.hpp"
 #include "support/stopwatch.hpp"
 #include "support/strings.hpp"
 
@@ -110,7 +108,12 @@ RunResult run_contentfinder(runtime::ProfilingSession* session) {
     return result;
 }
 
-RunResult run_contentfinder_parallel(par::ThreadPool& pool) {
+namespace {
+
+/// The search with both recommendations applied; `regions` runs the
+/// parallel regions.
+template <typename Regions>
+RunResult parallel_program(Regions& regions) {
     RunResult result;
     const std::vector<Document> docs =
         make_documents(kFiles, kLinesPerFile, 99);
@@ -126,10 +129,12 @@ RunResult run_contentfinder_parallel(par::ThreadPool& pool) {
     std::vector<ds::List<double>> per_file_hits(kFiles);
     for (std::size_t k = 0; k < query.count(); ++k) {
         const std::string& keyword = query[k];
-        par::parallel_for(pool, 0, kFiles, [&, k](std::size_t f) {
-            for (std::size_t t = 0; t < files[f].count(); ++t) {
-                if (files[f][t] == keyword)
-                    per_file_hits[f].add(hit_value(f, t, k));
+        regions(0, kFiles, [&, k](std::size_t lo, std::size_t hi) {
+            for (std::size_t f = lo; f < hi; ++f) {
+                for (std::size_t t = 0; t < files[f].count(); ++t) {
+                    if (files[f][t] == keyword)
+                        per_file_hits[f].add(hit_value(f, t, k));
+                }
             }
         });
     }
@@ -140,8 +145,9 @@ RunResult run_contentfinder_parallel(par::ThreadPool& pool) {
             results.add(per_file_hits[f][i]);
 
     std::vector<std::int64_t> offsets(results.count());
-    par::parallel_for(pool, 0, results.count(), [&](std::size_t i) {
-        offsets[i] = static_cast<std::int64_t>(results[i]) % 4096;
+    regions(0, results.count(), [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i)
+            offsets[i] = static_cast<std::int64_t>(results[i]) % 4096;
     });
 
     double rank = 0.0;
@@ -153,63 +159,14 @@ RunResult run_contentfinder_parallel(par::ThreadPool& pool) {
     return result;
 }
 
+}  // namespace
+
+RunResult run_contentfinder_parallel(par::ThreadPool& pool) {
+    return run_on_pool(pool, parallel_program<par::PoolExecutor>);
+}
+
 SimulatedRunResult run_contentfinder_simulated(unsigned workers) {
-    SimulatedRunResult result;
-    const std::vector<Document> docs =
-        make_documents(kFiles, kLinesPerFile, 99);
-    Stopwatch total;
-    std::uint64_t region_work = 0;
-    std::uint64_t region_span = 0;
-
-    std::vector<ds::List<std::string>> files(kFiles);
-    load_tokens(files, docs);
-
-    ds::List<std::string> query;
-    for (const std::string& kw : keywords()) query.add(kw);
-
-    std::vector<ds::List<double>> per_file_hits(kFiles);
-    for (std::size_t k = 0; k < query.count(); ++k) {
-        const std::string& keyword = query[k];
-        const par::SimulatedSchedule schedule = par::simulate_chunks(
-            0, kFiles, kFiles, [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t f = lo; f < hi; ++f) {
-                    for (std::size_t t = 0; t < files[f].count(); ++t) {
-                        if (files[f][t] == keyword)
-                            per_file_hits[f].add(hit_value(f, t, k));
-                    }
-                }
-            });
-        region_work += schedule.total_work_ns();
-        region_span += schedule.makespan_ns(workers);
-    }
-
-    ds::List<double> results;
-    for (std::size_t f = 0; f < kFiles; ++f)
-        for (std::size_t i = 0; i < per_file_hits[f].count(); ++i)
-            results.add(per_file_hits[f][i]);
-
-    std::vector<std::int64_t> offsets(results.count());
-    {
-        const par::SimulatedSchedule schedule = par::simulate_chunks(
-            0, results.count(), workers * 4,
-            [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i)
-                    offsets[i] = static_cast<std::int64_t>(results[i]) % 4096;
-            });
-        region_work += schedule.total_work_ns();
-        region_span += schedule.makespan_ns(workers);
-    }
-
-    double rank = 0.0;
-    for (std::size_t i = 0; i < offsets.size(); ++i)
-        rank += static_cast<double>(offsets[i]) * 1e-4;
-
-    result.checksum = rank + static_cast<double>(results.count()) + 7.0;
-    const std::uint64_t wall = total.elapsed_ns();
-    result.total_ns = wall - region_work + region_span;
-    result.parallelizable_ns = region_span;
-    result.region_work_ns = region_work;
-    return result;
+    return run_on_simulator(workers, parallel_program<par::SimulationExecutor>);
 }
 
 }  // namespace dsspy::apps

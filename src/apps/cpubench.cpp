@@ -4,9 +4,7 @@
 #include <cstdint>
 
 #include "ds/ds.hpp"
-#include "parallel/parallel_for.hpp"
 #include "support/rng.hpp"
-#include "parallel/simulation.hpp"
 #include "support/stopwatch.hpp"
 
 namespace dsspy::apps {
@@ -188,7 +186,12 @@ RunResult run_cpubench(runtime::ProfilingSession* session) {
     return result;
 }
 
-RunResult run_cpubench_parallel(par::ThreadPool& pool) {
+namespace {
+
+/// Linpack with the recommendations applied, then the unchanged Whetstone;
+/// `regions` runs the parallel regions.
+template <typename Regions>
+RunResult parallel_program(Regions& regions) {
     RunResult result;
     Stopwatch total;
 
@@ -199,15 +202,19 @@ RunResult run_cpubench_parallel(par::ThreadPool& pool) {
     ds::Array<double> workspace(kN * 4);
 
     // Recommended action: parallelize the initializations.
-    par::parallel_for(pool, 0, kN, [&matrix](std::size_t i) {
-        for (std::size_t j = 0; j < kN; ++j)
-            matrix.set(i * kN + j, matgen_value(i, j));
+    regions(0, kN, [&matrix](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i)
+            for (std::size_t j = 0; j < kN; ++j)
+                matrix.set(i * kN + j, matgen_value(i, j));
     });
-    par::parallel_for(pool, 0, kN, [&rhs](std::size_t i) {
-        rhs.set(i, std::cos(static_cast<double>(i)) * 2.0);
+    regions(0, kN, [&rhs](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i)
+            rhs.set(i, std::cos(static_cast<double>(i)) * 2.0);
     });
-    par::parallel_for(pool, 0, workspace.length(), [&workspace](std::size_t i) {
-        workspace.set(i, std::sqrt(static_cast<double>(i) + 1.0));
+    regions(0, workspace.length(), [&workspace](std::size_t lo,
+                                                std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i)
+            workspace.set(i, std::sqrt(static_cast<double>(i) + 1.0));
     });
 
     // Pivot search and swap remain sequential; row updates run in parallel.
@@ -232,14 +239,17 @@ RunResult run_cpubench_parallel(par::ThreadPool& pool) {
             rhs.set(k, rhs.get(p));
             rhs.set(p, tmp);
         }
-        par::parallel_for(pool, k + 1, kN, [&, k](std::size_t i) {
-            const double factor =
-                matrix.get(i * kN + k) / matrix.get(k * kN + k);
-            matrix.set(i * kN + k, factor);
-            for (std::size_t j = k + 1; j < kN; ++j)
-                matrix.set(i * kN + j, matrix.get(i * kN + j) -
-                                           factor * matrix.get(k * kN + j));
-            rhs.set(i, rhs.get(i) - factor * rhs.get(k));
+        regions(k + 1, kN, [&, k](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) {
+                const double factor =
+                    matrix.get(i * kN + k) / matrix.get(k * kN + k);
+                matrix.set(i * kN + k, factor);
+                for (std::size_t j = k + 1; j < kN; ++j)
+                    matrix.set(i * kN + j,
+                               matrix.get(i * kN + j) -
+                                   factor * matrix.get(k * kN + j));
+                rhs.set(i, rhs.get(i) - factor * rhs.get(k));
+            }
         });
     }
 
@@ -277,108 +287,14 @@ RunResult run_cpubench_parallel(par::ThreadPool& pool) {
     return result;
 }
 
+}  // namespace
+
+RunResult run_cpubench_parallel(par::ThreadPool& pool) {
+    return run_on_pool(pool, parallel_program<par::PoolExecutor>);
+}
+
 SimulatedRunResult run_cpubench_simulated(unsigned workers) {
-    SimulatedRunResult result;
-    Stopwatch total;
-    std::uint64_t region_work = 0;
-    std::uint64_t region_span = 0;
-    auto sim = [&](std::size_t begin, std::size_t end, auto body) {
-        const par::SimulatedSchedule schedule =
-            par::simulate_chunks(begin, end, workers * 4, body);
-        region_work += schedule.total_work_ns();
-        region_span += schedule.makespan_ns(workers);
-    };
-
-    ds::Array<double> matrix(kN * kN);
-    ds::Array<double> rhs(kN);
-    ds::Array<std::int64_t> pivots(kN);
-    ds::Array<double> solution(kN);
-    ds::Array<double> workspace(kN * 4);
-
-    sim(0, kN, [&matrix](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            for (std::size_t j = 0; j < kN; ++j)
-                matrix.set(i * kN + j, matgen_value(i, j));
-    });
-    sim(0, kN, [&rhs](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            rhs.set(i, std::cos(static_cast<double>(i)) * 2.0);
-    });
-    sim(0, workspace.length(), [&workspace](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            workspace.set(i, std::sqrt(static_cast<double>(i) + 1.0));
-    });
-
-    for (std::size_t k = 0; k < kN; ++k) {
-        std::size_t p = k;
-        double maxval = std::abs(matrix.get(k * kN + k));
-        for (std::size_t i = k + 1; i < kN; ++i) {
-            const double v = std::abs(matrix.get(i * kN + k));
-            if (v > maxval) {
-                maxval = v;
-                p = i;
-            }
-        }
-        pivots.set(k, static_cast<std::int64_t>(p));
-        if (p != k) {
-            for (std::size_t j = 0; j < kN; ++j) {
-                const double tmp = matrix.get(k * kN + j);
-                matrix.set(k * kN + j, matrix.get(p * kN + j));
-                matrix.set(p * kN + j, tmp);
-            }
-            const double tmp = rhs.get(k);
-            rhs.set(k, rhs.get(p));
-            rhs.set(p, tmp);
-        }
-        // Row updates: the per-k parallel region.
-        sim(k + 1, kN, [&, k](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                const double factor =
-                    matrix.get(i * kN + k) / matrix.get(k * kN + k);
-                matrix.set(i * kN + k, factor);
-                for (std::size_t j = k + 1; j < kN; ++j)
-                    matrix.set(i * kN + j,
-                               matrix.get(i * kN + j) -
-                                   factor * matrix.get(k * kN + j));
-                rhs.set(i, rhs.get(i) - factor * rhs.get(k));
-            }
-        });
-    }
-
-    for (std::size_t k = kN; k-- > 0;) {
-        double sum = rhs.get(k);
-        for (std::size_t j = k + 1; j < kN; ++j)
-            sum -= matrix.get(k * kN + j) * solution.get(j);
-        solution.set(k, sum / matrix.get(k * kN + k));
-    }
-    std::int64_t pivot_check = 0;
-    for (std::size_t k = 0; k < kN; ++k) pivot_check += pivots.get(k);
-
-    double residual = 0.0;
-    for (std::size_t i = 0; i < kN; ++i) residual += solution.get(i);
-
-    const double scalar_part = whetstone_scalars(kWhetstoneCycles);
-    ds::Array<double> e1(4);
-    const double array_part = whetstone_array_module(e1, kWhetstoneCycles);
-
-    ds::List<double> samples;
-    for (int i = 0; i < 150; ++i)
-        samples.add(residual * 1e-6 + static_cast<double>(i));
-    double sample_sum = 0.0;
-    std::size_t pos = 0;
-    for (int i = 0; i < 30; ++i) {
-        sample_sum += samples[pos];
-        pos = (pos + 7) % samples.count();
-    }
-
-    result.checksum = residual + scalar_part + array_part + sample_sum +
-                      static_cast<double>(pivot_check) +
-                      workspace.get(workspace.length() - 1);
-    const std::uint64_t wall = total.elapsed_ns();
-    result.total_ns = wall - region_work + region_span;
-    result.parallelizable_ns = region_span;
-    result.region_work_ns = region_work;
-    return result;
+    return run_on_simulator(workers, parallel_program<par::SimulationExecutor>);
 }
 
 }  // namespace dsspy::apps

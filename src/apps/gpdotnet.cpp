@@ -6,9 +6,7 @@
 #include <string>
 
 #include "ds/ds.hpp"
-#include "parallel/parallel_for.hpp"
 #include "support/rng.hpp"
-#include "parallel/simulation.hpp"
 #include "support/stopwatch.hpp"
 
 namespace dsspy::apps {
@@ -206,7 +204,12 @@ RunResult run_gpdotnet(runtime::ProfilingSession* session) {
     return result;
 }
 
-RunResult run_gpdotnet_parallel(par::ThreadPool& pool) {
+namespace {
+
+/// The GP engine with parallel fitness evaluation; `regions` runs the
+/// parallel regions.
+template <typename Regions>
+RunResult parallel_program(Regions& regions) {
     RunResult result;
     Stopwatch total;
     Rng rng(20140101);
@@ -231,8 +234,9 @@ RunResult run_gpdotnet_parallel(par::ThreadPool& pool) {
 
     for (std::size_t gen = 0; gen < kGenerations; ++gen) {
         // Recommended action applied: parallel fitness evaluation.
-        par::parallel_for(pool, 0, kPopulation, [&](std::size_t i) {
-            fitness.set(i, evaluate(population[i], series));
+        regions(0, kPopulation, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                fitness.set(i, evaluate(population[i], series));
         });
 
         double sum = 0.0;
@@ -273,82 +277,14 @@ RunResult run_gpdotnet_parallel(par::ThreadPool& pool) {
     return result;
 }
 
+}  // namespace
+
+RunResult run_gpdotnet_parallel(par::ThreadPool& pool) {
+    return run_on_pool(pool, parallel_program<par::PoolExecutor>);
+}
+
 SimulatedRunResult run_gpdotnet_simulated(unsigned workers) {
-    SimulatedRunResult result;
-    Stopwatch total;
-    Rng rng(20140101);
-    std::uint64_t region_work = 0;
-    std::uint64_t region_span = 0;
-
-    ds::Array<double> series(kSeriesPoints);
-    for (std::size_t i = 0; i < kSeriesPoints; ++i)
-        series.set(i, std::sin(static_cast<double>(i) * 0.12) * 3.0 +
-                          static_cast<double>(i) * 0.01);
-
-    std::vector<ds::ProfiledList<std::int64_t>> globals;
-    result.checksum += make_model_globals(nullptr, globals);
-
-    ds::List<Chromosome> population(kPopulation);
-    for (std::size_t i = 0; i < kPopulation; ++i)
-        population.add(random_chromosome(rng));
-
-    ds::Array<double> fitness(kPopulation);
-    ds::Array<double> cumulative(kPopulation);
-    ds::List<Chromosome> parents(kPopulation);
-
-    double best_overall = 0.0;
-
-    for (std::size_t gen = 0; gen < kGenerations; ++gen) {
-        // The recommendation target, executed through the virtual-time
-        // scheduler: chunked fitness evaluation.
-        const par::SimulatedSchedule schedule = par::simulate_chunks(
-            0, kPopulation, workers * 4,
-            [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i)
-                    fitness.set(i, evaluate(population[i], series));
-            });
-        region_work += schedule.total_work_ns();
-        region_span += schedule.makespan_ns(workers);
-
-        double sum = 0.0;
-        for (std::size_t i = 0; i < kPopulation; ++i) {
-            sum += fitness.get(i);
-            cumulative.set(i, sum);
-        }
-        double best = 0.0;
-        for (std::size_t i = 0; i < kPopulation; ++i)
-            best = std::max(best, fitness.get(i));
-        best_overall = std::max(best_overall, best);
-
-        parents.clear();
-        for (std::size_t i = 0; i < kPopulation; ++i)
-            parents.add(population[i]);
-        population.clear();
-        for (std::size_t i = 0; i < kPopulation; ++i) {
-            auto pick = [&]() -> const Chromosome& {
-                const double target = rng.next_double() * sum;
-                std::size_t lo = 0;
-                std::size_t hi = kPopulation - 1;
-                while (lo < hi) {
-                    const std::size_t mid = lo + (hi - lo) / 2;
-                    if (cumulative.get(mid) < target) {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                return parents[lo];
-            };
-            population.add(crossover(pick(), pick(), rng));
-        }
-    }
-
-    result.checksum += best_overall * 1000.0;
-    const std::uint64_t wall = total.elapsed_ns();
-    result.total_ns = wall - region_work + region_span;
-    result.parallelizable_ns = region_span;
-    result.region_work_ns = region_work;
-    return result;
+    return run_on_simulator(workers, parallel_program<par::SimulationExecutor>);
 }
 
 }  // namespace dsspy::apps

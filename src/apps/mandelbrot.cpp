@@ -4,8 +4,6 @@
 #include <string>
 
 #include "ds/ds.hpp"
-#include "parallel/parallel_for.hpp"
-#include "parallel/simulation.hpp"
 #include "support/stopwatch.hpp"
 
 namespace dsspy::apps {
@@ -118,19 +116,26 @@ RunResult run_mandelbrot(runtime::ProfilingSession* session) {
     return result;
 }
 
-RunResult run_mandelbrot_parallel(par::ThreadPool& pool) {
+namespace {
+
+/// The renderer with its initializations and rows computed in parallel;
+/// `regions` runs the parallel regions.
+template <typename Regions>
+RunResult parallel_program(Regions& regions) {
     RunResult result;
     Stopwatch total;
 
     ds::Array<std::int64_t> palette(256);
-    par::parallel_for(pool, 0, palette.length(), [&palette](std::size_t i) {
-        palette.set(i, static_cast<std::int64_t>((i * 5) % 256));
+    regions(0, palette.length(), [&palette](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i)
+            palette.set(i, static_cast<std::int64_t>((i * 5) % 256));
     });
 
     ds::Array<double> xs(kWidth);
-    par::parallel_for(pool, 0, kWidth, [&xs](std::size_t x) {
-        xs.set(x, kXMin + (kXMax - kXMin) * static_cast<double>(x) /
-                              static_cast<double>(kWidth - 1));
+    regions(0, kWidth, [&xs](std::size_t lo, std::size_t hi) {
+        for (std::size_t x = lo; x < hi; ++x)
+            xs.set(x, kXMin + (kXMax - kXMin) * static_cast<double>(x) /
+                                  static_cast<double>(kWidth - 1));
     });
 
     ds::List<std::int64_t> row_offsets;
@@ -150,76 +155,7 @@ RunResult run_mandelbrot_parallel(par::ThreadPool& pool) {
     ds::Array<std::int64_t> image(kWidth * kHeight);
 
     // Recommended action: compute the rows in parallel.
-    par::parallel_for(pool, 0, kHeight, [&](std::size_t y) {
-        const double cy = kYMin + (kYMax - kYMin) * static_cast<double>(y) /
-                                      static_cast<double>(kHeight - 1);
-        const auto row_base = static_cast<std::size_t>(row_offsets[y]);
-        for (std::size_t x = 0; x < kWidth; ++x) {
-            const int iterations = iterate(xs.get(x), cy);
-            image.set(row_base + x,
-                      static_cast<std::int64_t>(colorize(iterations)));
-        }
-    });
-
-    std::size_t pos = 0;
-    for (int s = 0; s < 500; ++s) {
-        const auto bucket =
-            static_cast<std::size_t>(image.get(pos) / 4) % 64;
-        histogram.set(bucket, histogram.get(bucket) + 1);
-        pos = (pos + 7919) % image.length();
-    }
-
-    double sum = 0.0;
-    for (int s = 0; s < 64; ++s)
-        sum += static_cast<double>(histogram.get(static_cast<std::size_t>(
-            (s * 7) % 64)));
-    result.checksum = sum + static_cast<double>(palette.get(255)) +
-                      bounds.get(3) + static_cast<double>(config.count());
-    result.total_ns = total.elapsed_ns();
-    return result;
-}
-
-SimulatedRunResult run_mandelbrot_simulated(unsigned workers) {
-    SimulatedRunResult result;
-    Stopwatch total;
-    std::uint64_t region_work = 0;
-    std::uint64_t region_span = 0;
-    auto sim = [&](std::size_t begin, std::size_t end, auto body) {
-        const par::SimulatedSchedule schedule =
-            par::simulate_chunks(begin, end, workers * 4, body);
-        region_work += schedule.total_work_ns();
-        region_span += schedule.makespan_ns(workers);
-    };
-
-    ds::Array<std::int64_t> palette(256);
-    sim(0, palette.length(), [&palette](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            palette.set(i, static_cast<std::int64_t>((i * 5) % 256));
-    });
-
-    ds::Array<double> xs(kWidth);
-    sim(0, kWidth, [&xs](std::size_t lo, std::size_t hi) {
-        for (std::size_t x = lo; x < hi; ++x)
-            xs.set(x, kXMin + (kXMax - kXMin) * static_cast<double>(x) /
-                              static_cast<double>(kWidth - 1));
-    });
-
-    ds::List<std::int64_t> row_offsets;
-    for (std::size_t y = 0; y < kHeight; ++y)
-        row_offsets.add(static_cast<std::int64_t>(y * kWidth));
-
-    ds::Array<double> bounds(4);
-    bounds.set(0, kXMin);
-    bounds.set(1, kXMax);
-    bounds.set(2, kYMin);
-    bounds.set(3, kYMax);
-    ds::List<std::string> config;
-    config.add("resolution=500x350");
-    config.add("palette=smooth");
-    ds::Array<std::int64_t> histogram(64);
-    ds::Array<std::int64_t> image(kWidth * kHeight);
-
-    sim(0, kHeight, [&](std::size_t lo, std::size_t hi) {
+    regions(0, kHeight, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t y = lo; y < hi; ++y) {
             const double cy = kYMin + (kYMax - kYMin) *
                                           static_cast<double>(y) /
@@ -247,12 +183,18 @@ SimulatedRunResult run_mandelbrot_simulated(unsigned workers) {
             (s * 7) % 64)));
     result.checksum = sum + static_cast<double>(palette.get(255)) +
                       bounds.get(3) + static_cast<double>(config.count());
-
-    const std::uint64_t wall = total.elapsed_ns();
-    result.total_ns = wall - region_work + region_span;
-    result.parallelizable_ns = region_span;
-    result.region_work_ns = region_work;
+    result.total_ns = total.elapsed_ns();
     return result;
+}
+
+}  // namespace
+
+RunResult run_mandelbrot_parallel(par::ThreadPool& pool) {
+    return run_on_pool(pool, parallel_program<par::PoolExecutor>);
+}
+
+SimulatedRunResult run_mandelbrot_simulated(unsigned workers) {
+    return run_on_simulator(workers, parallel_program<par::SimulationExecutor>);
 }
 
 }  // namespace dsspy::apps

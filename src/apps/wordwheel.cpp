@@ -1,13 +1,12 @@
 #include "apps/wordwheel.hpp"
 
 #include <array>
+#include <mutex>
 #include <string>
 
 #include "apps/text_corpus.hpp"
 #include "ds/ds.hpp"
-#include "parallel/parallel_for.hpp"
 #include "support/rng.hpp"
-#include "parallel/simulation.hpp"
 #include "support/stopwatch.hpp"
 
 namespace dsspy::apps {
@@ -107,7 +106,12 @@ RunResult run_wordwheel(runtime::ProfilingSession* session) {
     return result;
 }
 
-RunResult run_wordwheel_parallel(par::ThreadPool& pool) {
+namespace {
+
+/// The solver with the word-list scan split into chunks; `regions` runs the
+/// parallel regions.
+template <typename Regions>
+RunResult parallel_program(Regions& regions) {
     RunResult result;
     Stopwatch total;
     Rng rng(4242);
@@ -130,8 +134,7 @@ RunResult run_wordwheel_parallel(par::ThreadPool& pool) {
         // Recommended action: split the list into chunks searched in
         // parallel; merge per-chunk tallies afterwards.
         std::mutex merge_mutex;
-        par::parallel_for_chunks(pool, 0, words.count(),
-                                 [&](std::size_t lo, std::size_t hi) {
+        regions(0, words.count(), [&](std::size_t lo, std::size_t hi) {
             std::size_t local_solutions = 0;
             std::array<std::int64_t, 10> local_hist{};
             for (std::size_t w = lo; w < hi; ++w) {
@@ -157,59 +160,14 @@ RunResult run_wordwheel_parallel(par::ThreadPool& pool) {
     return result;
 }
 
+}  // namespace
+
+RunResult run_wordwheel_parallel(par::ThreadPool& pool) {
+    return run_on_pool(pool, parallel_program<par::PoolExecutor>);
+}
+
 SimulatedRunResult run_wordwheel_simulated(unsigned workers) {
-    SimulatedRunResult result;
-    Stopwatch total;
-    Rng rng(4242);
-    std::uint64_t region_work = 0;
-    std::uint64_t region_span = 0;
-
-    ds::List<std::string> words(kWords);
-    for (std::string& w : make_word_list(kWords)) words.add(std::move(w));
-
-    ds::Array<char> wheel_letters(kWheelLetters);
-    ds::List<std::string> solved;
-    std::array<std::int64_t, 10> length_histogram{};
-
-    std::size_t total_solutions = 0;
-    for (std::size_t round = 0; round < kWheels; ++round) {
-        const std::string wheel = make_wheel(rng);
-        for (std::size_t i = 0; i < kWheelLetters; ++i)
-            wheel_letters.set(i, wheel[i]);
-        const std::array<int, 26> counts = letter_counts(wheel);
-        const char center = wheel[0];
-
-        // Recommendation target: chunked scan of the word list.
-        const par::SimulatedSchedule schedule = par::simulate_chunks(
-            0, words.count(), workers * 4,
-            [&](std::size_t lo, std::size_t hi) {
-                std::size_t local_solutions = 0;
-                std::array<std::int64_t, 10> local_hist{};
-                for (std::size_t w = lo; w < hi; ++w) {
-                    const std::string& word = words[w];
-                    if (solves(counts, center, word)) {
-                        ++local_solutions;
-                        ++local_hist[word.size() % 10];
-                    }
-                }
-                total_solutions += local_solutions;
-                for (std::size_t i = 0; i < 10; ++i)
-                    length_histogram[i] += local_hist[i];
-            });
-        region_work += schedule.total_work_ns();
-        region_span += schedule.makespan_ns(workers);
-        solved.add(wheel);
-    }
-
-    for (std::size_t i = 0; i < 10; ++i)
-        result.checksum += static_cast<double>(length_histogram[(i * 7) % 10]);
-    result.checksum += static_cast<double>(total_solutions) +
-                       static_cast<double>(solved.count());
-    const std::uint64_t wall = total.elapsed_ns();
-    result.total_ns = wall - region_work + region_span;
-    result.parallelizable_ns = region_span;
-    result.region_work_ns = region_work;
-    return result;
+    return run_on_simulator(workers, parallel_program<par::SimulationExecutor>);
 }
 
 }  // namespace dsspy::apps

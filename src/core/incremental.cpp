@@ -54,7 +54,6 @@ const IncrementalMetricIds& incremental_metrics() {
 IncrementalAnalyzer::State& IncrementalAnalyzer::state_for(
     runtime::InstanceId id) {
     if (id >= states_.size()) {
-        states_.reserve(id + 1);
         while (states_.size() <= id) {
             states_.emplace_back();
             states_.back().machine =

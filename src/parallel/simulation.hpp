@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
@@ -81,9 +82,10 @@ private:
 
 /// Execute `body(lo, hi)` sequentially over the chunk_plan of at most
 /// `chunks` contiguous slices of [begin, end), timing each slice (with
-/// `chunks` = workers * 4 these are parallel_for_chunks' boundaries).  Functionally identical to running the
-/// region (all side effects happen); the returned schedule replays it on
-/// any virtual machine size.
+/// `chunks` = workers * 4 these are parallel_for_chunks' boundaries on a
+/// `workers`-wide pool).  Functionally identical to running the region (all
+/// side effects happen); the returned schedule replays it on any virtual
+/// machine size.
 template <typename Body>
 [[nodiscard]] SimulatedSchedule simulate_chunks(std::size_t begin,
                                                 std::size_t end,
@@ -100,6 +102,51 @@ template <typename Body>
     }
     return schedule;
 }
+
+// Region executors.  An app's parallel program is written once against
+// `regions(begin, end, body)`, which runs `body(lo, hi)` over the chunks of
+// one parallel region; the executor decides how (apps/app_registry.hpp).
+
+/// Runs each region on a pool with parallel_for_chunks (measured@N).
+class PoolExecutor {
+public:
+    explicit PoolExecutor(ThreadPool& pool) noexcept : pool_(pool) {}
+
+    template <typename Body>
+    void operator()(std::size_t begin, std::size_t end, Body body) {
+        parallel_for_chunks(pool_, begin, end, std::move(body));
+    }
+
+private:
+    ThreadPool& pool_;
+};
+
+/// Runs each region through simulate_chunks with the chunks a `workers`-wide
+/// pool would use, and sums the regions' work and makespan (Sim@N).
+class SimulationExecutor {
+public:
+    explicit SimulationExecutor(unsigned workers) noexcept
+        : workers_(workers) {}
+
+    template <typename Body>
+    void operator()(std::size_t begin, std::size_t end, Body body) {
+        const SimulatedSchedule schedule = simulate_chunks(
+            begin, end, std::size_t{workers_} * 4, std::move(body));
+        work_ns_ += schedule.total_work_ns();
+        span_ns_ += schedule.makespan_ns(workers_);
+    }
+
+    /// Summed chunk time of every region so far (the makespan on one worker).
+    [[nodiscard]] std::uint64_t work_ns() const noexcept { return work_ns_; }
+
+    /// Summed makespan of every region so far on the virtual workers.
+    [[nodiscard]] std::uint64_t span_ns() const noexcept { return span_ns_; }
+
+private:
+    unsigned workers_;
+    std::uint64_t work_ns_ = 0;
+    std::uint64_t span_ns_ = 0;
+};
 
 /// Whole-program speedup on a simulated `workers`-core machine: the
 /// sequential remainder runs as-is, the region shrinks to its makespan.

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <exception>
 #include <istream>
 #include <limits>
-#include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -397,22 +395,13 @@ Trace read_trace_binary(std::string_view bytes, par::ThreadPool* pool) {
             decode_chunk(chunks[i].payload, chunks[i].count, decoded[i]);
     };
     if (pool != nullptr && chunks.size() > 1) {
-        // decode_chunk throws on corrupt chunks; capture the first error
-        // and rethrow after the barrier (pool tasks must not leak
-        // exceptions).
-        std::mutex error_mutex;
-        std::exception_ptr error;
+        // decode_chunk throws on corrupt chunks; parallel_for_chunks
+        // rethrows the first such error here.
         par::parallel_for_chunks(
             *pool, 0, chunks.size(), [&](std::size_t lo, std::size_t hi) {
                 DSSPY_TRACE_SPAN_UNDER("trace.decode_shard", decode_ctx);
-                try {
-                    decode_range(lo, hi);
-                } catch (...) {
-                    const std::scoped_lock lock(error_mutex);
-                    if (!error) error = std::current_exception();
-                }
+                decode_range(lo, hi);
             });
-        if (error) std::rethrow_exception(error);
     } else {
         decode_range(0, chunks.size());
     }

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <exception>
 #include <fstream>
 #include <iterator>
-#include <mutex>
 #include <numeric>
 #include <utility>
 
@@ -256,19 +254,11 @@ ColumnTrace read_trace_columns(std::string_view bytes,
                                  seqs.data(), instance_col.data());
     };
     if (pool != nullptr && chunks.size() > 1) {
-        std::mutex error_mutex;
-        std::exception_ptr error;
         par::parallel_for_chunks(
             *pool, 0, chunks.size(), [&](std::size_t lo, std::size_t hi) {
                 DSSPY_TRACE_SPAN_UNDER("trace.decode_shard", decode_ctx);
-                try {
-                    decode_range(lo, hi);
-                } catch (...) {
-                    const std::scoped_lock lock(error_mutex);
-                    if (!error) error = std::current_exception();
-                }
+                decode_range(lo, hi);
             });
-        if (error) std::rethrow_exception(error);
     } else {
         decode_range(0, chunks.size());
     }

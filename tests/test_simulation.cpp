@@ -1,7 +1,10 @@
 // Tests for the virtual-time parallel-execution simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "parallel/simulation.hpp"
@@ -75,6 +78,46 @@ TEST(SimulateChunks, ClampsChunkCount) {
     const SimulatedSchedule empty = simulate_chunks(
         5, 5, 4, [](std::size_t, std::size_t) { FAIL(); });
     EXPECT_EQ(empty.chunk_count(), 0u);
+}
+
+TEST(RegionExecutors, SimulationReplaysThePoolsChunks) {
+    // Sim@w must time the same decomposition a w-wide pool runs.
+    using Chunks = std::vector<std::pair<std::size_t, std::size_t>>;
+    for (const unsigned width : {1u, 4u}) {
+        ThreadPool pool(width);
+        for (const std::size_t n : {1u, 7u, 16u, 1000u, 120000u}) {
+            std::mutex mutex;
+            Chunks pooled;
+            PoolExecutor on_pool(pool);
+            on_pool(0, n, [&](std::size_t lo, std::size_t hi) {
+                const std::scoped_lock lock(mutex);
+                pooled.emplace_back(lo, hi);
+            });
+            std::sort(pooled.begin(), pooled.end());
+
+            Chunks simulated;
+            SimulationExecutor on_simulator(width);
+            on_simulator(0, n, [&](std::size_t lo, std::size_t hi) {
+                simulated.emplace_back(lo, hi);
+            });
+            EXPECT_EQ(simulated, pooled) << "n=" << n << " width=" << width;
+        }
+    }
+}
+
+TEST(RegionExecutors, SimulationSumsWorkAndMakespanOverRegions) {
+    SimulationExecutor regions(4);
+    EXPECT_EQ(regions.work_ns(), 0u);
+    EXPECT_EQ(regions.span_ns(), 0u);
+    std::vector<int> hits(1000, 0);
+    for (int region = 0; region < 3; ++region) {
+        regions(0, hits.size(), [&hits](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+        });
+    }
+    for (const int h : hits) EXPECT_EQ(h, 3);
+    EXPECT_GT(regions.work_ns(), 0u);
+    EXPECT_LE(regions.span_ns(), regions.work_ns());
 }
 
 TEST(SimulatedProgramSpeedup, AmdahlLimitWithSequentialRemainder) {

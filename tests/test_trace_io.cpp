@@ -14,6 +14,7 @@
 #include "ds/ds.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/trace_binary.hpp"
+#include "runtime/trace_codec.hpp"
 #include "runtime/trace_io.hpp"
 #include "runtime/trace_mmap.hpp"
 
@@ -346,7 +347,8 @@ TEST(TraceIoAdversarial, CrossFormatConversionsAgree) {
 
 /// A multi-chunk session: enough synthetic events to span several 64K
 /// chunks without driving real containers.
-Trace multi_chunk_trace() {
+Trace multi_chunk_trace(
+    std::size_t events = 3 * kTraceBinaryChunkEvents / 2 + 137) {
     Trace trace;
     for (InstanceId id = 0; id < 8; ++id) {
         InstanceInfo info;
@@ -357,10 +359,9 @@ Trace multi_chunk_trace() {
         trace.instances.push_back(std::move(info));
     }
     std::vector<AccessEvent> batch;
-    constexpr std::size_t kEvents = 3 * kTraceBinaryChunkEvents / 2 + 137;
-    batch.reserve(kEvents);
+    batch.reserve(events);
     std::uint64_t seq = 0;
-    for (std::size_t i = 0; i < kEvents; ++i) {
+    for (std::size_t i = 0; i < events; ++i) {
         AccessEvent ev;
         ev.seq = seq++;
         ev.time_ns = 1'000'000 + i * 17;
@@ -743,6 +744,48 @@ TEST(TraceIoColumns, RejectsMisalignedRegion) {
         EXPECT_NE(std::string(e.what()).find("misaligned mmap region"),
                   std::string::npos)
             << e.what();
+    }
+}
+
+TEST(TraceIoDecoders, CorruptLateChunkThrowsWithAndWithoutPool) {
+    // Nine chunks; set the reserved control bit of the first event of the
+    // eighth, so the error surfaces from a chunk a pool helper may decode.
+    std::string bytes =
+        binary_bytes(multi_chunk_trace(8 * kTraceBinaryChunkEvents + 137));
+    const auto u32_at = [&](std::size_t off) {
+        std::uint32_t v = 0;
+        for (int i = 0; i < 4; ++i)
+            v |= std::uint32_t{static_cast<unsigned char>(bytes[off + i])}
+                 << (8 * i);
+        return v;
+    };
+    std::size_t off = 24;
+    while (off + 4 <= bytes.size() && u32_at(off) != kTraceBinaryChunkEvents)
+        ++off;
+    for (int chunk = 0; chunk < 7; ++chunk) off += 8 + u32_at(off + 4);
+    ASSERT_LT(off + 8, bytes.size());
+    bytes[off + 8] = static_cast<char>(
+        static_cast<unsigned char>(bytes[off + 8]) | codec::kControlReserved);
+
+    par::ThreadPool pool(4);
+    for (par::ThreadPool* p : {&pool, static_cast<par::ThreadPool*>(nullptr)}) {
+        const char* mode = p != nullptr ? "pool" : "sequential";
+        try {
+            (void)read_trace_binary(bytes, p);
+            ADD_FAILURE() << "read_trace_binary accepted it (" << mode << ")";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("bad event control byte"),
+                      std::string::npos)
+                << mode << ": " << e.what();
+        }
+        try {
+            (void)read_trace_columns(bytes, p);
+            ADD_FAILURE() << "read_trace_columns accepted it (" << mode << ")";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("bad event control byte"),
+                      std::string::npos)
+                << mode << ": " << e.what();
+        }
     }
 }
 
