@@ -12,8 +12,11 @@
 //
 // Two producers fill it:
 //   * ProfileStore::columns() — transposed from the finalized AoS store;
-//   * runtime::read_trace_columns — decoded straight out of mmapped DST1
-//     chunks without materializing AccessEvent records (trace_mmap.hpp).
+//   * runtime::read_trace_columns — the shared DST1 chunk walk
+//     (trace_codec.hpp) writing each event of mmapped chunks straight into
+//     rows, with no AccessEvent vector in between (trace_mmap.hpp).  The
+//     decoder rejects the kInvalidInstance sentinel, so every range id it
+//     sets is a real instance.
 #pragma once
 
 #include <cstddef>

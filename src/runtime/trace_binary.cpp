@@ -1,9 +1,9 @@
 #include "runtime/trace_binary.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -18,18 +18,7 @@ namespace dsspy::runtime {
 
 namespace {
 
-using codec::chunk_baseline;
-using codec::checked_narrow;
-using codec::Cursor;
-using codec::fail;
-using codec::kControlReserved;
-using codec::kPosPlusOne;
-using codec::kSameInstance;
-using codec::kSameOp;
-using codec::kSameThread;
-using codec::kSeqPlusOne;
-using codec::kSizeSame;
-using codec::kTimeSame;
+using namespace codec;  // control bits, fail, chunk_baseline
 
 /// Self-telemetry: DST1 chunks decoded (lazy-registered; call sites guard
 /// on obs::enabled()).
@@ -41,12 +30,11 @@ obs::MetricId chunks_decoded_metric() {
 
 // ---------------------------------------------------------------- encoding
 
-void put_u32(std::string& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out += static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out += static_cast<char>((v >> (8 * i)) & 0xFF);
+/// Little-endian fixed-width integer (codec::load_le reads it back).
+template <typename T>
+void put_le(std::string& out, T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        out += static_cast<char>((v >> (8 * i)) & 0xFF);
 }
 
 /// LEB128: 7 value bits per byte, high bit = continuation.
@@ -98,180 +86,77 @@ void put_event(std::string& out, const AccessEvent& ev,
 }
 
 // ---------------------------------------------------------------- decoding
-// The bounded cursor, control bits, and chunk validation are shared with
-// the columnar mmap decoder — see trace_codec.hpp.
+// The prelude, chunk walk and event walk live in trace_codec.hpp.
 
-/// Decode exactly `count` events from one chunk payload into `out`.
-void decode_chunk(Cursor cur, std::uint32_t count,
-                  std::vector<AccessEvent>& out) {
-    out.resize(count);
-    AccessEvent prev = chunk_baseline();
-    for (std::uint32_t i = 0; i < count; ++i) {
-        AccessEvent& ev = out[i];
-        const std::uint8_t control = cur.u8();
-        if (control & kControlReserved) fail("bad event control byte");
-        ev.seq = (control & kSeqPlusOne) ? prev.seq + 1 : cur.delta(prev.seq);
-        ev.time_ns = (control & kTimeSame) ? prev.time_ns
-                                           : cur.delta(prev.time_ns);
-        ev.instance = (control & kSameInstance)
-                          ? prev.instance
-                          : checked_narrow<InstanceId>(
-                                cur.delta(prev.instance), "instance");
-        if (control & kSameOp) {
-            ev.op = prev.op;
-        } else {
-            const std::uint8_t op = cur.u8();
-            if (op >= kOpKindCount) fail("bad op value");
-            ev.op = static_cast<OpKind>(op);
-        }
-        const auto uprev_pos = static_cast<std::uint64_t>(prev.position);
-        ev.position = static_cast<std::int64_t>(
-            (control & kPosPlusOne) ? uprev_pos + 1 : cur.delta(uprev_pos));
-        ev.size = (control & kSizeSame)
-                      ? prev.size
-                      : checked_narrow<std::uint32_t>(cur.delta(prev.size),
-                                                      "size");
-        ev.thread = (control & kSameThread)
-                        ? prev.thread
-                        : checked_narrow<ThreadId>(cur.delta(prev.thread),
-                                                   "thread");
-        prev = ev;
-    }
-    if (cur.ptr != cur.end) fail("chunk payload longer than declared events");
-}
+/// Byte source for the streaming reader: the sniffed prefix, then the
+/// stream.  take(n) reads exactly the missing bytes, in slices of at most
+/// kReadSlice, so the buffer grows with the bytes actually received — a
+/// corrupt length costs one slice before the input runs out, not the
+/// length it declares.
+class StreamSource : public ByteReader<StreamSource> {
+public:
+    StreamSource(std::istream& is, std::string_view prefix)
+        : is_(is), unread_(prefix) {}
 
-/// Byte source for the streaming decoder: serves the sniffed prefix first,
-/// then pulls from the stream.  Mirrors Cursor's primitives (and error
-/// messages) but never needs the whole trace in memory.
-struct StreamSource {
-    std::istream& is;
-    std::string_view carry;
-
-    /// Read exactly `n` bytes; false only on a clean end of input.
-    bool get(char* dst, std::size_t n) {
-        const std::size_t from_carry = std::min(n, carry.size());
-        std::memcpy(dst, carry.data(), from_carry);
-        carry.remove_prefix(from_carry);
-        if (from_carry == n) return true;
-        is.read(dst + from_carry,
-                static_cast<std::streamsize>(n - from_carry));
-        if (is.bad()) fail("I/O error while reading trace");
-        return static_cast<std::size_t>(is.gcount()) == n - from_carry;
-    }
-
-    std::uint8_t u8(const char* what) {
-        char c;
-        if (!get(&c, 1)) fail(what);
-        return static_cast<std::uint8_t>(c);
-    }
-
-    std::uint32_t u32() {
-        unsigned char b[4];
-        if (!get(reinterpret_cast<char*>(b), 4))
-            fail("truncated fixed-width field");
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) v |= std::uint32_t{b[i]} << (8 * i);
-        return v;
-    }
-
-    std::uint64_t u64() {
-        unsigned char b[8];
-        if (!get(reinterpret_cast<char*>(b), 8))
-            fail("truncated fixed-width field");
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i) v |= std::uint64_t{b[i]} << (8 * i);
-        return v;
-    }
-
-    std::uint64_t varint() {
-        std::uint64_t v = 0;
-        for (unsigned shift = 0; shift < 64; shift += 7) {
-            const std::uint8_t byte = u8("unterminated varint");
-            v |= std::uint64_t{byte & 0x7Fu} << shift;
-            if ((byte & 0x80u) == 0) {
-                if (shift == 63 && byte > 1) fail("varint overflows 64 bits");
-                return v;
+    const unsigned char* take(std::size_t n, const char* what) {
+        if (unread_.size() < n) {
+            buf_.assign(unread_);
+            while (buf_.size() < n) {
+                const std::size_t have = buf_.size();
+                buf_.resize(have + std::min(n - have, kReadSlice));
+                is_.read(buf_.data() + have,
+                         static_cast<std::streamsize>(buf_.size() - have));
+                if (is_.bad()) fail("I/O error while reading trace");
+                buf_.resize(have + static_cast<std::size_t>(is_.gcount()));
+                if (!is_) fail(what);  // input ended short of n bytes
             }
+            unread_ = buf_;
         }
-        fail("varint longer than 10 bytes");
+        const auto* p = reinterpret_cast<const unsigned char*>(unread_.data());
+        unread_.remove_prefix(n);
+        return p;
     }
 
-    std::string str() {
-        const std::uint64_t len = varint();
-        // No "remaining" to check against a stream; cap at a size no real
-        // name field reaches so corrupt lengths fail before allocating.
-        if (len > (1u << 30)) fail("truncated string field");
-        std::string s(static_cast<std::size_t>(len), '\0');
-        if (!get(s.data(), s.size())) fail("truncated string field");
-        return s;
-    }
+    /// Unknown until the stream ends: no upper bound.
+    static std::size_t remaining() { return SIZE_MAX; }
 
     [[nodiscard]] bool at_end() {
-        if (!carry.empty()) return false;
-        return is.peek() == std::istream::traits_type::eof();
+        return unread_.empty() &&
+               is_.peek() == std::istream::traits_type::eof();
     }
+
+private:
+    static constexpr std::size_t kReadSlice = 64 * 1024;
+
+    std::istream& is_;
+    std::string_view unread_;  // the rest of the prefix, or of buf_
+    std::string buf_;
 };
+
+/// Decode one chunk into AccessEvent records.
+void decode_events(const ChunkRef& chunk, std::vector<AccessEvent>& out) {
+    out.resize(chunk.count);
+    decode_chunk(chunk, [&](std::uint32_t i, const AccessEvent& ev) {
+        out[i] = ev;
+    });
+}
 
 }  // namespace
 
 std::size_t read_trace_binary_stream(std::istream& is, std::string_view prefix,
                                      TraceSink& sink) {
-    StreamSource src{is, prefix};
-    char magic[sizeof(kTraceBinaryMagic)];
-    if (!src.get(magic, sizeof(magic)) ||
-        std::memcmp(magic, kTraceBinaryMagic, sizeof(magic)) != 0)
-        fail("bad magic (not a DST1 trace)");
-    const std::uint32_t version = src.u32();
-    if (version != kTraceBinaryVersion)
-        fail("unsupported DST1 version " + std::to_string(version));
-    const std::uint64_t instance_count = src.u64();
-    const std::uint64_t event_count = src.u64();
-
-    for (std::uint64_t i = 0; i < instance_count; ++i) {
-        InstanceInfo info;
-        info.id = checked_narrow<InstanceId>(src.varint(), "id");
-        const std::uint64_t kind = src.varint();
-        if (kind >= kDsKindCount) fail("bad kind value");
-        info.kind = static_cast<DsKind>(kind);
-        info.location.position =
-            checked_narrow<std::uint32_t>(src.varint(), "position");
-        info.type_name = src.str();
-        info.location.class_name = src.str();
-        info.location.method = src.str();
-        info.deallocated = src.u8("truncated byte field") != 0;
-        sink.on_instance(info);
-    }
-
-    std::vector<char> payload;
+    StreamSource src(is, prefix);
+    const std::uint64_t event_count = read_prelude(
+        src, [&](const InstanceInfo& info) { sink.on_instance(info); });
     std::vector<AccessEvent> decoded;
-    std::uint64_t declared = 0;
     std::size_t delivered = 0;
-    while (declared < event_count) {
-        unsigned char header[8];
-        if (!src.get(reinterpret_cast<char*>(header), sizeof(header)))
-            fail("truncated chunk header");
-        std::uint32_t count = 0;
-        std::uint32_t payload_bytes = 0;
-        for (int i = 0; i < 4; ++i) {
-            count |= std::uint32_t{header[i]} << (8 * i);
-            payload_bytes |= std::uint32_t{header[4 + i]} << (8 * i);
-        }
-        codec::check_chunk_header(count, payload_bytes,
-                                  std::numeric_limits<std::size_t>::max());
-        payload.resize(payload_bytes);
-        if (!src.get(payload.data(), payload.size()))
-            fail("truncated event chunk");
-        const auto* begin =
-            reinterpret_cast<const unsigned char*>(payload.data());
-        decode_chunk(Cursor{begin, begin + payload.size()}, count, decoded);
+    for_each_chunk(src, event_count, [&](const ChunkRef& chunk) {
+        decode_events(chunk, decoded);
         if (obs::enabled())
             obs::MetricsRegistry::global().add(chunks_decoded_metric());
         sink.on_events(decoded);
         delivered += decoded.size();
-        declared += count;
-    }
-    if (declared != event_count) fail("chunk event counts exceed header total");
-    if (!src.at_end()) fail("trailing bytes after final chunk");
+    });
     return delivered;
 }
 
@@ -291,9 +176,9 @@ std::size_t write_trace_binary(std::ostream& os,
 
     std::string head;
     head.append(kTraceBinaryMagic, sizeof(kTraceBinaryMagic));
-    put_u32(head, kTraceBinaryVersion);
-    put_u64(head, instances.size());
-    put_u64(head, event_count);
+    put_le(head, kTraceBinaryVersion);
+    put_le<std::uint64_t>(head, instances.size());
+    put_le<std::uint64_t>(head, event_count);
     for (const InstanceInfo& info : instances) {
         put_varint(head, info.id);
         put_varint(head, static_cast<std::uint64_t>(info.kind));
@@ -313,8 +198,8 @@ std::size_t write_trace_binary(std::ostream& os,
     const auto flush_chunk = [&] {
         if (in_chunk == 0) return;
         std::string header;
-        put_u32(header, in_chunk);
-        put_u32(header, static_cast<std::uint32_t>(payload.size()));
+        put_le(header, in_chunk);
+        put_le(header, static_cast<std::uint32_t>(payload.size()));
         os.write(header.data(), static_cast<std::streamsize>(header.size()));
         os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
         payload.clear();
@@ -334,83 +219,57 @@ std::size_t write_trace_binary(std::ostream& os,
     return written;
 }
 
-Trace read_trace_binary(std::string_view bytes, par::ThreadPool* pool) {
-    Cursor cur{reinterpret_cast<const unsigned char*>(bytes.data()),
-               reinterpret_cast<const unsigned char*>(bytes.data()) +
-                   bytes.size()};
-    if (!is_binary_trace(bytes)) fail("bad magic (not a DST1 trace)");
-    cur.ptr += sizeof(kTraceBinaryMagic);
-    const std::uint32_t version = cur.u32();
-    if (version != kTraceBinaryVersion)
-        fail("unsupported DST1 version " + std::to_string(version));
-    const std::uint64_t instance_count = cur.u64();
-    const std::uint64_t event_count = cur.u64();
+namespace codec {
 
-    Trace trace;
-    if (instance_count > cur.remaining())  // each record is >= 7 bytes
-        fail("instance count exceeds input size");
-    trace.instances.reserve(static_cast<std::size_t>(instance_count));
-    for (std::uint64_t i = 0; i < instance_count; ++i) {
-        InstanceInfo info;
-        info.id = checked_narrow<InstanceId>(cur.varint(), "id");
-        const std::uint64_t kind = cur.varint();
-        if (kind >= kDsKindCount) fail("bad kind value");
-        info.kind = static_cast<DsKind>(kind);
-        info.location.position =
-            checked_narrow<std::uint32_t>(cur.varint(), "position");
-        info.type_name = cur.str();
-        info.location.class_name = cur.str();
-        info.location.method = cur.str();
-        info.deallocated = cur.u8() != 0;
-        trace.instances.push_back(std::move(info));
-    }
+ChunkIndex index_chunks(std::string_view bytes) {
+    ChunkIndex index;
+    const auto* begin = reinterpret_cast<const unsigned char*>(bytes.data());
+    Cursor cur(begin, begin + bytes.size());
+    const std::uint64_t event_count =
+        read_prelude(cur, [&](InstanceInfo&& info) {
+            index.instances.push_back(std::move(info));
+        });
+    for_each_chunk(cur, event_count, [&](const ChunkRef& chunk) {
+        index.chunks.push_back(chunk);
+    });
+    index.event_count = static_cast<std::size_t>(event_count);
+    return index;
+}
 
-    // Index the chunks first (headers carry the payload size, so this is a
-    // cheap skip-scan), then decode them — concurrently with a pool.
-    struct ChunkRef {
-        Cursor payload;
-        std::uint32_t count;
-    };
-    std::vector<ChunkRef> chunks;
-    std::uint64_t declared = 0;
-    while (declared < event_count) {
-        if (cur.remaining() < 8) fail("truncated chunk header");
-        const std::uint32_t count = cur.u32();
-        const std::uint32_t payload_bytes = cur.u32();
-        codec::check_chunk_header(count, payload_bytes, cur.remaining());
-        chunks.push_back(ChunkRef{{cur.ptr, cur.ptr + payload_bytes}, count});
-        cur.ptr += payload_bytes;
-        declared += count;
-    }
-    if (declared != event_count) fail("chunk event counts exceed header total");
-    if (cur.ptr != cur.end) fail("trailing bytes after final chunk");
-
-    std::vector<std::vector<AccessEvent>> decoded(chunks.size());
+void decode_chunks(std::size_t chunk_count, par::ThreadPool* pool,
+                   const std::function<void(std::size_t)>& decode) {
     DSSPY_TRACE_SPAN("trace.chunk_decode");
     // Pool shards parent under the decode span explicitly — they run on
     // pool threads whose TLS context is empty.
     const obs::TraceContext decode_ctx = obs::current_trace_context();
-    const auto decode_range = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            decode_chunk(chunks[i].payload, chunks[i].count, decoded[i]);
-    };
-    if (pool != nullptr && chunks.size() > 1) {
-        // decode_chunk throws on corrupt chunks; parallel_for_chunks
-        // rethrows the first such error here.
+    if (pool != nullptr && chunk_count > 1) {
+        // parallel_for_chunks rethrows the first decode error here.
         par::parallel_for_chunks(
-            *pool, 0, chunks.size(), [&](std::size_t lo, std::size_t hi) {
+            *pool, 0, chunk_count, [&](std::size_t lo, std::size_t hi) {
                 DSSPY_TRACE_SPAN_UNDER("trace.decode_shard", decode_ctx);
-                decode_range(lo, hi);
+                for (std::size_t i = lo; i < hi; ++i) decode(i);
             });
     } else {
-        decode_range(0, chunks.size());
+        for (std::size_t i = 0; i < chunk_count; ++i) decode(i);
     }
     if (obs::enabled())
         obs::MetricsRegistry::global().add(chunks_decoded_metric(),
-                                           chunks.size());
+                                           chunk_count);
+}
+
+}  // namespace codec
+
+Trace read_trace_binary(std::string_view bytes, par::ThreadPool* pool) {
+    ChunkIndex index = index_chunks(bytes);
+    std::vector<std::vector<AccessEvent>> decoded(index.chunks.size());
+    decode_chunks(index.chunks.size(), pool, [&](std::size_t i) {
+        decode_events(index.chunks[i], decoded[i]);
+    });
 
     // Appending in file order keeps the store bit-identical to a
     // sequential decode regardless of how the decode itself was scheduled.
+    Trace trace;
+    trace.instances = std::move(index.instances);
     for (const std::vector<AccessEvent>& batch : decoded)
         trace.store.append(batch);
     trace.store.finalize(pool);

@@ -32,6 +32,8 @@
 //       bit 5  size     == prev.size          (read-only phases)
 //       bit 6  thread   == prev.thread
 //       bit 7  reserved, must be zero
+//   Instance ids (table records and events) must be below 0xFFFFFFFF
+//   (kInvalidInstance, the "no instance" sentinel).
 //
 // A sequential read sweep is one control byte per event; an append run is
 // two bytes.  Chunk-local baselines keep every chunk independently
@@ -67,8 +69,9 @@ std::size_t write_trace_binary(std::ostream& os,
 /// Decode a complete DST1 byte buffer (including the magic).  Throws
 /// std::runtime_error on truncated or corrupt input (bad magic/version,
 /// unterminated varint, chunk size or event-count mismatch, out-of-range
-/// enum or field values).  With a pool, chunks decode concurrently; the
-/// returned store is finalized and bit-identical to a sequential decode.
+/// enum or field values, the kInvalidInstance sentinel as an instance
+/// id).  With a pool, chunks decode concurrently; the returned store
+/// is finalized and bit-identical to a sequential decode.
 [[nodiscard]] Trace read_trace_binary(std::string_view bytes,
                                       par::ThreadPool* pool = nullptr);
 
@@ -78,8 +81,11 @@ std::size_t write_trace_binary(std::ostream& os,
 /// Stream-decode DST1 from `prefix` (bytes already pulled off the stream
 /// by format sniffing) followed by `is`: instances, then one decoded chunk
 /// at a time to `sink`.  Memory stays bounded by one chunk regardless of
-/// trace size.  Same validation and errors as read_trace_binary; returns
-/// the number of events delivered.
+/// trace size, and by the bytes actually received: a length the input
+/// declares is never allocated up front.  Same decoder, validation and
+/// errors as read_trace_binary, except the up-front "instance count
+/// exceeds input size" check (a stream's size is unknown; the instance
+/// table then fails where it runs out).  Returns the events delivered.
 std::size_t read_trace_binary_stream(std::istream& is, std::string_view prefix,
                                      TraceSink& sink);
 

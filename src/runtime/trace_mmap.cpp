@@ -16,10 +16,7 @@
 #include <unistd.h>
 #endif
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/parallel_for.hpp"
-#include "parallel/thread_pool.hpp"
 #include "runtime/trace_binary.hpp"
 #include "runtime/trace_codec.hpp"
 
@@ -27,71 +24,7 @@ namespace dsspy::runtime {
 
 namespace {
 
-using codec::chunk_baseline;
-using codec::checked_narrow;
-using codec::Cursor;
 using codec::fail;
-
-/// Self-telemetry: DST1 chunks decoded through the columnar reader.
-obs::MetricId column_chunks_metric() {
-    static const obs::MetricId id = obs::MetricsRegistry::global().counter(
-        "trace.column_chunks_decoded");
-    return id;
-}
-
-/// Decode one chunk payload into column rows [first_row, first_row+count)
-/// plus the temporary seq/instance columns used for grouping.  The wire
-/// walk matches trace_binary.cpp's decode_chunk field for field; only the
-/// destination differs (five column writes instead of one struct).
-void decode_chunk_columns(Cursor cur, std::uint32_t count,
-                          std::size_t first_row, ColumnStore& columns,
-                          std::uint64_t* seq_col,
-                          std::uint32_t* instance_col) {
-    std::uint64_t* time_col = columns.mutable_time_ns() + first_row;
-    std::int64_t* pos_col = columns.mutable_position() + first_row;
-    std::uint32_t* size_col = columns.mutable_sizes() + first_row;
-    std::uint8_t* op_col = columns.mutable_op() + first_row;
-    std::uint16_t* thread_col = columns.mutable_thread() + first_row;
-    seq_col += first_row;
-    instance_col += first_row;
-
-    AccessEvent prev = chunk_baseline();
-    for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint8_t control = cur.u8();
-        if (control & codec::kControlReserved) fail("bad event control byte");
-        prev.seq = (control & codec::kSeqPlusOne) ? prev.seq + 1
-                                                  : cur.delta(prev.seq);
-        prev.time_ns = (control & codec::kTimeSame)
-                           ? prev.time_ns
-                           : cur.delta(prev.time_ns);
-        if (!(control & codec::kSameInstance))
-            prev.instance = checked_narrow<InstanceId>(
-                cur.delta(prev.instance), "instance");
-        if (!(control & codec::kSameOp)) {
-            const std::uint8_t op = cur.u8();
-            if (op >= kOpKindCount) fail("bad op value");
-            prev.op = static_cast<OpKind>(op);
-        }
-        const auto uprev_pos = static_cast<std::uint64_t>(prev.position);
-        prev.position = static_cast<std::int64_t>(
-            (control & codec::kPosPlusOne) ? uprev_pos + 1
-                                           : cur.delta(uprev_pos));
-        if (!(control & codec::kSizeSame))
-            prev.size = checked_narrow<std::uint32_t>(cur.delta(prev.size),
-                                                      "size");
-        if (!(control & codec::kSameThread))
-            prev.thread = checked_narrow<ThreadId>(cur.delta(prev.thread),
-                                                   "thread");
-        seq_col[i] = prev.seq;
-        time_col[i] = prev.time_ns;
-        instance_col[i] = prev.instance;
-        op_col[i] = static_cast<std::uint8_t>(prev.op);
-        pos_col[i] = prev.position;
-        size_col[i] = prev.size;
-        thread_col[i] = prev.thread;
-    }
-    if (cur.ptr != cur.end) fail("chunk payload longer than declared events");
-}
 
 struct InstanceRun {
     InstanceId id = 0;
@@ -185,86 +118,37 @@ ColumnTrace read_trace_columns(std::string_view bytes,
             alignof(std::uint64_t) !=
         0)
         fail("misaligned mmap region");
-    Cursor cur{reinterpret_cast<const unsigned char*>(bytes.data()),
-               reinterpret_cast<const unsigned char*>(bytes.data()) +
-                   bytes.size()};
-    if (!is_binary_trace(bytes)) fail("bad magic (not a DST1 trace)");
-    cur.ptr += sizeof(kTraceBinaryMagic);
-    const std::uint32_t version = cur.u32();
-    if (version != kTraceBinaryVersion)
-        fail("unsupported DST1 version " + std::to_string(version));
-    const std::uint64_t instance_count = cur.u64();
-    const std::uint64_t event_count = cur.u64();
-
+    codec::ChunkIndex index = codec::index_chunks(bytes);
     ColumnTrace trace;
-    if (instance_count > cur.remaining())  // each record is >= 7 bytes
-        fail("instance count exceeds input size");
-    trace.instances.reserve(static_cast<std::size_t>(instance_count));
-    for (std::uint64_t i = 0; i < instance_count; ++i) {
-        InstanceInfo info;
-        info.id = checked_narrow<InstanceId>(cur.varint(), "id");
-        const std::uint64_t kind = cur.varint();
-        if (kind >= kDsKindCount) fail("bad kind value");
-        info.kind = static_cast<DsKind>(kind);
-        info.location.position =
-            checked_narrow<std::uint32_t>(cur.varint(), "position");
-        info.type_name = cur.str();
-        info.location.class_name = cur.str();
-        info.location.method = cur.str();
-        info.deallocated = cur.u8() != 0;
-        trace.instances.push_back(std::move(info));
-    }
-
-    // Chunk index: headers carry the payload size, so this is a cheap
-    // skip-scan that also yields each chunk's first output row.
-    struct ChunkRef {
-        Cursor payload;
-        std::uint32_t count;
-        std::size_t first_row;
-    };
-    std::vector<ChunkRef> chunks;
-    std::uint64_t declared = 0;
-    while (declared < event_count) {
-        if (cur.remaining() < 8) fail("truncated chunk header");
-        const std::uint32_t count = cur.u32();
-        const std::uint32_t payload_bytes = cur.u32();
-        codec::check_chunk_header(count, payload_bytes, cur.remaining());
-        chunks.push_back(ChunkRef{{cur.ptr, cur.ptr + payload_bytes},
-                                  count,
-                                  static_cast<std::size_t>(declared)});
-        cur.ptr += payload_bytes;
-        declared += count;
-    }
-    if (declared != event_count) fail("chunk event counts exceed header total");
-    if (cur.ptr != cur.end) fail("trailing bytes after final chunk");
-
-    const auto rows = static_cast<std::size_t>(event_count);
+    trace.instances = std::move(index.instances);
+    const std::size_t rows = index.event_count;
     trace.columns.allocate(rows, 0);
     std::vector<std::uint64_t> seqs(rows);
     std::vector<std::uint32_t> instance_col(rows);
 
-    // Chunks write disjoint row ranges, so the decode parallelizes without
+    // Chunks write disjoint row ranges (plus the temporary seq/instance
+    // columns used for grouping), so the decode parallelizes without
     // synchronization and lands bit-identical to a sequential pass.
-    DSSPY_TRACE_SPAN("trace.column_decode");
-    const obs::TraceContext decode_ctx = obs::current_trace_context();
-    const auto decode_range = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            decode_chunk_columns(chunks[i].payload, chunks[i].count,
-                                 chunks[i].first_row, trace.columns,
-                                 seqs.data(), instance_col.data());
-    };
-    if (pool != nullptr && chunks.size() > 1) {
-        par::parallel_for_chunks(
-            *pool, 0, chunks.size(), [&](std::size_t lo, std::size_t hi) {
-                DSSPY_TRACE_SPAN_UNDER("trace.decode_shard", decode_ctx);
-                decode_range(lo, hi);
-            });
-    } else {
-        decode_range(0, chunks.size());
-    }
-    if (obs::enabled())
-        obs::MetricsRegistry::global().add(column_chunks_metric(),
-                                           chunks.size());
+    codec::decode_chunks(index.chunks.size(), pool, [&](std::size_t c) {
+        const codec::ChunkRef& chunk = index.chunks[c];
+        const std::size_t first = chunk.first_row;
+        std::uint64_t* seq_col = seqs.data() + first;
+        std::uint32_t* inst_col = instance_col.data() + first;
+        std::uint64_t* time_col = trace.columns.mutable_time_ns() + first;
+        std::int64_t* pos_col = trace.columns.mutable_position() + first;
+        std::uint32_t* size_col = trace.columns.mutable_sizes() + first;
+        std::uint8_t* op_col = trace.columns.mutable_op() + first;
+        std::uint16_t* thread_col = trace.columns.mutable_thread() + first;
+        codec::decode_chunk(chunk, [=](std::uint32_t i, const AccessEvent& ev) {
+            seq_col[i] = ev.seq;
+            time_col[i] = ev.time_ns;
+            inst_col[i] = ev.instance;
+            op_col[i] = static_cast<std::uint8_t>(ev.op);
+            pos_col[i] = ev.position;
+            size_col[i] = ev.size;
+            thread_col[i] = ev.thread;
+        });
+    });
 
     std::vector<InstanceRun> runs;
     if (!collect_grouped_runs(instance_col.data(), seqs.data(), rows, runs))

@@ -1,19 +1,19 @@
 // Zero-copy DST1 decode into event columns (DESIGN.md §11).
 //
-// read_trace_binary materializes every event as a 32-byte AccessEvent,
-// appends them into the AoS ProfileStore, sorts, and only then (for the
-// columnar analysis core) transposes into a ColumnStore.  For post-mortem
-// `dsspy analyze` runs that never need AccessEvent rows, this reader skips
-// the whole middle: the trace file is mmapped, chunk payloads decode in
-// parallel straight into column rows, and per-instance ranges come from a
-// single grouping pass — no intermediate AccessEvent vector exists at any
-// point.  Files written by write_trace emit each instance's events as one
-// contiguous ascending-seq block, so the grouping pass is a zero-copy scan;
+// read_trace_columns is the columnar adaptor over the one DST1 decoder
+// (trace_codec.hpp), which also backs read_trace_binary and the streaming
+// reader.  It shares their prelude parser, chunk index and pool driver,
+// and hands each event of the shared chunk walk straight to five column
+// rows (plus temporary seq/instance columns for grouping) — no
+// intermediate AccessEvent vector, no ProfileStore sort, no transpose.
+// The trace file is mmapped, so payloads decode in place.  Files written
+// by write_trace emit each instance's events as one contiguous
+// ascending-seq block, so the grouping pass is a zero-copy scan;
 // arbitrarily interleaved (externally produced) traces fall back to one
 // deterministic argsort permutation.
 //
-// Same validation surface as trace_binary.cpp (shared via trace_codec.hpp)
-// plus mmap-specific checks: unopenable or unmappable files and misaligned
+// Validation and error messages are the shared decoder's, plus
+// mmap-specific checks: unopenable or unmappable files and misaligned
 // mapped regions are rejected with clear errors.
 #pragma once
 

@@ -51,3 +51,15 @@ expect_exit(1 analyze ${CMAKE_CURRENT_BINARY_DIR}/no_such_trace.dst)
 expect_exit(1 convert ${CMAKE_CURRENT_BINARY_DIR}/no_such_trace.dst out.dst)
 expect_exit(1 batch Mandelbrot NoSuchAnything --summary --threads=2)
 expect_exit(1 run Mandelbrot --summary --trace /no-such-dir/sub/trace.csv)
+
+# Crafted DST1 inputs (tests/data/, built in test_trace_io.cpp's
+# TraceIoDecoders table): an event whose instance id is the "no instance"
+# sentinel, a chunk header declaring a ~4 GiB payload, and a 2^30-1 byte
+# string length.  Every analysis path rejects them as unreadable input.
+foreach(crafted sentinel_instance oversized_payload oversized_string)
+  set(trace ${CMAKE_CURRENT_LIST_DIR}/data/dst1_${crafted}.dst)
+  expect_exit(1 analyze ${trace})
+  expect_exit(1 analyze ${trace} --postmortem --json)
+  expect_exit(1 analyze ${trace} --postmortem
+              --html ${CMAKE_CURRENT_BINARY_DIR}/crafted.html)
+endforeach()
