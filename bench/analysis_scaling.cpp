@@ -127,9 +127,6 @@ int main(int argc, char** argv) {
 
     // --- build the synthetic corpus ----------------------------------------
     std::vector<runtime::InstanceInfo> instances;
-    runtime::ProfileStore store;
-    std::uint64_t seq = 0;
-    std::vector<runtime::AccessEvent> scratch;
     for (std::size_t inst = 0; inst < kInstances; ++inst) {
         runtime::InstanceInfo info;
         info.id = static_cast<runtime::InstanceId>(inst);
@@ -139,20 +136,32 @@ int main(int argc, char** argv) {
         info.location = {"Synthetic", "Workload",
                          static_cast<std::uint32_t>(inst)};
         instances.push_back(std::move(info));
-        scratch.clear();
-        synthesize_instance(inst, seq, scratch);
-        store.append(scratch);
     }
+    // A fresh store per finalize: finalize places the pending events once.
+    const auto build_store = [] {
+        runtime::ProfileStore store;
+        std::uint64_t seq = 0;
+        std::vector<runtime::AccessEvent> scratch;
+        for (std::size_t inst = 0; inst < kInstances; ++inst) {
+            scratch.clear();
+            synthesize_instance(inst, seq, scratch);
+            store.append(scratch);
+        }
+        return store;
+    };
 
     // --- parallel finalize -------------------------------------------------
     double finalize_seq_ms = 1e100;
     double finalize_par_ms = 1e100;
+    runtime::ProfileStore store;
     for (int r = 0; r < rounds; ++r) {
+        store = build_store();
         auto t0 = Clock::now();
         store.finalize(nullptr);
         auto t1 = Clock::now();
         finalize_seq_ms = std::min(finalize_seq_ms, ms_between(t0, t1));
         par::ThreadPool pool(4);
+        store = build_store();
         t0 = Clock::now();
         store.finalize(&pool);
         t1 = Clock::now();

@@ -20,25 +20,22 @@ AnalysisResult Dsspy::analyze(const runtime::ProfilingSession& session,
 AnalysisResult Dsspy::analyze(
     const std::vector<runtime::InstanceInfo>& instances,
     const runtime::ProfileStore& store, par::ThreadPool* pool) const {
-    return analyze_columns_impl(instances, store.columns(pool), &store, pool,
-                                store.total_events());
+    return analyze_columns_impl(instances, store.columns(pool), &store, pool);
 }
 
 AnalysisResult Dsspy::analyze(
     const std::vector<runtime::InstanceInfo>& instances,
     const runtime::ColumnStore& columns, par::ThreadPool* pool) const {
-    return analyze_columns_impl(instances, columns, nullptr, pool,
-                                columns.total_events());
+    return analyze_columns_impl(instances, columns, nullptr, pool);
 }
 
 AnalysisResult Dsspy::analyze_columns_impl(
     const std::vector<runtime::InstanceInfo>& instances,
     const runtime::ColumnStore& columns,
-    const runtime::ProfileStore* aos_store, par::ThreadPool* pool,
-    std::size_t total_events) const {
+    const runtime::ProfileStore* store, par::ThreadPool* pool) const {
     DSSPY_TRACE_SPAN("analyze.total");
     AnalysisResult result;
-    result.reset(instances, total_events);
+    result.reset(instances, columns.total_events());
 
     // Derived access types for the whole store, computed once and shared
     // read-only by every shard (one pshufb pass instead of a per-event
@@ -67,11 +64,7 @@ AnalysisResult Dsspy::analyze_columns_impl(
             ia.patterns = detect_patterns_columns(slice, config_);
             ia.stats = instance_stats_from_columns(info, slice, agg,
                                                    ia.patterns, config_);
-            const std::span<const runtime::AccessEvent> events =
-                aos_store != nullptr
-                    ? aos_store->events(info.id)
-                    : std::span<const runtime::AccessEvent>{};
-            ia.profile = RuntimeProfile(info, events, std::move(agg));
+            ia.profile = RuntimeProfile(info, store, std::move(agg));
             ia.use_cases = engine_.classify(ia.stats);
             if (telemetry)
                 obs::MetricsRegistry::global().observe(

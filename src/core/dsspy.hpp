@@ -39,9 +39,9 @@ public:
 
     /// Analyze explicit instance metadata + a finalized store (e.g. a
     /// trace deserialized with runtime::read_trace).  The store must
-    /// outlive the result.  Runs over the store's columnar view with the
-    /// vectorized kernels (DESIGN.md §11); the profiles keep their AoS
-    /// event spans so reports and the HTML export still see events().
+    /// outlive the result.  Runs over the store's columns with the
+    /// vectorized kernels (DESIGN.md §11); the profiles fetch their event
+    /// rows from the store only if the HTML export or a chart asks.
     [[nodiscard]] AnalysisResult analyze(
         const std::vector<runtime::InstanceInfo>& instances,
         const runtime::ProfileStore& store,
@@ -90,8 +90,7 @@ private:
     [[nodiscard]] AnalysisResult analyze_columns_impl(
         const std::vector<runtime::InstanceInfo>& instances,
         const runtime::ColumnStore& columns,
-        const runtime::ProfileStore* aos_store, par::ThreadPool* pool,
-        std::size_t total_events) const;
+        const runtime::ProfileStore* store, par::ThreadPool* pool) const;
 
     DetectorConfig config_;
     PatternDetector detector_;

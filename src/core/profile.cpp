@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "runtime/profile_store.hpp"
+
 namespace dsspy::core {
 
 RuntimeProfile::RuntimeProfile(runtime::InstanceInfo info,
@@ -37,16 +39,20 @@ RuntimeProfile::RuntimeProfile(runtime::InstanceInfo info,
 }
 
 RuntimeProfile::RuntimeProfile(runtime::InstanceInfo info,
-                               std::span<const runtime::AccessEvent> events,
+                               const runtime::ProfileStore* store,
                                ProfileAggregates aggregates)
     : info_(std::move(info)),
-      events_(events),
+      store_(store),
       total_(aggregates.total_events),
       counts_(aggregates.counts),
       phases_(std::move(aggregates.phases)),
       max_size_(aggregates.max_size),
       duration_ns_(aggregates.duration_ns),
       thread_count_(aggregates.thread_count) {}
+
+std::span<const runtime::AccessEvent> RuntimeProfile::events() const {
+    return store_ != nullptr ? store_->events(info_.id) : events_;
+}
 
 double RuntimeProfile::share(AccessType type) const noexcept {
     if (total_ == 0) return 0.0;

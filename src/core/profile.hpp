@@ -17,6 +17,10 @@
 #include "runtime/access_event.hpp"
 #include "runtime/instance_registry.hpp"
 
+namespace dsspy::runtime {
+class ProfileStore;
+}
+
 namespace dsspy::core {
 
 /// A maximal run of events with the same derived access type.
@@ -52,24 +56,23 @@ public:
     RuntimeProfile(runtime::InstanceInfo info,
                    std::span<const runtime::AccessEvent> events);
 
-    /// Build from kernel-computed aggregates; `events` may be empty when
-    /// the caller analyzed raw columns without materializing AccessEvent
-    /// rows (the zero-copy trace path).
+    /// Build from kernel-computed aggregates.  events() fetches the
+    /// instance's rows from `store` only when a caller asks (HTML and
+    /// charts); `store` is null when the caller analyzed bare columns (the
+    /// zero-copy trace path), and must otherwise outlive the profile.
     RuntimeProfile(runtime::InstanceInfo info,
-                   std::span<const runtime::AccessEvent> events,
+                   const runtime::ProfileStore* store,
                    ProfileAggregates aggregates);
 
     [[nodiscard]] const runtime::InstanceInfo& info() const noexcept {
         return info_;
     }
 
-    /// The instance's event rows.  Empty for profiles built from column
-    /// aggregates without an AoS mirror — use total_events() for the real
-    /// event count.
-    [[nodiscard]] std::span<const runtime::AccessEvent> events()
-        const noexcept {
-        return events_;
-    }
+    /// The instance's event rows.  Empty for profiles built from bare
+    /// column aggregates — use total_events() for the real event count.
+    /// For a profile over a ProfileStore, the first call of any profile
+    /// gathers the store's event view (ProfileStore::events).
+    [[nodiscard]] std::span<const runtime::AccessEvent> events() const;
 
     [[nodiscard]] std::size_t total_events() const noexcept {
         return total_;
@@ -118,6 +121,7 @@ public:
 private:
     runtime::InstanceInfo info_;
     std::span<const runtime::AccessEvent> events_;
+    const runtime::ProfileStore* store_ = nullptr;
     std::size_t total_ = 0;
     std::array<std::size_t, kAccessTypeCount> counts_{};
     std::vector<Phase> phases_;

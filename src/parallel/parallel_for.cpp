@@ -29,13 +29,6 @@ void ewma_update(std::atomic<std::uint64_t>& mean, std::uint64_t sample) {
 /// pool; 0 until the first helper has started.
 std::atomic<std::uint64_t> g_wake_ns{0};
 
-/// A sample counts at most twice the current mean, so one preempted or
-/// queued-behind-work helper cannot hold the cutoff high.
-void record_wake(std::uint64_t ns) {
-    const std::uint64_t old = g_wake_ns.load(std::memory_order_relaxed);
-    ewma_update(g_wake_ns, old == 0 ? ns : std::min(ns, 2 * old));
-}
-
 void record_site(SiteCost& site, std::size_t indices, std::uint64_t ns) {
     if (indices != 0)  // +1 keeps a measured cost distinct from "unmeasured"
         ewma_update(site.ps_per_index, ns * 1000 / indices + 1);
@@ -155,10 +148,31 @@ private:
 
 }  // namespace
 
+/// A sample counts at most twice the current mean, and the first at most
+/// kFirstWakeCapNs, so one preempted or queued-behind-work helper cannot
+/// hold the cutoff high.
+void record_wake(std::uint64_t ns) noexcept {
+    const std::uint64_t old = g_wake_ns.load(std::memory_order_relaxed);
+    ewma_update(g_wake_ns, std::min(ns, old == 0 ? kFirstWakeCapNs : 2 * old));
+}
+
+std::uint64_t wake_estimate_ns() noexcept {
+    return g_wake_ns.load(std::memory_order_relaxed);
+}
+
+bool run_inline(SiteCost& site, std::size_t n) noexcept {
+    if (caller_outruns_helpers(site, n) &&
+        site.inline_streak.fetch_add(1, std::memory_order_relaxed) + 1 <
+            kReprobeRegions)
+        return true;
+    site.inline_streak.store(0, std::memory_order_relaxed);
+    return false;
+}
+
 void fork_join(ThreadPool& pool, std::size_t begin, std::size_t end,
                ChunkPlan plan, ChunkFn fn, void* body, SiteCost& site) {
     const std::uint64_t start = now_ns();
-    if (caller_outruns_helpers(site, end - begin)) {
+    if (run_inline(site, end - begin)) {
         for (std::size_t lo = begin; lo < end; lo += plan.size)
             fn(body, lo, std::min(end, lo + plan.size));
         record_site(site, end - begin, now_ns() - start);

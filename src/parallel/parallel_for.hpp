@@ -18,7 +18,9 @@
 // There is no grain-size knob.  The runtime measures how long a woken
 // helper takes to start and what one index of each call site costs; a
 // region the caller is predicted to finish before a helper could start
-// runs on the caller, chunk by chunk, without waking one.
+// runs on the caller, chunk by chunk, without waking one — except that a
+// site forks at least once every kReprobeRegions regions, so the wake
+// estimate is re-measured and cannot latch a site inline.
 #pragma once
 
 #include <algorithm>
@@ -62,7 +64,30 @@ using ChunkFn = void (*)(void* body, std::size_t lo, std::size_t hi);
 /// parallel_for_chunks, in picoseconds; 0 until first measured.
 struct SiteCost {
     std::atomic<std::uint64_t> ps_per_index{0};
+    /// Regions of this site run inline in a row (see run_inline).
+    std::atomic<std::uint32_t> inline_streak{0};
 };
+
+/// A site forks at least once every this many regions, even when the wake
+/// estimate says the caller would finish first: the forked region's
+/// helper re-measures the wake latency, so one slow wake (a starved phase
+/// of a shared host) cannot leave a long-lived process inline for good.
+inline constexpr std::uint32_t kReprobeRegions = 16;
+
+/// Ceiling on the first wake-latency sample; later samples are capped at
+/// twice the running mean.
+inline constexpr std::uint64_t kFirstWakeCapNs = 250'000;
+
+/// True when the next region of `n` indices at `site` should run on the
+/// caller alone: the caller is predicted to finish before a woken helper
+/// would start, and the site is not due for its re-probe.
+[[nodiscard]] bool run_inline(SiteCost& site, std::size_t n) noexcept;
+
+/// Feed one helper wake-latency sample into the process-wide estimate.
+void record_wake(std::uint64_t ns) noexcept;
+
+/// The process-wide helper wake-latency estimate; 0 before any sample.
+[[nodiscard]] std::uint64_t wake_estimate_ns() noexcept;
 
 /// Run `fn(body, lo, hi)` over every chunk of `plan` laid from `begin` to
 /// `end`, with the calling thread participating (see the header comment).

@@ -156,8 +156,8 @@ RunOutcome PipelineRunner::run_trace(const RunPlan& plan, std::ostream& out,
     }
 
     // Post-mortem DST1 analysis that never touches event-level outputs
-    // (no trace re-emission, no HTML event timeline) can skip the AoS
-    // store entirely: mmap the file and decode straight into columns.
+    // (no trace re-emission, no HTML event timeline) can skip the
+    // ProfileStore entirely: mmap the file and decode straight into columns.
     // Half the peak memory, and the analysis runs on the same columnar
     // kernels either way, so verdicts are identical.
     if (plan.trace_out.empty() && plan.outputs.html_path.empty() &&

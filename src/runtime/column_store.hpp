@@ -1,27 +1,30 @@
 // Structure-of-arrays view of the recorded event stream (DESIGN.md §11).
 //
 // The post-mortem detectors are per-field scans: access-type histograms,
-// position-regularity streaks, end-traffic window counts.  Run over the
-// AoS ProfileStore they drag all 32 bytes of every AccessEvent through the
+// position-regularity streaks, end-traffic window counts.  Run over
+// AccessEvent rows they would drag every byte of each event through the
 // cache to look at one or two fields.  The ColumnStore keeps each field in
 // its own contiguous array — timestamps, positions, sizes, op kinds,
 // thread ids — with events grouped into one half-open row range per
-// instance, in the same per-instance `seq` order the finalized AoS store
-// holds.  Detector kernels (core/detector_kernels.hpp) then stream exactly
-// the bytes they need, and the SIMD paths get unit-stride loads for free.
+// instance, in per-instance `seq` order.  Detector kernels
+// (core/detector_kernels.hpp) then stream exactly the bytes they need, and
+// the SIMD paths get unit-stride loads for free.
 //
-// Two producers fill it:
-//   * ProfileStore::columns() — transposed from the finalized AoS store;
+// Two producers fill it, and both write rows straight from where events
+// arrive, with no AccessEvent vector in between:
+//   * ProfileStore::finalize — a two-pass counting scatter of the captured
+//     event chunks into per-instance row ranges (profile_store.hpp);
 //   * runtime::read_trace_columns — the shared DST1 chunk walk
-//     (trace_codec.hpp) writing each event of mmapped chunks straight into
-//     rows, with no AccessEvent vector in between (trace_mmap.hpp).  The
-//     decoder rejects the kInvalidInstance sentinel, so every range id it
-//     sets is a real instance.
+//     (trace_codec.hpp) decoding mmapped chunks into rows (trace_mmap.hpp).
+//     The decoder rejects the kInvalidInstance sentinel, so every range id
+//     it sets is a real instance.
+// Rows that arrive out of `seq` order are put back in order by one shared
+// permutation regroup, sort_rows() below.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
+#include <memory>
 #include <vector>
 
 #include "runtime/access_event.hpp"
@@ -40,29 +43,27 @@ struct ColumnRange {
 /// Five per-field event columns plus the per-instance row ranges.
 ///
 /// Rows within one instance's range are in ascending `seq` order (the
-/// chronological order RuntimeProfile expects); `seq` itself is not stored
-/// — it only exists to establish that order and is dropped once rows are
-/// placed.
+/// chronological order RuntimeProfile expects); `seq` itself is not a
+/// column here — producers that need it keep it beside the store.
 class ColumnStore {
 public:
+    ColumnStore() = default;
+    /// Move-only; the source is left empty.
+    ColumnStore(ColumnStore&& other) noexcept;
+    ColumnStore& operator=(ColumnStore&& other) noexcept;
+
     /// Discard all rows and ranges.
     void clear();
 
     /// Size all columns for `rows` events and `instance_slots` range slots
-    /// (builder step; rows are filled through the mutable column pointers).
+    /// (builder step).  The columns are left uninitialized: builders must
+    /// write every row through the mutable column pointers.
     void allocate(std::size_t rows, std::size_t instance_slots);
 
     /// Assign the row range of one instance (builder step).
     void set_range(InstanceId id, std::size_t begin, std::size_t end);
 
-    /// Transpose one instance's AoS event sequence into rows
-    /// [`first_row`, `first_row + events.size()`) and record its range.
-    void place_events(InstanceId id, std::size_t first_row,
-                      std::span<const AccessEvent> events);
-
-    [[nodiscard]] std::size_t total_events() const noexcept {
-        return time_ns_.size();
-    }
+    [[nodiscard]] std::size_t total_events() const noexcept { return rows_; }
     [[nodiscard]] std::size_t instance_slots() const noexcept {
         return ranges_.size();
     }
@@ -75,34 +76,34 @@ public:
 
     // Read-only columns; all have total_events() entries.
     [[nodiscard]] const std::uint64_t* time_ns() const noexcept {
-        return time_ns_.data();
+        return time_ns_.get();
     }
     [[nodiscard]] const std::int64_t* position() const noexcept {
-        return position_.data();
+        return position_.get();
     }
     [[nodiscard]] const std::uint32_t* sizes() const noexcept {
-        return size_.data();
+        return size_.get();
     }
     [[nodiscard]] const std::uint8_t* op() const noexcept {
-        return op_.data();
+        return op_.get();
     }
     [[nodiscard]] const std::uint16_t* thread() const noexcept {
-        return thread_.data();
+        return thread_.get();
     }
 
     // Mutable column pointers for builders.  Only valid after allocate().
     [[nodiscard]] std::uint64_t* mutable_time_ns() noexcept {
-        return time_ns_.data();
+        return time_ns_.get();
     }
     [[nodiscard]] std::int64_t* mutable_position() noexcept {
-        return position_.data();
+        return position_.get();
     }
     [[nodiscard]] std::uint32_t* mutable_sizes() noexcept {
-        return size_.data();
+        return size_.get();
     }
-    [[nodiscard]] std::uint8_t* mutable_op() noexcept { return op_.data(); }
+    [[nodiscard]] std::uint8_t* mutable_op() noexcept { return op_.get(); }
     [[nodiscard]] std::uint16_t* mutable_thread() noexcept {
-        return thread_.data();
+        return thread_.get();
     }
 
     /// Reconstruct one row as an AccessEvent (tests and debugging; `seq`
@@ -119,12 +120,21 @@ public:
     }
 
 private:
-    std::vector<std::uint64_t> time_ns_;
-    std::vector<std::int64_t> position_;
-    std::vector<std::uint32_t> size_;
-    std::vector<std::uint8_t> op_;
-    std::vector<std::uint16_t> thread_;
+    std::size_t rows_ = 0;
+    std::unique_ptr<std::uint64_t[]> time_ns_;
+    std::unique_ptr<std::int64_t[]> position_;
+    std::unique_ptr<std::uint32_t[]> size_;
+    std::unique_ptr<std::uint8_t[]> op_;
+    std::unique_ptr<std::uint16_t[]> thread_;
     std::vector<ColumnRange> ranges_;
 };
+
+/// The permutation regroup: stable-sort rows [`begin`, `end`) by
+/// (`instance`, `seq`), moving every column of `columns` and the `seq` and
+/// `instance` arrays along.  `instance` may be null when the rows all
+/// belong to one instance.  Ties keep their row order, so even duplicate
+/// (instance, seq) pairs land in a fixed order.  Ranges are not touched.
+void sort_rows(ColumnStore& columns, std::uint64_t* seq,
+               std::uint32_t* instance, std::size_t begin, std::size_t end);
 
 }  // namespace dsspy::runtime

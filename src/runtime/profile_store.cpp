@@ -1,146 +1,271 @@
 #include "runtime/profile_store.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "parallel/parallel_for.hpp"
 
 namespace dsspy::runtime {
 
+namespace {
+
+/// append() copies into chunks of this many events (2.5 MiB).
+constexpr std::size_t kAppendChunkEvents = 1u << 16;
+
+/// Pass-1 result of one contiguous group of pending chunks.
+struct GroupScan {
+    std::vector<std::size_t> counts;  ///< Events per instance id.
+    bool any = false;
+    bool ordered = true;  ///< Seqs never decrease within the group.
+    std::uint64_t first_seq = 0;
+    std::uint64_t last_seq = 0;
+};
+
+/// Run `fn(i)` for i in [0, n), on `pool` when one is given.
+template <class Fn>
+void for_each_index(par::ThreadPool* pool, std::size_t n, Fn&& fn) {
+    const auto range = [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) fn(i);
+    };
+    if (pool != nullptr && n > 1) {
+        par::parallel_for_chunks(*pool, 0, n, range);
+    } else {
+        range(0, n);
+    }
+}
+
+}  // namespace
+
 ProfileStore::ProfileStore(ProfileStore&& other) noexcept {
-    std::scoped_lock lock(other.mutex_);
-    per_instance_ = std::move(other.per_instance_);
-    total_ = other.total_;
-    finalized_ = other.finalized_;
-    columns_ = std::move(other.columns_);
-    columns_built_ = other.columns_built_;
-    other.per_instance_.clear();
-    other.total_ = 0;
-    other.columns_built_ = false;
+    *this = std::move(other);
 }
 
 ProfileStore& ProfileStore::operator=(ProfileStore&& other) noexcept {
     if (this != &other) {
         std::scoped_lock lock(mutex_, other.mutex_);
-        per_instance_ = std::move(other.per_instance_);
-        total_ = other.total_;
-        finalized_ = other.finalized_;
+        pending_ = std::exchange(other.pending_, {});
         columns_ = std::move(other.columns_);
-        columns_built_ = other.columns_built_;
-        other.per_instance_.clear();
-        other.total_ = 0;
-        other.columns_built_ = false;
+        seq_ = std::move(other.seq_);
+        event_view_ = std::move(other.event_view_);
     }
     return *this;
 }
 
 void ProfileStore::append(std::span<const AccessEvent> events) {
     std::scoped_lock lock(mutex_);
-    // Batch by instance: consecutive events for the same instance (the
-    // common case — a collector drain batch comes from one thread's ring,
-    // and threads tend to work one container at a time) become a single
-    // range insert instead of per-event push_backs.
-    std::size_t i = 0;
-    const std::size_t n = events.size();
-    while (i < n) {
-        const InstanceId inst = events[i].instance;
-        std::size_t j = i + 1;
-        while (j < n && events[j].instance == inst) ++j;
-        if (inst != kInvalidInstance) {
-            if (inst >= per_instance_.size())
-                per_instance_.resize(inst + 1);
-            auto& seq = per_instance_[inst];
-            seq.insert(seq.end(), events.begin() + static_cast<std::ptrdiff_t>(i),
-                       events.begin() + static_cast<std::ptrdiff_t>(j));
-            total_ += j - i;
+    // Fill the room left in the last pending chunk, then fresh chunks.
+    while (!events.empty()) {
+        if (pending_.empty() ||
+            pending_.back().size == pending_.back().capacity) {
+            pending_.push_back(EventChunk{
+                std::make_unique_for_overwrite<AccessEvent[]>(
+                    kAppendChunkEvents),
+                kAppendChunkEvents, 0});
         }
-        i = j;
+        EventChunk& tail = pending_.back();
+        const std::size_t n =
+            std::min(events.size(), tail.capacity - tail.size);
+        std::copy_n(events.begin(), n, tail.events.get() + tail.size);
+        tail.size += n;
+        events = events.subspan(n);
     }
-    finalized_ = false;
-    columns_built_ = false;
+}
+
+void ProfileStore::adopt(std::vector<EventChunk> chunks) {
+    std::scoped_lock lock(mutex_);
+    for (EventChunk& chunk : chunks)
+        if (chunk.size > 0) pending_.push_back(std::move(chunk));
 }
 
 void ProfileStore::finalize(par::ThreadPool* pool) {
     std::scoped_lock lock(mutex_);
-    auto sort_range = [this](std::size_t lo, std::size_t hi) {
-        for (std::size_t idx = lo; idx < hi; ++idx) {
-            auto& seq = per_instance_[idx];
-            std::sort(seq.begin(), seq.end(),
-                      [](const AccessEvent& a, const AccessEvent& b) {
-                          return a.seq < b.seq;
-                      });
-        }
-    };
-    if (pool != nullptr && per_instance_.size() > 1) {
-        par::parallel_for_chunks(*pool, 0, per_instance_.size(), sort_range);
-    } else {
-        sort_range(0, per_instance_.size());
-    }
-    finalized_ = true;
-    build_columns_locked(pool);
+    finalize_locked(pool);
 }
 
-void ProfileStore::build_columns_locked(par::ThreadPool* pool) const {
-    // Row layout: instances in id order, each instance's events contiguous
-    // and already in seq order after the finalize sort.
-    const std::size_t slots = per_instance_.size();
-    std::vector<std::size_t> offsets(slots + 1, 0);
-    for (std::size_t id = 0; id < slots; ++id)
-        offsets[id + 1] = offsets[id] + per_instance_[id].size();
-    columns_.allocate(offsets[slots], slots);
-    auto place_range = [this, &offsets](std::size_t lo, std::size_t hi) {
-        for (std::size_t id = lo; id < hi; ++id)
-            columns_.place_events(static_cast<InstanceId>(id), offsets[id],
-                                  per_instance_[id]);
-    };
-    // Each instance writes a disjoint row range, so the transpose
-    // parallelizes without synchronization (ranges_ was pre-sized by
-    // allocate; set_range only stores).
-    if (pool != nullptr && slots > 1) {
-        par::parallel_for_chunks(*pool, 0, slots, place_range);
-    } else {
-        place_range(0, slots);
+void ProfileStore::finalize_locked(par::ThreadPool* pool) const {
+    if (pending_.empty()) return;
+    if (columns_.total_events() > 0) {
+        // Appends after an earlier finalize: the placed rows rejoin the
+        // pending events in front, and the scatter below sorts it out.
+        const std::size_t rows = columns_.total_events();
+        EventChunk placed{std::make_unique_for_overwrite<AccessEvent[]>(rows),
+                          rows, rows};
+        gather_locked(placed.events.get());
+        pending_.insert(pending_.begin(), std::move(placed));
     }
-    columns_built_ = true;
+    event_view_.reset();
+
+    // Contiguous groups of chunks with roughly equal event totals, one per
+    // pool chunk (the whole chain is one group without a pool).
+    const std::size_t chunk_count = pending_.size();
+    std::size_t staged = 0;
+    for (const EventChunk& chunk : pending_) staged += chunk.size;
+    const std::size_t group_target =
+        pool == nullptr
+            ? 1
+            : std::min(chunk_count, std::size_t{pool->thread_count()} * 4);
+    std::vector<std::size_t> bounds{0};
+    for (std::size_t c = 0, seen = 0; c < chunk_count; ++c) {
+        seen += pending_[c].size;
+        if (seen * group_target >= staged * bounds.size() &&
+            bounds.size() < group_target)
+            bounds.push_back(c + 1);
+    }
+    if (bounds.back() != chunk_count) bounds.push_back(chunk_count);
+    const std::size_t groups = bounds.size() - 1;
+
+    // Pass 1: count each instance's events per group, and note whether
+    // the group's seqs ascend.
+    std::vector<GroupScan> scans(groups);
+    for_each_index(pool, groups, [&](std::size_t g) {
+        GroupScan& scan = scans[g];
+        for (std::size_t c = bounds[g]; c < bounds[g + 1]; ++c) {
+            const EventChunk& chunk = pending_[c];
+            for (std::size_t i = 0; i < chunk.size; ++i) {
+                const AccessEvent& ev = chunk.events[i];
+                if (ev.instance == kInvalidInstance) continue;
+                if (ev.instance >= scan.counts.size())
+                    scan.counts.resize(std::size_t{ev.instance} + 1);
+                ++scan.counts[ev.instance];
+                if (!scan.any)
+                    scan.first_seq = ev.seq;
+                else if (ev.seq < scan.last_seq)
+                    scan.ordered = false;
+                scan.last_seq = ev.seq;
+                scan.any = true;
+            }
+        }
+    });
+
+    // Row layout: instances in id order; within one, groups in chain
+    // order.  Each group's counts become its first row per instance.
+    std::size_t slots = 0;
+    for (const GroupScan& scan : scans)
+        slots = std::max(slots, scan.counts.size());
+    std::size_t rows = 0;
+    for (GroupScan& scan : scans) {
+        scan.counts.resize(slots, 0);
+        for (const std::size_t count : scan.counts) rows += count;
+    }
+    columns_.allocate(rows, slots);
+    seq_ = std::make_unique_for_overwrite<std::uint64_t[]>(rows);
+    for (std::size_t id = 0, next = 0; id < slots; ++id) {
+        const std::size_t begin = next;
+        for (GroupScan& scan : scans)
+            next += std::exchange(scan.counts[id], next);
+        columns_.set_range(static_cast<InstanceId>(id), begin, next);
+    }
+
+    // Pass 2: every group writes its events to the rows its counts
+    // reserved — stable within each instance — and frees each chunk once
+    // it is placed.
+    std::uint64_t* time_ns = columns_.mutable_time_ns();
+    std::int64_t* position = columns_.mutable_position();
+    std::uint32_t* size = columns_.mutable_sizes();
+    std::uint8_t* op = columns_.mutable_op();
+    std::uint16_t* thread = columns_.mutable_thread();
+    std::uint64_t* seq = seq_.get();
+    for_each_index(pool, groups, [&](std::size_t g) {
+        std::size_t* next_row = scans[g].counts.data();
+        for (std::size_t c = bounds[g]; c < bounds[g + 1]; ++c) {
+            EventChunk& chunk = pending_[c];
+            for (std::size_t i = 0; i < chunk.size; ++i) {
+                const AccessEvent& ev = chunk.events[i];
+                if (ev.instance == kInvalidInstance) continue;
+                const std::size_t row = next_row[ev.instance]++;
+                seq[row] = ev.seq;
+                time_ns[row] = ev.time_ns;
+                position[row] = ev.position;
+                size[row] = ev.size;
+                op[row] = static_cast<std::uint8_t>(ev.op);
+                thread[row] = ev.thread;
+            }
+            chunk.events.reset();
+        }
+    });
+    pending_.clear();
+
+    // A chain whose seqs ascend end to end left every instance in order.
+    // Otherwise re-sort the instances whose rows are not.
+    bool ordered = true;
+    const GroupScan* prev = nullptr;
+    for (const GroupScan& scan : scans) {
+        if (!scan.any) continue;
+        if (!scan.ordered || (prev != nullptr && scan.first_seq < prev->last_seq))
+            ordered = false;
+        prev = &scan;
+    }
+    if (ordered) return;
+    for_each_index(pool, slots, [&](std::size_t id) {
+        const ColumnRange range = columns_.range(static_cast<InstanceId>(id));
+        for (std::size_t row = range.begin + 1; row < range.end; ++row) {
+            if (seq[row] < seq[row - 1]) {
+                sort_rows(columns_, seq, nullptr, range.begin, range.end);
+                return;
+            }
+        }
+    });
 }
 
 const ColumnStore& ProfileStore::columns(par::ThreadPool* pool) const {
     std::scoped_lock lock(mutex_);
-    if (!columns_built_) build_columns_locked(pool);
+    finalize_locked(pool);
     return columns_;
+}
+
+void ProfileStore::gather_locked(AccessEvent* out) const {
+    // Rows are laid out in instance id order, so each instance's events
+    // land in its own row range of `out`.
+    for (std::size_t slot = 0; slot < columns_.instance_slots(); ++slot) {
+        const auto id = static_cast<InstanceId>(slot);
+        const ColumnRange range = columns_.range(id);
+        for (std::size_t row = range.begin; row < range.end; ++row)
+            out[row] = event_at(row, id);
+    }
 }
 
 std::span<const AccessEvent> ProfileStore::events(InstanceId id) const {
     std::scoped_lock lock(mutex_);
-    if (id >= per_instance_.size()) return {};
-    return per_instance_[id];
+    finalize_locked(nullptr);
+    const ColumnRange range = columns_.range(id);
+    if (range.empty()) return {};
+    if (!event_view_) {
+        event_view_ = std::make_unique_for_overwrite<AccessEvent[]>(
+            columns_.total_events());
+        gather_locked(event_view_.get());
+    }
+    return {event_view_.get() + range.begin, range.size()};
 }
 
 std::size_t ProfileStore::total_events() const {
-    std::scoped_lock lock(mutex_);
-    return total_;
+    return columns().total_events();
 }
 
 std::size_t ProfileStore::populated_instances() const {
-    std::scoped_lock lock(mutex_);
+    const ColumnStore& cols = columns();
     std::size_t count = 0;
-    for (const auto& seq : per_instance_)
-        if (!seq.empty()) ++count;
+    for (std::size_t id = 0; id < cols.instance_slots(); ++id)
+        if (!cols.range(static_cast<InstanceId>(id)).empty()) ++count;
     return count;
 }
 
 std::size_t ProfileStore::instance_slots() const {
-    std::scoped_lock lock(mutex_);
-    return per_instance_.size();
+    return columns().instance_slots();
 }
 
 std::size_t ProfileStore::orphan_events(
     std::size_t registered_instances) const {
-    std::scoped_lock lock(mutex_);
+    const ColumnStore& cols = columns();
     std::size_t orphans = 0;
-    for (std::size_t id = registered_instances; id < per_instance_.size();
+    for (std::size_t id = registered_instances; id < cols.instance_slots();
          ++id)
-        orphans += per_instance_[id].size();
+        orphans += cols.range(static_cast<InstanceId>(id)).size();
     return orphans;
+}
+
+bool ProfileStore::has_event_view() const {
+    std::scoped_lock lock(mutex_);
+    return event_view_ != nullptr;
 }
 
 }  // namespace dsspy::runtime

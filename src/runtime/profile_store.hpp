@@ -2,11 +2,27 @@
 //
 // The dynamic-analysis module keeps the execution slowdown low "by only
 // recording the access events at runtime and analyzing them post-mortem"
-// (Section IV).  The ProfileStore is where recorded events land; the
-// analysis in `core/` reads event sequences per instance from here.
+// (Section IV).  The ProfileStore is where recorded events land, and it
+// holds them in the layout the analysis reads: the ColumnStore columns
+// (DESIGN.md §11), one row range per instance in `seq` order, plus a
+// private `seq` column — 31 bytes per event, once.
+//
+// Events arrive as chunks in arrival order: Buffered capture hands each
+// thread's chunk chain over without copying (adopt), the collector and the
+// trace readers copy batches in (append).  finalize() places them with a
+// two-pass stable counting scatter — count each instance's events per
+// contiguous group of chunks, then write every event straight to its row —
+// and frees each chunk once its events are placed.  Only instances whose
+// rows arrived out of `seq` order (several recording threads, collector
+// batches, externally built traces) are re-sorted, by the shared
+// permutation regroup (column_store.hpp).  An AccessEvent view of the rows
+// is gathered only when a caller asks for events(): the HTML and chart
+// output, tests and the reference analyzer.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -20,11 +36,20 @@ class ThreadPool;
 
 namespace dsspy::runtime {
 
+/// A block of events in arrival order: the unit Buffered capture records
+/// into, and that ProfileStore::adopt takes over without copying.
+struct EventChunk {
+    std::unique_ptr<AccessEvent[]> events;
+    std::size_t capacity = 0;  ///< Allocated slots.
+    std::size_t size = 0;      ///< Filled slots (a prefix).
+};
+
 /// Accumulates events per instance; thread-safe for concurrent appends.
 ///
-/// Events within one instance are kept sorted by `seq` (the collector may
-/// interleave drains from several producer rings out of order; `finalize`
-/// restores the global total order).
+/// Events within one instance are presented in ascending `seq` order (the
+/// collector may interleave drains from several producer rings out of
+/// order; finalization restores the global total order).  Reads finalize
+/// any events still pending, so a store never shows a partial view.
 class ProfileStore {
 public:
     ProfileStore() = default;
@@ -36,28 +61,45 @@ public:
     ProfileStore(const ProfileStore&) = delete;
     ProfileStore& operator=(const ProfileStore&) = delete;
 
-    /// Append a batch of events (collector thread or merge path).  Runs of
-    /// consecutive events targeting the same instance are bulk-inserted.
+    /// Append a copy of a batch of events (collector thread, trace
+    /// readers).  Events with the kInvalidInstance sentinel are dropped.
     void append(std::span<const AccessEvent> events);
 
-    /// Sort all per-instance sequences by `seq` and build the columnar
-    /// (SoA) view.  Call once after capture.  With a pool, the per-instance
-    /// sorts and the column transpose run in parallel (the result is
-    /// identical: `seq` values are globally unique, so the comparator is a
-    /// strict total order, and each instance fills a disjoint row range).
+    /// Take over a chain of event chunks without copying them; each
+    /// chunk's first `size` events count.  finalize() frees each chunk as
+    /// soon as its events are placed.
+    void adopt(std::vector<EventChunk> chunks);
+
+    /// Place every pending event into its instance's column rows.  With a
+    /// pool, both scatter passes and the re-sorts run in parallel; the
+    /// result is identical (each group writes rows its counts reserved,
+    /// and each re-sorted instance owns a disjoint row range).
     void finalize(par::ThreadPool* pool = nullptr);
 
     /// Structure-of-arrays view of all events (DESIGN.md §11): one
-    /// contiguous row range per instance, rows in per-instance `seq`
-    /// order.  Built by finalize (or lazily here); invalidated by append.
-    /// The returned reference is invalidated by further appends.
+    /// contiguous row range per instance, instances in id order, rows in
+    /// per-instance `seq` order.  Finalizes pending events first (with
+    /// `pool`).  The returned reference is invalidated by further appends.
     [[nodiscard]] const ColumnStore& columns(
         par::ThreadPool* pool = nullptr) const;
 
-    /// Event sequence of one instance (empty if none were recorded).
-    /// Only valid to call after `finalize()`; the returned span is
-    /// invalidated by further appends.
+    /// Event sequence of one instance (empty if none were recorded), with
+    /// every field — `seq` and `instance` included.  The first call
+    /// gathers an AccessEvent view of all rows (40 bytes per event, kept
+    /// until the next finalize); the span is invalidated by further
+    /// appends.  Paths that do not need whole events read columns() or
+    /// for_each_event() instead.
     [[nodiscard]] std::span<const AccessEvent> events(InstanceId id) const;
+
+    /// Call `fn(const AccessEvent&)` for each of one instance's events in
+    /// `seq` order, built from the columns on the fly (no AccessEvent
+    /// view; the trace writers' path).
+    template <class Fn>
+    void for_each_event(InstanceId id, Fn&& fn) const {
+        const ColumnRange range = columns().range(id);
+        for (std::size_t row = range.begin; row < range.end; ++row)
+            fn(event_at(row, id));
+    }
 
     /// Total number of stored events.
     [[nodiscard]] std::size_t total_events() const;
@@ -78,15 +120,37 @@ public:
     [[nodiscard]] std::size_t orphan_events(
         std::size_t registered_instances) const;
 
-private:
-    void build_columns_locked(par::ThreadPool* pool) const;
+    /// True once events() has gathered its AccessEvent view (tests use
+    /// this to pin which outputs stay on the columns).
+    [[nodiscard]] bool has_event_view() const;
 
+private:
+    /// Rows must be placed (see columns()).
+    [[nodiscard]] AccessEvent event_at(std::size_t row,
+                                       InstanceId id) const noexcept {
+        AccessEvent ev;
+        ev.seq = seq_[row];
+        ev.time_ns = columns_.time_ns()[row];
+        ev.position = columns_.position()[row];
+        ev.instance = id;
+        ev.size = columns_.sizes()[row];
+        ev.op = static_cast<OpKind>(columns_.op()[row]);
+        ev.thread = columns_.thread()[row];
+        return ev;
+    }
+
+    void finalize_locked(par::ThreadPool* pool) const;
+    /// Write every placed row to out[row] as an AccessEvent.
+    void gather_locked(AccessEvent* out) const;
+
+    // Reads finalize pending events, so everything below is mutable and
+    // guarded by mutex_.
     mutable std::mutex mutex_;
-    std::vector<std::vector<AccessEvent>> per_instance_;
-    std::size_t total_ = 0;
-    bool finalized_ = false;
+    mutable std::vector<EventChunk> pending_;  ///< Arrival order.
     mutable ColumnStore columns_;
-    mutable bool columns_built_ = false;
+    mutable std::unique_ptr<std::uint64_t[]> seq_;  ///< Parallel to rows.
+    /// Gathered by events(), parallel to rows; null until then.
+    mutable std::unique_ptr<AccessEvent[]> event_view_;
 };
 
 }  // namespace dsspy::runtime

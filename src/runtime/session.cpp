@@ -57,7 +57,7 @@ const CaptureMetricIds& capture_metrics() {
 }
 
 /// Events below this count are finalized sequentially; above it the
-/// per-instance sorts go to the shared thread pool.
+/// store's scatter passes go to the shared thread pool.
 constexpr std::size_t kParallelFinalizeThreshold = 1u << 16;
 
 /// Collector backoff: yield this many empty rounds before sleeping.
@@ -86,6 +86,16 @@ struct ThreadSlot {
 
 thread_local std::array<ThreadSlot, 4> t_slots{};
 
+/// Record how many of a sealed chain's slots hold events: every chunk is
+/// full except the last, which holds the rest of `events`.
+void seal_chain(std::vector<EventChunk>& chunks, std::uint64_t events) {
+    for (EventChunk& chunk : chunks) {
+        chunk.size = static_cast<std::size_t>(
+            std::min<std::uint64_t>(events, chunk.capacity));
+        events -= chunk.size;
+    }
+}
+
 }  // namespace
 
 ProfilingSession::Channel::Channel(ThreadId id, CaptureMode mode,
@@ -101,8 +111,8 @@ void ProfilingSession::Channel::grow_chunk() {
         chunks.empty()
             ? kFirstChunkEvents
             : std::min(chunks.back().capacity * 2, kMaxChunkEvents);
-    chunks.push_back(Chunk{
-        std::make_unique_for_overwrite<AccessEvent[]>(cap), cap});
+    chunks.push_back(EventChunk{
+        std::make_unique_for_overwrite<AccessEvent[]>(cap), cap, 0});
     write_pos = chunks.back().events.get();
     write_end = write_pos + cap;
 }
@@ -425,29 +435,28 @@ void ProfilingSession::drain_all_rings() {
 
 /// Buffered-mode ordered delivery: k-way merge of the sealed per-thread
 /// chunk chains by seq, batched to the sink.  Runs on the stop() caller.
-void ProfilingSession::buffered_merge_to_sink() {
+/// With `release`, each chunk is freed as soon as the merge has left it.
+void ProfilingSession::buffered_merge_to_sink(bool release) {
     struct Cursor {
         Channel* chan;
         std::size_t chunk = 0;
         std::size_t offset = 0;
-        std::uint64_t remaining = 0;
     };
     std::vector<Cursor> cursors;
     for (Channel* chan = channels_head_.load(std::memory_order_acquire);
-         chan != nullptr; chan = chan->next) {
-        const std::uint64_t events =
-            chan->events.load(std::memory_order_acquire);
-        if (events > 0) cursors.push_back(Cursor{chan, 0, 0, events});
-    }
+         chan != nullptr; chan = chan->next)
+        if (!chan->chunks.empty() && chan->chunks.front().size > 0)
+            cursors.push_back(Cursor{chan});
     const auto front = [](const Cursor& c) -> const AccessEvent& {
         return c.chan->chunks[c.chunk].events[c.offset];
     };
-    const auto advance = [](Cursor& c) {
-        --c.remaining;
-        if (++c.offset == c.chan->chunks[c.chunk].capacity) {
-            ++c.chunk;
-            c.offset = 0;
-        }
+    // Steps past one event; false once the chain is exhausted.
+    const auto advance = [release](Cursor& c) {
+        std::vector<EventChunk>& chunks = c.chan->chunks;
+        if (++c.offset < chunks[c.chunk].size) return true;
+        if (release) chunks[c.chunk].events.reset();
+        c.offset = 0;
+        return ++c.chunk < chunks.size() && chunks[c.chunk].size > 0;
     };
     std::vector<AccessEvent> batch;
     batch.reserve(1024);
@@ -466,15 +475,16 @@ void ProfilingSession::buffered_merge_to_sink() {
             }
         }
         Cursor& c = cursors[bi];
-        while (c.remaining > 0 && front(c).seq < second) {
+        bool more = true;
+        while (more && front(c).seq < second) {
             batch.push_back(front(c));
-            advance(c);
+            more = advance(c);
             if (batch.size() == batch.capacity()) {
                 sink_(std::span<const AccessEvent>(batch));
                 batch.clear();
             }
         }
-        if (c.remaining == 0) {
+        if (!more) {
             cursors[bi] = cursors.back();
             cursors.pop_back();
         }
@@ -500,31 +510,27 @@ void ProfilingSession::stop() {
             chan->sealed.store(true, std::memory_order_release);
     } else {
         for (Channel* chan = channels_head_.load(std::memory_order_acquire);
-             chan != nullptr; chan = chan->next)
+             chan != nullptr; chan = chan->next) {
             chan->sealed.store(true, std::memory_order_release);
+            // The acquire pairs with the release in record(): exactly the
+            // events whose writes are fully published are handed on.
+            seal_chain(chan->chunks,
+                       chan->events.load(std::memory_order_acquire));
+        }
+        const bool retain = analysis_ == AnalysisMode::Postmortem;
         if (has_sink_.load(std::memory_order_acquire))
-            buffered_merge_to_sink();
-        if (analysis_ == AnalysisMode::Postmortem) {
-            for (Channel* chan =
-                     channels_head_.load(std::memory_order_acquire);
-                 chan != nullptr; chan = chan->next) {
-                // The acquire pairs with the release in record(): exactly
-                // the events whose writes are fully published are merged.
-                std::uint64_t remaining =
-                    chan->events.load(std::memory_order_acquire);
-                for (const Channel::Chunk& chunk : chan->chunks) {
-                    if (remaining == 0) break;
-                    const std::size_t n = static_cast<std::size_t>(
-                        std::min<std::uint64_t>(remaining, chunk.capacity));
-                    store_.append(std::span(chunk.events.get(), n));
-                    remaining -= n;
-                }
-            }
+            buffered_merge_to_sink(/*release=*/!retain);
+        // Each chain goes to the store as it is, or is dropped: no channel
+        // keeps its chunks past stop().
+        for (Channel* chan = channels_head_.load(std::memory_order_acquire);
+             chan != nullptr; chan = chan->next) {
+            if (retain) store_.adopt(std::move(chan->chunks));
+            chan->chunks = std::vector<EventChunk>();
         }
     }
     {
         DSSPY_TRACE_SPAN("capture.finalize");
-        store_.finalize(store_.total_events() >= kParallelFinalizeThreshold
+        store_.finalize(events_recorded() >= kParallelFinalizeThreshold
                             ? &par::ThreadPool::default_pool()
                             : nullptr);
     }

@@ -6,18 +6,21 @@
 // information via asynchronous intra-process communication"; here each
 // recording thread owns a lock-free SPSC ring drained by a dedicated
 // collector thread (`CaptureMode::Streaming`), or an unsynchronized
-// per-thread buffer merged at `stop()` (`CaptureMode::Buffered`).  Both
-// modes produce an identical ProfileStore; the micro benches compare their
-// overhead.
+// per-thread chunk chain that `stop()` hands to the store without copying
+// (`CaptureMode::Buffered`).  Both modes produce an identical ProfileStore,
+// whose finalize places events straight into per-instance columns; the
+// micro benches compare their overhead.
 //
 // Hot-path design (the paper reports an average 47x capture slowdown; this
 // implementation targets low single-digit overhead):
 //   * Sequencing: instead of a globally-contended fetch-add per event, each
 //     thread draws blocks of `kSeqBlockSize` sequence numbers from a global
 //     allocator and numbers its events from the block.  Sequence numbers
-//     stay globally unique and strictly increasing per thread, so sorting
-//     by `seq` at finalize() reconciles them into a deterministic total
-//     order that preserves every thread's program order.
+//     stay globally unique and strictly increasing per thread, so each
+//     thread's chain is already in `seq` order and finalize() reconciles
+//     the chains into a deterministic total order that preserves every
+//     thread's program order (re-sorting only instances that several
+//     threads touched).
 //   * Timestamps: the clock is read once per `kTimestampStride` events per
 //     thread (and at every block boundary); events in between reuse the
 //     last reading.  Timestamps stay monotonic per thread at stride
@@ -105,7 +108,8 @@ public:
     void record(InstanceId instance, OpKind op, std::int64_t position,
                 std::uint32_t size) noexcept;
 
-    /// Stop capture: drain rings / merge buffers, finalize the store.
+    /// Stop capture: drain rings / hand chunk chains to the store or the
+    /// sink (no channel keeps its chunks afterwards), finalize the store.
     /// Idempotent.
     void stop();
 
@@ -169,12 +173,10 @@ private:
         /// doubling up to kMaxChunkEvents).  Unlike a growable vector this
         /// never copies on growth — at millions of events the reallocation
         /// memcpy dominates the capture cost — and chunks are allocated
-        /// uninitialized so each page is touched exactly once.
-        struct Chunk {
-            std::unique_ptr<AccessEvent[]> events;
-            std::size_t capacity = 0;
-        };
-        std::vector<Chunk> chunks;                    // Buffered mode
+        /// uninitialized so each page is touched exactly once.  stop()
+        /// hands the chain to the store (or frees it once merged to the
+        /// sink) without copying it.
+        std::vector<EventChunk> chunks;               // Buffered mode
         AccessEvent* write_pos = nullptr;             ///< Next free slot.
         AccessEvent* write_end = nullptr;             ///< Chunk end.
         void grow_chunk();
@@ -209,7 +211,7 @@ private:
     void drain_all_rings();
     bool collect_ordered_round();
     void deliver_ordered(bool final_flush);
-    void buffered_merge_to_sink();
+    void buffered_merge_to_sink(bool release);
     [[nodiscard]] std::uint64_t now_ns() const noexcept;
 
     const CaptureMode mode_;

@@ -171,8 +171,9 @@ std::size_t write_trace_binary(std::ostream& os,
                                const ProfileStore& store) {
     const std::vector<InstanceId> order =
         detail::event_write_order(instances, store);
+    const ColumnStore& columns = store.columns();
     std::uint64_t event_count = 0;
-    for (const InstanceId id : order) event_count += store.events(id).size();
+    for (const InstanceId id : order) event_count += columns.range(id).size();
 
     std::string head;
     head.append(kTraceBinaryMagic, sizeof(kTraceBinaryMagic));
@@ -208,12 +209,12 @@ std::size_t write_trace_binary(std::ostream& os,
     };
     std::size_t written = 0;
     for (const InstanceId id : order) {
-        for (const AccessEvent& ev : store.events(id)) {
+        store.for_each_event(id, [&](const AccessEvent& ev) {
             put_event(payload, ev, prev);
             prev = ev;
             ++written;
             if (++in_chunk == kTraceBinaryChunkEvents) flush_chunk();
-        }
+        });
     }
     flush_chunk();
     return written;
@@ -261,17 +262,23 @@ void decode_chunks(std::size_t chunk_count, par::ThreadPool* pool,
 
 Trace read_trace_binary(std::string_view bytes, par::ThreadPool* pool) {
     ChunkIndex index = index_chunks(bytes);
-    std::vector<std::vector<AccessEvent>> decoded(index.chunks.size());
+    // Each DST1 chunk decodes into its own store chunk; the store adopts
+    // the chain in file order, so the result does not depend on how the
+    // decode was scheduled.
+    std::vector<EventChunk> decoded(index.chunks.size());
     decode_chunks(index.chunks.size(), pool, [&](std::size_t i) {
-        decode_events(index.chunks[i], decoded[i]);
+        const ChunkRef& chunk = index.chunks[i];
+        EventChunk& out = decoded[i];
+        out.events = std::make_unique_for_overwrite<AccessEvent[]>(chunk.count);
+        out.capacity = out.size = chunk.count;
+        decode_chunk(chunk, [&](std::uint32_t row, const AccessEvent& ev) {
+            out.events[row] = ev;
+        });
     });
 
-    // Appending in file order keeps the store bit-identical to a
-    // sequential decode regardless of how the decode itself was scheduled.
     Trace trace;
     trace.instances = std::move(index.instances);
-    for (const std::vector<AccessEvent>& batch : decoded)
-        trace.store.append(batch);
+    trace.store.adopt(std::move(decoded));
     trace.store.finalize(pool);
     return trace;
 }

@@ -224,10 +224,10 @@ std::size_t write_trace_csv(std::ostream& os,
         detail::write_csv_instance_record(os, info);
     std::size_t events = 0;
     for (const InstanceId id : detail::event_write_order(instances, store)) {
-        for (const AccessEvent& ev : store.events(id)) {
+        store.for_each_event(id, [&](const AccessEvent& ev) {
             detail::write_csv_event_record(os, ev);
             ++events;
-        }
+        });
     }
     return events;
 }
@@ -289,7 +289,8 @@ std::vector<InstanceId> event_write_order(
     const std::vector<InstanceInfo>& instances, const ProfileStore& store) {
     std::vector<InstanceId> order;
     order.reserve(instances.size());
-    std::vector<bool> listed(store.instance_slots(), false);
+    const ColumnStore& columns = store.columns();
+    std::vector<bool> listed(columns.instance_slots(), false);
     for (const InstanceInfo& info : instances) {
         order.push_back(info.id);
         if (info.id < listed.size()) listed[info.id] = true;
@@ -298,7 +299,7 @@ std::vector<InstanceId> event_write_order(
     // e.g. by an external tool building traces directly) must still be
     // written — dropping them silently would corrupt the round trip.
     for (InstanceId id = 0; id < listed.size(); ++id)
-        if (!listed[id] && !store.events(id).empty()) order.push_back(id);
+        if (!listed[id] && !columns.range(id).empty()) order.push_back(id);
     return order;
 }
 

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <numeric>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -32,70 +31,33 @@ struct InstanceRun {
     std::size_t end = 0;
 };
 
-/// Fast path: rows already grouped (every instance one contiguous run, seq
-/// ascending within it — what write_trace emits).  Fills `runs` and
-/// returns true; returns false when a permutation sort is needed.
-bool collect_grouped_runs(const std::uint32_t* instance_col,
-                          const std::uint64_t* seq_col, std::size_t n,
-                          std::vector<InstanceRun>& runs) {
-    runs.clear();
+/// One range per run of equal ids in the instance column.
+std::vector<InstanceRun> collect_runs(const std::uint32_t* instance_col,
+                                      std::size_t n) {
+    std::vector<InstanceRun> runs;
     std::size_t begin = 0;
     for (std::size_t i = 1; i <= n; ++i) {
-        if (i < n && instance_col[i] == instance_col[i - 1]) {
-            if (seq_col[i] <= seq_col[i - 1]) return false;  // out of order
-            continue;
-        }
+        if (i < n && instance_col[i] == instance_col[i - 1]) continue;
         runs.push_back(InstanceRun{instance_col[begin], begin, i});
         begin = i;
     }
-    // One run per instance?  Duplicate ids mean interleaved blocks.
-    std::vector<InstanceRun> by_id(runs);
-    std::sort(by_id.begin(), by_id.end(),
-              [](const InstanceRun& a, const InstanceRun& b) {
-                  return a.id < b.id;
-              });
-    for (std::size_t i = 1; i < by_id.size(); ++i)
-        if (by_id[i].id == by_id[i - 1].id) return false;
-    return true;
+    return runs;
 }
 
-/// Slow path: argsort rows by (instance, seq) and rebuild every column
-/// through the permutation.  Deterministic: the key includes the row index
-/// as final tie-breaker, so even adversarial duplicate (instance, seq)
-/// pairs land in a fixed order.
-void regroup_by_sort(ColumnStore& columns, std::vector<std::uint64_t>& seqs,
-                     std::vector<std::uint32_t>& instances,
-                     std::vector<InstanceRun>& runs) {
-    const std::size_t n = seqs.size();
-    std::vector<std::size_t> perm(n);
-    std::iota(perm.begin(), perm.end(), std::size_t{0});
-    std::sort(perm.begin(), perm.end(),
-              [&](std::size_t a, std::size_t b) {
-                  if (instances[a] != instances[b])
-                      return instances[a] < instances[b];
-                  if (seqs[a] != seqs[b]) return seqs[a] < seqs[b];
-                  return a < b;
-              });
-
-    ColumnStore sorted;
-    sorted.allocate(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t src = perm[i];
-        sorted.mutable_time_ns()[i] = columns.time_ns()[src];
-        sorted.mutable_position()[i] = columns.position()[src];
-        sorted.mutable_sizes()[i] = columns.sizes()[src];
-        sorted.mutable_op()[i] = columns.op()[src];
-        sorted.mutable_thread()[i] = columns.thread()[src];
-    }
-    columns = std::move(sorted);
-
-    runs.clear();
-    std::size_t begin = 0;
-    for (std::size_t i = 1; i <= n; ++i) {
-        if (i < n && instances[perm[i]] == instances[perm[i - 1]]) continue;
-        runs.push_back(InstanceRun{instances[perm[begin]], begin, i});
-        begin = i;
-    }
+/// Fast path: rows already grouped (every instance one contiguous run, seq
+/// ascending within it — what write_trace emits).  False when the
+/// permutation regroup is needed.
+bool runs_grouped(const std::vector<InstanceRun>& runs,
+                  const std::uint64_t* seq_col) {
+    for (const InstanceRun& run : runs)
+        for (std::size_t i = run.begin + 1; i < run.end; ++i)
+            if (seq_col[i] <= seq_col[i - 1]) return false;  // out of order
+    // One run per instance?  Duplicate ids mean interleaved blocks.
+    std::vector<InstanceId> ids;
+    ids.reserve(runs.size());
+    for (const InstanceRun& run : runs) ids.push_back(run.id);
+    std::sort(ids.begin(), ids.end());
+    return std::adjacent_find(ids.begin(), ids.end()) == ids.end();
 }
 
 }  // namespace
@@ -150,9 +112,11 @@ ColumnTrace read_trace_columns(std::string_view bytes,
         });
     });
 
-    std::vector<InstanceRun> runs;
-    if (!collect_grouped_runs(instance_col.data(), seqs.data(), rows, runs))
-        regroup_by_sort(trace.columns, seqs, instance_col, runs);
+    std::vector<InstanceRun> runs = collect_runs(instance_col.data(), rows);
+    if (!runs_grouped(runs, seqs.data())) {
+        sort_rows(trace.columns, seqs.data(), instance_col.data(), 0, rows);
+        runs = collect_runs(instance_col.data(), rows);
+    }
     for (const InstanceRun& run : runs)
         trace.columns.set_range(run.id, run.begin, run.end);
     return trace;

@@ -5,12 +5,12 @@
 // reader.  It shares their prelude parser, chunk index and pool driver,
 // and hands each event of the shared chunk walk straight to five column
 // rows (plus temporary seq/instance columns for grouping) — no
-// intermediate AccessEvent vector, no ProfileStore sort, no transpose.
-// The trace file is mmapped, so payloads decode in place.  Files written
-// by write_trace emit each instance's events as one contiguous
-// ascending-seq block, so the grouping pass is a zero-copy scan;
-// arbitrarily interleaved (externally produced) traces fall back to one
-// deterministic argsort permutation.
+// intermediate AccessEvent vector and no ProfileStore.  The trace file is
+// mmapped, so payloads decode in place.  Files written by write_trace
+// emit each instance's events as one contiguous ascending-seq block, so
+// the grouping pass is a zero-copy scan; arbitrarily interleaved
+// (externally produced) traces fall back to the deterministic permutation
+// regroup the ProfileStore shares (sort_rows, column_store.hpp).
 //
 // Validation and error messages are the shared decoder's, plus
 // mmap-specific checks: unopenable or unmappable files and misaligned

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <mutex>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "parallel/thread_pool.hpp"
 #include "runtime/profile_store.hpp"
 #include "runtime/session.hpp"
+#include "support/rng.hpp"
 
 namespace dsspy::runtime {
 namespace {
@@ -248,6 +251,255 @@ TEST(CaptureStress, BufferedQuiesceHandshakeMergesEverything) {
     // sealed, so the record is silently ignored).
     EXPECT_EQ(session.events_recorded(),
               static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
+// ---------------------------------------------------------------------------
+// Differential store test: the columnar ProfileStore against the store's
+// earlier algorithm, kept here as a test-only oracle — group events by
+// instance in arrival order, then sort each instance's events by seq.
+
+struct OracleStore {
+    std::vector<std::vector<AccessEvent>> per_instance;
+
+    void append(std::span<const AccessEvent> events) {
+        for (const AccessEvent& ev : events) {
+            if (ev.instance == kInvalidInstance) continue;
+            if (ev.instance >= per_instance.size())
+                per_instance.resize(std::size_t{ev.instance} + 1);
+            per_instance[ev.instance].push_back(ev);
+        }
+    }
+
+    void finalize() {
+        for (auto& events : per_instance)
+            std::stable_sort(events.begin(), events.end(),
+                             [](const AccessEvent& a, const AccessEvent& b) {
+                                 return a.seq < b.seq;
+                             });
+    }
+};
+
+/// Columns, ranges, events(id) with every field, and the store counters
+/// must all equal the oracle's.
+void expect_store_matches(const ProfileStore& store, const OracleStore& oracle,
+                          std::size_t registered) {
+    const ColumnStore& cols = store.columns();
+    ASSERT_EQ(cols.instance_slots(), oracle.per_instance.size());
+    std::size_t row = 0;
+    std::size_t populated = 0;
+    std::size_t orphans = 0;
+    for (std::size_t slot = 0; slot < oracle.per_instance.size(); ++slot) {
+        const auto id = static_cast<InstanceId>(slot);
+        const std::vector<AccessEvent>& expected = oracle.per_instance[slot];
+        const ColumnRange range = cols.range(id);
+        ASSERT_EQ(range.begin, row) << "instance " << id;
+        ASSERT_EQ(range.size(), expected.size()) << "instance " << id;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            const AccessEvent& ev = expected[i];
+            const std::size_t r = range.begin + i;
+            ASSERT_EQ(cols.time_ns()[r], ev.time_ns) << id << ":" << i;
+            ASSERT_EQ(cols.position()[r], ev.position) << id << ":" << i;
+            ASSERT_EQ(cols.sizes()[r], ev.size) << id << ":" << i;
+            ASSERT_EQ(cols.op()[r], static_cast<std::uint8_t>(ev.op));
+            ASSERT_EQ(cols.thread()[r], ev.thread) << id << ":" << i;
+        }
+        const std::span<const AccessEvent> events = store.events(id);
+        ASSERT_TRUE(std::equal(events.begin(), events.end(), expected.begin(),
+                               expected.end()))
+            << "instance " << id;
+        row += expected.size();
+        if (!expected.empty()) ++populated;
+        if (slot >= registered) orphans += expected.size();
+    }
+    EXPECT_EQ(store.total_events(), row);
+    EXPECT_EQ(cols.total_events(), row);
+    EXPECT_EQ(store.instance_slots(), oracle.per_instance.size());
+    EXPECT_EQ(store.populated_instances(), populated);
+    EXPECT_EQ(store.orphan_events(registered), orphans);
+}
+
+/// Registered ids in the synthetic streams; ids at or past it are orphans.
+constexpr std::size_t kRegistered = 12;
+
+/// Per-thread event chains as a session would capture them: seqs drawn in
+/// blocks from one allocator (so threads interleave in seq), instances
+/// private to a thread, shared by all threads, orphan, or the invalid
+/// sentinel.  Each chain is split into chunks of random size and slack.
+std::vector<std::vector<EventChunk>> synthetic_chains(std::size_t threads,
+                                                      std::size_t per_thread,
+                                                      std::uint64_t seed) {
+    support::Rng rng(seed);
+    std::vector<std::vector<AccessEvent>> streams(threads);
+    std::uint64_t next_block = 0;
+    std::vector<std::uint64_t> seq(threads, 0), block_end(threads, 0);
+    for (std::size_t done = 0; done < threads * per_thread;) {
+        const std::size_t t = rng.next_below(threads);
+        if (streams[t].size() == per_thread) continue;
+        if (seq[t] == block_end[t]) {
+            seq[t] = next_block;
+            block_end[t] = next_block += 1 + rng.next_below(96);
+        }
+        AccessEvent ev;
+        ev.seq = seq[t]++;
+        ev.time_ns = ev.seq * 3 + rng.next_below(3);
+        ev.position = static_cast<std::int64_t>(rng.next_below(500)) - 1;
+        ev.size = static_cast<std::uint32_t>(rng.next_below(1000));
+        ev.op = static_cast<OpKind>(rng.next_below(kOpKindCount));
+        ev.thread = static_cast<ThreadId>(t);
+        const std::uint64_t pick = rng.next_below(100);
+        ev.instance = pick < 45   ? static_cast<InstanceId>(rng.next_below(4))
+                      : pick < 90 ? static_cast<InstanceId>(4 + t % 8)
+                      : pick < 98 ? static_cast<InstanceId>(kRegistered + 3)
+                                  : kInvalidInstance;
+        streams[t].push_back(ev);
+        ++done;
+    }
+    std::vector<std::vector<EventChunk>> chains(threads);
+    for (std::size_t t = 0; t < threads; ++t) {
+        for (std::size_t at = 0; at < per_thread;) {
+            const std::size_t n = std::min<std::size_t>(
+                per_thread - at, 1 + rng.next_below(6000));
+            EventChunk chunk;
+            chunk.capacity = n + rng.next_below(64);
+            chunk.size = n;
+            chunk.events =
+                std::make_unique_for_overwrite<AccessEvent[]>(chunk.capacity);
+            std::copy_n(streams[t].begin() + static_cast<std::ptrdiff_t>(at),
+                        n, chunk.events.get());
+            chains[t].push_back(std::move(chunk));
+            at += n;
+        }
+    }
+    return chains;
+}
+
+enum class Feed { Adopt, AppendBatches };
+
+// Adopted chains (Buffered hand-off) and round-robin append batches
+// (Streaming collector), from 1 and 4 threads, with and without a pool.
+TEST(StoreDifferential, ScatterMatchesGroupThenSortOracle) {
+    par::ThreadPool pool(4);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        for (const Feed feed : {Feed::Adopt, Feed::AppendBatches}) {
+            for (par::ThreadPool* with : {static_cast<par::ThreadPool*>(nullptr),
+                                          &pool}) {
+                SCOPED_TRACE(::testing::Message()
+                             << threads << " threads, "
+                             << (feed == Feed::Adopt ? "adopt" : "append")
+                             << (with != nullptr ? ", pool" : ", no pool"));
+                auto chains = synthetic_chains(threads, 25'000, 17 + threads);
+                OracleStore oracle;
+                ProfileStore store;
+                // The session lists channels newest first.
+                std::reverse(chains.begin(), chains.end());
+                if (feed == Feed::Adopt) {
+                    for (auto& chain : chains) {
+                        for (const EventChunk& chunk : chain)
+                            oracle.append({chunk.events.get(), chunk.size});
+                        store.adopt(std::move(chain));
+                    }
+                } else {
+                    // Like the collector: up to 1024 events per channel
+                    // per round.
+                    std::vector<std::size_t> chunk(chains.size(), 0);
+                    std::vector<std::size_t> offset(chains.size(), 0);
+                    for (bool any = true; any;) {
+                        any = false;
+                        for (std::size_t c = 0; c < chains.size(); ++c) {
+                            if (chunk[c] == chains[c].size()) continue;
+                            const EventChunk& from = chains[c][chunk[c]];
+                            const std::size_t n =
+                                std::min<std::size_t>(1024,
+                                                      from.size - offset[c]);
+                            const std::span<const AccessEvent> batch(
+                                from.events.get() + offset[c], n);
+                            oracle.append(batch);
+                            store.append(batch);
+                            if ((offset[c] += n) == from.size) {
+                                ++chunk[c];
+                                offset[c] = 0;
+                            }
+                            any = true;
+                        }
+                    }
+                }
+                oracle.finalize();
+                store.finalize(with);
+                expect_store_matches(store, oracle, kRegistered);
+            }
+        }
+    }
+}
+
+// Appends after a finalize join the rows already placed.
+TEST(StoreDifferential, AppendAfterFinalizeMatchesOracle) {
+    auto chains = synthetic_chains(3, 4'000, 5);
+    OracleStore oracle;
+    ProfileStore store;
+    for (std::size_t c = 0; c < chains.size(); ++c) {
+        for (const EventChunk& chunk : chains[c]) {
+            oracle.append({chunk.events.get(), chunk.size});
+            store.append({chunk.events.get(), chunk.size});
+        }
+        store.finalize();
+    }
+    oracle.finalize();
+    expect_store_matches(store, oracle, kRegistered);
+}
+
+// Live sessions: every event a session captures reaches its event sink in
+// seq order, so the sink's copy is the oracle's input.  Buffered and
+// Streaming capture, 1 and 4 recording threads on shared, private and
+// orphan ids, below and above the pool threshold of finalize.
+TEST(StoreDifferential, LiveSessionsMatchOracle) {
+    for (const CaptureMode mode :
+         {CaptureMode::Buffered, CaptureMode::Streaming}) {
+        for (const int threads : {1, 4}) {
+            for (const int per_thread : {3'000, 40'000}) {
+                SCOPED_TRACE(::testing::Message()
+                             << (mode == CaptureMode::Buffered ? "Buffered"
+                                                               : "Streaming")
+                             << ", " << threads << " threads, " << per_thread
+                             << " events each");
+                ProfilingSession session(mode, /*ring_capacity=*/1024);
+                std::mutex sink_mutex;
+                OracleStore oracle;
+                session.set_event_sink([&](std::span<const AccessEvent> ev) {
+                    std::scoped_lock lock(sink_mutex);
+                    oracle.append(ev);
+                });
+                std::vector<InstanceId> ids;
+                for (int i = 0; i < 6; ++i)
+                    ids.push_back(session.register_instance(
+                        DsKind::List, "List<Int64>",
+                        {"Diff", "M", static_cast<std::uint32_t>(i)}));
+                std::vector<std::thread> workers;
+                for (int t = 0; t < threads; ++t) {
+                    workers.emplace_back([&, t] {
+                        support::Rng rng(static_cast<std::uint64_t>(t) + 1);
+                        for (int i = 0; i < per_thread; ++i) {
+                            const std::uint64_t pick = rng.next_below(10);
+                            const InstanceId id =
+                                pick < 5   ? ids[rng.next_below(2)]  // shared
+                                : pick < 9 ? ids[2 + static_cast<std::size_t>(t)]
+                                           : InstanceId{40};  // orphan
+                            session.record(id, OpKind::Add, i,
+                                           static_cast<std::uint32_t>(i));
+                        }
+                    });
+                }
+                for (auto& worker : workers) worker.join();
+                session.stop();
+                oracle.finalize();
+                std::scoped_lock lock(sink_mutex);
+                expect_store_matches(session.store(), oracle,
+                                     session.registry().size());
+                EXPECT_EQ(session.orphan_events(),
+                          session.store().orphan_events(
+                              session.registry().size()));
+            }
+        }
+    }
 }
 
 }  // namespace

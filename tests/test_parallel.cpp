@@ -249,6 +249,33 @@ TEST(ForkJoin, HelperExceptionReachesCaller) {
     EXPECT_TRUE(helper_threw.load());
 }
 
+// One helper that starts 100 ms late (every worker busy at the submit)
+// moves the wake estimate by a bounded step: the first sample is capped,
+// later ones at twice the mean, so the estimate grows by at most a quarter.
+TEST(ForkJoin, SlowWakeSampleIsClamped) {
+    const std::uint64_t before = detail::wake_estimate_ns();
+    detail::record_wake(100'000'000);
+    EXPECT_LE(detail::wake_estimate_ns(),
+              std::max(detail::kFirstWakeCapNs, before + before / 4));
+}
+
+// A site the caller is predicted to outrun runs inline, but after a large
+// wake sample it still forks within kReprobeRegions regions, and again in
+// every later window, so its helpers can re-measure the wake latency.
+TEST(ForkJoin, InlineSiteReprobesAfterSlowWake) {
+    detail::record_wake(100'000'000);
+    ASSERT_GT(detail::wake_estimate_ns(), 0u);
+    detail::SiteCost site;
+    site.ps_per_index.store(1);  // 1,000 indices cost ~1 ns: always inline
+    for (int window = 0; window < 3; ++window) {
+        std::uint32_t forks = 0;
+        for (std::uint32_t region = 0; region < detail::kReprobeRegions;
+             ++region)
+            if (!detail::run_inline(site, 1000)) ++forks;
+        EXPECT_EQ(forks, 1u) << "window " << window;
+    }
+}
+
 TEST(ParallelBuild, MatchesSequentialConstruction) {
     ThreadPool pool(4);
     const auto list = parallel_build<std::int64_t>(

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -438,6 +439,46 @@ TEST(PipelineExitCodes, TraceWriteFailureStillEmitsButExitsOne) {
     EXPECT_EQ(text.exit_code, pipeline::kExitRuntimeError);
     EXPECT_NE(text.err.find("Failed to write trace to"), std::string::npos);
     EXPECT_NE(text.out.find("Use Case"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// One event representation: outputs that need no event rows read the
+// store's columns and never gather its AccessEvent view.
+
+TEST(PipelineEventView, ColumnOutputsNeverGatherTheEventView) {
+    const std::filesystem::path dir = std::filesystem::temp_directory_path();
+    pipeline::OutputSelection outputs;
+    outputs.summary = outputs.report = outputs.plan = outputs.advice = true;
+    outputs.json = outputs.csv_usecases = outputs.csv_instances = true;
+    outputs.csv_patterns = true;
+    for (const runtime::TraceFormat format :
+         {runtime::TraceFormat::Binary, runtime::TraceFormat::Csv}) {
+        pipeline::RunPlan plan = app_plan("WordWheelSolver", outputs);
+        plan.engine = pipeline::EngineChoice::Postmortem;
+        plan.trace_out = (dir / "dsspy_event_view_trace.out").string();
+        plan.trace_format = format;
+        std::ostringstream out;
+        std::ostringstream err;
+        const pipeline::RunOutcome outcome =
+            pipeline::PipelineRunner().run(plan, out, err);
+        std::remove(plan.trace_out.c_str());
+        ASSERT_TRUE(outcome.ok()) << err.str();
+        ASSERT_NE(outcome.session, nullptr);
+        EXPECT_GT(outcome.session->store().total_events(), 0u);
+        EXPECT_FALSE(outcome.session->store().has_event_view());
+    }
+
+    // The HTML report draws per-event charts: it is what gathers the view.
+    pipeline::OutputSelection html;
+    html.html_path = (dir / "dsspy_event_view_report.html").string();
+    const pipeline::RunPlan plan = app_plan("WordWheelSolver", html);
+    std::ostringstream out;
+    std::ostringstream err;
+    const pipeline::RunOutcome outcome =
+        pipeline::PipelineRunner().run(plan, out, err);
+    std::remove(html.html_path.c_str());
+    ASSERT_TRUE(outcome.ok()) << err.str();
+    EXPECT_TRUE(outcome.session->store().has_event_view());
 }
 
 // ---------------------------------------------------------------------------
