@@ -187,17 +187,27 @@ InstanceStats instance_stats_from_columns(const runtime::InstanceInfo& info,
     st.duration_ns = agg.duration_ns;
     st.max_size = agg.max_size;
 
-    // End traffic folds per constant-type phase: types other than
-    // Insert/Delete/Read/Write never touch the counters
+    // End traffic is a set of integer counts, so the rows may be folded
+    // in any order.  Long phases fold per constant-type phase: types other
+    // than Insert/Delete/Read/Write never touch the counters
     // (accumulate_end_traffic), so their phases are skipped outright and
-    // the span kernel hoists the type test out of the row loop.
-    for (const Phase& ph : agg.phases) {
-        const auto ty = static_cast<std::uint8_t>(ph.type);
-        if (ty > kTypeDelete) continue;
-        kernels::end_traffic_span(ty, s.positions + ph.first,
-                                  s.sizes + ph.first, ph.length(),
-                                  config.iq_end_window, st.iq_traffic,
-                                  st.edge_traffic);
+    // the span kernel hoists the type test out of the row loop.  When
+    // phases are short (alternating reads and writes), one pass over all
+    // rows beats a kernel call per phase.
+    constexpr std::size_t kMinRowsPerPhase = 8;
+    if (agg.phases.size() * kMinRowsPerPhase > s.n) {
+        kernels::end_traffic(s.types, s.positions, s.sizes, s.n,
+                             config.iq_end_window, st.iq_traffic,
+                             st.edge_traffic);
+    } else {
+        for (const Phase& ph : agg.phases) {
+            const auto ty = static_cast<std::uint8_t>(ph.type);
+            if (ty > kTypeDelete) continue;
+            kernels::end_traffic_span(ty, s.positions + ph.first,
+                                      s.sizes + ph.first, ph.length(),
+                                      config.iq_end_window, st.iq_traffic,
+                                      st.edge_traffic);
+        }
     }
     st.resizes = kernels::count_op(s.ops, s.n, runtime::OpKind::Resize);
     // Weighted read share from the histogram: every row weighs 1 except

@@ -129,6 +129,14 @@ WeightedReads weighted_reads_scalar(const std::uint8_t* types,
     return acc;
 }
 
+/// Rows whose value differs from the row before.
+std::size_t type_changes_scalar(const std::uint8_t* data, std::size_t n) {
+    std::size_t changes = 0;
+    for (std::size_t i = 1; i < n; ++i)
+        changes += data[i] != data[i - 1] ? 1 : 0;
+    return changes;
+}
+
 /// Leading rows equal to `value`.
 std::size_t value_streak_scalar(const std::uint8_t* data, std::size_t n,
                                 std::uint8_t value) {
@@ -359,6 +367,22 @@ __attribute__((target("avx2"))) std::size_t value_streak_avx2(
             return i + static_cast<std::size_t>(__builtin_ctz(~mask));
     }
     return i + value_streak_scalar(data + i, n - i, value);
+}
+
+__attribute__((target("avx2"))) std::size_t type_changes_avx2(
+    const std::uint8_t* data, std::size_t n) {
+    std::size_t changes = 0;
+    std::size_t i = 1;
+    for (; i + 32 <= n; i += 32) {
+        const __m256i cur =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
+        const __m256i prev = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(data + i - 1));
+        const auto same = static_cast<unsigned>(
+            _mm256_movemask_epi8(_mm256_cmpeq_epi8(cur, prev)));
+        changes += static_cast<std::size_t>(__builtin_popcount(~same));
+    }
+    return changes + type_changes_scalar(data + i - 1, n - i + 1);
 }
 
 /// Horizontal sum of a 4x64 accumulator.
@@ -694,6 +718,14 @@ std::size_t value_streak(const std::uint8_t* data, std::size_t n,
     return value_streak_scalar(data, n, value);
 }
 
+std::size_t type_changes(const std::uint8_t* data, std::size_t n) {
+#if DSSPY_X86_SIMD
+    if (active_simd_level() == SimdLevel::Avx2)
+        return type_changes_avx2(data, n);
+#endif
+    return type_changes_scalar(data, n);
+}
+
 }  // namespace
 
 // -------------------------------------------------------------- public API
@@ -866,20 +898,25 @@ WeightedReads weighted_reads(const std::uint8_t* types,
     return weighted_reads_scalar(types, sizes, n);
 }
 
-std::vector<Phase> phases_from_types(const std::uint8_t* types,
-                                     std::size_t n) {
-    std::vector<Phase> phases;
+PhaseList phases_from_types(const std::uint8_t* types, std::size_t n) {
+    PhaseList phases;
     if (n == 0) return phases;
+    // One phase per type change plus the first: size the vector once, so
+    // phase-dense streams (alternating reads and writes) never regrow it.
+    phases.reserve(type_changes(types, n) + 1);
     std::size_t i = 0;
     while (i < n) {
-        // Singleton phases (next row already differs) skip the streak
-        // kernel: its dispatch/setup would dominate on type-alternating
-        // streams and the answer is known to be 1.
-        const std::size_t len =
-            (i + 1 == n || types[i + 1] != types[i])
-                ? 1
-                : value_streak(types + i, n - i, types[i]);
-        phases.push_back(Phase{static_cast<AccessType>(types[i]),
+        // Short phases are scanned inline; only a phase that outlasts
+        // kInlinePhaseRows calls the streak kernel, whose dispatch and
+        // setup would dominate on type-alternating streams.
+        constexpr std::size_t kInlinePhaseRows = 16;
+        const std::uint8_t type = types[i];
+        std::size_t len = 1;
+        while (len < kInlinePhaseRows && i + len < n && types[i + len] == type)
+            ++len;
+        if (len == kInlinePhaseRows)
+            len += value_streak(types + i + len, n - i - len, type);
+        phases.push_back(Phase{static_cast<AccessType>(type),
                                static_cast<std::uint32_t>(i),
                                static_cast<std::uint32_t>(i + len - 1)});
         i += len;

@@ -100,8 +100,8 @@ struct WeightedReads {
 
 /// Maximal same-type phases over the type column — the same boundaries
 /// RuntimeProfile derives from the AoS event span.
-[[nodiscard]] std::vector<Phase> phases_from_types(const std::uint8_t* types,
-                                                   std::size_t n);
+[[nodiscard]] PhaseList phases_from_types(const std::uint8_t* types,
+                                          std::size_t n);
 
 /// Row offsets (relative to `types`) whose derived type equals `type`,
 /// appended to `out` in ascending order.

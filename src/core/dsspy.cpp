@@ -1,6 +1,8 @@
 #include "core/dsspy.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <utility>
 
 #include "core/column_analysis.hpp"
@@ -8,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
+#include "runtime/bulk_buffer.hpp"
 #include "support/stopwatch.hpp"
 
 namespace dsspy::core {
@@ -40,62 +43,81 @@ AnalysisResult Dsspy::analyze_columns_impl(
     // Derived access types for the whole store, computed once and shared
     // read-only by every shard (one pshufb pass instead of a per-event
     // switch in every kernel downstream).
-    std::vector<std::uint8_t> types(columns.total_events());
-    kernels::derive_types(columns.op(), columns.total_events(), types.data());
+    const runtime::BulkBuffer<std::uint8_t> types =
+        runtime::make_bulk_buffer<std::uint8_t>(columns.total_events());
+    kernels::derive_types(columns.op(), columns.total_events(), types.get());
 
-    // Each instance is independent (stateless detector/engine, read-only
-    // store) and writes only its pre-sized slot, so the parallel loop is
-    // deterministic: same instances, same order, same bits.
+    // Each instance is two independent scans over its read-only slice —
+    // aggregates (phases, type histogram) and pattern detection — run as
+    // separate tasks 2i and 2i+1, so a dominant instance's two scans run
+    // side by side on two workers.  Whichever of the pair finishes second
+    // folds both into the stats and verdicts.  Every task writes only its
+    // instance's slots (the detector and engine are stateless), so the
+    // result is the same under any schedule: same instances, same order,
+    // same bits.
     // Per-instance latency histogram, registered once (call sites guard on
     // obs::enabled(); threads observe into their own shards, so the
-    // parallel loop stays contention-free).
+    // parallel loop stays contention-free).  An instance's latency is the
+    // sum of its scans and its fold.
     static const obs::MetricId instance_ns_metric =
         obs::MetricsRegistry::global().histogram("analyze.instance_ns");
-    auto analyze_range = [&](std::size_t lo, std::size_t hi) {
-        const bool telemetry = obs::enabled();
-        for (std::size_t i = lo; i < hi; ++i) {
-            const std::uint64_t begin_ns =
-                telemetry ? support::now_ns() : 0;
-            const runtime::InstanceInfo& info = instances[i];
-            InstanceAnalysis& ia = result.instances_[i];
-            const ColumnSlice slice =
-                make_slice(columns, columns.range(info.id), types.data());
-            ProfileAggregates agg = aggregates_from_columns(slice);
+    const std::size_t count = instances.size();
+    const bool telemetry = obs::enabled();
+    std::vector<ProfileAggregates> aggregates(count);
+    std::vector<std::uint64_t> scan_ns(telemetry ? 2 * count : 0);
+    const auto scans_done = std::make_unique<std::atomic<int>[]>(count);
+    const auto run_task = [&](std::size_t task) {
+        const std::uint64_t begin_ns = telemetry ? support::now_ns() : 0;
+        const std::size_t i = task / 2;
+        const runtime::InstanceInfo& info = instances[i];
+        InstanceAnalysis& ia = result.instances_[i];
+        const ColumnSlice slice =
+            make_slice(columns, columns.range(info.id), types.get());
+        if (task % 2 == 0)
+            aggregates[i] = aggregates_from_columns(slice);
+        else
             ia.patterns = detect_patterns_columns(slice, config_);
-            ia.stats = instance_stats_from_columns(info, slice, agg,
-                                                   ia.patterns, config_);
-            ia.profile = RuntimeProfile(info, store, std::move(agg));
-            ia.use_cases = engine_.classify(ia.stats);
-            if (telemetry)
-                obs::MetricsRegistry::global().observe(
-                    instance_ns_metric, support::now_ns() - begin_ns);
-        }
+        if (telemetry) scan_ns[task] = support::now_ns() - begin_ns;
+        // The acq_rel pairs the two scans: the second sees the first's
+        // writes.
+        if (scans_done[i].fetch_add(1, std::memory_order_acq_rel) == 0)
+            return;
+        const std::uint64_t fold_ns = telemetry ? support::now_ns() : 0;
+        ia.stats = instance_stats_from_columns(info, slice, aggregates[i],
+                                               ia.patterns, config_);
+        ia.profile = RuntimeProfile(info, store, std::move(aggregates[i]));
+        ia.use_cases = engine_.classify(ia.stats);
+        if (telemetry)
+            obs::MetricsRegistry::global().observe(
+                instance_ns_metric, scan_ns[2 * i] + scan_ns[2 * i + 1] +
+                                        support::now_ns() - fold_ns);
     };
-    if (pool != nullptr && instances.size() > 1) {
-        // Shard by event count, not instance count: per-instance analysis
-        // cost is proportional to the instance's rows, and real profiles
-        // are skewed (a handful of hot containers own most events).
-        // Contiguous instance blocks with roughly equal event totals keep
+    if (pool != nullptr && count > 0) {
+        // Shard by event count, not task count: a scan's cost is
+        // proportional to the instance's rows, and real profiles are
+        // skewed (a handful of hot containers own most events).
+        // Contiguous task blocks with roughly equal event totals keep
         // every worker busy; block boundaries come from the prefix event
         // counts, so the partition is deterministic.
-        const std::size_t count = instances.size();
-        std::vector<std::size_t> prefix(count + 1, 0);
-        for (std::size_t i = 0; i < count; ++i)
-            prefix[i + 1] = prefix[i] + columns.range(instances[i].id).size();
+        const std::size_t tasks = 2 * count;
+        std::vector<std::size_t> prefix(tasks + 1, 0);
+        for (std::size_t t = 0; t < tasks; ++t)
+            prefix[t + 1] =
+                prefix[t] + columns.range(instances[t / 2].id).size();
         const std::size_t shard_target = std::min<std::size_t>(
-            count, static_cast<std::size_t>(pool->thread_count()) * 4);
+            tasks, static_cast<std::size_t>(pool->thread_count()) * 4);
         std::vector<std::size_t> bounds;
         bounds.reserve(shard_target + 1);
         bounds.push_back(0);
         for (std::size_t s = 1; s < shard_target; ++s) {
-            const std::size_t goal = prefix[count] / shard_target * s;
+            const std::size_t goal = prefix[tasks] / shard_target * s;
             const auto it =
                 std::upper_bound(prefix.begin(), prefix.end(), goal);
             const auto idx = static_cast<std::size_t>(
                 std::distance(prefix.begin(), it)) - 1;
-            bounds.push_back(std::clamp(idx, bounds.back(), count));
+            bounds.push_back(std::clamp(idx, bounds.back(), tasks));
         }
-        bounds.push_back(count);
+        bounds.push_back(tasks);
         // Shard spans parent under analyze.total explicitly: pool threads
         // have no TLS context of their own.
         const obs::TraceContext analyze_ctx = obs::current_trace_context();
@@ -104,10 +126,11 @@ AnalysisResult Dsspy::analyze_columns_impl(
             [&](std::size_t lo, std::size_t hi) {
                 DSSPY_TRACE_SPAN_UNDER("analyze.shard", analyze_ctx);
                 for (std::size_t s = lo; s < hi; ++s)
-                    analyze_range(bounds[s], bounds[s + 1]);
+                    for (std::size_t t = bounds[s]; t < bounds[s + 1]; ++t)
+                        run_task(t);
             });
     } else {
-        analyze_range(0, instances.size());
+        for (std::size_t t = 0; t < 2 * count; ++t) run_task(t);
     }
     return result;
 }

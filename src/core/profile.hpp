@@ -15,6 +15,7 @@
 
 #include "core/access_type.hpp"
 #include "runtime/access_event.hpp"
+#include "runtime/bulk_buffer.hpp"
 #include "runtime/instance_registry.hpp"
 
 namespace dsspy::runtime {
@@ -34,6 +35,11 @@ struct Phase {
     }
 };
 
+/// Phases of one instance.  A phase-dense instance (reads and writes
+/// alternating) has one phase per one or two events, so the list is as
+/// large as a column and lives on a bulk buffer (runtime/bulk_buffer.hpp).
+using PhaseList = std::vector<Phase, runtime::BulkAllocator<Phase>>;
+
 /// Aggregates precomputed by the columnar analysis path.  The kernel
 /// scans over raw columns (DESIGN.md §11) produce exactly the numbers the
 /// AoS constructor below would derive, so profiles built either way are
@@ -41,7 +47,7 @@ struct Phase {
 struct ProfileAggregates {
     std::size_t total_events = 0;
     std::array<std::size_t, kAccessTypeCount> counts{};
-    std::vector<Phase> phases;
+    PhaseList phases;
     std::size_t max_size = 0;
     std::uint64_t duration_ns = 0;
     std::size_t thread_count = 0;
@@ -103,7 +109,7 @@ public:
     }
 
     /// Maximal same-access-type phases, in chronological order.
-    [[nodiscard]] const std::vector<Phase>& phases() const noexcept {
+    [[nodiscard]] const PhaseList& phases() const noexcept {
         return phases_;
     }
 
@@ -124,7 +130,7 @@ private:
     const runtime::ProfileStore* store_ = nullptr;
     std::size_t total_ = 0;
     std::array<std::size_t, kAccessTypeCount> counts_{};
-    std::vector<Phase> phases_;
+    PhaseList phases_;
     std::size_t max_size_ = 0;
     std::uint64_t duration_ns_ = 0;
     std::size_t thread_count_ = 0;

@@ -28,7 +28,7 @@ using ThreadId = std::uint16_t;
 /// Position sentinel for whole-container operations (Clear, Sort, ...).
 inline constexpr std::int64_t kWholeContainer = -1;
 
-/// One recorded access event (32 bytes).
+/// One recorded access event (40 bytes).
 struct AccessEvent {
     std::uint64_t seq = 0;        ///< Global logical timestamp (total order).
     std::uint64_t time_ns = 0;    ///< Monotonic wall-clock timestamp.
@@ -41,6 +41,6 @@ struct AccessEvent {
     friend bool operator==(const AccessEvent&, const AccessEvent&) = default;
 };
 
-static_assert(sizeof(AccessEvent) <= 40, "keep events compact");
+static_assert(sizeof(AccessEvent) == 40, "keep events compact");
 
 }  // namespace dsspy::runtime

@@ -13,11 +13,12 @@ ColumnStore::ColumnStore(ColumnStore&& other) noexcept {
 ColumnStore& ColumnStore::operator=(ColumnStore&& other) noexcept {
     if (this != &other) {
         rows_ = std::exchange(other.rows_, 0);
-        time_ns_ = std::move(other.time_ns_);
-        position_ = std::move(other.position_);
-        size_ = std::move(other.size_);
-        op_ = std::move(other.op_);
-        thread_ = std::move(other.thread_);
+        storage_ = std::move(other.storage_);
+        time_ns_ = std::exchange(other.time_ns_, nullptr);
+        position_ = std::exchange(other.position_, nullptr);
+        size_ = std::exchange(other.size_, nullptr);
+        thread_ = std::exchange(other.thread_, nullptr);
+        op_ = std::exchange(other.op_, nullptr);
         ranges_ = std::exchange(other.ranges_, {});
     }
     return *this;
@@ -26,12 +27,32 @@ ColumnStore& ColumnStore::operator=(ColumnStore&& other) noexcept {
 void ColumnStore::clear() { *this = ColumnStore(); }
 
 void ColumnStore::allocate(std::size_t rows, std::size_t instance_slots) {
+    // Under ASan a poisoned red zone follows each column but the last (the
+    // buffer's own slack guards that one), so an overrun past one column's
+    // rows reports instead of landing in the next column.
+#if defined(__SANITIZE_ADDRESS__)
+    constexpr std::size_t kRedZone = 64;
+#else
+    constexpr std::size_t kRedZone = 0;
+#endif
+    constexpr std::size_t kRowBytes = sizeof(*time_ns_) + sizeof(*position_) +
+                                      sizeof(*size_) + sizeof(*thread_) +
+                                      sizeof(*op_);
     rows_ = rows;
-    time_ns_ = std::make_unique_for_overwrite<std::uint64_t[]>(rows);
-    position_ = std::make_unique_for_overwrite<std::int64_t[]>(rows);
-    size_ = std::make_unique_for_overwrite<std::uint32_t[]>(rows);
-    op_ = std::make_unique_for_overwrite<std::uint8_t[]>(rows);
-    thread_ = std::make_unique_for_overwrite<std::uint16_t[]>(rows);
+    storage_ = make_bulk_buffer<std::byte>(rows * kRowBytes + 4 * kRedZone);
+    std::byte* next = storage_.get();
+    const auto carve = [&]<typename T>(T*& column, bool last) {
+        column = reinterpret_cast<T*>(next);
+        next += rows * sizeof(T);
+        if (last) return;
+        DSSPY_POISON_BYTES(next, kRedZone);
+        next += kRedZone;
+    };
+    carve(time_ns_, false);
+    carve(position_, false);
+    carve(size_, false);
+    carve(thread_, false);
+    carve(op_, true);
     ranges_.assign(instance_slots, ColumnRange{});
 }
 

@@ -9,8 +9,10 @@ namespace dsspy::runtime {
 
 namespace {
 
-/// append() copies into chunks of this many events (2.5 MiB).
-constexpr std::size_t kAppendChunkEvents = 1u << 16;
+/// next_event_chunk's first request, and its largest (2.5 MiB, which
+/// becomes a whole 4 MiB mapping).
+constexpr std::size_t kFirstChunkEvents = 4096;
+constexpr std::size_t kMaxChunkRequest = 1u << 16;
 
 /// Pass-1 result of one contiguous group of pending chunks.
 struct GroupScan {
@@ -36,6 +38,15 @@ void for_each_index(par::ThreadPool* pool, std::size_t n, Fn&& fn) {
 
 }  // namespace
 
+EventChunk next_event_chunk(std::size_t previous) {
+    const std::size_t request =
+        previous == 0 ? kFirstChunkEvents
+                      : std::min(previous * 2, kMaxChunkRequest);
+    EventChunk chunk;
+    chunk.events = make_bulk_buffer<AccessEvent>(request, &chunk.capacity);
+    return chunk;
+}
+
 ProfileStore::ProfileStore(ProfileStore&& other) noexcept {
     *this = std::move(other);
 }
@@ -57,10 +68,8 @@ void ProfileStore::append(std::span<const AccessEvent> events) {
     while (!events.empty()) {
         if (pending_.empty() ||
             pending_.back().size == pending_.back().capacity) {
-            pending_.push_back(EventChunk{
-                std::make_unique_for_overwrite<AccessEvent[]>(
-                    kAppendChunkEvents),
-                kAppendChunkEvents, 0});
+            pending_.push_back(next_event_chunk(
+                pending_.empty() ? 0 : pending_.back().capacity));
         }
         EventChunk& tail = pending_.back();
         const std::size_t n =
@@ -88,8 +97,7 @@ void ProfileStore::finalize_locked(par::ThreadPool* pool) const {
         // Appends after an earlier finalize: the placed rows rejoin the
         // pending events in front, and the scatter below sorts it out.
         const std::size_t rows = columns_.total_events();
-        EventChunk placed{std::make_unique_for_overwrite<AccessEvent[]>(rows),
-                          rows, rows};
+        EventChunk placed{make_bulk_buffer<AccessEvent>(rows), rows, rows};
         gather_locked(placed.events.get());
         pending_.insert(pending_.begin(), std::move(placed));
     }
@@ -148,7 +156,7 @@ void ProfileStore::finalize_locked(par::ThreadPool* pool) const {
         for (const std::size_t count : scan.counts) rows += count;
     }
     columns_.allocate(rows, slots);
-    seq_ = std::make_unique_for_overwrite<std::uint64_t[]>(rows);
+    seq_ = make_bulk_buffer<std::uint64_t>(rows);
     for (std::size_t id = 0, next = 0; id < slots; ++id) {
         const std::size_t begin = next;
         for (GroupScan& scan : scans)
@@ -230,8 +238,7 @@ std::span<const AccessEvent> ProfileStore::events(InstanceId id) const {
     const ColumnRange range = columns_.range(id);
     if (range.empty()) return {};
     if (!event_view_) {
-        event_view_ = std::make_unique_for_overwrite<AccessEvent[]>(
-            columns_.total_events());
+        event_view_ = make_bulk_buffer<AccessEvent>(columns_.total_events());
         gather_locked(event_view_.get());
     }
     return {event_view_.get() + range.begin, range.size()};

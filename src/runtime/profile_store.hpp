@@ -12,10 +12,13 @@
 // trace readers copy batches in (append).  finalize() places them with a
 // two-pass stable counting scatter — count each instance's events per
 // contiguous group of chunks, then write every event straight to its row —
-// and frees each chunk once its events are placed.  Only instances whose
-// rows arrived out of `seq` order (several recording threads, collector
-// batches, externally built traces) are re-sorted, by the shared
-// permutation regroup (column_store.hpp).  An AccessEvent view of the rows
+// and frees each chunk once its events are placed.  Chunks, columns, the
+// `seq` column and the events() view are bulk buffers
+// (runtime/bulk_buffer.hpp): from 2 MiB up they are huge-page mappings,
+// so a chunk freed during finalize goes back to the OS at once.  Only
+// instances whose rows arrived out of `seq` order (several recording
+// threads, collector batches, externally built traces) are re-sorted, by
+// the shared permutation regroup (column_store.hpp).  An AccessEvent view of the rows
 // is gathered only when a caller asks for events(): the HTML and chart
 // output, tests and the reference analyzer.
 #pragma once
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "runtime/access_event.hpp"
+#include "runtime/bulk_buffer.hpp"
 #include "runtime/column_store.hpp"
 
 namespace dsspy::par {
@@ -39,10 +43,18 @@ namespace dsspy::runtime {
 /// A block of events in arrival order: the unit Buffered capture records
 /// into, and that ProfileStore::adopt takes over without copying.
 struct EventChunk {
-    std::unique_ptr<AccessEvent[]> events;
+    BulkBuffer<AccessEvent> events;
     std::size_t capacity = 0;  ///< Allocated slots.
     std::size_t size = 0;      ///< Filled slots (a prefix).
 };
+
+/// The next chunk of a chain whose last chunk has `previous` slots (0 for
+/// the first), uninitialized.  The schedule Buffered capture and append()
+/// share: 4K events (160 KiB) first, doubling on malloc through 32K events
+/// (1.25 MiB); from the 64K-event request (2.5 MiB) on, each chunk is a
+/// 4 MiB huge-page mapping whose whole size is its capacity, 104,857
+/// events.  Small sessions stay below the 2 MiB mapping threshold.
+[[nodiscard]] EventChunk next_event_chunk(std::size_t previous);
 
 /// Accumulates events per instance; thread-safe for concurrent appends.
 ///
@@ -148,9 +160,9 @@ private:
     mutable std::mutex mutex_;
     mutable std::vector<EventChunk> pending_;  ///< Arrival order.
     mutable ColumnStore columns_;
-    mutable std::unique_ptr<std::uint64_t[]> seq_;  ///< Parallel to rows.
+    mutable BulkBuffer<std::uint64_t> seq_;  ///< Parallel to rows.
     /// Gathered by events(), parallel to rows; null until then.
-    mutable std::unique_ptr<AccessEvent[]> event_view_;
+    mutable BulkBuffer<AccessEvent> event_view_;
 };
 
 }  // namespace dsspy::runtime

@@ -8,6 +8,11 @@
 #include <limits>
 #include <span>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
+#define DSSPY_HAVE_RUSAGE 1
+#endif
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
@@ -33,6 +38,8 @@ struct CaptureMetricIds {
     obs::MetricId collector_sleeps;    ///< Idle-backoff timed sleeps.
     obs::MetricId drain_batch;         ///< Histogram of drain batch sizes.
     obs::MetricId pending_hwm;         ///< Ordered-delivery buffer peak.
+    obs::MetricId capture_faults;      ///< Minor faults, capture window.
+    obs::MetricId finalize_faults;     ///< Minor faults, store finalize.
 };
 
 const CaptureMetricIds& capture_metrics() {
@@ -51,6 +58,8 @@ const CaptureMetricIds& capture_metrics() {
             reg.counter("collector.backoff_sleeps"),
             reg.histogram("collector.drain_batch_events"),
             reg.gauge("collector.pending_depth_hwm"),
+            reg.counter("capture.minor_faults"),
+            reg.counter("store.finalize_minor_faults"),
         };
     }();
     return ids;
@@ -66,10 +75,15 @@ constexpr unsigned kCollectorYieldRounds = 32;
 /// Collector backoff: cap the timed sleep (microseconds, power of two).
 constexpr unsigned kCollectorMaxSleepLog2 = 8;  // 256 us
 
-/// Buffered-mode chunk sizing: 4K events (128 KiB) first, doubling to a
-/// 64K-event (2 MiB) steady state.
-constexpr std::size_t kFirstChunkEvents = 4096;
-constexpr std::size_t kMaxChunkEvents = 1u << 16;
+/// Process-wide minor page faults so far (0 where getrusage is missing).
+std::uint64_t minor_faults() noexcept {
+#if DSSPY_HAVE_RUSAGE
+    rusage usage{};
+    if (::getrusage(RUSAGE_SELF, &usage) == 0)
+        return static_cast<std::uint64_t>(usage.ru_minflt);
+#endif
+    return 0;
+}
 
 std::uint64_t next_session_token() noexcept {
     static std::atomic<std::uint64_t> counter{1};
@@ -107,14 +121,13 @@ ProfilingSession::Channel::Channel(ThreadId id, CaptureMode mode,
 }
 
 void ProfilingSession::Channel::grow_chunk() {
-    const std::size_t cap =
-        chunks.empty()
-            ? kFirstChunkEvents
-            : std::min(chunks.back().capacity * 2, kMaxChunkEvents);
-    chunks.push_back(EventChunk{
-        std::make_unique_for_overwrite<AccessEvent[]>(cap), cap, 0});
+    // Buffered chunk sizing follows next_event_chunk's schedule: 4K events
+    // (160 KiB) first, doubling to 32K events (1.25 MiB) on malloc, then
+    // 4 MiB huge-page chunks of 104,857 events.
+    chunks.push_back(
+        next_event_chunk(chunks.empty() ? 0 : chunks.back().capacity));
     write_pos = chunks.back().events.get();
-    write_end = write_pos + cap;
+    write_end = write_pos + chunks.back().capacity;
 }
 
 ProfilingSession::ProfilingSession(CaptureMode mode, std::size_t ring_capacity,
@@ -125,6 +138,7 @@ ProfilingSession::ProfilingSession(CaptureMode mode, std::size_t ring_capacity,
       token_(next_session_token()),
       trace_ctx_(obs::current_trace_context()),
       start_ns_(support::now_ns()) {
+    if (obs::enabled()) start_faults_ = minor_faults();
     if (mode_ == CaptureMode::Streaming) {
         collector_ = std::jthread(
             [this](const std::stop_token& st) { collector_loop(st); });
@@ -528,6 +542,10 @@ void ProfilingSession::stop() {
             chan->chunks = std::vector<EventChunk>();
         }
     }
+    // Page faults are sampled only when telemetry was on from the start.
+    const bool sample_faults = obs::enabled() && start_faults_.has_value();
+    const std::uint64_t capture_end_faults =
+        sample_faults ? minor_faults() : 0;
     {
         DSSPY_TRACE_SPAN("capture.finalize");
         store_.finalize(events_recorded() >= kParallelFinalizeThreshold
@@ -538,6 +556,10 @@ void ProfilingSession::stop() {
     if (obs::enabled()) {
         auto& reg = obs::MetricsRegistry::global();
         const CaptureMetricIds& m = capture_metrics();
+        if (sample_faults) {
+            reg.add(m.capture_faults, capture_end_faults - *start_faults_);
+            reg.add(m.finalize_faults, minor_faults() - capture_end_faults);
+        }
         const std::uint64_t events = events_recorded();
         reg.add(m.events_recorded, events);
         const std::uint64_t wall = stop_ns_ - start_ns_;

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -169,8 +170,8 @@ private:
                          std::size_t ring_capacity);
         ThreadId tid;
 
-        /// Buffered mode: events land in a chain of fixed chunks (cap
-        /// doubling up to kMaxChunkEvents).  Unlike a growable vector this
+        /// Buffered mode: events land in a chain of fixed chunks
+        /// (next_event_chunk's schedule).  Unlike a growable vector this
         /// never copies on growth — at millions of events the reallocation
         /// memcpy dominates the capture cost — and chunks are allocated
         /// uninitialized so each page is touched exactly once.  stop()
@@ -231,6 +232,9 @@ private:
     std::atomic<bool> capturing_{true};
     std::uint64_t start_ns_ = 0;
     std::uint64_t stop_ns_ = 0;
+    /// Process-wide minor faults at construction; sampled only when
+    /// telemetry is on (capture.minor_faults, store.finalize_minor_faults).
+    std::optional<std::uint64_t> start_faults_;
 
     /// Head of the intrusive channel list (push-front on registration;
     /// traversal needs no lock).  Channels are owned by the list and freed

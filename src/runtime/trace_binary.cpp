@@ -269,7 +269,7 @@ Trace read_trace_binary(std::string_view bytes, par::ThreadPool* pool) {
     decode_chunks(index.chunks.size(), pool, [&](std::size_t i) {
         const ChunkRef& chunk = index.chunks[i];
         EventChunk& out = decoded[i];
-        out.events = std::make_unique_for_overwrite<AccessEvent[]>(chunk.count);
+        out.events = make_bulk_buffer<AccessEvent>(chunk.count);
         out.capacity = out.size = chunk.count;
         decode_chunk(chunk, [&](std::uint32_t row, const AccessEvent& ev) {
             out.events[row] = ev;

@@ -85,8 +85,10 @@ ColumnTrace read_trace_columns(std::string_view bytes,
     trace.instances = std::move(index.instances);
     const std::size_t rows = index.event_count;
     trace.columns.allocate(rows, 0);
-    std::vector<std::uint64_t> seqs(rows);
-    std::vector<std::uint32_t> instance_col(rows);
+    const BulkBuffer<std::uint64_t> seqs =
+        make_bulk_buffer<std::uint64_t>(rows);
+    const BulkBuffer<std::uint32_t> instance_col =
+        make_bulk_buffer<std::uint32_t>(rows);
 
     // Chunks write disjoint row ranges (plus the temporary seq/instance
     // columns used for grouping), so the decode parallelizes without
@@ -94,8 +96,8 @@ ColumnTrace read_trace_columns(std::string_view bytes,
     codec::decode_chunks(index.chunks.size(), pool, [&](std::size_t c) {
         const codec::ChunkRef& chunk = index.chunks[c];
         const std::size_t first = chunk.first_row;
-        std::uint64_t* seq_col = seqs.data() + first;
-        std::uint32_t* inst_col = instance_col.data() + first;
+        std::uint64_t* seq_col = seqs.get() + first;
+        std::uint32_t* inst_col = instance_col.get() + first;
         std::uint64_t* time_col = trace.columns.mutable_time_ns() + first;
         std::int64_t* pos_col = trace.columns.mutable_position() + first;
         std::uint32_t* size_col = trace.columns.mutable_sizes() + first;
@@ -112,10 +114,10 @@ ColumnTrace read_trace_columns(std::string_view bytes,
         });
     });
 
-    std::vector<InstanceRun> runs = collect_runs(instance_col.data(), rows);
-    if (!runs_grouped(runs, seqs.data())) {
-        sort_rows(trace.columns, seqs.data(), instance_col.data(), 0, rows);
-        runs = collect_runs(instance_col.data(), rows);
+    std::vector<InstanceRun> runs = collect_runs(instance_col.get(), rows);
+    if (!runs_grouped(runs, seqs.get())) {
+        sort_rows(trace.columns, seqs.get(), instance_col.get(), 0, rows);
+        runs = collect_runs(instance_col.get(), rows);
     }
     for (const InstanceRun& run : runs)
         trace.columns.set_range(run.id, run.begin, run.end);

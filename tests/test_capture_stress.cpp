@@ -362,8 +362,7 @@ std::vector<std::vector<EventChunk>> synthetic_chains(std::size_t threads,
             EventChunk chunk;
             chunk.capacity = n + rng.next_below(64);
             chunk.size = n;
-            chunk.events =
-                std::make_unique_for_overwrite<AccessEvent[]>(chunk.capacity);
+            chunk.events = make_bulk_buffer<AccessEvent>(chunk.capacity);
             std::copy_n(streams[t].begin() + static_cast<std::ptrdiff_t>(at),
                         n, chunk.events.get());
             chains[t].push_back(std::move(chunk));

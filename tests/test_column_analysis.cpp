@@ -118,7 +118,7 @@ TEST_F(KernelSweep, FoldKernelsMatchScalarAtEveryTier) {
                              c.sizes.data(), n, 3, ref_iq, ref_edge);
         const kernels::WeightedReads ref_wr =
             kernels::weighted_reads(c.types.data(), c.sizes.data(), n);
-        const std::vector<Phase> ref_phases =
+        const PhaseList ref_phases =
             kernels::phases_from_types(c.types.data(), n);
         std::vector<std::uint32_t> ref_sorts;
         kernels::collect_type_indices(
@@ -167,7 +167,7 @@ TEST_F(KernelSweep, FoldKernelsMatchScalarAtEveryTier) {
             EXPECT_EQ(wr.reads, ref_wr.reads);
             EXPECT_EQ(wr.total, ref_wr.total);
 
-            const std::vector<Phase> phases =
+            const PhaseList phases =
                 kernels::phases_from_types(c.types.data(), n);
             ASSERT_EQ(phases.size(), ref_phases.size());
             for (std::size_t p = 0; p < phases.size(); ++p) {
@@ -292,6 +292,46 @@ TEST_F(KernelSweep, StreakKernelsMatchScalarAtEveryTier) {
                                                 c.positions.data(),
                                                 c.threads.data(), n, 1),
                       ref[k++]);
+        }
+    }
+}
+
+// Phases of every run length around the inline scan limit and the vector
+// widths, from streams as dense as alternating types and as sparse as one
+// long run, match a naive split at every tier.
+TEST_F(KernelSweep, PhasesMatchNaiveSplitForEveryRunLength) {
+    Lcg rng{11};
+    constexpr std::size_t kRuns[] = {1, 2, 3, 15, 16, 17, 31, 32, 33, 100};
+    for (const std::size_t run : kRuns) {
+        for (const bool jitter : {false, true}) {
+            std::vector<std::uint8_t> types;
+            for (std::uint8_t t = 0; types.size() < 2000; t = (t + 1) % 3) {
+                const std::size_t len =
+                    jitter ? 1 + rng.next(2 * run) : run;
+                types.insert(types.end(), len, t);
+            }
+            std::vector<Phase> naive;
+            for (std::size_t i = 0; i < types.size(); ++i) {
+                if (i == 0 || types[i] != types[i - 1])
+                    naive.push_back(Phase{static_cast<AccessType>(types[i]),
+                                          static_cast<std::uint32_t>(i),
+                                          static_cast<std::uint32_t>(i)});
+                naive.back().last = static_cast<std::uint32_t>(i);
+            }
+            for (const SimdLevel level : sweep_levels()) {
+                SCOPED_TRACE(::testing::Message()
+                             << "run " << run << (jitter ? " jittered" : "")
+                             << ", tier " << static_cast<int>(level));
+                kernels::force_simd_level(level);
+                const PhaseList phases =
+                    kernels::phases_from_types(types.data(), types.size());
+                ASSERT_EQ(phases.size(), naive.size());
+                for (std::size_t p = 0; p < phases.size(); ++p) {
+                    EXPECT_EQ(phases[p].type, naive[p].type);
+                    EXPECT_EQ(phases[p].first, naive[p].first);
+                    EXPECT_EQ(phases[p].last, naive[p].last);
+                }
+            }
         }
     }
 }

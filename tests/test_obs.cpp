@@ -306,6 +306,34 @@ TEST(ObsSelfOverhead, EstimateIsSaneAndClamped) {
     EXPECT_DOUBLE_EQ(zero.estimated_slowdown, 1.0);
 }
 
+// The capture window and finalize each report their minor page faults:
+// a session past the huge-page threshold maps fresh chunks while
+// recording and fresh columns while finalizing, so both fault.
+TEST(ObsPageFaults, SessionReportsCaptureAndFinalizeFaults) {
+#if !defined(__linux__)
+    GTEST_SKIP() << "minor faults come from getrusage";
+#endif
+    GlobalTelemetryGuard guard;
+    {
+        runtime::ProfilingSession session;
+        const runtime::InstanceId id = session.register_instance(
+            runtime::DsKind::List, "List<Int32>", {"C", "M", 1});
+        for (int i = 0; i < 200'000; ++i)
+            session.record(id, runtime::OpKind::Add, i,
+                           static_cast<std::uint32_t>(i + 1));
+        session.stop();
+    }
+    const std::vector<MetricValue> metrics =
+        MetricsRegistry::global().collect();
+    const MetricValue* capture = find_metric(metrics, "capture.minor_faults");
+    const MetricValue* finalize =
+        find_metric(metrics, "store.finalize_minor_faults");
+    ASSERT_NE(capture, nullptr);
+    ASSERT_NE(finalize, nullptr);
+    EXPECT_GT(capture->value, 0u);
+    EXPECT_GT(finalize->value, 0u);
+}
+
 TEST(ObsOrphans, StoreCountsEventsPastTheRegisteredRange) {
     runtime::ProfileStore store;
     std::vector<runtime::AccessEvent> events(7);
