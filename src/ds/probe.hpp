@@ -56,7 +56,9 @@ public:
 
     ~Probe() { release(); }
 
-    /// Record one access event.  Hot path — no-op when unprofiled.
+    /// Record one access event.  Hot path — no-op when unprofiled;
+    /// otherwise it inlines the session's frame-free fast path
+    /// (ProfilingSession::record), which stores one 24-byte row.
     void rec(runtime::OpKind op, std::int64_t position,
              std::size_t size) const noexcept {
         if (session_ != nullptr)

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <utility>
 #include <span>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "runtime/profile_store.hpp"
 #include "runtime/session.hpp"
 #include "support/rng.hpp"
+#include "support/stopwatch.hpp"
 
 namespace dsspy::runtime {
 namespace {
@@ -497,6 +499,182 @@ TEST(StoreDifferential, LiveSessionsMatchOracle) {
                           session.store().orphan_events(
                               session.registry().size()));
             }
+        }
+    }
+}
+
+
+// ---------------------------------------------------------------------------
+// Compact capture rows: Buffered capture stores 24-byte rows and derives
+// seq, time_ns and thread from each row's index in its thread's chain.
+// These tests pin the derivation rules and check that the derived store is
+// the store the same events build when appended as whole AccessEvents.
+
+/// Buffered capture from `threads` threads, `per_thread` events each, on a
+/// shared instance (re-sorted when several threads write it), one private
+/// instance per thread and an orphan id.  The event sink's stream is
+/// returned in `stream`; position is the thread's event index, and size
+/// identifies the thread.
+void capture_buffered(ProfilingSession& session, int threads, int per_thread,
+                      std::vector<AccessEvent>& stream) {
+    session.set_event_sink([&](std::span<const AccessEvent> events) {
+        stream.insert(stream.end(), events.begin(), events.end());
+    });
+    std::vector<InstanceId> ids;
+    for (int i = 0; i < 1 + threads; ++i)
+        ids.push_back(session.register_instance(
+            DsKind::List, "List<Int64>",
+            {"Compact", "M", static_cast<std::uint32_t>(i)}));
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+        workers.emplace_back([&, t] {
+            support::Rng rng(static_cast<std::uint64_t>(t) + 7);
+            for (int i = 0; i < per_thread; ++i) {
+                const std::uint64_t pick = rng.next_below(16);
+                const InstanceId id =
+                    pick < 6    ? ids[0]
+                    : pick < 15 ? ids[1 + static_cast<std::size_t>(t)]
+                                : InstanceId{50};  // orphan
+                session.record(id, static_cast<OpKind>(i % kOpKindCount), i,
+                               static_cast<std::uint32_t>(t));
+            }
+        });
+    }
+    for (auto& worker : workers) worker.join();
+    session.stop();
+}
+
+// 1 and 4 threads; per-thread runs cross 64-event strides, 1024-event seq
+// blocks and chunk boundaries (the first capture chunks hold 6,788,
+// 13,577, 27,155 and 54,311 rows, then 173,800 per 4 MiB mapping).
+TEST(CompactRows, BufferedStoreMatchesAppendedEvents) {
+    for (const auto& [threads, per_thread] :
+         {std::pair{1, 110'000}, std::pair{4, 60'000}}) {
+        SCOPED_TRACE(::testing::Message() << threads << " threads");
+        ProfilingSession session(CaptureMode::Buffered);
+        std::vector<AccessEvent> stream;
+        capture_buffered(session, threads, per_thread, stream);
+        ASSERT_EQ(stream.size(),
+                  static_cast<std::size_t>(threads) *
+                      static_cast<std::size_t>(per_thread));
+
+        // The derivation rules, read off the sink's stream: per thread,
+        // event i's seq is its block's base plus i mod 1024, and its time
+        // is the reading at i - i mod 64.
+        std::vector<std::vector<const AccessEvent*>> by_thread(
+            static_cast<std::size_t>(threads));
+        for (const AccessEvent& ev : stream) {
+            ASSERT_LT(ev.size, by_thread.size());
+            by_thread[ev.size].push_back(&ev);
+        }
+        std::set<ThreadId> thread_ids;
+        for (const auto& events : by_thread) {
+            ASSERT_EQ(events.size(), static_cast<std::size_t>(per_thread));
+            thread_ids.insert(events[0]->thread);
+            for (std::size_t i = 0; i < events.size(); ++i) {
+                ASSERT_EQ(events[i]->position, static_cast<std::int64_t>(i));
+                ASSERT_EQ(events[i]->thread, events[0]->thread);
+                const std::size_t block = i - i % 1024;
+                ASSERT_EQ(events[i]->seq, events[block]->seq + i % 1024) << i;
+                ASSERT_EQ(events[i]->time_ns, events[i - i % 64]->time_ns)
+                    << i;
+                if (i % 64 == 0 && i > 0) {
+                    ASSERT_GE(events[i]->time_ns, events[i - 64]->time_ns);
+                }
+            }
+        }
+        EXPECT_EQ(thread_ids.size(), static_cast<std::size_t>(threads));
+
+        // The same events appended as AccessEvents, in collector-sized
+        // batches, build a byte-identical store.
+        ProfileStore appended;
+        for (std::size_t at = 0; at < stream.size(); at += 1024)
+            appended.append(std::span(stream).subspan(
+                at, std::min<std::size_t>(1024, stream.size() - at)));
+        const ColumnStore& live = session.store().columns();
+        const ColumnStore& expected = appended.columns();
+        ASSERT_EQ(live.total_events(), expected.total_events());
+        ASSERT_EQ(live.instance_slots(), expected.instance_slots());
+        const std::size_t rows = live.total_events();
+        EXPECT_TRUE(std::equal(live.time_ns(), live.time_ns() + rows,
+                               expected.time_ns()));
+        EXPECT_TRUE(std::equal(live.position(), live.position() + rows,
+                               expected.position()));
+        EXPECT_TRUE(
+            std::equal(live.sizes(), live.sizes() + rows, expected.sizes()));
+        EXPECT_TRUE(std::equal(live.op(), live.op() + rows, expected.op()));
+        EXPECT_TRUE(std::equal(live.thread(), live.thread() + rows,
+                               expected.thread()));
+        for (std::size_t slot = 0; slot < live.instance_slots(); ++slot) {
+            const auto id = static_cast<InstanceId>(slot);
+            EXPECT_EQ(live.range(id).begin, expected.range(id).begin);
+            EXPECT_EQ(live.range(id).end, expected.range(id).end);
+            // events() carries seq, so this also compares the seq column.
+            const auto a = session.store().events(id);
+            const auto b = appended.events(id);
+            EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+                << "instance " << id;
+        }
+    }
+}
+
+// The incremental sink gets the store's events, every one exactly once,
+// as one stream in ascending seq order.
+TEST(CompactRows, SinkStreamIsTheStoreInSeqOrder) {
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message() << threads << " threads");
+        ProfilingSession session(CaptureMode::Buffered);
+        std::vector<AccessEvent> stream;
+        capture_buffered(session, threads, 20'000, stream);
+        for (std::size_t i = 1; i < stream.size(); ++i)
+            ASSERT_LT(stream[i - 1].seq, stream[i].seq) << i;
+        std::vector<AccessEvent> stored;
+        for (std::size_t id = 0; id < session.store().instance_slots(); ++id) {
+            const auto events =
+                session.store().events(static_cast<InstanceId>(id));
+            stored.insert(stored.end(), events.begin(), events.end());
+        }
+        std::sort(stored.begin(), stored.end(),
+                  [](const AccessEvent& a, const AccessEvent& b) {
+                      return a.seq < b.seq;
+                  });
+        EXPECT_TRUE(std::equal(stored.begin(), stored.end(), stream.begin(),
+                               stream.end()));
+    }
+}
+
+// Event i of a thread carries the clock reading taken while event
+// i - i mod 64 was recorded: bracket every stride-start record with clock
+// reads of our own, and every other event must repeat its stride's value.
+TEST(CompactRows, TimestampIsTheReadingAtTheStrideStart) {
+    for (const CaptureMode mode :
+         {CaptureMode::Buffered, CaptureMode::Streaming}) {
+        SCOPED_TRACE(mode == CaptureMode::Buffered ? "Buffered" : "Streaming");
+        ProfilingSession session(mode);
+        const InstanceId id = session.register_instance(
+            DsKind::List, "List<Int64>", {"Stamp", "M", 1});
+        constexpr std::size_t kEvents = 9'000;  // past the first chunk
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> brackets;
+        for (std::size_t i = 0; i < kEvents; ++i) {
+            if (i % ProfilingSession::kTimestampStride == 0) {
+                const std::uint64_t before = support::now_ns();
+                session.record(id, OpKind::Set, static_cast<std::int64_t>(i),
+                               1);
+                brackets.emplace_back(before, support::now_ns());
+            } else {
+                session.record(id, OpKind::Set, static_cast<std::int64_t>(i),
+                               1);
+            }
+        }
+        session.stop();
+        const auto events = session.store().events(id);
+        ASSERT_EQ(events.size(), kEvents);
+        for (std::size_t i = 0; i < kEvents; ++i) {
+            constexpr std::size_t kStride = ProfilingSession::kTimestampStride;
+            ASSERT_EQ(events[i].time_ns, events[i - i % kStride].time_ns) << i;
+            const auto [before, after] = brackets[i / kStride];
+            ASSERT_GE(events[i].time_ns, before) << i;
+            ASSERT_LE(events[i].time_ns, after) << i;
         }
     }
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -380,6 +381,45 @@ TEST(Session, TwoLiveSessionsDoNotInterfere) {
     EXPECT_EQ(s2.store().events(b).size(), 10u);
     EXPECT_EQ(s1.store().events(a)[0].op, OpKind::Add);
     EXPECT_EQ(s2.store().events(b)[0].op, OpKind::Get);
+}
+
+// A thread caches four sessions.  Recording round-robin into five evicts
+// a slot on every record; the thread must find its channel again instead
+// of registering a new one (with a fresh seq block, chunk and thread id)
+// each time.
+TEST(Session, FiveLiveSessionsOnOneThreadKeepOneChannel) {
+    constexpr int kSessions = 5;
+    constexpr int kRecords = 100;
+    const std::size_t mappings_before = bulk_mappings_created();
+    std::vector<std::unique_ptr<ProfilingSession>> sessions;
+    std::vector<InstanceId> ids;
+    for (int s = 0; s < kSessions; ++s) {
+        sessions.push_back(
+            std::make_unique<ProfilingSession>(CaptureMode::Buffered));
+        ids.push_back(sessions.back()->register_instance(
+            DsKind::List, "List<Int32>",
+            {"C", "M", static_cast<std::uint32_t>(s)}));
+    }
+    for (int i = 0; i < kRecords; ++i)
+        for (int s = 0; s < kSessions; ++s)
+            sessions[s]->record(ids[s], OpKind::Add, i,
+                                static_cast<std::uint32_t>(i));
+    for (int s = 0; s < kSessions; ++s) {
+        ProfilingSession& session = *sessions[s];
+        session.stop();
+        EXPECT_EQ(session.thread_count(), 1u) << "session " << s;
+        const ColumnStore& cols = session.store().columns();
+        ASSERT_EQ(cols.total_events(), static_cast<std::size_t>(kRecords));
+        const auto events = session.store().events(ids[s]);
+        for (int i = 0; i < kRecords; ++i) {
+            EXPECT_EQ(cols.thread()[i], 0u) << "session " << s << ":" << i;
+            EXPECT_EQ(cols.position()[i], i);
+            // One seq block serves all of them.
+            EXPECT_EQ(events[i].seq, events[0].seq + i);
+        }
+    }
+    // 5 × 100 rows fit the first chunk of each session, on malloc.
+    EXPECT_EQ(bulk_mappings_created(), mappings_before);
 }
 
 }  // namespace
