@@ -36,11 +36,14 @@ public:
 
     /// Producer side: enqueue one element; false if the ring is full.
     bool try_push(const T& value) noexcept {
+        // Full when head - tail reaches the capacity, mask_ + 1.  Not
+        // buffer_.size(): that divides the vector's byte length by
+        // sizeof(T), a multiply per push for 40-byte events.
         const std::size_t head = head_.load(std::memory_order_relaxed);
         const std::size_t tail = tail_cache_;
-        if (head - tail >= buffer_.size()) {
+        if (head - tail > mask_) {
             tail_cache_ = tail_.load(std::memory_order_acquire);
-            if (head - tail_cache_ >= buffer_.size()) return false;
+            if (head - tail_cache_ > mask_) return false;
         }
         buffer_[head & mask_] = value;
         head_.store(head + 1, std::memory_order_release);
