@@ -204,6 +204,26 @@ TEST(AdaptList, WholeReadsAdoptParallelTraversal) {
     EXPECT_EQ(list.strategy(), Strategy::Parallel);
 }
 
+TEST(AdaptList, ParallelSearchFindsFirstOccurrence) {
+    // Under Parallel, index_of past the size cutoff is a chunked scan on
+    // the pool; it must still answer the first occurrence, like ds::List.
+    AdaptiveList<std::int64_t> list(fast_config());
+    dsspy::ds::List<std::int64_t> plain;
+    for (int i = 0; i < 4'096; ++i) {
+        list.add(i % 1'000);
+        plain.add(i % 1'000);
+    }
+    for (int round = 0; round < 40; ++round) {
+        std::atomic<std::int64_t> sum{0};
+        list.for_each([&sum](std::int64_t v) {
+            sum.fetch_add(v, std::memory_order_relaxed);
+        });
+    }
+    ASSERT_EQ(list.strategy(), Strategy::Parallel);
+    for (std::int64_t v = -1; v < 1'001; v += 7)
+        ASSERT_EQ(list.index_of(v), plain.index_of(v));
+}
+
 TEST(AdaptList, PhaseChangeWorkloadSwitchesAtMostThreeTimes) {
     AdaptiveList<int> list(fast_config());
     for (int phase = 0; phase < 4; ++phase) {
@@ -595,6 +615,130 @@ TEST(AdaptList, SearchIndexStaysExactUnderDuplicateChurn) {
     ASSERT_EQ(adaptive.count(), plain.count());
     for (int v = 0; v < 13; ++v)
         ASSERT_EQ(adaptive.index_of(v), plain.index_of(v));
+}
+
+TEST(AdaptDictionary, VerdictsMatchOfflineAnalysisOfSameStream) {
+    // The dictionary folds its dense entry view as List events, so a
+    // ProfiledList driven at the same dense positions is its offline twin:
+    // a fresh-key set is an add at the landing index, get(key) a get at the
+    // key's dense index, find_key an index_of on the value, for_each a
+    // for_each.  Keys are fresh and never removed, so key k sits at dense
+    // index k in both.
+    const auto value_of = [](long dense) { return dense * 11 + 5; };
+    dsspy::runtime::ProfilingSession session;
+    dsspy::ds::ProfiledList<long> profiled(&session,
+                                           {"Adapt", "DriveDict", 1});
+    AdaptiveDictionary<long, long> adaptive(fast_config());
+    long size = 0;
+    for (int round = 0; round < 6; ++round) {
+        for (int i = 0; i < 300; ++i, ++size) {
+            adaptive.set(size, value_of(size));
+            profiled.add(value_of(size));
+        }
+        for (long k = 0; k < size; ++k)
+            ASSERT_EQ(adaptive.get(k),
+                      profiled.get(static_cast<std::size_t>(k)));
+        // Values past the current size miss in both containers.
+        for (long i = 0; i < 400; ++i) {
+            const long value = value_of(i % 1'700);
+            ASSERT_EQ(adaptive.find_key(value).value_or(-1),
+                      profiled.index_of(value));
+        }
+        std::atomic<long> adaptive_sum{0};
+        long profiled_sum = 0;
+        adaptive.for_each([&adaptive_sum](long, long v) {
+            adaptive_sum.fetch_add(v, std::memory_order_relaxed);
+        });
+        profiled.for_each([&profiled_sum](long v) { profiled_sum += v; });
+        ASSERT_EQ(adaptive_sum.load(), profiled_sum);
+    }
+    session.stop();
+    const dsspy::core::AnalysisResult offline =
+        dsspy::core::Dsspy{}.analyze(session);
+    std::multiset<UseCaseKind> offline_kinds;
+    for (const auto& inst : offline.instances())
+        for (const auto& uc : inst.use_cases) offline_kinds.insert(uc.kind);
+
+    EXPECT_FALSE(offline_kinds.empty());
+    EXPECT_EQ(verdict_kinds(adaptive.verdicts()), offline_kinds)
+        << "adaptive dictionary verdicts diverged from offline analysis";
+    EXPECT_EQ(adaptive.events_folded(), offline.total_events());
+}
+
+TEST(AdaptConcurrency, DictionaryReadersRaceStrategyMigrations) {
+    AdaptConfig config = fast_config();
+    config.reclassify_interval = 32;  // Migrate as often as possible.
+    AdaptiveDictionary<int, int> dict(config);
+    // Keys below kStable are never removed; values repeat every kValues
+    // keys, so the value index keeps duplicate counts and rescans.
+    constexpr int kStable = 256;
+    constexpr int kValues = 61;
+    constexpr int kChurnEnd = 2'600;  // Past the Parallel traversal cutoff.
+    const auto insert_run = [&dict] {
+        for (int k = kStable; k < kChurnEnd; ++k) dict.set(k, k % kValues);
+    };
+    // The first long insert run happens before the readers start, so the
+    // first adoption (Parallel, for Long-Insert) does not depend on how far
+    // they have got.  Every later migration, and the Parallel traversal of
+    // the full dictionary, races them.
+    for (int k = 0; k < kStable; ++k) dict.set(k, k % kValues);
+    insert_run();
+    ASSERT_EQ(dict.strategy(), Strategy::Parallel);
+    std::set<Strategy> seen{Strategy::Parallel};
+
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> reads{0};
+    std::vector<std::jthread> readers;
+    for (int t = 0; t < 3; ++t) {
+        readers.emplace_back([&dict, &stop, &reads] {
+            std::uint64_t local = 0;
+            while (!stop.load(std::memory_order_relaxed)) {
+                const int key = static_cast<int>(local * 37 % kStable);
+                EXPECT_EQ(dict.get(key), key % kValues);
+                int out = 0;
+                (void)dict.try_get(kStable + static_cast<int>(local % 997),
+                                   out);
+                const auto hit =
+                    dict.find_key(static_cast<int>(local % kValues));
+                EXPECT_TRUE(hit.has_value());
+                std::atomic<long> sum{0};
+                dict.for_each([&sum](int, int v) {
+                    sum.fetch_add(v, std::memory_order_relaxed);
+                });
+                ++local;
+                reads.fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+    }
+    // The writer alternates a churn phase (overwrites, removals down to the
+    // stable keys, a long insert run back past the Parallel cutoff) with a
+    // value-search phase (in-order gets plus find_key traffic) until the
+    // container has also run Indexed while the readers race it.  Reader
+    // events interleave with the writer's, so the phase at which Indexed
+    // is adopted varies from run to run.
+    for (int phase = 0;
+         phase < 64 && (reads.load(std::memory_order_relaxed) < 200 ||
+                        phase < 8 || seen.count(Strategy::Indexed) == 0);
+         ++phase) {
+        if (phase % 2 == 0) {
+            for (int k = kStable; k < kChurnEnd; k += 5)
+                dict.set(k, (k + 1) % kValues);
+            for (int k = kChurnEnd - 1; k >= kStable; --k) dict.remove(k);
+            insert_run();
+        } else {
+            for (int round = 0; round < 4; ++round)
+                for (int k = 0; k < kStable; ++k) (void)dict.get(k);
+            for (int i = 0; i < 3'000; ++i)
+                (void)dict.find_key(i % kValues);
+        }
+        seen.insert(dict.strategy());
+    }
+    stop.store(true);
+    readers.clear();
+    EXPECT_GE(reads.load(), 200u);
+    EXPECT_EQ(dict.count(), static_cast<std::size_t>(kChurnEnd));
+    EXPECT_EQ(seen.count(Strategy::Indexed), 1u);
+    for (int v = 0; v < kValues; ++v) EXPECT_EQ(dict.find_key(v), v);
 }
 
 TEST(AdaptDictionary, FindKeyReturnsFirstInsertedAmongDuplicateValues) {
