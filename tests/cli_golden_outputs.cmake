@@ -3,7 +3,11 @@
 #       (once with --postmortem, once with --incremental: one shared digest,
 #       both engines must render the same bytes);
 #   dsspy advise <app> --json;
-#   dsspy run <app> --json --plan --csv-patterns.
+#   dsspy run <app> --json --plan --csv-patterns;
+#   dsspy watch <app> --interval-ms 5 --report --csv-usecases --csv-instances
+#       with its `[watch]` tick lines dropped, which must equal
+#       dsspy run <app> --incremental with the same flags (ticks print
+#       a summary table under --summary, so that flag is left out).
 # Every output is deterministic (fixed app seeds, thread-count-independent
 # analysis), so a changed digest means a changed report, not noise.
 # Run as: cmake -DDSSPY_BIN=<path-to-dsspy> -P cli_golden_outputs.cmake
@@ -25,6 +29,30 @@ function(expect_digest digest)
   if(NOT actual STREQUAL digest)
     message(SEND_ERROR
       "dsspy ${shown}: stdout digest ${actual}, expected ${digest}")
+  endif()
+endfunction()
+
+# Like expect_digest, for `dsspy watch`: lines starting with `[watch]`
+# are the live ticks, whose count depends on timing; the rest is the
+# final report and must not.
+function(expect_watch_digest digest)
+  execute_process(COMMAND ${DSSPY_BIN} watch ${ARGN}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_QUIET)
+  string(JOIN " " shown ${ARGN})
+  if(NOT code EQUAL 0)
+    message(SEND_ERROR "dsspy watch ${shown}: exit ${code}")
+    return()
+  endif()
+  # Drop each "\n[watch] ..." run; the leading newline makes the first
+  # line match too and is cut afterwards.
+  string(REGEX REPLACE "\n\\[watch\\][^\n]*" "" out "\n${out}")
+  string(SUBSTRING "${out}" 1 -1 out)
+  string(SHA256 actual "${out}")
+  if(NOT actual STREQUAL digest)
+    message(SEND_ERROR
+      "dsspy watch ${shown}: stdout digest ${actual}, expected ${digest}")
   endif()
 endfunction()
 
@@ -66,3 +94,26 @@ expect_app("WordWheelSolver"
   226dd05fb141e0fbf0aa3c9b75e0e10e2e9fe2111cc93aab20a9ed1034113702
   205de7f7d36ad476bd9f62dd990f7f79daf8593681264a23472ca278e6749dbb
   d769027368abf7fe9c36a48d9a0b57d7ac452094ff5060eb20a470071544c92b)
+
+# app  report+csv digest, shared by `run --incremental` and `watch`
+function(expect_watch app digest)
+  expect_digest(${digest} run ${app} --incremental
+                --report --csv-usecases --csv-instances)
+  expect_watch_digest(${digest} ${app} --interval-ms 5
+                      --report --csv-usecases --csv-instances)
+endfunction()
+
+expect_watch("Algorithmia"
+  d2a578cc8f9fe71748a23c833569cafe428769d5e399231e9c176bccc5e6a6b3)
+expect_watch("Astrogrep"
+  3b6ba2078ad35486f1ffcba20727394e4a451ca5983dd14a41fa62d8d25ba9b5)
+expect_watch("Contentfinder"
+  4f93a15d074f8ac84e639d2498bc6da3f234e292f224535598620ed8079a7b58)
+expect_watch("CPU Benchmarks"
+  2b69bcd66e202880a06301669bc02c6fc138faca418f2362212989d8f3df81a9)
+expect_watch("Gpdotnet"
+  d41831839c1f2564b10a266546c9ec179c5674ab036cf127e9772f1272548835)
+expect_watch("Mandelbrot"
+  3f87b0e1a21bb6f89841da596afad896b29d6a7f0556daad51e7a91d7179af37)
+expect_watch("WordWheelSolver"
+  be169605ccc9c217e350b57d59e0b1faabf56f31028e2239c8f355ddedbec9f4)
