@@ -3,11 +3,15 @@
 // The paper motivates asynchronous intra-process event shipping: "I/O is
 // time consuming and for in-memory the log size can be a limiting factor."
 // This bench measures capture throughput (events/s) for:
-//   * Buffered capture (per-thread buffers, merged at stop), and
-//   * Streaming capture (SPSC rings + collector thread) across ring sizes,
+//   * post-mortem capture (per-thread chunk chains handed to the store at
+//     stop), and
+//   * live drain (a collector thread copies the chains out to an event
+//     sink while recording, AnalysisMode::Incremental) across drain bounds,
 // with 1..4 recording threads — quantifying the cost of the design the
-// paper chose and the backpressure effect of undersized rings.
+// paper chose and the backpressure effect of small drain bounds.
+#include <atomic>
 #include <iostream>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -19,9 +23,21 @@ namespace {
 
 using namespace dsspy;
 
-double measure(runtime::CaptureMode mode, std::size_t ring_capacity,
-               unsigned threads, std::size_t events_per_thread) {
-    runtime::ProfilingSession session(mode, ring_capacity);
+/// Events/s of `threads` recording threads; `drain_bound` 0 captures
+/// post-mortem, any other value drains live to a counting sink.
+double measure(std::size_t drain_bound, unsigned threads,
+               std::size_t events_per_thread) {
+    const bool live = drain_bound > 0;
+    runtime::ProfilingSession session(
+        runtime::CaptureMode::Buffered, live ? drain_bound : 64 * 1024,
+        live ? runtime::AnalysisMode::Incremental
+             : runtime::AnalysisMode::Postmortem);
+    std::atomic<std::size_t> delivered{0};
+    if (live)
+        session.set_event_sink(
+            [&delivered](std::span<const runtime::AccessEvent> events) {
+                delivered.fetch_add(events.size(), std::memory_order_relaxed);
+            });
     std::vector<runtime::InstanceId> ids;
     for (unsigned t = 0; t < threads; ++t)
         ids.push_back(session.register_instance(
@@ -53,34 +69,32 @@ int main() {
 
     constexpr std::size_t kEventsPerThread = 400'000;
 
-    std::cout << "Ablation - capture-mode throughput ("
+    std::cout << "Ablation - capture throughput ("
               << kEventsPerThread << " events/thread)\n\n";
 
-    Table table({"Mode", "Ring capacity", "Threads", "Events/s (M)"});
+    Table table({"Delivery", "Drain bound", "Threads", "Events/s (M)"});
     for (const unsigned threads : {1u, 2u, 4u}) {
-        table.add_row({"Buffered", "-", std::to_string(threads),
-                       Table::fmt(measure(runtime::CaptureMode::Buffered, 0,
-                                          threads, kEventsPerThread) /
+        table.add_row({"Post-mortem", "-", std::to_string(threads),
+                       Table::fmt(measure(0, threads, kEventsPerThread) /
                                   1e6)});
     }
     table.add_separator();
-    for (const std::size_t ring : {1u << 10, 1u << 14, 1u << 18}) {
+    for (const std::size_t bound : {1u << 10, 1u << 14, 1u << 18}) {
         for (const unsigned threads : {1u, 2u, 4u}) {
             table.add_row(
-                {"Streaming", std::to_string(ring), std::to_string(threads),
-                 Table::fmt(measure(runtime::CaptureMode::Streaming, ring,
-                                    threads, kEventsPerThread) /
+                {"Live sink", std::to_string(bound), std::to_string(threads),
+                 Table::fmt(measure(bound, threads, kEventsPerThread) /
                             1e6)});
         }
     }
     table.print(std::cout);
 
-    std::cout << "\nReading: Buffered has no hot-path synchronization but "
-                 "holds every event in producer-side buffers until stop(); "
-                 "Streaming pays for the ring hand-off but bounds producer "
-                 "memory and overlaps analysis-side work with capture — the "
-                 "paper's log-size vs I/O trade-off.  Undersized rings "
-                 "throttle producers via backpressure; which mode wins on "
-                 "wall clock depends on allocator pressure and core count.\n";
+    std::cout << "\nReading: post-mortem capture has no hot-path "
+                 "synchronization but holds every event in producer-side "
+                 "chunks until stop(); the live drain copies the chunks out "
+                 "while recording and frees each one it has read, which "
+                 "bounds producer memory and overlaps analysis-side work "
+                 "with capture — the paper's log-size vs I/O trade-off.  "
+                 "Small drain bounds throttle producers via backpressure.\n";
     return 0;
 }

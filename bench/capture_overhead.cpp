@@ -1,7 +1,8 @@
 // Capture-path overhead benchmark.
 //
-// Times the record() hot path in both capture modes, single- and
-// multi-threaded, against the uninstrumented baseline, and writes the
+// Times the record() hot path post-mortem and with a live sink draining
+// the chains, single- and multi-threaded, against the uninstrumented
+// baseline, and writes the
 // results as machine-readable JSON (default: BENCH_capture.json) so the
 // perf trajectory of the capture path is tracked across PRs.  The paper
 // reports an average 47x capture slowdown (Table IV); this file is the
@@ -20,9 +21,11 @@
 // Usage: capture_overhead [output.json] [rounds] [obs_output.json]
 //                         [trace_output.json]
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,12 +80,33 @@ double bench_null_session(int rounds) {
     });
 }
 
+/// The two sessions the benchmark compares: post-mortem capture, and the
+/// live drain into a sink that only counts (AnalysisMode::Incremental, the
+/// `dsspy watch` path minus the analyzer).
+struct BenchSession {
+    std::atomic<std::size_t> delivered{0};
+    runtime::ProfilingSession session;
+
+    explicit BenchSession(bool live_sink)
+        : session(runtime::CaptureMode::Buffered, 64 * 1024,
+                  live_sink ? runtime::AnalysisMode::Incremental
+                            : runtime::AnalysisMode::Postmortem) {
+        if (live_sink)
+            session.set_event_sink(
+                [this](std::span<const runtime::AccessEvent> events) {
+                    delivered.fetch_add(events.size(),
+                                        std::memory_order_relaxed);
+                });
+    }
+};
+
 /// Times only the record() loop; session setup and stop()/finalize stay
 /// outside the timed window (they are not the per-event hot path).
-double bench_record(runtime::CaptureMode mode, int rounds) {
+double bench_record(bool live_sink, int rounds) {
     double best = 1e100;
     for (int r = 0; r < rounds; ++r) {
-        runtime::ProfilingSession session(mode);
+        BenchSession bench(live_sink);
+        runtime::ProfilingSession& session = bench.session;
         const runtime::InstanceId id = session.register_instance(
             runtime::DsKind::List, "List<Int64>", {"Bench", "Record", 1});
         const auto t0 = Clock::now();
@@ -97,10 +121,11 @@ double bench_record(runtime::CaptureMode mode, int rounds) {
     return best;
 }
 
-double bench_profiled_list(runtime::CaptureMode mode, int rounds) {
+double bench_profiled_list(bool live_sink, int rounds) {
     double best = 1e100;
     for (int r = 0; r < rounds; ++r) {
-        runtime::ProfilingSession session(mode);
+        BenchSession bench(live_sink);
+        runtime::ProfilingSession& session = bench.session;
         ds::ProfiledList<std::int64_t> list(&session, {"Bench", "List", 1});
         const auto t0 = Clock::now();
         for (std::size_t i = 0; i < kOpsPerRound; ++i)
@@ -114,11 +139,11 @@ double bench_profiled_list(runtime::CaptureMode mode, int rounds) {
 
 /// Multi-producer record(): `threads` producers hammer one session; the
 /// reported figure is wall-time per event across all producers.
-double bench_record_mt(runtime::CaptureMode mode, unsigned threads,
-                       int rounds) {
+double bench_record_mt(bool live_sink, unsigned threads, int rounds) {
     double best = 1e100;
     for (int r = 0; r < rounds; ++r) {
-        runtime::ProfilingSession session(mode);
+        BenchSession bench(live_sink);
+        runtime::ProfilingSession& session = bench.session;
         std::vector<runtime::InstanceId> ids;
         for (unsigned t = 0; t < threads; ++t)
             ids.push_back(session.register_instance(
@@ -149,7 +174,7 @@ struct Result {
     double ns;
 };
 
-/// Telemetry on/off delta for one capture mode, measured back-to-back so
+/// Telemetry on/off delta for one kind of session, measured back-to-back so
 /// ambient drift hits both sides equally.
 struct ObsDelta {
     std::string name;
@@ -161,8 +186,7 @@ struct ObsDelta {
     }
 };
 
-ObsDelta bench_obs_delta(runtime::CaptureMode mode, const char* name,
-                         int rounds) {
+ObsDelta bench_obs_delta(bool live_sink, const char* name, int rounds) {
     auto& reg = obs::MetricsRegistry::global();
     ObsDelta delta;
     delta.name = name;
@@ -175,9 +199,9 @@ ObsDelta bench_obs_delta(runtime::CaptureMode mode, const char* name,
     for (int r = 0; r < rounds; ++r) {
         const bool on_first = (r & 1) != 0;
         reg.set_enabled(on_first);
-        const double first = bench_record(mode, 1);
+        const double first = bench_record(live_sink, 1);
         reg.set_enabled(!on_first);
-        const double second = bench_record(mode, 1);
+        const double second = bench_record(live_sink, 1);
         delta.off_ns = std::min(delta.off_ns, on_first ? second : first);
         delta.on_ns = std::min(delta.on_ns, on_first ? first : second);
     }
@@ -186,11 +210,10 @@ ObsDelta bench_obs_delta(runtime::CaptureMode mode, const char* name,
     return delta;
 }
 
-/// Span-recorder on/off delta for one capture mode.  The metrics registry
+/// Span-recorder on/off delta for one kind of session.  The metrics registry
 /// stays enabled on both sides so the measured difference is the trace
 /// recorder alone, on top of a realistically instrumented capture path.
-ObsDelta bench_trace_delta(runtime::CaptureMode mode, const char* name,
-                           int rounds) {
+ObsDelta bench_trace_delta(bool live_sink, const char* name, int rounds) {
     auto& reg = obs::MetricsRegistry::global();
     auto& tracer = obs::TraceRecorder::global();
     reg.set_enabled(true);
@@ -201,9 +224,9 @@ ObsDelta bench_trace_delta(runtime::CaptureMode mode, const char* name,
     for (int r = 0; r < rounds; ++r) {
         const bool on_first = (r & 1) != 0;
         tracer.set_enabled(on_first);
-        const double first = bench_record(mode, 1);
+        const double first = bench_record(live_sink, 1);
         tracer.set_enabled(!on_first);
-        const double second = bench_record(mode, 1);
+        const double second = bench_record(live_sink, 1);
         delta.off_ns = std::min(delta.off_ns, on_first ? second : first);
         delta.on_ns = std::min(delta.on_ns, on_first ? first : second);
         // Drop the spans the on-side buffered so every round starts from
@@ -232,34 +255,26 @@ int main(int argc, char** argv) {
     // measurement.  (The delta loop itself still interleaves off/on
     // rounds, so ambient drift cancels.)  Output files keep their order.
     std::vector<ObsDelta> trace_deltas;
-    trace_deltas.push_back(bench_trace_delta(runtime::CaptureMode::Buffered,
-                                             "record_buffered", rounds));
-    trace_deltas.push_back(bench_trace_delta(runtime::CaptureMode::Streaming,
-                                             "record_streaming", rounds));
+    trace_deltas.push_back(
+        bench_trace_delta(/*live_sink=*/false, "record_buffered", rounds));
+    trace_deltas.push_back(
+        bench_trace_delta(/*live_sink=*/true, "record_live_sink", rounds));
     obs::TraceRecorder::global().reset();
 
     std::vector<Result> results;
     const double plain = bench_plain_list(rounds);
     results.push_back({"plain_list_add", plain});
     results.push_back({"null_session_list_add", bench_null_session(rounds)});
+    results.push_back({"record_buffered", bench_record(false, rounds)});
+    results.push_back({"record_live_sink", bench_record(true, rounds)});
     results.push_back(
-        {"record_buffered", bench_record(runtime::CaptureMode::Buffered,
-                                         rounds)});
+        {"list_add_buffered", bench_profiled_list(false, rounds)});
     results.push_back(
-        {"record_streaming", bench_record(runtime::CaptureMode::Streaming,
-                                          rounds)});
+        {"list_add_live_sink", bench_profiled_list(true, rounds)});
     results.push_back(
-        {"list_add_buffered",
-         bench_profiled_list(runtime::CaptureMode::Buffered, rounds)});
+        {"record_buffered_mt4", bench_record_mt(false, 4, rounds)});
     results.push_back(
-        {"list_add_streaming",
-         bench_profiled_list(runtime::CaptureMode::Streaming, rounds)});
-    results.push_back(
-        {"record_buffered_mt4",
-         bench_record_mt(runtime::CaptureMode::Buffered, 4, rounds)});
-    results.push_back(
-        {"record_streaming_mt4",
-         bench_record_mt(runtime::CaptureMode::Streaming, 4, rounds)});
+        {"record_live_sink_mt4", bench_record_mt(true, 4, rounds)});
 
     std::FILE* f = std::fopen(out_path.c_str(), "w");
     if (f == nullptr) {
@@ -299,10 +314,10 @@ int main(int argc, char** argv) {
     // delta should stay in the noise).
     const std::string obs_path = argc > 3 ? argv[3] : "BENCH_obs.json";
     std::vector<ObsDelta> deltas;
-    deltas.push_back(bench_obs_delta(runtime::CaptureMode::Buffered,
-                                     "record_buffered", rounds));
-    deltas.push_back(bench_obs_delta(runtime::CaptureMode::Streaming,
-                                     "record_streaming", rounds));
+    deltas.push_back(
+        bench_obs_delta(/*live_sink=*/false, "record_buffered", rounds));
+    deltas.push_back(
+        bench_obs_delta(/*live_sink=*/true, "record_live_sink", rounds));
 
     std::FILE* fo = std::fopen(obs_path.c_str(), "w");
     if (fo == nullptr) {

@@ -2,17 +2,17 @@
 //
 // DESIGN.md §8's central claim is that the incremental analyzer bounds
 // memory by the live-instance state instead of the event count.  This
-// bench runs the same deterministic ≥10M-event workload in three isolated
+// bench runs the same deterministic ≥10M-event workload in two isolated
 // child processes (fork + exec of /proc/self/exe, so each child's RSS is
 // clean) and records each child's peak RSS via wait4()'s rusage:
 //
-//   * postmortem_buffered  — Buffered capture, store everything, analyze.
-//   * postmortem_streaming — Streaming capture, store everything, analyze.
-//   * incremental_streaming — Streaming capture, AnalysisMode::Incremental
-//     with an attached IncrementalAnalyzer; the store stays empty.
+//   * postmortem_buffered — store everything, analyze at the end.
+//   * incremental_live_sink — AnalysisMode::Incremental with an attached
+//     IncrementalAnalyzer that the collector feeds live; the store stays
+//     empty and every drained chunk is freed.
 //
 // Every child prints a digest of its full rendered report (use-case
-// report, summaries, CSVs); the parent asserts all three digests are
+// report, summaries, CSVs); the parent asserts both digests are
 // identical — the memory saving is only interesting if the verdicts are
 // bit-identical — and writes BENCH_incremental.json with peak-RSS and
 // events/sec per mode plus the postmortem/incremental RSS ratio.
@@ -29,6 +29,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/dsspy.hpp"
@@ -142,8 +143,8 @@ int run_child(const std::string& mode, std::uint64_t events) {
     std::size_t flagged = 0;
     std::uint64_t recorded = 0;
 
-    if (mode == "incremental_streaming") {
-        runtime::ProfilingSession session(runtime::CaptureMode::Streaming,
+    if (mode == "incremental_live_sink") {
+        runtime::ProfilingSession session(runtime::CaptureMode::Buffered,
                                           64 * 1024,
                                           runtime::AnalysisMode::Incremental);
         core::IncrementalAnalyzer analyzer;
@@ -160,10 +161,7 @@ int run_child(const std::string& mode, std::uint64_t events) {
         flagged = report.flagged_instances();
         recorded = session.events_recorded();
     } else {
-        const runtime::CaptureMode capture =
-            mode == "postmortem_streaming" ? runtime::CaptureMode::Streaming
-                                           : runtime::CaptureMode::Buffered;
-        runtime::ProfilingSession session(capture);
+        runtime::ProfilingSession session;
         drive_workload(session, events);
         session.stop();
         const core::AnalysisResult result = core::Dsspy{}.analyze(session);
@@ -267,9 +265,8 @@ int main(int argc, char** argv) {
     const std::uint64_t events =
         argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 10'000'000ull;
 
-    const std::vector<std::string> modes = {
-        "postmortem_buffered", "postmortem_streaming",
-        "incremental_streaming"};
+    const std::vector<std::string> modes = {"postmortem_buffered",
+                                            "incremental_live_sink"};
     std::vector<ModeResult> results;
     for (const std::string& mode : modes) {
         ModeResult r;
@@ -294,10 +291,7 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    long postmortem_rss = results[0].peak_rss_kb;
-    for (const ModeResult& r : results)
-        if (r.mode != "incremental_streaming")
-            postmortem_rss = std::min(postmortem_rss, r.peak_rss_kb);
+    const long postmortem_rss = results.front().peak_rss_kb;
     const long incremental_rss = results.back().peak_rss_kb;
     const double reduction =
         incremental_rss == 0 ? 0.0
@@ -310,6 +304,8 @@ int main(int argc, char** argv) {
         return 1;
     }
     std::fprintf(out, "{\n  \"benchmark\": \"incremental_vs_postmortem\",\n");
+    std::fprintf(out, "  \"hardware_threads\": %u,\n",
+                 std::thread::hardware_concurrency());
     std::fprintf(out, "  \"events\": %llu,\n",
                  static_cast<unsigned long long>(results.front().events));
     std::fprintf(out, "  \"verdicts_identical\": true,\n");

@@ -1,16 +1,16 @@
 // Micro benchmarks (google-benchmark): instrumentation overhead per
-// operation, event-channel throughput, analysis throughput, and the
+// operation with and without a live sink, analysis throughput, and the
 // parallel primitives behind the recommended actions.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/dsspy.hpp"
 #include "ds/ds.hpp"
 #include "parallel/algorithms.hpp"
 #include "runtime/session.hpp"
-#include "runtime/spsc_ring.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -50,16 +50,31 @@ void BM_ListAdd_Buffered(benchmark::State& state) {
 }
 BENCHMARK(BM_ListAdd_Buffered);
 
-void BM_ListAdd_Streaming(benchmark::State& state) {
-    runtime::ProfilingSession session(runtime::CaptureMode::Streaming);
+/// An Incremental session whose collector drains the chains live into a
+/// sink that only counts (the `dsspy watch` path minus the analyzer).
+std::unique_ptr<runtime::ProfilingSession> live_sink_session(
+    std::size_t& delivered) {
+    auto session = std::make_unique<runtime::ProfilingSession>(
+        runtime::CaptureMode::Buffered, 64 * 1024,
+        runtime::AnalysisMode::Incremental);
+    session->set_event_sink(
+        [&delivered](std::span<const runtime::AccessEvent> events) {
+            delivered += events.size();
+        });
+    return session;
+}
+
+void BM_ListAdd_LiveSink(benchmark::State& state) {
+    std::size_t delivered = 0;
+    const auto session = live_sink_session(delivered);
     for (auto _ : state) {
-        ds::ProfiledList<std::int64_t> list(&session, {"B", "M", 1});
+        ds::ProfiledList<std::int64_t> list(session.get(), {"B", "M", 1});
         for (int i = 0; i < 1024; ++i) list.add(i);
         benchmark::DoNotOptimize(list.raw().data());
     }
     state.SetItemsProcessed(state.iterations() * 1024);
 }
-BENCHMARK(BM_ListAdd_Streaming);
+BENCHMARK(BM_ListAdd_LiveSink);
 
 // Raw record() hot path, without the container proxy around it.
 void BM_Record_Buffered(benchmark::State& state) {
@@ -75,18 +90,19 @@ void BM_Record_Buffered(benchmark::State& state) {
 }
 BENCHMARK(BM_Record_Buffered);
 
-void BM_Record_Streaming(benchmark::State& state) {
-    runtime::ProfilingSession session(runtime::CaptureMode::Streaming);
-    const runtime::InstanceId id = session.register_instance(
+void BM_Record_LiveSink(benchmark::State& state) {
+    std::size_t delivered = 0;
+    const auto session = live_sink_session(delivered);
+    const runtime::InstanceId id = session->register_instance(
         runtime::DsKind::List, "List<Int64>", {"B", "M", 1});
     for (auto _ : state) {
         for (int i = 0; i < 1024; ++i)
-            session.record(id, runtime::OpKind::Add, i,
-                           static_cast<std::uint32_t>(i + 1));
+            session->record(id, runtime::OpKind::Add, i,
+                            static_cast<std::uint32_t>(i + 1));
     }
     state.SetItemsProcessed(state.iterations() * 1024);
 }
-BENCHMARK(BM_Record_Streaming);
+BENCHMARK(BM_Record_LiveSink);
 
 void BM_ListGet_Buffered(benchmark::State& state) {
     runtime::ProfilingSession session(runtime::CaptureMode::Buffered);
@@ -100,25 +116,6 @@ void BM_ListGet_Buffered(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_ListGet_Buffered);
-
-// --- event channel ----------------------------------------------------------
-
-void BM_SpscRing_PushPop(benchmark::State& state) {
-    runtime::SpscRing<runtime::AccessEvent> ring(4096);
-    runtime::AccessEvent ev;
-    for (auto _ : state) {
-        for (int i = 0; i < 1024; ++i) {
-            ev.seq = static_cast<std::uint64_t>(i);
-            benchmark::DoNotOptimize(ring.try_push(ev));
-        }
-        std::array<runtime::AccessEvent, 256> batch;
-        std::size_t drained = 0;
-        while (drained < 1024) drained += ring.pop_into(batch);
-        benchmark::DoNotOptimize(drained);
-    }
-    state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_SpscRing_PushPop);
 
 // --- analysis throughput -----------------------------------------------------
 

@@ -1,7 +1,8 @@
 #include "pipeline/runner.hpp"
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -270,33 +271,41 @@ RunOutcome PipelineRunner::run_live(const RunPlan& plan, std::ostream& out,
     };
 
     if (plan.resolved_engine() == EngineChoice::Incremental) {
-        // Streaming capture with the analyzer folding as events drain;
-        // AnalysisMode::Incremental keeps the store empty — memory stays
-        // bounded however long the workload runs.  Watch plans drain live
-        // through the collector; plain incremental runs merge at stop().
+        // The analyzer folds events as the collector drains them live;
+        // AnalysisMode::Incremental keeps the store empty and frees each
+        // chunk once drained — memory stays bounded however long the
+        // workload runs.
         auto session = std::make_unique<runtime::ProfilingSession>(
-            plan.watch ? runtime::CaptureMode::Streaming
-                       : runtime::CaptureMode::Buffered,
-            64 * 1024, runtime::AnalysisMode::Incremental);
+            runtime::CaptureMode::Buffered, 64 * 1024,
+            runtime::AnalysisMode::Incremental);
         core::IncrementalAnalyzer incremental(plan.config);
         core::attach_incremental(*session, incremental);
 
         if (plan.watch) {
-            std::atomic<bool> done{false};
+            std::mutex done_mutex;
+            std::condition_variable done_cv;
+            bool done = false;
             std::thread worker([&] {
                 run_workload(session.get());
-                done.store(true, std::memory_order_release);
+                const std::scoped_lock lock(done_mutex);
+                done = true;
+                done_cv.notify_one();
             });
             const auto interval =
                 std::chrono::milliseconds(plan.snapshot_interval_ms);
-            while (!done.load(std::memory_order_acquire)) {
-                std::this_thread::sleep_for(interval);
+            std::unique_lock lock(done_mutex);
+            // A tick fires each interval; the workload's end cuts the
+            // current wait short.
+            while (!done_cv.wait_for(lock, interval, [&] { return done; })) {
                 if (!on_tick) continue;
+                lock.unlock();
                 const core::AnalysisResult snap =
                     core::Dsspy::snapshot(incremental, *session);
                 on_tick(WatchTick{snap, session->events_recorded(),
                                   incremental.events_folded()});
+                lock.lock();
             }
+            lock.unlock();
             worker.join();
         } else {
             run_workload(session.get());

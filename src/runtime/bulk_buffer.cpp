@@ -15,10 +15,12 @@ namespace dsspy::runtime {
 namespace {
 
 std::atomic<std::size_t> g_mappings{0};
+std::atomic<std::size_t> g_live{0};
 
 }  // namespace
 
 void BulkDeleter::operator()(void* p) const noexcept {
+    g_live.fetch_sub(1, std::memory_order_relaxed);
     if (mapped_bytes == 0) {
         std::free(p);
         return;
@@ -60,16 +62,22 @@ std::unique_ptr<std::byte[], BulkDeleter> allocate_bulk(std::size_t bytes,
 #endif
         if (!use_all) DSSPY_POISON_BYTES(p + bytes, size - bytes);
         g_mappings.fetch_add(1, std::memory_order_relaxed);
+        g_live.fetch_add(1, std::memory_order_relaxed);
         return {p, BulkDeleter{size}};
     }
 #endif
     void* p = std::malloc(bytes > 0 ? bytes : 1);
     if (p == nullptr) throw std::bad_alloc();
+    g_live.fetch_add(1, std::memory_order_relaxed);
     return {static_cast<std::byte*>(p), BulkDeleter{}};
 }
 
 std::size_t bulk_mappings_created() noexcept {
     return g_mappings.load(std::memory_order_relaxed);
+}
+
+std::size_t bulk_buffers_live() noexcept {
+    return g_live.load(std::memory_order_relaxed);
 }
 
 }  // namespace dsspy::runtime

@@ -102,4 +102,8 @@ struct BulkAllocator {
 /// which sessions stay on malloc).
 [[nodiscard]] std::size_t bulk_mappings_created() noexcept;
 
+/// Bulk buffers currently allocated, mapped or not (tests use it to check
+/// that a live drain frees its chunks while the workload records).
+[[nodiscard]] std::size_t bulk_buffers_live() noexcept;
+
 }  // namespace dsspy::runtime

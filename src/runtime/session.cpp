@@ -1,11 +1,11 @@
 #include "runtime/session.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <limits>
+#include <mutex>
 #include <span>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -29,14 +29,14 @@ struct CaptureMetricIds {
     obs::MetricId seq_block_refills;   ///< Per-thread seq blocks drawn.
     obs::MetricId channels;            ///< Recording threads registered.
     obs::MetricId dropped_after_stop;  ///< Quiesce-contract violations.
-    obs::MetricId backpressure_waits;  ///< Ring-full wait episodes.
+    obs::MetricId backpressure_waits;  ///< Waits at the drain bound.
     obs::MetricId events_recorded;     ///< Total events captured.
     obs::MetricId events_per_sec;      ///< Capture-window throughput.
     obs::MetricId capture_wall_ns;     ///< Capture-window duration.
     obs::MetricId orphan_events;       ///< Store-only instance events.
-    obs::MetricId collector_yields;    ///< Idle-backoff yield rounds.
-    obs::MetricId collector_sleeps;    ///< Idle-backoff timed sleeps.
-    obs::MetricId drain_batch;         ///< Histogram of drain batch sizes.
+    obs::MetricId collector_yields;    ///< Idle drain rounds, then yield.
+    obs::MetricId collector_sleeps;    ///< Idle drain rounds, then sleep.
+    obs::MetricId drain_batch;         ///< Events copied per channel round.
     obs::MetricId pending_hwm;         ///< Ordered-delivery buffer peak.
     obs::MetricId capture_faults;      ///< Minor faults, capture window.
     obs::MetricId finalize_faults;     ///< Minor faults, store finalize.
@@ -68,6 +68,10 @@ const CaptureMetricIds& capture_metrics() {
 /// Events below this count are finalized sequentially; above it the
 /// store's scatter passes go to the shared thread pool.
 constexpr std::size_t kParallelFinalizeThreshold = 1u << 16;
+
+/// The collector copies at most this many events per channel per round,
+/// so delivery starts early and the pending buffers stay small.
+constexpr std::uint64_t kDrainSlice = 4096;
 
 /// Collector backoff: yield this many empty rounds before sleeping.
 constexpr unsigned kCollectorYieldRounds = 32;
@@ -111,29 +115,20 @@ void seal_chain(std::vector<CaptureChunk>& chunks, std::uint64_t events) {
 
 }  // namespace
 
-ProfilingSession::Channel::Channel(ThreadId id, std::uint64_t owner_serial,
-                                   CaptureMode mode,
-                                   std::size_t ring_capacity)
+ProfilingSession::Channel::Channel(ThreadId id, std::uint64_t owner_serial)
     : owner(owner_serial) {
-    chain.thread = id;
-    if (mode == CaptureMode::Streaming)
-        ring = std::make_unique<SpscRing<AccessEvent>>(ring_capacity);
-    // Buffered mode allocates its first chunk lazily on the first record.
+    chain.thread = id;  // The first chunk is allocated on the first record.
 }
 
-ProfilingSession::ProfilingSession(CaptureMode mode, std::size_t ring_capacity,
+ProfilingSession::ProfilingSession(CaptureMode /*mode*/,
+                                   std::size_t drain_bound,
                                    AnalysisMode analysis)
-    : mode_(mode),
-      ring_capacity_(ring_capacity),
+    : drain_bound_(drain_bound),
       analysis_(analysis),
       token_(next_session_token()),
       trace_ctx_(obs::current_trace_context()),
       start_ns_(support::now_ns()) {
     if (obs::enabled()) start_faults_ = minor_faults();
-    if (mode_ == CaptureMode::Streaming) {
-        collector_ = std::jthread(
-            [this](const std::stop_token& st) { collector_loop(st); });
-    }
 }
 
 ProfilingSession::~ProfilingSession() {
@@ -158,6 +153,9 @@ InstanceId ProfilingSession::register_instance(DsKind kind,
 void ProfilingSession::set_event_sink(EventSink sink) {
     sink_ = std::move(sink);
     has_sink_.store(static_cast<bool>(sink_), std::memory_order_release);
+    if (sink_ && !collector_.joinable() && capturing())
+        collector_ = std::jthread(
+            [this](const std::stop_token& st) { collector_loop(st); });
 }
 
 void ProfilingSession::set_instance_sink(InstanceSink sink) {
@@ -188,7 +186,7 @@ ProfilingSession::Channel& ProfilingSession::channel_for_current_thread() {
         // ever stalled by a registration.
         const auto tid = static_cast<ThreadId>(
             next_tid_.fetch_add(1, std::memory_order_relaxed));
-        chan = new Channel(tid, owner, mode_, ring_capacity_);
+        chan = new Channel(tid, owner);
         Channel* head = channels_head_.load(std::memory_order_relaxed);
         do {
             chan->next = head;
@@ -224,82 +222,71 @@ void ProfilingSession::record_slow(InstanceId instance, OpKind op,
         return;
     }
     const std::uint64_t k = chan.events.load(std::memory_order_relaxed);
-    if (mode_ == CaptureMode::Buffered) {
-        if (chan.write_pos == chan.write_limit) refill(chan, k);
-        *chan.write_pos++ = CaptureRow{position, instance, size, op};
-        chan.events.store(k + 1, std::memory_order_release);
-        return;
-    }
-
-    // Streaming: every event comes through here.
-    if (k % kTimestampStride == 0) tick(chan, k);
-    AccessEvent ev;
-    ev.seq = chan.seq_base + k % kSeqBlockSize;
-    ev.time_ns = chan.stamp;
-    ev.position = position;
-    ev.instance = instance;
-    ev.size = size;
-    ev.op = op;
-    ev.thread = chan.chain.thread;
-    // Blocking backpressure: the mutator waits for the collector rather
-    // than dropping events — profiles must be complete for the pattern
-    // analysis to be meaningful.  Escalate from yield to a short sleep in
-    // case the collector is in its idle backoff.
-    unsigned spins = 0;
-    while (!chan.ring->try_push(ev)) [[unlikely]] {
-        if (spins == 0 && obs::enabled())
-            obs::MetricsRegistry::global().add(
-                capture_metrics().backpressure_waits);
-        if (++spins < 64) {
-            std::this_thread::yield();
-        } else {
-            std::this_thread::sleep_for(std::chrono::microseconds(10));
-        }
-    }
+    if (chan.write_pos == chan.write_limit) refill(chan, k);
+    *chan.write_pos++ = CaptureRow{position, instance, size, op};
     chan.events.store(k + 1, std::memory_order_release);
-    // Ordered delivery: seq + 1 lower-bounds every future seq from this
-    // channel (fresh blocks come from a monotonic allocator).  The release
-    // pairs with the collector's acquire, so once it reads this bound,
-    // every event below it is already in the ring.
-    if (has_sink_.load(std::memory_order_relaxed))
-        chan.published.store(ev.seq + 1, std::memory_order_release);
-}
-
-void ProfilingSession::tick(Channel& chan, std::uint64_t k) {
-    if (k % kSeqBlockSize == 0) {
-        // Telemetry rides this branch (once per kSeqBlockSize events).
-        // The span parents under the session creator's context so refills
-        // show up inside the run's tree rather than as orphan roots.
-        DSSPY_TRACE_SPAN_UNDER("capture.seq_refill", trace_ctx_);
-        chan.seq_base =
-            seq_alloc_.fetch_add(kSeqBlockSize, std::memory_order_relaxed);
-        if (obs::enabled())
-            obs::MetricsRegistry::global().add(
-                capture_metrics().seq_block_refills);
-    }
-    chan.stamp = support::now_ns();
 }
 
 void ProfilingSession::refill(Channel& chan, std::uint64_t k) {
+    if (has_sink_.load(std::memory_order_relaxed)) {
+        // Blocking backpressure: the mutator waits for the collector
+        // rather than dropping events — profiles must be complete for the
+        // pattern analysis to be meaningful.  The bound counts events not
+        // yet copied out, never undelivered ones, so the wait cannot hang
+        // on another channel's watermark.  Escalate from yield to a short
+        // sleep in case the collector is in its idle backoff.
+        for (unsigned spins = 0;
+             k - chan.drained.load(std::memory_order_relaxed) > drain_bound_;
+             ++spins) {
+            if (spins == 0 && obs::enabled())
+                obs::MetricsRegistry::global().add(
+                    capture_metrics().backpressure_waits);
+            if (spins < 64) {
+                std::this_thread::yield();
+            } else {
+                std::this_thread::sleep_for(std::chrono::microseconds(10));
+            }
+        }
+    }
     std::vector<CaptureChunk>& chunks = chan.chain.chunks;
     if (chan.write_pos == chan.chunk_end) {
         // Chunk sizing follows next_capture_chunk's schedule: 6,788 rows
         // (160 KiB) first, doubling to 54,311 rows (1.25 MiB) on malloc,
-        // then 4 MiB huge-page chunks of 173,800 rows.
-        chunks.push_back(next_capture_chunk(
-            chunks.empty() ? 0 : chunks.back().capacity, k));
-        chan.write_pos = chunks.back().rows;
-        chan.chunk_end = chan.write_pos + chunks.back().capacity;
+        // then 4 MiB huge-page chunks of 173,800 rows.  An Incremental
+        // session never hands its chain to the store, so every chunk stays
+        // at the first size: the collector frees memory in 160 KiB steps
+        // that the next chunks reuse.
+        const bool grow =
+            !chunks.empty() && analysis_ == AnalysisMode::Postmortem;
+        CaptureChunk chunk =
+            next_capture_chunk(grow ? chunks.back().capacity : 0, k);
         // A block or stride already under way repeats its base and
         // reading in the new chunk's first slots.
-        chunks.back().seq_base(k) = chan.seq_base;
-        chunks.back().stamp(k) = chan.stamp;
+        chunk.seq_base(k) = chan.seq_base;
+        chunk.stamp(k) = chan.stamp;
+        chan.write_pos = chunk.rows;
+        chan.chunk_end = chunk.rows + chunk.capacity;
+        const std::scoped_lock lock(chan.chain_mutex);
+        chunks.push_back(std::move(chunk));
     }
     const std::uint64_t phase = k % kTimestampStride;
     if (phase == 0) {
-        tick(chan, k);
-        chunks.back().seq_base(k) = chan.seq_base;
-        chunks.back().stamp(k) = chan.stamp;
+        const CaptureChunk& chunk = chunks.back();
+        if (k % kSeqBlockSize == 0) {
+            // Telemetry rides this branch (once per kSeqBlockSize events).
+            // The span parents under the session creator's context so
+            // refills show up inside the run's tree rather than as orphan
+            // roots.
+            DSSPY_TRACE_SPAN_UNDER("capture.seq_refill", trace_ctx_);
+            chan.seq_base =
+                seq_alloc_.fetch_add(kSeqBlockSize, std::memory_order_relaxed);
+            chunk.seq_base(k) = chan.seq_base;
+            if (obs::enabled())
+                obs::MetricsRegistry::global().add(
+                    capture_metrics().seq_block_refills);
+        }
+        chan.stamp = support::now_ns();
+        chunk.stamp(k) = chan.stamp;
     }
     const auto to_stride =
         static_cast<std::ptrdiff_t>(kTimestampStride - phase);
@@ -308,30 +295,9 @@ void ProfilingSession::refill(Channel& chan, std::uint64_t k) {
 }
 
 void ProfilingSession::collector_loop(const std::stop_token& st) {
-    std::array<AccessEvent, 1024> batch;
     unsigned idle_rounds = 0;
     while (!st.stop_requested()) {
-        bool any = false;
-        // Re-read each round: the collector starts in the constructor,
-        // before any set_event_sink() call can have happened.
-        if (has_sink_.load(std::memory_order_acquire)) {
-            any = collect_ordered_round();
-        } else {
-            for (Channel* chan =
-                     channels_head_.load(std::memory_order_acquire);
-                 chan != nullptr; chan = chan->next) {
-                const std::size_t n = chan->ring->pop_into(batch);
-                if (n > 0) {
-                    if (analysis_ == AnalysisMode::Postmortem)
-                        store_.append(std::span(batch.data(), n));
-                    if (obs::enabled())
-                        obs::MetricsRegistry::global().observe(
-                            capture_metrics().drain_batch, n);
-                    any = true;
-                }
-            }
-        }
-        if (any) {
+        if (collect_round()) {
             idle_rounds = 0;
             continue;
         }
@@ -355,48 +321,55 @@ void ProfilingSession::collector_loop(const std::stop_token& st) {
     }
     // Final drain only: spanning every collector round would flood the
     // trace with millions of idle-loop spans; the steady-state drains are
-    // already covered by the drain_batch histogram.
+    // already covered by the drain_batch histogram.  stop() has sealed
+    // every channel, so no count can rise any more and everything still
+    // pending is deliverable.
     DSSPY_TRACE_SPAN_UNDER("capture.drain", trace_ctx_);
-    drain_all_rings();
-    if (has_sink_.load(std::memory_order_acquire)) {
-        // All producers have quiesced: no bound can rise any more, so
-        // everything still pending is deliverable.
-        deliver_ordered(/*final_flush=*/true);
-    }
+    while (collect_round()) {}
+    deliver_ordered(/*final_flush=*/true);
 }
 
-/// One ordered-collection round: per channel, read its published sequence
-/// bound and THEN drain the ring into the channel's pending buffer — that
-/// order guarantees that every event below the bound is in the buffer (the
-/// bound is release-stored after the push it covers).  Then deliver every
-/// pending event below the cross-channel watermark.
-bool ProfilingSession::collect_ordered_round() {
-    std::array<AccessEvent, 1024> batch;
+bool ProfilingSession::collect_round() {
+    const bool release = analysis_ == AnalysisMode::Incremental;
     bool any = false;
     for (Channel* chan = channels_head_.load(std::memory_order_acquire);
          chan != nullptr; chan = chan->next) {
-        chan->bound = chan->published.load(std::memory_order_acquire);
-        std::size_t n;
-        unsigned rounds = 0;
-        while ((n = chan->ring->pop_into(batch)) > 0) {
-            if (analysis_ == AnalysisMode::Postmortem)
-                store_.append(std::span(batch.data(), n));
-            chan->pending.insert(chan->pending.end(), batch.data(),
-                                 batch.data() + n);
-            any = true;
-            if (obs::enabled())
-                obs::MetricsRegistry::global().observe(
-                    capture_metrics().drain_batch, n);
-            // A fast producer could refill indefinitely; cap the drain and
-            // revisit next round.  Stopping early is safe: with events left
-            // in the ring, the channel's pending front (older than anything
-            // in the ring) bounds the watermark instead of `bound`.
-            if (++rounds == 16) break;
+        // The acquire pairs with the release in record(): every row below
+        // the count, and its side-table slots, are written.
+        const std::uint64_t published =
+            chan->events.load(std::memory_order_acquire);
+        const std::uint64_t from =
+            chan->drained.load(std::memory_order_relaxed);
+        if (from == published) continue;
+        const std::uint64_t to = std::min(published, from + kDrainSlice);
+        std::uint64_t k = from;
+        while (k < to) {
+            CaptureView& view = chan->reading;
+            if (k == view.first + view.capacity) {
+                // The thread has moved past this chunk: step to the next,
+                // freeing this one when nothing else will read it.
+                const std::scoped_lock lock(chan->chain_mutex);
+                std::vector<CaptureChunk>& chunks = chan->chain.chunks;
+                if (release && chan->next_chunk > 0)
+                    chunks[chan->next_chunk - 1].storage.reset();
+                view = chunks[chan->next_chunk++];
+            }
+            const std::uint64_t end =
+                std::min<std::uint64_t>(to, view.first + view.capacity);
+            for (; k < end; ++k)
+                chan->pending.push_back(
+                    view.event(k - view.first, chan->chain.thread));
         }
-        if (obs::enabled() && chan->pending.size() > chan->pending_head)
+        if (obs::enabled())
+            obs::MetricsRegistry::global().observe(
+                capture_metrics().drain_batch, to - from);
+        chan->drained.store(to, std::memory_order_relaxed);
+        chan->bound = chan->pending.back().seq + 1;
+        if (obs::enabled())
             obs::MetricsRegistry::global().gauge_max(
                 capture_metrics().pending_hwm,
                 chan->pending.size() - chan->pending_head);
+        any = true;
     }
     deliver_ordered(/*final_flush=*/false);
     return any;
@@ -404,8 +377,8 @@ bool ProfilingSession::collect_ordered_round() {
 
 /// Deliver pending events to the sink in ascending global seq order, up to
 /// the watermark (the minimum over every channel's next undelivered seq or,
-/// for fully-drained channels, its published bound).  With `final_flush`
-/// the bounds are ignored: no further events can appear.
+/// for fully-delivered channels, its bound).  With `final_flush` the
+/// bounds are ignored: no further events can appear.
 void ProfilingSession::deliver_ordered(bool final_flush) {
     for (;;) {
         Channel* best = nullptr;
@@ -450,83 +423,6 @@ void ProfilingSession::deliver_ordered(bool final_flush) {
     }
 }
 
-void ProfilingSession::drain_all_rings() {
-    std::array<AccessEvent, 1024> batch;
-    const bool ordered = has_sink_.load(std::memory_order_acquire);
-    for (Channel* chan = channels_head_.load(std::memory_order_acquire);
-         chan != nullptr; chan = chan->next) {
-        if (!chan->ring) continue;
-        std::size_t n;
-        while ((n = chan->ring->pop_into(batch)) > 0) {
-            if (analysis_ == AnalysisMode::Postmortem)
-                store_.append(std::span(batch.data(), n));
-            if (ordered)
-                chan->pending.insert(chan->pending.end(), batch.data(),
-                                     batch.data() + n);
-        }
-    }
-}
-
-/// Buffered-mode ordered delivery: k-way merge of the sealed per-thread
-/// chunk chains by seq, batched to the sink.  Runs on the stop() caller.
-/// With `release`, each chunk is freed as soon as the merge has left it.
-void ProfilingSession::buffered_merge_to_sink(bool release) {
-    struct Cursor {
-        CaptureChain* chain;
-        std::size_t chunk = 0;
-        std::size_t offset = 0;
-    };
-    std::vector<Cursor> cursors;
-    for (Channel* chan = channels_head_.load(std::memory_order_acquire);
-         chan != nullptr; chan = chan->next)
-        if (!chan->chain.chunks.empty() && chan->chain.chunks.front().size > 0)
-            cursors.push_back(Cursor{&chan->chain});
-    const auto front_seq = [](const Cursor& c) {
-        return c.chain->chunks[c.chunk].seq(c.offset);
-    };
-    // Steps past one event; false once the chain is exhausted.
-    const auto advance = [release](Cursor& c) {
-        std::vector<CaptureChunk>& chunks = c.chain->chunks;
-        if (++c.offset < chunks[c.chunk].size) return true;
-        if (release) chunks[c.chunk].storage.reset();
-        c.offset = 0;
-        return ++c.chunk < chunks.size() && chunks[c.chunk].size > 0;
-    };
-    std::vector<AccessEvent> batch;
-    batch.reserve(1024);
-    while (!cursors.empty()) {
-        // Pick the channel holding the globally smallest seq and stream it
-        // until the runner-up channel's seq takes over.
-        std::size_t bi = 0;
-        std::uint64_t second = std::numeric_limits<std::uint64_t>::max();
-        for (std::size_t i = 1; i < cursors.size(); ++i) {
-            const std::uint64_t seq = front_seq(cursors[i]);
-            if (seq < front_seq(cursors[bi])) {
-                second = std::min(second, front_seq(cursors[bi]));
-                bi = i;
-            } else {
-                second = std::min(second, seq);
-            }
-        }
-        Cursor& c = cursors[bi];
-        bool more = true;
-        while (more && front_seq(c) < second) {
-            batch.push_back(c.chain->chunks[c.chunk].event(
-                c.offset, c.chain->thread));
-            more = advance(c);
-            if (batch.size() == batch.capacity()) {
-                sink_(std::span<const AccessEvent>(batch));
-                batch.clear();
-            }
-        }
-        if (!more) {
-            cursors[bi] = cursors.back();
-            cursors.pop_back();
-        }
-    }
-    if (!batch.empty()) sink_(std::span<const AccessEvent>(batch));
-}
-
 void ProfilingSession::stop() {
     bool expected = true;
     if (!capturing_.compare_exchange_strong(expected, false,
@@ -535,33 +431,24 @@ void ProfilingSession::stop() {
     stop_ns_ = support::now_ns();
     DSSPY_TRACE_SPAN("capture.stop");
 
-    if (mode_ == CaptureMode::Streaming) {
-        if (collector_.joinable()) {
-            collector_.request_stop();
-            collector_.join();  // collector drains remaining events on exit
-        }
-        for (Channel* chan = channels_head_.load(std::memory_order_acquire);
-             chan != nullptr; chan = chan->next)
-            chan->sealed.store(true, std::memory_order_release);
-    } else {
-        for (Channel* chan = channels_head_.load(std::memory_order_acquire);
-             chan != nullptr; chan = chan->next) {
-            chan->sealed.store(true, std::memory_order_release);
-            // The acquire pairs with the release in record(): exactly the
-            // events whose writes are fully published are handed on.
-            seal_chain(chan->chain.chunks,
-                       chan->events.load(std::memory_order_acquire));
-        }
-        const bool retain = analysis_ == AnalysisMode::Postmortem;
-        if (has_sink_.load(std::memory_order_acquire))
-            buffered_merge_to_sink(/*release=*/!retain);
-        // Each chain goes to the store as it is, or is dropped: no channel
-        // keeps its chunks past stop().
-        for (Channel* chan = channels_head_.load(std::memory_order_acquire);
-             chan != nullptr; chan = chan->next) {
-            if (retain) store_.adopt(std::move(chan->chain));
-            chan->chain = CaptureChain();
-        }
+    for (Channel* chan = channels_head_.load(std::memory_order_acquire);
+         chan != nullptr; chan = chan->next)
+        chan->sealed.store(true, std::memory_order_release);
+    if (collector_.joinable()) {
+        collector_.request_stop();
+        collector_.join();  // the collector delivers the rest on exit
+    }
+    // Each chain goes to the store as it is, or is dropped: no channel
+    // keeps its chunks past stop().
+    const bool retain = analysis_ == AnalysisMode::Postmortem;
+    for (Channel* chan = channels_head_.load(std::memory_order_acquire);
+         chan != nullptr; chan = chan->next) {
+        // The acquire pairs with the release in record(): exactly the
+        // events whose writes are fully published are handed on.
+        seal_chain(chan->chain.chunks,
+                   chan->events.load(std::memory_order_acquire));
+        if (retain) store_.adopt(std::move(chan->chain));
+        chan->chain = CaptureChain();
     }
     // Page faults are sampled only when telemetry was on from the start.
     const bool sample_faults = obs::enabled() && start_faults_.has_value();

@@ -292,8 +292,10 @@ void drive_multithreaded(ProfilingSession& session) {
     std::jthread consumer2(consumer, 2);
 }
 
+// The sink streams live behind a drain bound that holds the recording
+// threads back.
 TEST(LiveSessionDifferential, StreamingSinkMatchesPostmortem) {
-    ProfilingSession session(CaptureMode::Streaming);
+    ProfilingSession session(CaptureMode::Buffered, /*drain_bound=*/256);
     IncrementalAnalyzer inc;
     core::attach_incremental(session, inc);
     drive_multithreaded(session);
@@ -326,7 +328,7 @@ TEST(LiveSessionDifferential, IncrementalModeRetainsNoEvents) {
     reference.stop();
     const AnalysisResult pm = Dsspy{}.analyze(reference);
 
-    ProfilingSession session(CaptureMode::Streaming, 64 * 1024,
+    ProfilingSession session(CaptureMode::Buffered, 64 * 1024,
                              AnalysisMode::Incremental);
     IncrementalAnalyzer inc;
     core::attach_incremental(session, inc);

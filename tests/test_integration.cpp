@@ -8,6 +8,7 @@
 #include "core/dsspy.hpp"
 #include "core/report.hpp"
 #include "ds/ds.hpp"
+#include "live_sink.hpp"
 #include "parallel/algorithms.hpp"
 #include "support/rng.hpp"
 
@@ -18,16 +19,19 @@ using core::AnalysisResult;
 using core::Dsspy;
 using core::PatternKind;
 using core::UseCaseKind;
-using runtime::CaptureMode;
+using runtime::Delivery;
+using runtime::LiveSinkCheck;
 using runtime::ProfilingSession;
 
-class PipelineModeTest : public ::testing::TestWithParam<CaptureMode> {};
+class PipelineModeTest : public ::testing::TestWithParam<Delivery> {};
 
 TEST_P(PipelineModeTest, Figure3WorkloadEndToEnd) {
     // The paper's Figure 3 profile: repeated append phases, each followed
     // by a full forward read, then a clear -> Long-Insert +
     // Frequent-Long-Read on the same list.
-    ProfilingSession session(GetParam());
+    ProfilingSession session;
+    LiveSinkCheck sink;
+    sink.attach(session, GetParam());
     {
         ds::ProfiledList<int> list(&session, {"Paper", "Figure3", 1});
         for (int round = 0; round < 15; ++round) {
@@ -40,6 +44,7 @@ TEST_P(PipelineModeTest, Figure3WorkloadEndToEnd) {
         }
     }
     session.stop();
+    sink.expect_complete(session, GetParam());
 
     const AnalysisResult analysis = Dsspy{}.analyze(session);
     ASSERT_EQ(analysis.instances().size(), 1u);
@@ -67,17 +72,16 @@ TEST_P(PipelineModeTest, Figure3WorkloadEndToEnd) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, PipelineModeTest,
-                         ::testing::Values(CaptureMode::Buffered,
-                                           CaptureMode::Streaming),
-                         [](const auto& info) {
-                             return info.param == CaptureMode::Buffered
-                                        ? "Buffered"
-                                        : "Streaming";
-                         });
+                         ::testing::Values(Delivery::Buffered,
+                                           Delivery::Streaming),
+                         runtime::delivery_name);
 
+// With and without a live sink draining the chains during capture.
 TEST(Pipeline, BufferedAndStreamingProduceIdenticalAnalyses) {
-    auto run = [](CaptureMode mode) {
-        ProfilingSession session(mode);
+    auto run = [](Delivery delivery) {
+        ProfilingSession session;
+        LiveSinkCheck sink;
+        sink.attach(session, delivery);
         {
             ds::ProfiledList<int> list(&session, {"X", "M", 1});
             for (int i = 0; i < 500; ++i) list.add(i);
@@ -86,9 +90,10 @@ TEST(Pipeline, BufferedAndStreamingProduceIdenticalAnalyses) {
                     (void)list.get(i);
         }
         session.stop();
+        sink.expect_complete(session, delivery);
         return Dsspy{}.analyze(session).use_case_counts();
     };
-    EXPECT_EQ(run(CaptureMode::Buffered), run(CaptureMode::Streaming));
+    EXPECT_EQ(run(Delivery::Buffered), run(Delivery::Streaming));
 }
 
 TEST(Pipeline, MultithreadedAccessIsAnalyzedPerThread) {

@@ -34,6 +34,7 @@
 #include "pipeline/runner.hpp"
 #include "runtime/session.hpp"
 #include "runtime/trace_io.hpp"
+#include "support/stopwatch.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -316,6 +317,25 @@ TEST(PipelineWatch, SnapshotsFireAndFinalReportEmits) {
     // Ticks are timing-dependent; zero is possible only if the workload
     // beat the first 5ms interval, which the Mandelbrot render never does.
     EXPECT_GT(ticks, 0);
+}
+
+// The workload's end cuts the snapshot wait short: a watch with a 10 s
+// interval returns as soon as the render is done, with no tick.
+TEST(PipelineWatch, ReturnsWhenWorkloadEnds) {
+    pipeline::RunPlan plan = app_plan("Mandelbrot", report_only());
+    plan.watch = true;
+    plan.snapshot_interval_ms = 10'000;
+    int ticks = 0;
+    std::ostringstream out;
+    std::ostringstream err;
+    const pipeline::PipelineRunner runner;
+    const support::Stopwatch watch;
+    const pipeline::RunOutcome outcome = runner.run(
+        plan, out, err, [&](const pipeline::WatchTick&) { ++ticks; });
+    EXPECT_LT(watch.elapsed_s(), 5.0);
+    EXPECT_TRUE(outcome.ok());
+    EXPECT_GT(outcome.events, 0u);
+    EXPECT_EQ(ticks, 0);
 }
 
 // ---------------------------------------------------------------------------

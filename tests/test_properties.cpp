@@ -7,6 +7,7 @@
 
 #include "core/dsspy.hpp"
 #include "ds/ds.hpp"
+#include "live_sink.hpp"
 #include "runtime/trace_io.hpp"
 #include "support/rng.hpp"
 
@@ -17,7 +18,7 @@ using core::AnalysisResult;
 using core::Dsspy;
 using core::InstanceAnalysis;
 using core::Pattern;
-using runtime::CaptureMode;
+using runtime::Delivery;
 using runtime::ProfilingSession;
 
 /// Random mixed workload over several instances; returns the session.
@@ -166,10 +167,13 @@ TEST_P(PipelinePropertyTest, UseCasesAreConsistentlyLabeled) {
 }
 
 TEST_P(PipelinePropertyTest, CaptureModesAgree) {
-    auto counts = [this](CaptureMode mode) {
-        ProfilingSession session(mode);
+    auto counts = [this](Delivery delivery) {
+        ProfilingSession session;
+        runtime::LiveSinkCheck sink;
+        sink.attach(session, delivery);
         random_workload(session, GetParam());
         session.stop();
+        sink.expect_complete(session, delivery);
         const AnalysisResult analysis = Dsspy{}.analyze(session);
         std::ostringstream fingerprint;
         for (const InstanceAnalysis& ia : analysis.instances()) {
@@ -179,7 +183,7 @@ TEST_P(PipelinePropertyTest, CaptureModesAgree) {
         }
         return fingerprint.str();
     };
-    EXPECT_EQ(counts(CaptureMode::Buffered), counts(CaptureMode::Streaming));
+    EXPECT_EQ(counts(Delivery::Buffered), counts(Delivery::Streaming));
 }
 
 TEST_P(PipelinePropertyTest, TraceRoundTripIsLossless) {

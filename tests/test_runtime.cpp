@@ -1,4 +1,4 @@
-// Unit tests for dsspy::runtime: SPSC ring, registry, store, session.
+// Unit tests for dsspy::runtime: bulk buffers, registry, store, session.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,69 +13,15 @@
 #include <sanitizer/asan_interface.h>
 #endif
 
+#include "live_sink.hpp"
 #include "runtime/bulk_buffer.hpp"
 #include "runtime/column_store.hpp"
 #include "runtime/instance_registry.hpp"
 #include "runtime/profile_store.hpp"
 #include "runtime/session.hpp"
-#include "runtime/spsc_ring.hpp"
 
 namespace dsspy::runtime {
 namespace {
-
-TEST(SpscRing, PushPopSingleThread) {
-    SpscRing<int> ring(8);
-    EXPECT_TRUE(ring.empty_approx());
-    for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.try_push(i));
-    EXPECT_FALSE(ring.try_push(99));  // full
-    for (int i = 0; i < 8; ++i) {
-        const auto v = ring.try_pop();
-        ASSERT_TRUE(v.has_value());
-        EXPECT_EQ(*v, i);
-    }
-    EXPECT_FALSE(ring.try_pop().has_value());
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-    SpscRing<int> ring(100);
-    EXPECT_EQ(ring.capacity(), 128u);
-}
-
-TEST(SpscRing, BatchedPopPreservesOrder) {
-    SpscRing<int> ring(64);
-    for (int i = 0; i < 50; ++i) ASSERT_TRUE(ring.try_push(i));
-    std::vector<int> out(32);
-    const std::size_t n1 = ring.pop_into(out);
-    EXPECT_EQ(n1, 32u);
-    for (int i = 0; i < 32; ++i) EXPECT_EQ(out[static_cast<size_t>(i)], i);
-    const std::size_t n2 = ring.pop_into(out);
-    EXPECT_EQ(n2, 18u);
-    EXPECT_EQ(out[0], 32);
-}
-
-TEST(SpscRing, ConcurrentProducerConsumer) {
-    SpscRing<std::uint64_t> ring(1024);
-    constexpr std::uint64_t kCount = 200'000;
-    std::thread producer([&ring] {
-        for (std::uint64_t i = 0; i < kCount; ++i) {
-            while (!ring.try_push(i)) std::this_thread::yield();
-        }
-    });
-    std::uint64_t expected = 0;
-    std::uint64_t sum = 0;
-    while (expected < kCount) {
-        const auto v = ring.try_pop();
-        if (!v) {
-            std::this_thread::yield();
-            continue;
-        }
-        EXPECT_EQ(*v, expected);  // FIFO order, no loss, no duplication
-        sum += *v;
-        ++expected;
-    }
-    producer.join();
-    EXPECT_EQ(sum, kCount * (kCount - 1) / 2);
-}
 
 // ------------------------------------------------------------ bulk buffers
 
@@ -253,10 +199,12 @@ TEST(ProfileStore, IgnoresInvalidInstance) {
     EXPECT_EQ(store.total_events(), 0u);
 }
 
-class SessionModeTest : public ::testing::TestWithParam<CaptureMode> {};
+class SessionModeTest : public ::testing::TestWithParam<Delivery> {};
 
 TEST_P(SessionModeTest, RecordsEventsWithMetadata) {
-    ProfilingSession session(GetParam());
+    ProfilingSession session;
+    LiveSinkCheck sink;
+    sink.attach(session, GetParam());
     const InstanceId id = session.register_instance(
         DsKind::List, "List<Int32>", {"Cls", "M", 1});
     for (int i = 0; i < 100; ++i)
@@ -276,10 +224,13 @@ TEST_P(SessionModeTest, RecordsEventsWithMetadata) {
         EXPECT_LT(events[i - 1].seq, events[i].seq);
     EXPECT_EQ(session.thread_count(), 1u);
     EXPECT_EQ(session.events_recorded(), 100u);
+    sink.expect_complete(session, GetParam());
 }
 
 TEST_P(SessionModeTest, MultiThreadedRecordingLosesNothing) {
-    ProfilingSession session(GetParam());
+    ProfilingSession session;
+    LiveSinkCheck sink;
+    sink.attach(session, GetParam());
     constexpr int kThreads = 4;
     constexpr int kPerThread = 25'000;
     std::vector<InstanceId> ids;
@@ -310,10 +261,13 @@ TEST_P(SessionModeTest, MultiThreadedRecordingLosesNothing) {
     }
     EXPECT_EQ(total, static_cast<std::size_t>(kThreads * kPerThread));
     EXPECT_EQ(session.thread_count(), static_cast<std::size_t>(kThreads));
+    sink.expect_complete(session, GetParam());
 }
 
 TEST_P(SessionModeTest, StopIsIdempotentAndStopsCapture) {
-    ProfilingSession session(GetParam());
+    ProfilingSession session;
+    LiveSinkCheck sink;
+    sink.attach(session, GetParam());
     const InstanceId id = session.register_instance(
         DsKind::List, "List<Int32>", {"Cls", "M", 1});
     session.record(id, OpKind::Add, 0, 1);
@@ -324,21 +278,21 @@ TEST_P(SessionModeTest, StopIsIdempotentAndStopsCapture) {
     session.stop();                         // idempotent
     EXPECT_EQ(session.store().events(id).size(), 1u);
     EXPECT_GT(session.capture_duration_ns(), 0u);
+    sink.expect_complete(session, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, SessionModeTest,
-                         ::testing::Values(CaptureMode::Buffered,
-                                           CaptureMode::Streaming),
-                         [](const auto& info) {
-                             return info.param == CaptureMode::Buffered
-                                        ? "Buffered"
-                                        : "Streaming";
-                         });
+                         ::testing::Values(Delivery::Buffered,
+                                           Delivery::Streaming),
+                         delivery_name);
 
-TEST(Session, StreamingBackpressureLosesNothingWithTinyRings) {
-    // A deliberately undersized ring forces the producers to block on the
-    // collector; every event must still arrive exactly once.
-    ProfilingSession session(CaptureMode::Streaming, /*ring_capacity=*/4);
+TEST(Session, LiveDrainBackpressureLosesNothingWithTinyBound) {
+    // A deliberately tiny drain bound makes the producers wait for the
+    // collector at every refill; every event must still arrive exactly
+    // once, in the store and at the sink.
+    ProfilingSession session(CaptureMode::Buffered, /*drain_bound=*/4);
+    LiveSinkCheck sink;
+    sink.attach(session, Delivery::Streaming);
     constexpr int kThreads = 3;
     constexpr int kPerThread = 20'000;
     std::vector<InstanceId> ids;
@@ -362,6 +316,8 @@ TEST(Session, StreamingBackpressureLosesNothingWithTinyRings) {
         for (size_t i = 0; i < events.size(); ++i)
             EXPECT_EQ(events[i].position, static_cast<std::int64_t>(i));
     }
+    sink.expect_complete(session, Delivery::Streaming);
+    EXPECT_EQ(sink.events, static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
 TEST(Session, TwoLiveSessionsDoNotInterfere) {
