@@ -18,8 +18,15 @@
 // acceptance bound is <=2% on the hot path (spans only ride cold
 // branches, so the delta should be indistinguishable from noise).
 //
+// The two on/off deltas report the median and quartiles of per-pair
+// deltas over `rounds` pairs of ~20 ms rounds (96 sessions of 65,536
+// records each per round), not a best-of: a single 0.2 ms round spreads
+// by tens of percent on a shared host.
+//
 // Usage: capture_overhead [output.json] [rounds] [obs_output.json]
 //                         [trace_output.json]
+// (`rounds`: best-of rounds per capture-table entry, and on/off pairs per
+// delta.)
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -174,72 +181,148 @@ struct Result {
     double ns;
 };
 
-/// Telemetry on/off delta for one kind of session, measured back-to-back so
-/// ambient drift hits both sides equally.
+/// Records per timed round of an on/off delta: kOpsPerRound records into
+/// each of this many fresh sessions, record() windows summed.  About 20 ms
+/// of record() per round at 3-4 ns/op: a 0.2 ms round of one session
+/// cannot resolve a 2% bound on a shared host.
+constexpr std::size_t kDeltaSessionsPerRound = 96;
+
+/// ns/op of one delta round (setup and stop() of each session untimed).
+double delta_round_ns(bool live_sink) {
+    double ns = 0;
+    for (std::size_t s = 0; s < kDeltaSessionsPerRound; ++s)
+        ns += bench_record(live_sink, 1);
+    return ns / static_cast<double>(kDeltaSessionsPerRound);
+}
+
+/// `q` in [0, 1] of sorted `v`, interpolated between order statistics.
+double quantile(const std::vector<double>& v, double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+double median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return quantile(v, 0.5);
+}
+
+/// Instrumentation on/off delta for one kind of session: each side's
+/// median ns/op and the quartiles of the per-pair deltas in percent.
 struct ObsDelta {
     std::string name;
     double off_ns = 0;
     double on_ns = 0;
-
-    [[nodiscard]] double overhead_pct() const {
-        return off_ns > 0 ? (on_ns - off_ns) / off_ns * 100.0 : 0.0;
-    }
+    double pct_q1 = 0;
+    double pct_median = 0;
+    double pct_q3 = 0;
 };
 
-ObsDelta bench_obs_delta(bool live_sink, const char* name, int rounds) {
-    auto& reg = obs::MetricsRegistry::global();
+/// Measure `pairs` pairs of rounds, run back to back in alternating order
+/// so ambient drift (frequency, page cache, allocator state) hits both
+/// sides equally.  `set_on(bool)` switches the instrumentation under test;
+/// `after_pair` runs untimed after each pair.
+template <typename SetOn, typename AfterPair>
+ObsDelta measure_delta(bool live_sink, const char* name, int pairs,
+                       SetOn set_on, AfterPair after_pair) {
+    std::vector<double> off, on, pct;
+    for (int r = 0; r < pairs; ++r) {
+        const bool on_first = (r & 1) != 0;
+        set_on(on_first);
+        const double first = delta_round_ns(live_sink);
+        set_on(!on_first);
+        const double second = delta_round_ns(live_sink);
+        off.push_back(on_first ? second : first);
+        on.push_back(on_first ? first : second);
+        pct.push_back((on.back() - off.back()) / off.back() * 100.0);
+        after_pair();
+    }
+    std::sort(pct.begin(), pct.end());
     ObsDelta delta;
     delta.name = name;
-    delta.off_ns = 1e100;
-    delta.on_ns = 1e100;
-    // Interleave off/on rounds, alternating which side goes first, so
-    // ambient drift (frequency, page cache, allocator state) and short
-    // quiet windows on a shared machine hit both sides equally instead of
-    // masquerading as telemetry cost.
-    for (int r = 0; r < rounds; ++r) {
-        const bool on_first = (r & 1) != 0;
-        reg.set_enabled(on_first);
-        const double first = bench_record(live_sink, 1);
-        reg.set_enabled(!on_first);
-        const double second = bench_record(live_sink, 1);
-        delta.off_ns = std::min(delta.off_ns, on_first ? second : first);
-        delta.on_ns = std::min(delta.on_ns, on_first ? first : second);
-    }
+    delta.off_ns = median(off);
+    delta.on_ns = median(on);
+    delta.pct_q1 = quantile(pct, 0.25);
+    delta.pct_median = quantile(pct, 0.5);
+    delta.pct_q3 = quantile(pct, 0.75);
+    return delta;
+}
+
+/// Metrics-registry on/off delta.
+ObsDelta bench_obs_delta(bool live_sink, const char* name, int pairs) {
+    auto& reg = obs::MetricsRegistry::global();
+    const ObsDelta delta = measure_delta(
+        live_sink, name, pairs, [&reg](bool on) { reg.set_enabled(on); },
+        [] {});
     reg.set_enabled(false);
     reg.reset();
     return delta;
 }
 
-/// Span-recorder on/off delta for one kind of session.  The metrics registry
-/// stays enabled on both sides so the measured difference is the trace
-/// recorder alone, on top of a realistically instrumented capture path.
-ObsDelta bench_trace_delta(bool live_sink, const char* name, int rounds) {
+/// Span-recorder on/off delta.  The metrics registry stays enabled on both
+/// sides so the measured difference is the trace recorder alone, on top of
+/// a realistically instrumented capture path.
+ObsDelta bench_trace_delta(bool live_sink, const char* name, int pairs) {
     auto& reg = obs::MetricsRegistry::global();
     auto& tracer = obs::TraceRecorder::global();
     reg.set_enabled(true);
-    ObsDelta delta;
-    delta.name = name;
-    delta.off_ns = 1e100;
-    delta.on_ns = 1e100;
-    for (int r = 0; r < rounds; ++r) {
-        const bool on_first = (r & 1) != 0;
-        tracer.set_enabled(on_first);
-        const double first = bench_record(live_sink, 1);
-        tracer.set_enabled(!on_first);
-        const double second = bench_record(live_sink, 1);
-        delta.off_ns = std::min(delta.off_ns, on_first ? second : first);
-        delta.on_ns = std::min(delta.on_ns, on_first ? first : second);
-        // Drop the spans the on-side buffered so every round starts from
-        // the same recorder and allocator state; without this, chunk
-        // allocations accumulate across rounds and read as phantom
-        // capture-path overhead on the off side too.
-        tracer.set_enabled(false);
-        tracer.reset();
-    }
+    const ObsDelta delta = measure_delta(
+        live_sink, name, pairs,
+        [&tracer](bool on) { tracer.set_enabled(on); },
+        [&tracer] {
+            // Drop the spans the on-side buffered so every pair starts
+            // from the same recorder and allocator state; without this,
+            // chunk allocations accumulate across pairs and read as
+            // phantom capture-path overhead on the off side too.
+            tracer.set_enabled(false);
+            tracer.reset();
+        });
     tracer.set_enabled(false);
     reg.set_enabled(false);
     reg.reset();
     return delta;
+}
+
+/// One delta file: provenance, then one result per kind of session.
+bool write_delta_json(const std::string& path, const char* benchmark,
+                      int pairs, const char* bound_pct,
+                      const std::vector<ObsDelta>& deltas) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        std::perror("capture_overhead: fopen");
+        return false;
+    }
+    std::fprintf(f, "{\n  \"benchmark\": \"%s\",\n", benchmark);
+    std::fprintf(f, "  \"hardware_threads\": %u,\n",
+                 std::thread::hardware_concurrency());
+    std::fprintf(f, "  \"ops_per_round\": %zu,\n",
+                 kOpsPerRound * kDeltaSessionsPerRound);
+    std::fprintf(f, "  \"sessions_per_round\": %zu,\n",
+                 kDeltaSessionsPerRound);
+    std::fprintf(f, "  \"pairs\": %d,\n", pairs);
+    std::fprintf(f, "  \"statistic\": \"median and quartiles of per-pair "
+                    "on/off deltas\",\n");
+    if (bound_pct != nullptr)
+        std::fprintf(f, "  \"acceptance_bound_pct\": %s,\n", bound_pct);
+    std::fprintf(f, "  \"results\": [\n");
+    for (std::size_t i = 0; i < deltas.size(); ++i) {
+        const ObsDelta& d = deltas[i];
+        std::fprintf(f,
+                     "    {\"name\": \"%s\", \"ns_per_op_off\": %.3f, "
+                     "\"ns_per_op_on\": %.3f, \"overhead_pct\": %.2f, "
+                     "\"overhead_pct_q1\": %.2f, \"overhead_pct_q3\": %.2f}%s\n",
+                     d.name.c_str(), d.off_ns, d.on_ns, d.pct_median,
+                     d.pct_q1, d.pct_q3, i + 1 < deltas.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]\n}\n");
+    std::fclose(f);
+    for (const ObsDelta& d : deltas)
+        std::printf("%-24s off %8.3f  on %8.3f ns/op  (%+.2f%% [%+.2f, %+.2f])\n",
+                    d.name.c_str(), d.off_ns, d.on_ns, d.pct_median,
+                    d.pct_q1, d.pct_q3);
+    std::printf("wrote %s\n", path.c_str());
+    return true;
 }
 
 }  // namespace
@@ -319,64 +402,16 @@ int main(int argc, char** argv) {
     deltas.push_back(
         bench_obs_delta(/*live_sink=*/true, "record_live_sink", rounds));
 
-    std::FILE* fo = std::fopen(obs_path.c_str(), "w");
-    if (fo == nullptr) {
-        std::perror("capture_overhead: fopen");
+    if (!write_delta_json(obs_path, "obs_overhead", rounds, nullptr, deltas))
         return 1;
-    }
-    std::fprintf(fo, "{\n  \"benchmark\": \"obs_overhead\",\n");
-    std::fprintf(fo, "  \"hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(fo, "  \"ops_per_round\": %zu,\n", kOpsPerRound);
-    std::fprintf(fo, "  \"rounds\": %d,\n", rounds);
-    std::fprintf(fo, "  \"results\": [\n");
-    for (std::size_t i = 0; i < deltas.size(); ++i) {
-        const ObsDelta& d = deltas[i];
-        std::fprintf(fo,
-                     "    {\"name\": \"%s\", \"ns_per_op_off\": %.2f, "
-                     "\"ns_per_op_on\": %.2f, \"overhead_pct\": %.2f}%s\n",
-                     d.name.c_str(), d.off_ns, d.on_ns, d.overhead_pct(),
-                     i + 1 < deltas.size() ? "," : "");
-    }
-    std::fprintf(fo, "  ]\n}\n");
-    std::fclose(fo);
-
-    for (const ObsDelta& d : deltas)
-        std::printf("%-24s off %8.2f  on %8.2f ns/op  (%+.2f%%)\n",
-                    d.name.c_str(), d.off_ns, d.on_ns, d.overhead_pct());
-    std::printf("wrote %s\n", obs_path.c_str());
 
     // Span-tracing cost: record() with the trace recorder off vs on
     // (measured at the top of main, see the comment there).  The hot
     // path gains no tracing code at all (spans ride the cold seq-refill
     // and drain branches only), so the acceptance bound is <=2%.
     const std::string trace_path = argc > 4 ? argv[4] : "BENCH_trace_obs.json";
-    std::FILE* ft = std::fopen(trace_path.c_str(), "w");
-    if (ft == nullptr) {
-        std::perror("capture_overhead: fopen");
+    if (!write_delta_json(trace_path, "trace_obs_overhead", rounds, "2.0",
+                          trace_deltas))
         return 1;
-    }
-    std::fprintf(ft, "{\n  \"benchmark\": \"trace_obs_overhead\",\n");
-    std::fprintf(ft, "  \"hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
-    std::fprintf(ft, "  \"ops_per_round\": %zu,\n", kOpsPerRound);
-    std::fprintf(ft, "  \"rounds\": %d,\n", rounds);
-    std::fprintf(ft, "  \"acceptance_bound_pct\": 2.0,\n");
-    std::fprintf(ft, "  \"results\": [\n");
-    for (std::size_t i = 0; i < trace_deltas.size(); ++i) {
-        const ObsDelta& d = trace_deltas[i];
-        std::fprintf(ft,
-                     "    {\"name\": \"%s\", \"ns_per_op_off\": %.2f, "
-                     "\"ns_per_op_on\": %.2f, \"overhead_pct\": %.2f}%s\n",
-                     d.name.c_str(), d.off_ns, d.on_ns, d.overhead_pct(),
-                     i + 1 < trace_deltas.size() ? "," : "");
-    }
-    std::fprintf(ft, "  ]\n}\n");
-    std::fclose(ft);
-
-    for (const ObsDelta& d : trace_deltas)
-        std::printf("%-24s off %8.2f  on %8.2f ns/op  (%+.2f%%)\n",
-                    d.name.c_str(), d.off_ns, d.on_ns, d.overhead_pct());
-    std::printf("wrote %s\n", trace_path.c_str());
     return 0;
 }

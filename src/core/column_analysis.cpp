@@ -22,41 +22,27 @@ constexpr std::uint8_t kTypeSearch =
 constexpr std::uint8_t kTypeForAll =
     static_cast<std::uint8_t>(AccessType::ForAll);
 
-/// Reconstruct the event-struct view of row `i` for the generic machine
-/// step (the slow path of the detector: rows that open, close, or redirect
-/// a run).
-runtime::AccessEvent row_event(const ColumnSlice& s, std::size_t i) {
-    runtime::AccessEvent ev{};
-    ev.seq = i;
-    ev.time_ns = s.time_ns[i];
-    ev.position = s.positions[i];
-    ev.size = s.sizes[i];
-    ev.op = static_cast<runtime::OpKind>(s.ops[i]);
-    ev.thread = s.threads[i];
-    return ev;
-}
+}  // namespace
 
-/// Longest prefix of rows starting at `i` that provably extend `run`
-/// (kernels::* streak scans); 0 when no bulk fast path applies and the
-/// row must go through the generic machine step.
-///
-/// Each case first tests row `i` alone with the scalar predicate: when the
-/// very first row does not continue the run the kernel would return 0
-/// anyway, and skipping its dispatch/setup keeps streak-hostile streams
-/// (alternating categories, queue churn) no slower than the plain
-/// per-event machine.
+namespace detail {
+
+// Each case first tests row `i` alone with the scalar predicate: when the
+// very first row does not continue the run the kernel would return 0
+// anyway, and skipping its dispatch/setup keeps streak-hostile streams
+// (alternating categories, queue churn) no slower than the plain
+// per-event machine.
 std::size_t run_streak(const ColumnSlice& s, std::size_t i,
-                       const detail::PatternRun& run) {
+                       const PatternRun& run) {
     const std::size_t n = s.n - i;
     const std::uint16_t tid = s.threads[i];
     switch (run.cat) {
-        case detail::RunCat::Read:
-        case detail::RunCat::Write: {
+        case RunCat::Read:
+        case RunCat::Write: {
             // Direction still open after one event: the next row fixes it
             // (generic step).  Locked direction: monotone position chain.
             if (run.direction == 0) return 0;
             const std::uint8_t code =
-                run.cat == detail::RunCat::Read ? kTypeRead : kTypeWrite;
+                run.cat == RunCat::Read ? kTypeRead : kTypeWrite;
             const std::int64_t expect = run.last_pos + run.direction;
             if (expect < 0 || s.types[i] != code || s.positions[i] != expect)
                 return 0;
@@ -64,13 +50,13 @@ std::size_t run_streak(const ColumnSlice& s, std::size_t i,
                                             s.threads + i, n, code, tid,
                                             run.last_pos, run.direction);
         }
-        case detail::RunCat::Insert:
-        case detail::RunCat::Delete: {
+        case RunCat::Insert:
+        case RunCat::Delete: {
             // Ambiguous runs (every access both front and back so far,
             // e.g. inserts while size stays 1) keep stepping generically;
             // single-anchor runs are absorbing and scan in bulk.
             if (run.all_front == run.all_back) return 0;
-            const bool is_insert = run.cat == detail::RunCat::Insert;
+            const bool is_insert = run.cat == RunCat::Insert;
             const std::uint8_t code = is_insert ? kTypeInsert : kTypeDelete;
             const kernels::EndAnchor anchor =
                 run.all_front ? kernels::EndAnchor::Front
@@ -86,7 +72,7 @@ std::size_t run_streak(const ColumnSlice& s, std::size_t i,
                                               s.sizes + i, s.threads + i, n,
                                               code, tid, anchor);
         }
-        case detail::RunCat::None: {
+        case RunCat::None: {
             // Closed run: category-None rows on this thread are no-ops.
             const std::uint8_t ty = s.types[i];
             const bool flushable =
@@ -100,7 +86,32 @@ std::size_t run_streak(const ColumnSlice& s, std::size_t i,
     return 0;
 }
 
-}  // namespace
+// End traffic is a set of integer counts, so the rows may be folded in
+// any order.  Long phases fold per constant-type phase: types other than
+// Insert/Delete/Read/Write never touch the counters
+// (accumulate_end_traffic), so their phases are skipped outright and the
+// span kernel hoists the type test out of the row loop.  When phases are
+// short (alternating reads and writes), one pass over all rows beats a
+// kernel call per phase.
+void end_traffic_by_phase(const ColumnSlice& s, const PhaseList& phases,
+                          std::size_t iq_window, EndTraffic& iq,
+                          EndTraffic& edge) {
+    constexpr std::size_t kMinRowsPerPhase = 8;
+    if (phases.size() * kMinRowsPerPhase > s.n) {
+        kernels::end_traffic(s.types, s.positions, s.sizes, s.n, iq_window,
+                             iq, edge);
+        return;
+    }
+    for (const Phase& ph : phases) {
+        const auto ty = static_cast<std::uint8_t>(ph.type);
+        if (ty > kTypeDelete) continue;
+        kernels::end_traffic_span(ty, s.positions + ph.first,
+                                  s.sizes + ph.first, ph.length(), iq_window,
+                                  iq, edge);
+    }
+}
+
+}  // namespace detail
 
 ColumnSlice make_slice(const runtime::ColumnStore& store,
                        runtime::ColumnRange range,
@@ -143,28 +154,7 @@ std::vector<Pattern> detect_patterns_columns(const ColumnSlice& s,
         out.push_back(p);
     };
 
-    std::size_t i = 0;
-    while (i < s.n) {
-        const std::uint16_t tid = s.threads[i];
-        const detail::PatternRun& run = machine.peek_run(tid);
-        const std::size_t streak = run_streak(s, i, run);
-        if (streak > 0) {
-            if (run.cat != detail::RunCat::None) {
-                const std::size_t tail = i + streak - 1;
-                machine.extend_run(tid, static_cast<std::uint32_t>(tail),
-                                   s.positions[tail], s.sizes[tail],
-                                   s.time_ns[tail],
-                                   static_cast<std::uint32_t>(streak));
-            }
-            // RunCat::None streaks are pure skips: flushing a closed run
-            // does nothing, so the machine state is already right.
-            i += streak;
-            continue;
-        }
-        machine.step(static_cast<std::uint32_t>(i), row_event(s, i),
-                     static_cast<AccessType>(s.types[i]), collect);
-        ++i;
-    }
+    detail::drive_patterns(machine, s, 0, collect);
     machine.finish(collect);
 
     std::sort(out.begin(), out.end(),
@@ -187,28 +177,8 @@ InstanceStats instance_stats_from_columns(const runtime::InstanceInfo& info,
     st.duration_ns = agg.duration_ns;
     st.max_size = agg.max_size;
 
-    // End traffic is a set of integer counts, so the rows may be folded
-    // in any order.  Long phases fold per constant-type phase: types other
-    // than Insert/Delete/Read/Write never touch the counters
-    // (accumulate_end_traffic), so their phases are skipped outright and
-    // the span kernel hoists the type test out of the row loop.  When
-    // phases are short (alternating reads and writes), one pass over all
-    // rows beats a kernel call per phase.
-    constexpr std::size_t kMinRowsPerPhase = 8;
-    if (agg.phases.size() * kMinRowsPerPhase > s.n) {
-        kernels::end_traffic(s.types, s.positions, s.sizes, s.n,
-                             config.iq_end_window, st.iq_traffic,
-                             st.edge_traffic);
-    } else {
-        for (const Phase& ph : agg.phases) {
-            const auto ty = static_cast<std::uint8_t>(ph.type);
-            if (ty > kTypeDelete) continue;
-            kernels::end_traffic_span(ty, s.positions + ph.first,
-                                      s.sizes + ph.first, ph.length(),
-                                      config.iq_end_window, st.iq_traffic,
-                                      st.edge_traffic);
-        }
-    }
+    detail::end_traffic_by_phase(s, agg.phases, config.iq_end_window,
+                                 st.iq_traffic, st.edge_traffic);
     st.resizes = kernels::count_op(s.ops, s.n, runtime::OpKind::Resize);
     // Weighted read share from the histogram: every row weighs 1 except
     // ForAll rows with size > 0, which weigh their size — so only the

@@ -15,6 +15,7 @@
 
 #include "core/detector_config.hpp"
 #include "core/instance_stats.hpp"
+#include "core/pattern_machine.hpp"
 #include "core/patterns.hpp"
 #include "core/profile.hpp"
 #include "runtime/column_store.hpp"
@@ -33,6 +34,14 @@ struct ColumnSlice {
     const std::uint8_t* types = nullptr;
     const std::uint16_t* threads = nullptr;
     std::size_t n = 0;
+
+    /// Rows [begin, end) as a slice of their own.
+    [[nodiscard]] ColumnSlice rows(std::size_t begin,
+                                   std::size_t end) const noexcept {
+        return {time_ns + begin, positions + begin, sizes + begin,
+                ops + begin,     types + begin,     threads + begin,
+                end - begin};
+    }
 };
 
 /// Slice one instance's range out of the store.  `types_base` indexes the
@@ -44,6 +53,73 @@ struct ColumnSlice {
 /// Profile aggregates (counts, phases, max size, duration, thread count) —
 /// the numbers the RuntimeProfile AoS constructor derives per event.
 [[nodiscard]] ProfileAggregates aggregates_from_columns(const ColumnSlice& s);
+
+namespace detail {
+
+/// Longest prefix of rows starting at `i` that provably extend `run`
+/// (kernels::* streak scans); 0 when no bulk fast path applies and the
+/// row must go through the generic machine step.
+[[nodiscard]] std::size_t run_streak(const ColumnSlice& s, std::size_t i,
+                                     const PatternRun& run);
+
+/// Fold every row of `s` into both end-traffic accumulators (`iq` with
+/// window `iq_window`, `edge` with window 1), choosing per-phase span
+/// kernels or one whole-slice pass by phase density.  `phases` must be
+/// phases_from_types over the same rows.
+void end_traffic_by_phase(const ColumnSlice& s, const PhaseList& phases,
+                          std::size_t iq_window, EndTraffic& iq,
+                          EndTraffic& edge);
+
+/// The event-struct view of row `i` for the generic machine step (the
+/// slow path of the detector: rows that open, close, or redirect a run).
+[[nodiscard]] inline runtime::AccessEvent row_event(const ColumnSlice& s,
+                                                    std::size_t i) {
+    runtime::AccessEvent ev{};
+    ev.seq = i;
+    ev.time_ns = s.time_ns[i];
+    ev.position = s.positions[i];
+    ev.size = s.sizes[i];
+    ev.op = static_cast<runtime::OpKind>(s.ops[i]);
+    ev.thread = s.threads[i];
+    return ev;
+}
+
+/// Feed rows [0, s.n) of one instance through `machine`, row `i` at
+/// per-instance index `index_base + i`: rows that provably extend the
+/// current run are consumed in bulk by the streak scans, every other row
+/// takes one PatternMachine::step.  Patterns reach `sink` in the order
+/// stepping each row would emit them.  The one streak-driven pattern loop:
+/// the columnar detector drives a whole instance through it, the
+/// incremental analyzer one tile of a same-instance run at a time.
+template <class Sink>
+void drive_patterns(PatternMachine& machine, const ColumnSlice& s,
+                    std::uint32_t index_base, Sink&& sink) {
+    std::size_t i = 0;
+    while (i < s.n) {
+        const std::uint16_t tid = s.threads[i];
+        const PatternRun& run = machine.peek_run(tid);
+        const std::size_t streak = run_streak(s, i, run);
+        if (streak > 0) {
+            if (run.cat != RunCat::None) {
+                const std::size_t tail = i + streak - 1;
+                machine.extend_run(
+                    tid, index_base + static_cast<std::uint32_t>(tail),
+                    s.positions[tail], s.sizes[tail], s.time_ns[tail],
+                    static_cast<std::uint32_t>(streak));
+            }
+            // RunCat::None streaks are pure skips: flushing a closed run
+            // does nothing, so the machine state is already right.
+            i += streak;
+            continue;
+        }
+        machine.step(index_base + static_cast<std::uint32_t>(i),
+                     row_event(s, i), static_cast<AccessType>(s.types[i]),
+                     sink);
+        ++i;
+    }
+}
+
+}  // namespace detail
 
 /// The eight-pattern detector over columns.  Emits exactly the patterns
 /// PatternDetector::detect finds on the equivalent event span, in the same

@@ -900,7 +900,14 @@ WeightedReads weighted_reads(const std::uint8_t* types,
 
 PhaseList phases_from_types(const std::uint8_t* types, std::size_t n) {
     PhaseList phases;
-    if (n == 0) return phases;
+    phases_from_types(types, n, phases);
+    return phases;
+}
+
+void phases_from_types(const std::uint8_t* types, std::size_t n,
+                       PhaseList& phases) {
+    phases.clear();
+    if (n == 0) return;
     // One phase per type change plus the first: size the vector once, so
     // phase-dense streams (alternating reads and writes) never regrow it.
     phases.reserve(type_changes(types, n) + 1);
@@ -921,7 +928,6 @@ PhaseList phases_from_types(const std::uint8_t* types, std::size_t n) {
                                static_cast<std::uint32_t>(i + len - 1)});
         i += len;
     }
-    return phases;
 }
 
 void collect_type_indices(const std::uint8_t* types, std::size_t n,

@@ -103,6 +103,10 @@ struct WeightedReads {
 [[nodiscard]] PhaseList phases_from_types(const std::uint8_t* types,
                                           std::size_t n);
 
+/// The same phases into `phases` (cleared first), reusing its capacity.
+void phases_from_types(const std::uint8_t* types, std::size_t n,
+                       PhaseList& phases);
+
 /// Row offsets (relative to `types`) whose derived type equals `type`,
 /// appended to `out` in ascending order.
 void collect_type_indices(const std::uint8_t* types, std::size_t n,

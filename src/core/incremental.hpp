@@ -9,6 +9,12 @@
 // bounded by the number of live instances (times recording threads), not
 // by the event count.
 //
+// A batch folds each maximal same-instance run of at least kMinBulkRun
+// events through the columnar kernels and the streak-driven pattern loop
+// (column_analysis.hpp), one tile of scratch columns at a time; shorter
+// runs and single events step through the per-event fold.  Both paths
+// reach the same state (DESIGN.md §8.2).
+//
 // Equivalence: both pipelines reduce to the same InstanceStats and
 // classify through the same UseCaseEngine::classify(const InstanceStats&),
 // so verdicts, reasons, recommendations and confidences are bit-identical
@@ -33,6 +39,7 @@
 #include "core/detector_config.hpp"
 #include "core/instance_stats.hpp"
 #include "core/pattern_machine.hpp"
+#include "core/profile.hpp"
 #include "core/use_cases.hpp"
 #include "runtime/access_event.hpp"
 #include "runtime/instance_registry.hpp"
@@ -61,8 +68,16 @@ public:
 
     /// Fold a batch under one lock acquisition.  Events of different
     /// instances may interleave; each instance's sub-sequence must be in
-    /// its seq order.
+    /// its seq order.  Same-instance runs of kMinBulkRun events or more
+    /// take the columnar bulk path.  Any split of a stream into batches
+    /// reaches the same state.
     void fold(std::span<const runtime::AccessEvent> events);
+
+    /// Shortest same-instance run a batch folds in bulk; shorter runs
+    /// (round-robin streams over many instances) step event by event.
+    static constexpr std::size_t kMinBulkRun = 32;
+    /// Rows per scratch tile of the bulk path.
+    static constexpr std::size_t kTileRows = 4096;
 
     /// Events folded so far.
     [[nodiscard]] std::uint64_t events_folded() const;
@@ -113,8 +128,10 @@ private:
         std::size_t tail_length = 0;
         std::uint32_t tail_last_size = 0;
 
-        double weighted_reads = 0.0;
-        double weighted_total = 0.0;
+        // Exact integer sums; to_stats converts them (below 2^53, so the
+        // doubles equal the post-mortem path's).
+        std::uint64_t weighted_reads = 0;
+        std::uint64_t weighted_total = 0;
         std::size_t resizes = 0;
         EndTraffic iq_traffic;
         EndTraffic edge_traffic;
@@ -141,8 +158,23 @@ private:
         std::uint32_t sai_length = 0;
     };
 
+    /// Scratch columns one tile of a same-instance run is transposed into
+    /// (used under mutex_).
+    struct Tile {
+        std::vector<std::uint64_t> time_ns;
+        std::vector<std::int64_t> positions;
+        std::vector<std::uint32_t> sizes;
+        std::vector<std::uint8_t> ops;
+        std::vector<std::uint8_t> types;
+        std::vector<std::uint16_t> threads;
+        PhaseList phases;
+    };
+
     State& state_for(runtime::InstanceId id);
     void fold_locked(const runtime::AccessEvent& ev);
+    void fold_run(State& st, std::span<const runtime::AccessEvent> run);
+    void fold_tile(State& st, std::span<const runtime::AccessEvent> rows);
+    void expire_sai(State& st, std::uint32_t index) const;
     void absorb_pattern(State& st, const Pattern& p, std::uint64_t first_ns,
                         std::uint64_t last_ns) const;
     void on_sort(State& st, std::uint32_t index);
@@ -159,6 +191,7 @@ private:
     mutable std::mutex mutex_;
     std::vector<State> states_;  ///< Indexed by InstanceId.
     std::uint64_t events_folded_ = 0;
+    Tile tile_;
 };
 
 /// Wire an analyzer into a session: instance registrations flow to

@@ -10,6 +10,7 @@
 // carry, malformed-input parity with the slurping reader).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "apps/app_registry.hpp"
+#include "core/detector_kernels.hpp"
 #include "core/dsspy.hpp"
 #include "core/export.hpp"
 #include "core/incremental.hpp"
@@ -25,6 +27,7 @@
 #include "corpus/program_model.hpp"
 #include "corpus/workload.hpp"
 #include "ds/ds.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/session.hpp"
 #include "runtime/trace_io.hpp"
 
@@ -255,8 +258,12 @@ TEST(ExampleDifferential, EventByEventFoldMatchesBatchFold) {
         for (const AccessEvent& ev : events) single.fold(ev);
     }
     EXPECT_EQ(batched.events_folded(), single.events_folded());
-    EXPECT_EQ(report_text(batched.finish(instances)),
-              report_text(single.finish(instances)));
+    const AnalysisResult a = batched.finish(instances);
+    const AnalysisResult b = single.finish(instances);
+    ASSERT_EQ(a.instances().size(), b.instances().size());
+    for (std::size_t i = 0; i < a.instances().size(); ++i)
+        EXPECT_TRUE(a.instances()[i].stats == b.instances()[i].stats) << i;
+    EXPECT_EQ(report_text(a), report_text(b));
 }
 
 // --- live sessions: ordered sink delivery -----------------------------------
@@ -371,23 +378,26 @@ TEST(LiveSessionDifferential, SnapshotDoesNotPerturbAndMatchesPrefix) {
 
 // --- adversarial synthetic workloads ----------------------------------------
 
-TEST(SyntheticDifferential, SortAfterInsertClosedRun) {
-    ProfilingSession session;
+void drive_sai_closed_run(ProfilingSession& session) {
     const InstanceId id = reg(session, DsKind::List, "SaiClosed");
     for (int i = 0; i < 150; ++i)
         session.record(id, OpKind::Add, i, static_cast<std::uint32_t>(i + 1));
     session.record(id, OpKind::Sort, kWholeContainer, 150);
     for (int i = 0; i < 20; ++i) session.record(id, OpKind::Get, i, 150);
+}
+
+TEST(SyntheticDifferential, SortAfterInsertClosedRun) {
+    ProfilingSession session;
+    drive_sai_closed_run(session);
     session.stop();
     EXPECT_TRUE(has_kind(Dsspy{}.analyze(session),
                          UseCaseKind::SortAfterInsert));
     expect_equivalent(session);
 }
 
-TEST(SyntheticDifferential, SortAfterInsertOpenRunAtSort) {
-    // The qualifying insertion run is still open when the Sort arrives,
-    // and a second insert run is still open at end of stream.
-    ProfilingSession session;
+// The qualifying insertion run is still open when the Sort arrives,
+// and a second insert run is still open at end of stream.
+void drive_sai_open_run_at_sort(ProfilingSession& session) {
     const InstanceId id = reg(session, DsKind::List, "SaiOpen");
     for (int i = 0; i < 140; ++i)
         session.record(id, OpKind::Add, i, static_cast<std::uint32_t>(i + 1));
@@ -396,42 +406,54 @@ TEST(SyntheticDifferential, SortAfterInsertOpenRunAtSort) {
         session.record(id, OpKind::Add, 140 + i,
                        static_cast<std::uint32_t>(141 + i));
     session.record(id, OpKind::Sort, kWholeContainer, 260);
+}
+
+TEST(SyntheticDifferential, SortAfterInsertOpenRunAtSort) {
+    ProfilingSession session;
+    drive_sai_open_run_at_sort(session);
     session.stop();
     EXPECT_TRUE(has_kind(Dsspy{}.analyze(session),
                          UseCaseKind::SortAfterInsert));
     expect_equivalent(session);
 }
 
-TEST(SyntheticDifferential, StaleInsertPhaseOutsideSortGap) {
-    // The insertion phase ends, then more than sai_max_gap_events reads
-    // pass before the Sort: the candidate must have expired in both
-    // pipelines.
-    ProfilingSession session;
+// The insertion phase ends, then more than sai_max_gap_events reads
+// pass before the Sort: the candidate must have expired in both
+// pipelines.
+void drive_stale_insert_phase(ProfilingSession& session) {
     const InstanceId id = reg(session, DsKind::List, "SaiStale");
     for (int i = 0; i < 150; ++i)
         session.record(id, OpKind::Add, i, static_cast<std::uint32_t>(i + 1));
     for (int i = 0; i < 40; ++i) session.record(id, OpKind::Get, i, 150);
     session.record(id, OpKind::Sort, kWholeContainer, 150);
+}
+
+TEST(SyntheticDifferential, StaleInsertPhaseOutsideSortGap) {
+    ProfilingSession session;
+    drive_stale_insert_phase(session);
     session.stop();
     EXPECT_FALSE(has_kind(Dsspy{}.analyze(session),
                           UseCaseKind::SortAfterInsert));
     expect_equivalent(session);
 }
 
-TEST(SyntheticDifferential, WriteWithoutReadTail) {
-    ProfilingSession session;
+void drive_write_without_read_tail(ProfilingSession& session) {
     const InstanceId id = reg(session, DsKind::List, "WwrTail");
     for (int i = 0; i < 20; ++i) session.record(id, OpKind::Add, i, i + 1);
     for (int i = 0; i < 40; ++i) session.record(id, OpKind::Get, i % 20, 20);
     for (int i = 0; i < 15; ++i) session.record(id, OpKind::Set, i, 20);
+}
+
+TEST(SyntheticDifferential, WriteWithoutReadTail) {
+    ProfilingSession session;
+    drive_write_without_read_tail(session);
     session.stop();
     EXPECT_TRUE(has_kind(Dsspy{}.analyze(session),
                          UseCaseKind::WriteWithoutRead));
     expect_equivalent(session);
 }
 
-TEST(SyntheticDifferential, ImplementQueueTwoEndTraffic) {
-    ProfilingSession session;
+void drive_queue_two_end_traffic(ProfilingSession& session) {
     const InstanceId id = reg(session, DsKind::List, "Queueish");
     std::uint32_t size = 0;
     for (int i = 0; i < 30; ++i) {
@@ -446,14 +468,18 @@ TEST(SyntheticDifferential, ImplementQueueTwoEndTraffic) {
         --size;
         session.record(id, OpKind::RemoveAt, 0, size);
     }
+}
+
+TEST(SyntheticDifferential, ImplementQueueTwoEndTraffic) {
+    ProfilingSession session;
+    drive_queue_two_end_traffic(session);
     session.stop();
     EXPECT_TRUE(has_kind(Dsspy{}.analyze(session),
                          UseCaseKind::ImplementQueue));
     expect_equivalent(session);
 }
 
-TEST(SyntheticDifferential, StackImplementationCommonEnd) {
-    ProfilingSession session;
+void drive_stack_common_end(ProfilingSession& session) {
     const InstanceId id = reg(session, DsKind::List, "Stackish");
     std::uint32_t size = 0;
     for (int round = 0; round < 15; ++round) {
@@ -466,14 +492,18 @@ TEST(SyntheticDifferential, StackImplementationCommonEnd) {
         session.record(id, OpKind::RemoveAt, size - 1, size - 1);
         --size;
     }
+}
+
+TEST(SyntheticDifferential, StackImplementationCommonEnd) {
+    ProfilingSession session;
+    drive_stack_common_end(session);
     session.stop();
     EXPECT_TRUE(has_kind(Dsspy{}.analyze(session),
                          UseCaseKind::StackImplementation));
     expect_equivalent(session);
 }
 
-TEST(SyntheticDifferential, InsertDeleteFrontAndArrayResizes) {
-    ProfilingSession session;
+void drive_front_churn_and_array_resizes(ProfilingSession& session) {
     const InstanceId front = reg(session, DsKind::List, "FrontChurn");
     std::uint32_t size = 0;
     for (int i = 0; i < 60; ++i) session.record(front, OpKind::InsertAt, 0, ++size);
@@ -485,14 +515,18 @@ TEST(SyntheticDifferential, InsertDeleteFrontAndArrayResizes) {
         for (std::uint32_t p = 0; p < 4; ++p)
             session.record(arr, OpKind::Set, p, cap);
     }
+}
+
+TEST(SyntheticDifferential, InsertDeleteFrontAndArrayResizes) {
+    ProfilingSession session;
+    drive_front_churn_and_array_resizes(session);
     session.stop();
     EXPECT_TRUE(has_kind(Dsspy{}.analyze(session),
                          UseCaseKind::InsertDeleteFront));
     expect_equivalent(session);
 }
 
-TEST(SyntheticDifferential, FrequentSearchAndLongRead) {
-    ProfilingSession session;
+void drive_search_and_long_read(ProfilingSession& session) {
     const InstanceId id = reg(session, DsKind::List, "Searchy");
     for (int i = 0; i < 100; ++i)
         session.record(id, OpKind::Add, i, static_cast<std::uint32_t>(i + 1));
@@ -500,6 +534,11 @@ TEST(SyntheticDifferential, FrequentSearchAndLongRead) {
         for (int i = 0; i < 100; ++i) session.record(id, OpKind::Get, i, 100);
     for (int i = 0; i < 1100; ++i)
         session.record(id, OpKind::IndexOf, i % 100, 100);
+}
+
+TEST(SyntheticDifferential, FrequentSearchAndLongRead) {
+    ProfilingSession session;
+    drive_search_and_long_read(session);
     session.stop();
     const AnalysisResult pm = Dsspy{}.analyze(session);
     EXPECT_TRUE(has_kind(pm, UseCaseKind::FrequentSearch));
@@ -507,8 +546,7 @@ TEST(SyntheticDifferential, FrequentSearchAndLongRead) {
     expect_equivalent(session);
 }
 
-TEST(SyntheticDifferential, WholeContainerOpsAndForAll) {
-    ProfilingSession session;
+void drive_whole_container_ops(ProfilingSession& session) {
     const InstanceId id = reg(session, DsKind::List, "WholeOps");
     for (int i = 0; i < 50; ++i)
         session.record(id, OpKind::Add, i, static_cast<std::uint32_t>(i + 1));
@@ -517,12 +555,16 @@ TEST(SyntheticDifferential, WholeContainerOpsAndForAll) {
     session.record(id, OpKind::Reverse, kWholeContainer, 50);
     session.record(id, OpKind::CopyTo, kWholeContainer, 50);
     session.record(id, OpKind::Clear, kWholeContainer, 0);
+}
+
+TEST(SyntheticDifferential, WholeContainerOpsAndForAll) {
+    ProfilingSession session;
+    drive_whole_container_ops(session);
     session.stop();
     expect_equivalent(session);
 }
 
-TEST(SyntheticDifferential, InterleavedThreadsOnSharedInstance) {
-    ProfilingSession session;
+void drive_interleaved_threads(ProfilingSession& session) {
     const InstanceId id = reg(session, DsKind::List, "SharedByThreads");
     for (int i = 0; i < 100; ++i)
         session.record(id, OpKind::Add, i, static_cast<std::uint32_t>(i + 1));
@@ -535,6 +577,11 @@ TEST(SyntheticDifferential, InterleavedThreadsOnSharedInstance) {
         std::jthread a(worker, 0);
         std::jthread b(worker, 1);
     }
+}
+
+TEST(SyntheticDifferential, InterleavedThreadsOnSharedInstance) {
+    ProfilingSession session;
+    drive_interleaved_threads(session);
     session.stop();
     EXPECT_GE(session.thread_count(), 2u);
     expect_equivalent(session);
@@ -554,16 +601,18 @@ TEST(SyntheticDifferential, EmptySessionAndEventFreeInstance) {
     expect_equivalent(session);
 }
 
-TEST(SyntheticDifferential, NonDefaultConfigs) {
-    ProfilingSession session;
+void drive_configured(ProfilingSession& session) {
     const InstanceId id = reg(session, DsKind::List, "Configured");
     for (int i = 0; i < 40; ++i)
         session.record(id, OpKind::Add, i, static_cast<std::uint32_t>(i + 1));
     session.record(id, OpKind::Sort, kWholeContainer, 40);
     for (int i = 0; i < 40; ++i) session.record(id, OpKind::Get, i, 40);
     for (int i = 0; i < 30; ++i) session.record(id, OpKind::IndexOf, i, 40);
-    session.stop();
+}
 
+/// Thresholds low enough that short runs become patterns and phases,
+/// time-based shares, and a strict pattern length.
+std::vector<DetectorConfig> non_default_configs() {
     DetectorConfig sensitive;
     sensitive.min_pattern_events = 1;
     sensitive.li_min_phase_events = 5;
@@ -571,16 +620,421 @@ TEST(SyntheticDifferential, NonDefaultConfigs) {
     sensitive.fs_min_search_ops = 10;
     sensitive.iq_min_events = 5;
     sensitive.flr_min_read_patterns = 1;
-    expect_equivalent(session, sensitive);
 
     DetectorConfig timed = sensitive;
     timed.share_basis = core::ShareBasis::Time;
-    expect_equivalent(session, timed);
 
     DetectorConfig strict;
     strict.min_pattern_events = 7;
     strict.wwr_min_events = 2;
-    expect_equivalent(session, strict);
+    return {sensitive, timed, strict};
+}
+
+TEST(SyntheticDifferential, NonDefaultConfigs) {
+    ProfilingSession session;
+    drive_configured(session);
+    session.stop();
+    for (const DetectorConfig& config : non_default_configs())
+        expect_equivalent(session, config);
+}
+
+// --- batch splits: the bulk fold against event-by-event ---------------------
+
+using Stream = std::vector<AccessEvent>;
+
+/// A stopped session's events instance by instance, as trace files store
+/// them: the longest same-instance runs.
+Stream instance_order(const ProfilingSession& session) {
+    Stream stream;
+    for (const InstanceInfo& info : session.registry().snapshot()) {
+        const std::span<const AccessEvent> events =
+            session.store().events(info.id);
+        stream.insert(stream.end(), events.begin(), events.end());
+    }
+    return stream;
+}
+
+/// The same events in global seq order, as the live sink delivers them:
+/// runs of one instance cut short by the others'.
+Stream seq_order(const ProfilingSession& session) {
+    Stream stream = instance_order(session);
+    std::stable_sort(stream.begin(), stream.end(),
+                     [](const AccessEvent& a, const AccessEvent& b) {
+                         return a.seq < b.seq;
+                     });
+    return stream;
+}
+
+AnalysisResult fold_by_event(const std::vector<InstanceInfo>& instances,
+                             const Stream& stream,
+                             const DetectorConfig& config) {
+    IncrementalAnalyzer inc(config);
+    for (const InstanceInfo& info : instances) inc.declare_instance(info);
+    for (const AccessEvent& ev : stream) inc.fold(ev);
+    EXPECT_EQ(inc.events_folded(), stream.size());
+    return inc.finish(instances);
+}
+
+AnalysisResult fold_in_batches(const std::vector<InstanceInfo>& instances,
+                               const Stream& stream, std::size_t batch,
+                               const DetectorConfig& config) {
+    IncrementalAnalyzer inc(config);
+    for (const InstanceInfo& info : instances) inc.declare_instance(info);
+    const std::span<const AccessEvent> all(stream);
+    for (std::size_t i = 0; i < all.size(); i += batch)
+        inc.fold(all.subspan(i, std::min(batch, all.size() - i)));
+    EXPECT_EQ(inc.events_folded(), stream.size());
+    return inc.finish(instances);
+}
+
+/// Pins kernel dispatch to one tier for a scope.
+struct ForcedSimdLevel {
+    explicit ForcedSimdLevel(core::kernels::SimdLevel level) {
+        core::kernels::force_simd_level(level);
+    }
+    ~ForcedSimdLevel() { core::kernels::reset_forced_simd_level(); }
+    ForcedSimdLevel(const ForcedSimdLevel&) = delete;
+    ForcedSimdLevel& operator=(const ForcedSimdLevel&) = delete;
+};
+
+/// Compare every instance's stats; report the first difference only.
+void expect_same_stats(const AnalysisResult& want, const AnalysisResult& got,
+                       std::size_t batch) {
+    ASSERT_EQ(got.instances().size(), want.instances().size());
+    for (std::size_t i = 0; i < want.instances().size(); ++i) {
+        if (want.instances()[i].stats == got.instances()[i].stats) continue;
+        ADD_FAILURE() << "stats differ: instance index " << i << ", batch "
+                      << batch << ", tier "
+                      << core::kernels::simd_level_name(
+                             core::kernels::active_simd_level());
+        return;
+    }
+}
+
+/// Fold `stream` one event at a time, then in batches of 1, 2, 3, 63, 64,
+/// 65, 4,096 and the whole stream: every split must reach the same
+/// InstanceStats, field for field.  Batches too small to hold a bulk run
+/// fold event by event at any tier; the others run at every SIMD tier.
+void expect_batch_splits_agree(const std::vector<InstanceInfo>& instances,
+                               const Stream& stream,
+                               const DetectorConfig& config = {}) {
+    const AnalysisResult want = fold_by_event(instances, stream, config);
+    for (const std::size_t batch :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+        static_assert(IncrementalAnalyzer::kMinBulkRun > 3);
+        expect_same_stats(
+            want, fold_in_batches(instances, stream, batch, config), batch);
+    }
+    for (const core::kernels::SimdLevel level :
+         {core::kernels::SimdLevel::Scalar, core::kernels::SimdLevel::Sse42,
+          core::kernels::SimdLevel::Avx2}) {
+        const ForcedSimdLevel forced(level);
+        for (const std::size_t batch :
+             {std::size_t{63}, std::size_t{64}, std::size_t{65},
+              std::size_t{4096}, std::max<std::size_t>(stream.size(), 1)})
+            expect_same_stats(
+                want, fold_in_batches(instances, stream, batch, config),
+                batch);
+    }
+}
+
+/// Both delivery orders of a stopped session.
+void expect_batch_splits_agree(const ProfilingSession& session,
+                               const DetectorConfig& config = {}) {
+    const std::vector<InstanceInfo> instances = session.registry().snapshot();
+    {
+        SCOPED_TRACE("instance order");
+        expect_batch_splits_agree(instances, instance_order(session), config);
+    }
+    {
+        SCOPED_TRACE("seq order");
+        expect_batch_splits_agree(instances, seq_order(session), config);
+    }
+}
+
+/// A hand-built stream with explicit thread ids: interleavings that a
+/// recording session cannot produce deterministically.
+class StreamBuilder {
+public:
+    InstanceId add(DsKind kind, const char* method) {
+        InstanceInfo info;
+        info.id = static_cast<InstanceId>(instances_.size());
+        info.kind = kind;
+        info.type_name = "List<int>";
+        info.location = {"Batch.Test", method, 1};
+        instances_.push_back(info);
+        return info.id;
+    }
+
+    void emit(InstanceId id, OpKind op, std::int64_t position,
+              std::uint32_t size, runtime::ThreadId thread = 0) {
+        AccessEvent ev;
+        ev.seq = stream_.size();
+        ev.time_ns = 1'000 + 7 * ev.seq;
+        ev.position = position;
+        ev.instance = id;
+        ev.size = size;
+        ev.op = op;
+        ev.thread = thread;
+        stream_.push_back(ev);
+    }
+
+    /// `count` back-inserts continuing from `size`.
+    void add_n(InstanceId id, std::uint32_t& size, std::uint32_t count,
+               runtime::ThreadId thread = 0) {
+        for (std::uint32_t k = 0; k < count; ++k, ++size)
+            emit(id, OpKind::Add, size, size + 1, thread);
+    }
+
+    [[nodiscard]] const std::vector<InstanceInfo>& instances() const {
+        return instances_;
+    }
+    [[nodiscard]] const Stream& stream() const { return stream_; }
+
+    /// Instance-major order of the built stream (each instance's events
+    /// keep their order).
+    [[nodiscard]] Stream by_instance() const {
+        Stream sorted = stream_;
+        std::stable_sort(sorted.begin(), sorted.end(),
+                         [](const AccessEvent& a, const AccessEvent& b) {
+                             return a.instance < b.instance;
+                         });
+        return sorted;
+    }
+
+    /// Both orders through every batch split and tier.
+    void expect_splits_agree() const {
+        {
+            SCOPED_TRACE("built order");
+            expect_batch_splits_agree(instances_, stream_);
+        }
+        {
+            SCOPED_TRACE("instance order");
+            expect_batch_splits_agree(instances_, by_instance());
+        }
+    }
+
+private:
+    std::vector<InstanceInfo> instances_;
+    Stream stream_;
+};
+
+class IncrementalBatchApp : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(IncrementalBatchApp, MatchesEventByEvent) {
+    const apps::AppInfo* app = apps::find_app(GetParam());
+    ASSERT_NE(app, nullptr);
+    ProfilingSession session;
+    (void)app->run_sequential(&session);
+    session.stop();
+    expect_batch_splits_agree(session);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllApps, IncrementalBatchApp, ::testing::ValuesIn(app_names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+        std::string id;
+        for (char ch : info.param)
+            if (std::isalnum(static_cast<unsigned char>(ch))) id += ch;
+        return id;
+    });
+
+TEST(IncrementalBatch, CorpusWorkloadsMatchEventByEvent) {
+    for (const corpus::ProgramModel& program : corpus::all_programs()) {
+        SCOPED_TRACE(program.name);
+        if (program.in_eval23) {
+            ProfilingSession session;
+            corpus::run_eval_workload(program, &session);
+            session.stop();
+            expect_batch_splits_agree(session);
+        }
+        if (program.in_study15) {
+            ProfilingSession session;
+            corpus::run_study15_workload(program, &session);
+            session.stop();
+            expect_batch_splits_agree(session);
+        }
+    }
+}
+
+TEST(IncrementalBatch, SyntheticStreamsMatchEventByEvent) {
+    const std::pair<const char*, void (*)(ProfilingSession&)> drivers[] = {
+        {"quickstart", drive_quickstart},
+        {"sai closed run", drive_sai_closed_run},
+        {"sai open run at sort", drive_sai_open_run_at_sort},
+        {"stale insert phase", drive_stale_insert_phase},
+        {"write without read tail", drive_write_without_read_tail},
+        {"queue two end traffic", drive_queue_two_end_traffic},
+        {"stack common end", drive_stack_common_end},
+        {"front churn and array resizes",
+         drive_front_churn_and_array_resizes},
+        {"search and long read", drive_search_and_long_read},
+        {"whole container ops", drive_whole_container_ops},
+        {"interleaved threads", drive_interleaved_threads},
+        {"multithreaded", drive_multithreaded},
+    };
+    for (const auto& [name, drive] : drivers) {
+        SCOPED_TRACE(name);
+        ProfilingSession session;
+        drive(session);
+        session.stop();
+        expect_batch_splits_agree(session);
+    }
+
+    ProfilingSession configured;
+    drive_configured(configured);
+    configured.stop();
+    for (const DetectorConfig& config : non_default_configs())
+        expect_batch_splits_agree(configured, config);
+}
+
+TEST(IncrementalBatch, SortInsideAnotherThreadsStreak) {
+    // Thread 1's Sort sits inside its own run of Search rows, which the
+    // streak loop skips in bulk, while thread 0's insertion run is open.
+    // Thread 0 then reads, closing the run just before the Sort: the
+    // parked Sort must match it.  The second instance's inserts resume
+    // instead, which voids the match.
+    StreamBuilder b;
+    for (const bool resume_inserts : {false, true}) {
+        const InstanceId id = b.add(DsKind::List, "SortInStreak");
+        std::uint32_t size = 0;
+        b.add_n(id, size, 120);
+        b.emit(id, OpKind::IndexOf, 3, size, 1);
+        b.emit(id, OpKind::IndexOf, 5, size, 1);
+        b.emit(id, OpKind::Sort, kWholeContainer, size, 1);
+        b.emit(id, OpKind::IndexOf, 7, size, 1);
+        if (resume_inserts) b.add_n(id, size, 40);
+        for (std::uint32_t p = 0; p < 40; ++p)
+            b.emit(id, OpKind::Get, p, size);
+    }
+    const AnalysisResult want =
+        fold_by_event(b.instances(), b.stream(), DetectorConfig{});
+    EXPECT_TRUE(want.instances()[0].stats.sai_match);
+    EXPECT_FALSE(want.instances()[1].stats.sai_match);
+    b.expect_splits_agree();
+}
+
+TEST(IncrementalBatch, OpenSaiRunAtTileBoundary) {
+    // Insertion runs that cross the bulk path's tile boundary, with the
+    // Sort on the last row of a tile, on the first row of the next, and
+    // a few rows past it; plus a write tail phase spanning a boundary.
+    const std::uint32_t tile = IncrementalAnalyzer::kTileRows;
+    StreamBuilder b;
+    for (const std::uint32_t inserts : {tile - 1, tile, tile + 5}) {
+        const InstanceId id = b.add(DsKind::List, "SaiAtTile");
+        std::uint32_t size = 0;
+        b.add_n(id, size, inserts);
+        b.emit(id, OpKind::Sort, kWholeContainer, size);
+        for (std::uint32_t p = 0; p < 30; ++p)
+            b.emit(id, OpKind::Get, p, size);
+    }
+    const InstanceId tail = b.add(DsKind::List, "TailAtTile");
+    std::uint32_t size = 0;
+    b.add_n(tail, size, 100);
+    for (std::uint32_t k = 0; k < tile + 900; ++k)
+        b.emit(tail, OpKind::Set, k % size, size);
+    // After a long read prefix the insertion run and its Sort sit past
+    // the first tile: their per-instance indices must not restart there.
+    const InstanceId late = b.add(DsKind::List, "LateSai");
+    size = 0;
+    b.add_n(late, size, 50);
+    for (std::uint32_t k = 0; k < tile + 100; ++k)
+        b.emit(late, OpKind::Get, k % size, size);
+    b.add_n(late, size, 120);
+    b.emit(late, OpKind::Sort, kWholeContainer, size);
+
+    const AnalysisResult want =
+        fold_by_event(b.instances(), b.stream(), DetectorConfig{});
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_TRUE(want.instances()[i].stats.sai_match) << i;
+    EXPECT_EQ(want.instances()[3].stats.tail_length, tile + 900);
+    EXPECT_TRUE(want.instances()[4].stats.sai_match);
+    b.expect_splits_agree();
+}
+
+TEST(IncrementalBatch, ForAllInsideStreak) {
+    // A ForAll on the streak's own thread and on another thread, with a
+    // size-0 ForAll that weighs 1.
+    StreamBuilder b;
+    const InstanceId id = b.add(DsKind::List, "ForAllInStreak");
+    std::uint32_t size = 0;
+    b.add_n(id, size, 100);
+    for (std::uint32_t p = 0; p < 50; ++p) b.emit(id, OpKind::Get, p, size);
+    b.emit(id, OpKind::ForEach, kWholeContainer, size, 1);
+    for (std::uint32_t p = 50; p < 100; ++p) b.emit(id, OpKind::Get, p, size);
+    for (std::uint32_t p = 0; p < 60; ++p) b.emit(id, OpKind::Get, p, size);
+    b.emit(id, OpKind::ForEach, kWholeContainer, size);
+    for (std::uint32_t p = 60; p < 100; ++p) b.emit(id, OpKind::Get, p, size);
+    b.emit(id, OpKind::Clear, kWholeContainer, 0);
+    b.emit(id, OpKind::ForEach, kWholeContainer, 0);
+    const AnalysisResult want =
+        fold_by_event(b.instances(), b.stream(), DetectorConfig{});
+    EXPECT_EQ(want.instances()[0].stats.counts[static_cast<std::size_t>(
+                  core::AccessType::ForAll)],
+              3u);
+    b.expect_splits_agree();
+}
+
+TEST(IncrementalBatch, RunsAroundTheShortRunConstant) {
+    // Two instances take turns in runs just below, at and just above the
+    // shortest run the bulk path takes, so consecutive runs of one
+    // instance alternate between the two paths mid-pattern.
+    const std::uint32_t k = IncrementalAnalyzer::kMinBulkRun;
+    StreamBuilder b;
+    const InstanceId reads = b.add(DsKind::List, "Reads");
+    const InstanceId inserts = b.add(DsKind::List, "Inserts");
+    std::uint32_t size = 0;
+    b.add_n(reads, size, 1000);
+    std::uint32_t pos = 0;
+    std::uint32_t inserted = 0;
+    const std::uint32_t lengths[] = {k - 1, k, k + 1, 1, k - 1, k + 1, 2 * k};
+    for (int round = 0; round < 6; ++round) {
+        for (const std::uint32_t len : lengths) {
+            for (std::uint32_t r = 0; r < len; ++r, pos = (pos + 1) % size)
+                b.emit(reads, OpKind::Get, pos, size,
+                       static_cast<runtime::ThreadId>(round & 1));
+            b.add_n(inserts, inserted, len + 1 - (round & 1));
+        }
+    }
+    b.expect_splits_agree();
+}
+
+TEST(IncrementalBatch, TelemetryCountsBulkAndSteppedEvents) {
+    // One run long enough for the bulk path, then five runs of one event
+    // in the same batch, then a single-event fold: the counters split the
+    // folded events between the two paths.
+    const std::uint32_t k = IncrementalAnalyzer::kMinBulkRun;
+    StreamBuilder b;
+    const InstanceId a = b.add(DsKind::List, "Long");
+    const InstanceId c = b.add(DsKind::List, "Short");
+    std::uint32_t size_a = 0;
+    std::uint32_t size_c = 0;
+    b.add_n(a, size_a, k);
+    for (int i = 0; i < 3; ++i) {
+        b.add_n(c, size_c, 1);
+        b.add_n(a, size_a, 1);
+    }
+
+    auto& reg = obs::MetricsRegistry::global();
+    reg.reset();
+    reg.set_enabled(true);
+    IncrementalAnalyzer inc;
+    for (const InstanceInfo& info : b.instances()) inc.declare_instance(info);
+    const std::span<const AccessEvent> all(b.stream());
+    inc.fold(all.first(all.size() - 1));
+    inc.fold(all.back());
+    const std::vector<obs::MetricValue> metrics = reg.collect();
+    reg.set_enabled(false);
+    reg.reset();
+
+    const auto value = [&metrics](std::string_view name) {
+        for (const obs::MetricValue& m : metrics)
+            if (m.name == name) return m.value;
+        return std::uint64_t{0};
+    };
+    EXPECT_EQ(value("incremental.bulk_events"), k);
+    EXPECT_EQ(value("incremental.stepped_events"), 6u);
+    EXPECT_EQ(value("incremental.events_folded"), k + 6);
 }
 
 // --- streaming trace readers (satellite regression tests) --------------------
