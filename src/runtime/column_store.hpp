@@ -15,8 +15,9 @@
 //
 // Two producers fill it, and both write rows straight from where events
 // arrive, with no AccessEvent vector in between:
-//   * ProfileStore::finalize — a two-pass counting scatter of the captured
-//     event chunks into per-instance row ranges (profile_store.hpp);
+//   * ProfileStore::finalize — a counting scatter of the captured event
+//     chunks into per-instance row ranges, from counts that arrive with
+//     the chunks (profile_store.hpp);
 //   * runtime::read_trace_columns — the shared DST1 chunk walk
 //     (trace_codec.hpp) decoding mmapped chunks into rows (trace_mmap.hpp).
 //     The decoder rejects the kInvalidInstance sentinel, so every range id

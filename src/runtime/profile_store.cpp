@@ -5,6 +5,7 @@
 #include <utility>
 #include <variant>
 
+#include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace dsspy::runtime {
@@ -15,15 +16,6 @@ namespace {
 /// becomes a whole 4 MiB mapping).
 constexpr std::size_t kFirstChunkBytes = std::size_t{160} << 10;
 constexpr std::size_t kMaxChunkBytes = std::size_t{5} << 19;
-
-/// Pass-1 result of one contiguous group of pending chunks.
-struct GroupScan {
-    std::vector<std::size_t> counts;  ///< Events per instance id.
-    bool any = false;
-    bool ordered = true;  ///< Seqs never decrease within the group.
-    std::uint64_t first_seq = 0;
-    std::uint64_t last_seq = 0;
-};
 
 /// Run `fn(i)` for i in [0, n), on `pool` when one is given.
 template <class Fn>
@@ -73,6 +65,23 @@ struct CaptureRows {
 
 }  // namespace
 
+template <class Rows>
+void ProfileStore::ChunkCounts::add(const Rows& rows, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+        const AccessEvent ev = rows.at(i);
+        if (ev.instance == kInvalidInstance) continue;
+        if (ev.instance >= per_instance.size())
+            per_instance.resize(std::size_t{ev.instance} + 1);
+        ++per_instance[ev.instance];
+        if (!any)
+            first_seq = ev.seq;
+        else if (ev.seq < last_seq)
+            ordered = false;
+        last_seq = ev.seq;
+        any = true;
+    }
+}
+
 EventChunk next_event_chunk(std::size_t previous) {
     EventChunk chunk;
     chunk.events = make_bulk_buffer<AccessEvent>(
@@ -119,20 +128,22 @@ ProfileStore& ProfileStore::operator=(ProfileStore&& other) noexcept {
 
 void ProfileStore::append(std::span<const AccessEvent> events) {
     std::scoped_lock lock(mutex_);
-    // Fill the room left in the last pending chunk, then fresh chunks.
+    // Fill the room left in the last pending chunk, then fresh chunks,
+    // counting each batch as it is copied.
     while (!events.empty()) {
-        EventChunk* tail = pending_.empty()
-                               ? nullptr
-                               : std::get_if<EventChunk>(&pending_.back());
-        if (tail == nullptr || tail->size == tail->capacity) {
-            const std::size_t previous = tail != nullptr ? tail->capacity : 0;
-            tail = &std::get<EventChunk>(
-                pending_.emplace_back(next_event_chunk(previous)));
+        PendingChunk* tail = pending_.empty() ? nullptr : &pending_.back();
+        EventChunk* rows =
+            tail == nullptr ? nullptr : std::get_if<EventChunk>(&tail->rows);
+        if (rows == nullptr || rows->size == rows->capacity) {
+            const std::size_t previous = rows != nullptr ? rows->capacity : 0;
+            tail = &pending_.emplace_back();
+            rows = &tail->rows.emplace<EventChunk>(next_event_chunk(previous));
         }
         const std::size_t n =
-            std::min(events.size(), tail->capacity - tail->size);
-        std::copy_n(events.begin(), n, tail->events.get() + tail->size);
-        tail->size += n;
+            std::min(events.size(), rows->capacity - rows->size);
+        std::copy_n(events.begin(), n, rows->events.get() + rows->size);
+        tail->counts.add(EventRows{events.data()}, n);
+        rows->size += n;
         events = events.subspan(n);
     }
 }
@@ -141,7 +152,9 @@ void ProfileStore::adopt(std::vector<EventChunk> chunks) {
     std::scoped_lock lock(mutex_);
     for (EventChunk& chunk : chunks) {
         if (chunk.size == 0) continue;
-        pending_.emplace_back(std::move(chunk));
+        PendingChunk& pending = pending_.emplace_back();
+        pending.counts.add(EventRows{chunk.events.get()}, chunk.size);
+        pending.rows = std::move(chunk);
     }
 }
 
@@ -149,7 +162,20 @@ void ProfileStore::adopt(CaptureChain chain) {
     std::scoped_lock lock(mutex_);
     for (CaptureChunk& chunk : chain.chunks) {
         if (chunk.size == 0) continue;
-        pending_.emplace_back(ThreadChunk{std::move(chunk), chain.thread});
+        PendingChunk& pending = pending_.emplace_back();
+        ChunkCounts& counts = pending.counts;
+        if (chunk.counted) {
+            // A tally holds registered ids only, never the sentinel, and
+            // seqs ascend within a chain: the span is the first and last
+            // rows' seqs, read off the side tables.
+            counts.per_instance = std::move(chunk.tally);
+            counts.any = true;
+            counts.first_seq = chunk.seq(0);
+            counts.last_seq = chunk.seq(chunk.size - 1);
+        } else {
+            counts.add(CaptureRows{&chunk, chain.thread}, chunk.size);
+        }
+        pending.rows = ThreadChunk{std::move(chunk), chain.thread};
     }
 }
 
@@ -162,15 +188,18 @@ void ProfileStore::finalize_locked(par::ThreadPool* pool) const {
     if (pending_.empty()) return;
     if (columns_.total_events() > 0) {
         // Appends after an earlier finalize: the placed rows rejoin the
-        // pending events in front, and the scatter below sorts it out.
+        // pending events in front, counted off their ranges, and the
+        // placement below sorts it out.
         const std::size_t rows = columns_.total_events();
-        EventChunk placed{make_bulk_buffer<AccessEvent>(rows), rows, rows};
-        gather_locked(placed.events.get());
+        PendingChunk placed{
+            EventChunk{make_bulk_buffer<AccessEvent>(rows), rows, rows},
+            placed_counts_locked()};
+        gather_locked(std::get<EventChunk>(placed.rows).events.get());
         pending_.insert(pending_.begin(), std::move(placed));
     }
     event_view_.reset();
 
-    // Every pass reads a chunk through `fn(rows, n)`, compiled once per
+    // The placement reads a chunk through `fn(rows, n)`, compiled once per
     // row layout, and returns what `fn` returns.
     const auto visit_rows = [](const PendingChunk& chunk, auto&& fn) {
         return std::visit(
@@ -181,7 +210,7 @@ void ProfileStore::finalize_locked(par::ThreadPool* pool) const {
                 else
                     return fn(CaptureRows{&c.rows, c.thread}, c.rows.size);
             },
-            chunk);
+            chunk.rows);
     };
     const auto chunk_size = [&](const PendingChunk& chunk) {
         return visit_rows(chunk, [](const auto&, std::size_t n) { return n; });
@@ -206,90 +235,86 @@ void ProfileStore::finalize_locked(par::ThreadPool* pool) const {
     if (bounds.back() != chunk_count) bounds.push_back(chunk_count);
     const std::size_t groups = bounds.size() - 1;
 
-    // Pass 1: count each instance's events per group, and note whether
-    // the group's seqs ascend.
-    std::vector<GroupScan> scans(groups);
-    for_each_index(pool, groups, [&](std::size_t g) {
-        GroupScan& scan = scans[g];
-        for (std::size_t c = bounds[g]; c < bounds[g + 1]; ++c) {
-            visit_rows(pending_[c], [&](const auto& rows, std::size_t n) {
-                for (std::size_t i = 0; i < n; ++i) {
-                    const AccessEvent ev = rows.at(i);
-                    if (ev.instance == kInvalidInstance) continue;
-                    if (ev.instance >= scan.counts.size())
-                        scan.counts.resize(std::size_t{ev.instance} + 1);
-                    ++scan.counts[ev.instance];
-                    if (!scan.any)
-                        scan.first_seq = ev.seq;
-                    else if (ev.seq < scan.last_seq)
-                        scan.ordered = false;
-                    scan.last_seq = ev.seq;
-                    scan.any = true;
-                }
-            });
-        }
-    });
-
-    // Row layout: instances in id order; within one, groups in chain
-    // order.  Each group's counts become its first row per instance.
+    // Sum each group's chunk counts per instance, and note whether the
+    // chunks' seqs ascend end to end.  Slots end at the highest id with
+    // an event (a tally spans every registered id).
     std::size_t slots = 0;
-    for (const GroupScan& scan : scans)
-        slots = std::max(slots, scan.counts.size());
-    std::size_t rows = 0;
-    for (GroupScan& scan : scans) {
-        scan.counts.resize(slots, 0);
-        for (const std::size_t count : scan.counts) rows += count;
+    bool ordered = true;
+    const ChunkCounts* prev = nullptr;
+    for (const PendingChunk& chunk : pending_) {
+        const ChunkCounts& counts = chunk.counts;
+        if (!counts.any) continue;
+        const std::vector<std::uint32_t>& per = counts.per_instance;
+        for (std::size_t id = per.size(); id > slots; --id)
+            if (per[id - 1] != 0) slots = id;
+        if (!counts.ordered ||
+            (prev != nullptr && counts.first_seq < prev->last_seq))
+            ordered = false;
+        prev = &counts;
     }
-    columns_.allocate(rows, slots);
-    seq_ = make_bulk_buffer<std::uint64_t>(rows);
-    for (std::size_t id = 0, next = 0; id < slots; ++id) {
-        const std::size_t begin = next;
-        for (GroupScan& scan : scans)
-            next += std::exchange(scan.counts[id], next);
-        columns_.set_range(static_cast<InstanceId>(id), begin, next);
+    std::vector<std::vector<std::size_t>> next_rows(
+        groups, std::vector<std::size_t>(slots, 0));
+    for (std::size_t g = 0; g < groups; ++g) {
+        for (std::size_t c = bounds[g]; c < bounds[g + 1]; ++c) {
+            const std::vector<std::uint32_t>& per =
+                pending_[c].counts.per_instance;
+            const std::size_t n = std::min(per.size(), slots);
+            for (std::size_t id = 0; id < n; ++id) next_rows[g][id] += per[id];
+        }
     }
 
-    // Pass 2: every group writes its events to the rows its counts
-    // reserved — stable within each instance — and frees each chunk once
-    // it is placed.
-    std::uint64_t* time_ns = columns_.mutable_time_ns();
-    std::int64_t* position = columns_.mutable_position();
-    std::uint32_t* size = columns_.mutable_sizes();
-    std::uint8_t* op = columns_.mutable_op();
-    std::uint16_t* thread = columns_.mutable_thread();
-    std::uint64_t* seq = seq_.get();
-    for_each_index(pool, groups, [&](std::size_t g) {
-        std::size_t* next_row = scans[g].counts.data();
-        for (std::size_t c = bounds[g]; c < bounds[g + 1]; ++c) {
-            visit_rows(pending_[c], [&](const auto& rows, std::size_t n) {
-                for (std::size_t i = 0; i < n; ++i) {
-                    const AccessEvent ev = rows.at(i);
-                    if (ev.instance == kInvalidInstance) continue;
-                    const std::size_t row = next_row[ev.instance]++;
-                    seq[row] = ev.seq;
-                    time_ns[row] = ev.time_ns;
-                    position[row] = ev.position;
-                    size[row] = ev.size;
-                    op[row] = static_cast<std::uint8_t>(ev.op);
-                    thread[row] = ev.thread;
-                }
-            });
-            pending_[c] = EventChunk();  // frees the placed chunk
+    {
+        DSSPY_TRACE_SPAN("capture.finalize.place");
+        // Row layout: instances in id order; within one, groups in chain
+        // order.  Each group's counts become its first row per instance.
+        std::size_t rows = 0;
+        for (const std::vector<std::size_t>& counts : next_rows)
+            for (const std::size_t count : counts) rows += count;
+        columns_.allocate(rows, slots);
+        seq_ = make_bulk_buffer<std::uint64_t>(rows);
+        for (std::size_t id = 0, next = 0; id < slots; ++id) {
+            const std::size_t begin = next;
+            for (std::vector<std::size_t>& counts : next_rows)
+                next += std::exchange(counts[id], next);
+            columns_.set_range(static_cast<InstanceId>(id), begin, next);
         }
-    });
-    pending_.clear();
+
+        // Every group writes its events to the rows its counts reserved —
+        // stable within each instance — and frees each chunk once it is
+        // placed.
+        std::uint64_t* time_ns = columns_.mutable_time_ns();
+        std::int64_t* position = columns_.mutable_position();
+        std::uint32_t* size = columns_.mutable_sizes();
+        std::uint8_t* op = columns_.mutable_op();
+        std::uint16_t* thread = columns_.mutable_thread();
+        std::uint64_t* seq = seq_.get();
+        for_each_index(pool, groups, [&](std::size_t g) {
+            std::size_t* next_row = next_rows[g].data();
+            for (std::size_t c = bounds[g]; c < bounds[g + 1]; ++c) {
+                visit_rows(pending_[c], [&](const auto& rows, std::size_t n) {
+                    for (std::size_t i = 0; i < n; ++i) {
+                        const AccessEvent ev = rows.at(i);
+                        if (ev.instance == kInvalidInstance) continue;
+                        const std::size_t row = next_row[ev.instance]++;
+                        seq[row] = ev.seq;
+                        time_ns[row] = ev.time_ns;
+                        position[row] = ev.position;
+                        size[row] = ev.size;
+                        op[row] = static_cast<std::uint8_t>(ev.op);
+                        thread[row] = ev.thread;
+                    }
+                });
+                pending_[c].rows = EventChunk();  // frees the placed chunk
+            }
+        });
+        pending_.clear();
+    }
 
     // A chain whose seqs ascend end to end left every instance in order.
     // Otherwise re-sort the instances whose rows are not.
-    bool ordered = true;
-    const GroupScan* prev = nullptr;
-    for (const GroupScan& scan : scans) {
-        if (!scan.any) continue;
-        if (!scan.ordered || (prev != nullptr && scan.first_seq < prev->last_seq))
-            ordered = false;
-        prev = &scan;
-    }
     if (ordered) return;
+    DSSPY_TRACE_SPAN("capture.finalize.sort");
+    std::uint64_t* seq = seq_.get();
     for_each_index(pool, slots, [&](std::size_t id) {
         const ColumnRange range = columns_.range(static_cast<InstanceId>(id));
         for (std::size_t row = range.begin + 1; row < range.end; ++row) {
@@ -299,6 +324,25 @@ void ProfileStore::finalize_locked(par::ThreadPool* pool) const {
             }
         }
     });
+}
+
+ProfileStore::ChunkCounts ProfileStore::placed_counts_locked() const {
+    // Rows are laid out in instance id order and ascend in seq within
+    // each instance, so the span checks only the range boundaries.
+    ChunkCounts counts;
+    counts.per_instance.resize(columns_.instance_slots());
+    for (std::size_t slot = 0; slot < columns_.instance_slots(); ++slot) {
+        const ColumnRange range = columns_.range(static_cast<InstanceId>(slot));
+        if (range.empty()) continue;
+        counts.per_instance[slot] = static_cast<std::uint32_t>(range.size());
+        if (!counts.any)
+            counts.first_seq = seq_[range.begin];
+        else if (seq_[range.begin] < counts.last_seq)
+            counts.ordered = false;
+        counts.last_seq = seq_[range.end - 1];
+        counts.any = true;
+    }
+    return counts;
 }
 
 const ColumnStore& ProfileStore::columns(par::ThreadPool* pool) const {

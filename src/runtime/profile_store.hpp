@@ -13,18 +13,25 @@
 // derived from the row's index in its chain and the small side tables
 // its chunk carries (DESIGN.md §6).  The trace readers and other
 // callers bring whole AccessEvents (append, or adopt of decoded chunks).
-// finalize() places both with one two-pass
-// stable counting scatter, templated on how a chunk yields its events —
-// count each instance's events per contiguous group of chunks, then write
-// every event straight to its row — and frees each chunk once its events
-// are placed.  Chunks, columns, the `seq` column and the events() view are
-// bulk buffers (runtime/bulk_buffer.hpp): from 2 MiB up they are huge-page
-// mappings, so a chunk freed during finalize goes back to the OS at once.
-// Only instances whose rows arrived out of `seq` order (several recording
-// threads, appended batches, externally built traces) are re-sorted, by
-// the shared permutation regroup (column_store.hpp).  An AccessEvent view
-// of the rows is gathered only when a caller asks for events(): the HTML
-// and chart output, tests and the reference analyzer.
+// Every pending chunk arrives with its ChunkCounts — events per instance
+// and the span of its seqs — so finalize() never reads an event to count
+// it.  A capture chunk's counts come from the tally its recording thread
+// kept while the rows were still in L1 (ProfilingSession::refill); every
+// other chunk is counted by one helper where its events are touched
+// anyway: append counts while it copies, adopt counts decoded chunks, and
+// a re-finalize reads the counts of its placed rows off their ranges.
+// finalize() sums the counts per contiguous group of chunks into each
+// group's first row per instance, then places every event straight into
+// its row, one template over the two row layouts, and frees each chunk
+// once its events are placed.  Chunks, columns, the `seq` column and the
+// events() view are bulk buffers (runtime/bulk_buffer.hpp): from 2 MiB up
+// they are huge-page mappings, so a chunk freed during finalize goes back
+// to the OS at once.  Only instances whose rows arrived out of `seq`
+// order (several recording threads, appended batches, externally built
+// traces) are re-sorted, by the shared permutation regroup
+// (column_store.hpp).  An AccessEvent view of the rows is gathered only
+// when a caller asks for events(): the HTML and chart output, tests and
+// the reference analyzer.
 #pragma once
 
 #include <cstddef>
@@ -122,10 +129,16 @@ struct CaptureView {
 };
 
 /// A block of one thread's Buffered capture: the view's rows and tables
-/// in one bulk buffer it owns.
+/// in one bulk buffer it owns, and the rows' per-instance tally.
 struct CaptureChunk : CaptureView {
     BulkBuffer<std::byte> storage;
     std::size_t size = 0;  ///< Filled rows (a prefix).
+    /// Rows per instance id, indexed by id, kept by the recording thread
+    /// as it writes them; it covers exactly the first `size` rows while
+    /// `counted` holds.  A chunk that is not counted (none is by default)
+    /// is counted by ProfileStore::adopt instead.
+    std::vector<std::uint32_t> tally;
+    bool counted = false;
 };
 
 /// The next capture chunk of a chain whose last chunk has `previous` rows
@@ -163,17 +176,18 @@ public:
     void append(std::span<const AccessEvent> events);
 
     /// Take over a chain of event chunks without copying them; each
-    /// chunk's first `size` events count.  finalize() frees each chunk as
-    /// soon as its events are placed.
+    /// chunk's first `size` events count, and are counted here.
+    /// finalize() frees each chunk as soon as its events are placed.
     void adopt(std::vector<EventChunk> chunks);
 
-    /// Take over one thread's capture chain the same way.
+    /// Take over one thread's capture chain the same way.  A chunk's
+    /// tally serves as its counts; chunks without one are counted here.
     void adopt(CaptureChain chain);
 
     /// Place every pending event into its instance's column rows.  With a
-    /// pool, both scatter passes and the re-sorts run in parallel; the
-    /// result is identical (each group writes rows its counts reserved,
-    /// and each re-sorted instance owns a disjoint row range).
+    /// pool, the placement and the re-sorts run in parallel; the result is
+    /// identical (each group writes rows its counts reserved, and each
+    /// re-sorted instance owns a disjoint row range).
     void finalize(par::ThreadPool* pool = nullptr);
 
     /// Structure-of-arrays view of all events (DESIGN.md §11): one
@@ -245,10 +259,34 @@ private:
         CaptureChunk rows;
         ThreadId thread = 0;
     };
-    /// A chunk waiting for finalize, in either row layout.
-    using PendingChunk = std::variant<EventChunk, ThreadChunk>;
+    /// What finalize reads of a pending chunk instead of its events:
+    /// events per instance id (the kInvalidInstance sentinel is not
+    /// counted) and the seqs of its first and last counted events.  A
+    /// chunk holds fewer than 2^32 events.
+    struct ChunkCounts {
+        std::vector<std::uint32_t> per_instance;
+        bool any = false;     ///< At least one event is counted.
+        bool ordered = true;  ///< Seqs never decrease within the chunk.
+        std::uint64_t first_seq = 0;
+        std::uint64_t last_seq = 0;
+
+        /// Count `n` events read through `rows` (`rows.at(i)` yields an
+        /// AccessEvent): the one counting loop, run where a chunk's
+        /// events are touched anyway, for every chunk whose producer
+        /// kept no tally.
+        template <class Rows>
+        void add(const Rows& rows, std::size_t n);
+    };
+    /// A chunk waiting for finalize, in either row layout, with its
+    /// counts.
+    struct PendingChunk {
+        std::variant<EventChunk, ThreadChunk> rows;
+        ChunkCounts counts;
+    };
 
     void finalize_locked(par::ThreadPool* pool) const;
+    /// Counts of the placed rows, read off their ranges.
+    [[nodiscard]] ChunkCounts placed_counts_locked() const;
     /// Write every placed row to out[row] as an AccessEvent.
     void gather_locked(AccessEvent* out) const;
 

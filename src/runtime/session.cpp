@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <limits>
 #include <mutex>
+#include <new>
 #include <span>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -66,7 +67,9 @@ const CaptureMetricIds& capture_metrics() {
 }
 
 /// Events below this count are finalized sequentially; above it the
-/// store's scatter passes go to the shared thread pool.
+/// store's placement and re-sorts go to the shared thread pool.  The
+/// counts finalize sums arrive with the chunks, so only those two steps
+/// read the events.
 constexpr std::size_t kParallelFinalizeThreshold = 1u << 16;
 
 /// The collector copies at most this many events per channel per round,
@@ -228,6 +231,12 @@ void ProfilingSession::record_slow(InstanceId instance, OpKind op,
 }
 
 void ProfilingSession::refill(Channel& chan, std::uint64_t k) {
+    std::vector<CaptureChunk>& chunks = chan.chain.chunks;
+    // Tally the stride just closed while its rows are still in L1.
+    if (!chunks.empty()) {
+        tally_rows(chunks.back(), chan.tally_pos, chan.write_pos);
+        chan.tally_pos = chan.write_pos;
+    }
     if (has_sink_.load(std::memory_order_relaxed)) {
         // Blocking backpressure: the mutator waits for the collector
         // rather than dropping events — profiles must be complete for the
@@ -248,7 +257,6 @@ void ProfilingSession::refill(Channel& chan, std::uint64_t k) {
             }
         }
     }
-    std::vector<CaptureChunk>& chunks = chan.chain.chunks;
     if (chan.write_pos == chan.chunk_end) {
         // Chunk sizing follows next_capture_chunk's schedule: 6,788 rows
         // (160 KiB) first, doubling to 54,311 rows (1.25 MiB) on malloc,
@@ -264,7 +272,11 @@ void ProfilingSession::refill(Channel& chan, std::uint64_t k) {
         // reading in the new chunk's first slots.
         chunk.seq_base(k) = chan.seq_base;
         chunk.stamp(k) = chan.stamp;
+        // An Incremental session's chunks are freed as they drain and
+        // never reach the store, so only Postmortem ones keep a tally.
+        chunk.counted = analysis_ == AnalysisMode::Postmortem;
         chan.write_pos = chunk.rows;
+        chan.tally_pos = chunk.rows;
         chan.chunk_end = chunk.rows + chunk.capacity;
         const std::scoped_lock lock(chan.chain_mutex);
         chunks.push_back(std::move(chunk));
@@ -292,6 +304,37 @@ void ProfilingSession::refill(Channel& chan, std::uint64_t k) {
         static_cast<std::ptrdiff_t>(kTimestampStride - phase);
     chan.write_limit =
         chan.write_pos + std::min(to_stride, chan.chunk_end - chan.write_pos);
+}
+
+void ProfilingSession::tally_rows(CaptureChunk& chunk, const CaptureRow* row,
+                                  const CaptureRow* end) noexcept {
+    if (!chunk.counted) return;
+    std::vector<std::uint32_t>& tally = chunk.tally;
+    while (row != end) {
+        const InstanceId id = row->instance;
+        const CaptureRow* run_end = row + 1;
+        while (run_end != end && run_end->instance == id) ++run_end;
+        if (id >= tally.size()) [[unlikely]] {
+            bool grown = false;
+            const std::size_t registered = registry_.size();
+            if (id < registered) {
+                try {
+                    tally.resize(registered);
+                    grown = true;
+                } catch (const std::bad_alloc&) {
+                }
+            }
+            if (!grown) {
+                // An id the registry never issued (or no memory to
+                // track it): ProfileStore::adopt counts this chunk.
+                chunk.counted = false;
+                chunk.tally = {};
+                return;
+            }
+        }
+        tally[id] += static_cast<std::uint32_t>(run_end - row);
+        row = run_end;
+    }
 }
 
 void ProfilingSession::collector_loop(const std::stop_token& st) {
@@ -445,8 +488,16 @@ void ProfilingSession::stop() {
          chan != nullptr; chan = chan->next) {
         // The acquire pairs with the release in record(): exactly the
         // events whose writes are fully published are handed on.
-        seal_chain(chan->chain.chunks,
-                   chan->events.load(std::memory_order_acquire));
+        std::vector<CaptureChunk>& chunks = chan->chain.chunks;
+        seal_chain(chunks, chan->events.load(std::memory_order_acquire));
+        if (retain && !chunks.empty()) {
+            // Tally the tail: the rows since the last refill, which has
+            // tallied every earlier chunk whole.  Refill runs before the
+            // row it makes room for is published, so the tail starts at
+            // or before the last chunk's sealed end.
+            CaptureChunk& last = chunks.back();
+            tally_rows(last, chan->tally_pos, last.rows + last.size);
+        }
         if (retain) store_.adopt(std::move(chan->chain));
         chan->chain = CaptureChain();
     }

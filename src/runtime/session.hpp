@@ -37,9 +37,14 @@
 //     thread's first cached slot, the channel's `sealed` flag and its
 //     write limit, stores one row and publishes the count.  The write
 //     limit is the nearer of the chunk end and the next stride, so one
-//     compare covers clock reads, seq refills, chunk growth and the live
-//     drain's backpressure; those, slot misses and telemetry run in cold
-//     out-of-line functions.
+//     compare covers clock reads, seq refills, chunk growth, the live
+//     drain's backpressure and the row tally; those, slot misses and
+//     telemetry run in cold out-of-line functions.
+//   * Count while capturing: in a Postmortem session refill adds the
+//     stride it closes (at most 64 rows, still in L1) to its chunk's
+//     per-instance tally, one run of equal ids at a time, and stop()
+//     adds the tail.  The store's finalize then sums tallies instead of
+//     reading every row a second time to count it.
 //   * Live drain: the collector acquire-reads a channel's published count
 //     and copies the rows below it out as AccessEvents.  The chain's chunk
 //     vector is shared with it under a per-channel mutex that only chunk
@@ -223,6 +228,8 @@ private:
 
         const std::uint64_t owner;  ///< Serial of the recording thread.
         CaptureRow* chunk_end = nullptr;  ///< End of the current chunk.
+        /// First row of the current chunk not yet in its tally.
+        CaptureRow* tally_pos = nullptr;
         std::uint64_t seq_base = 0;  ///< Seq of the current block's start.
         std::uint64_t stamp = 0;     ///< Most recent clock reading.
 
@@ -267,11 +274,16 @@ private:
     [[gnu::cold, gnu::noinline]] void record_slow(
         InstanceId instance, OpKind op, std::int64_t position,
         std::uint32_t size) noexcept;
-    /// At the write limit: wait out the drain bound when a sink is
-    /// attached, add a chunk when the current one is full, take the clock
-    /// reading (and seq block) due at event `k`, and move the limit to
-    /// the next stride or chunk end.
+    /// At the write limit: tally the stride just closed, wait out the
+    /// drain bound when a sink is attached, add a chunk when the current
+    /// one is full, take the clock reading (and seq block) due at event
+    /// `k`, and move the limit to the next stride or chunk end.
     [[gnu::cold]] void refill(Channel& chan, std::uint64_t k);
+    /// Add rows [`row`, `end`) of `chunk` to its tally.  The tally grows
+    /// only to the registry's size, read under its mutex only then; a row
+    /// with any other id drops the tally, and the store counts the chunk.
+    void tally_rows(CaptureChunk& chunk, const CaptureRow* row,
+                    const CaptureRow* end) noexcept;
     Channel& channel_for_current_thread();
     void collector_loop(const std::stop_token& st);
     /// Copy every channel's newly published rows into its pending buffer,

@@ -548,6 +548,48 @@ void capture_buffered(ProfilingSession& session, int threads, int per_thread,
     session.stop();
 }
 
+/// The events of `stream` appended as AccessEvents, in collector-sized
+/// batches.
+ProfileStore append_in_batches(const std::vector<AccessEvent>& stream) {
+    ProfileStore appended;
+    for (std::size_t at = 0; at < stream.size(); at += 1024)
+        appended.append(std::span(stream).subspan(
+            at, std::min<std::size_t>(1024, stream.size() - at)));
+    return appended;
+}
+
+/// `live_store` holds the columns, ranges, events() (with every field, `seq`
+/// included) and orphan count of `expected_store`.
+void expect_same_store(const ProfileStore& live_store,
+                       const ProfileStore& expected_store,
+                       std::size_t registered) {
+    const ColumnStore& live = live_store.columns();
+    const ColumnStore& expected = expected_store.columns();
+    ASSERT_EQ(live.total_events(), expected.total_events());
+    ASSERT_EQ(live.instance_slots(), expected.instance_slots());
+    const std::size_t rows = live.total_events();
+    EXPECT_TRUE(std::equal(live.time_ns(), live.time_ns() + rows,
+                           expected.time_ns()));
+    EXPECT_TRUE(std::equal(live.position(), live.position() + rows,
+                           expected.position()));
+    EXPECT_TRUE(
+        std::equal(live.sizes(), live.sizes() + rows, expected.sizes()));
+    EXPECT_TRUE(std::equal(live.op(), live.op() + rows, expected.op()));
+    EXPECT_TRUE(std::equal(live.thread(), live.thread() + rows,
+                           expected.thread()));
+    for (std::size_t slot = 0; slot < live.instance_slots(); ++slot) {
+        const auto id = static_cast<InstanceId>(slot);
+        EXPECT_EQ(live.range(id).begin, expected.range(id).begin);
+        EXPECT_EQ(live.range(id).end, expected.range(id).end);
+        const auto a = live_store.events(id);
+        const auto b = expected_store.events(id);
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << "instance " << id;
+    }
+    EXPECT_EQ(live_store.orphan_events(registered),
+              expected_store.orphan_events(registered));
+}
+
 // 1 and 4 threads; per-thread runs cross 64-event strides, 1024-event seq
 // blocks and chunk boundaries (the first capture chunks hold 6,788,
 // 13,577, 27,155 and 54,311 rows, then 173,800 per 4 MiB mapping).
@@ -589,37 +631,113 @@ TEST(CompactRows, BufferedStoreMatchesAppendedEvents) {
         }
         EXPECT_EQ(thread_ids.size(), static_cast<std::size_t>(threads));
 
-        // The same events appended as AccessEvents, in collector-sized
-        // batches, build a byte-identical store.
-        ProfileStore appended;
-        for (std::size_t at = 0; at < stream.size(); at += 1024)
-            appended.append(std::span(stream).subspan(
-                at, std::min<std::size_t>(1024, stream.size() - at)));
-        const ColumnStore& live = session.store().columns();
-        const ColumnStore& expected = appended.columns();
-        ASSERT_EQ(live.total_events(), expected.total_events());
-        ASSERT_EQ(live.instance_slots(), expected.instance_slots());
-        const std::size_t rows = live.total_events();
-        EXPECT_TRUE(std::equal(live.time_ns(), live.time_ns() + rows,
-                               expected.time_ns()));
-        EXPECT_TRUE(std::equal(live.position(), live.position() + rows,
-                               expected.position()));
-        EXPECT_TRUE(
-            std::equal(live.sizes(), live.sizes() + rows, expected.sizes()));
-        EXPECT_TRUE(std::equal(live.op(), live.op() + rows, expected.op()));
-        EXPECT_TRUE(std::equal(live.thread(), live.thread() + rows,
-                               expected.thread()));
-        for (std::size_t slot = 0; slot < live.instance_slots(); ++slot) {
-            const auto id = static_cast<InstanceId>(slot);
-            EXPECT_EQ(live.range(id).begin, expected.range(id).begin);
-            EXPECT_EQ(live.range(id).end, expected.range(id).end);
-            // events() carries seq, so this also compares the seq column.
-            const auto a = session.store().events(id);
-            const auto b = appended.events(id);
-            EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-                << "instance " << id;
-        }
+        // The same events appended as AccessEvents build a byte-identical
+        // store.
+        expect_same_store(session.store(), append_in_batches(stream),
+                          session.registry().size());
     }
+}
+
+// Each chunk's counts come from the tally its recording thread kept, so
+// they must be the counts append() takes from the same events.  A skewed
+// stream over 300 instances, in runs of 1 to 300 events that cross
+// 64-row strides, the 6,788-row first chunk and the 4 MiB chunks (from
+// row 101,831 of a thread on); a third of the instances register while
+// the threads record, so tallies grow mid-chunk; every thread stops
+// mid-stride.
+TEST(CompactRows, CountsArriveWithTheChunks) {
+    constexpr std::size_t kInstances = 300;
+    constexpr std::size_t kEarly = 200;  // registered before recording
+    for (const auto& [threads, per_thread] :
+         {std::pair{1, 180'037}, std::pair{4, 120'037}}) {
+        SCOPED_TRACE(::testing::Message() << threads << " threads");
+        ProfilingSession session;
+        std::vector<AccessEvent> stream;
+        session.set_event_sink([&](std::span<const AccessEvent> events) {
+            stream.insert(stream.end(), events.begin(), events.end());
+        });
+        std::vector<InstanceId> early;
+        for (std::size_t i = 0; i < kEarly; ++i)
+            early.push_back(session.register_instance(
+                DsKind::List, "List<Int64>",
+                {"Tally", "M", static_cast<std::uint32_t>(i)}));
+        const std::size_t late_each =
+            (kInstances - kEarly) / static_cast<std::size_t>(threads);
+        std::vector<std::thread> workers;
+        for (int t = 0; t < threads; ++t) {
+            workers.emplace_back([&, t] {
+                support::Rng rng(static_cast<std::uint64_t>(t) + 31);
+                std::vector<InstanceId> late;
+                for (int i = 0; i < per_thread;) {
+                    if (i >= per_thread / 2 && late.empty()) {
+                        for (std::size_t j = 0; j < late_each; ++j)
+                            late.push_back(session.register_instance(
+                                DsKind::Queue, "Queue<Int32>",
+                                {"Tally", "Late",
+                                 static_cast<std::uint32_t>(j)}));
+                    }
+                    // Low ids far more often than high ones.
+                    const InstanceId id =
+                        !late.empty() && rng.next_below(4) == 0
+                            ? late[rng.next_below(late.size())]
+                            : early[rng.next_below(
+                                  rng.next_below(kEarly) + 1)];
+                    const int run = 1 + static_cast<int>(rng.next_below(
+                                            rng.next_below(2) == 0 ? 3 : 300));
+                    for (const int end = std::min(per_thread, i + run);
+                         i < end; ++i)
+                        session.record(id,
+                                       static_cast<OpKind>(i % kOpKindCount),
+                                       i, static_cast<std::uint32_t>(t));
+                }
+            });
+        }
+        for (auto& worker : workers) worker.join();
+        session.stop();
+        ASSERT_EQ(session.registry().size(), kInstances);
+        ASSERT_EQ(stream.size(), static_cast<std::size_t>(threads) *
+                                     static_cast<std::size_t>(per_thread));
+        const ProfileStore appended = append_in_batches(stream);
+        expect_same_store(session.store(), appended,
+                          session.registry().size());
+        EXPECT_EQ(session.orphan_events(),
+                  appended.orphan_events(session.registry().size()));
+    }
+}
+
+// An id the registry never issued, recorded mid-chunk in a Postmortem
+// session: that chunk drops its tally and the store counts it instead, so
+// the events are stored, and counted as orphans, like any others.
+TEST(CompactRows, UnregisteredIdMidChunkIsStoredAsOrphan) {
+    ProfilingSession session;
+    std::vector<AccessEvent> stream;
+    session.set_event_sink([&](std::span<const AccessEvent> events) {
+        stream.insert(stream.end(), events.begin(), events.end());
+    });
+    std::vector<InstanceId> ids;
+    for (std::uint32_t i = 0; i < 3; ++i)
+        ids.push_back(session.register_instance(DsKind::List, "List<Int64>",
+                                                {"Orphan", "M", i}));
+    const auto orphan =
+        static_cast<InstanceId>(session.registry().size() + 1000);
+    constexpr std::int64_t kEvents = 20'000;  // three chunks
+    constexpr std::int64_t kOrphanFrom = 3'000, kOrphans = 10;
+    for (std::int64_t i = 0; i < kEvents; ++i) {
+        const bool stray = i >= kOrphanFrom && i < kOrphanFrom + kOrphans;
+        session.record(stray ? orphan : ids[static_cast<std::size_t>(i % 3)],
+                       OpKind::Add, i, static_cast<std::uint32_t>(i));
+    }
+    session.stop();
+    const auto stored = session.store().events(orphan);
+    ASSERT_EQ(stored.size(), static_cast<std::size_t>(kOrphans));
+    for (std::int64_t i = 0; i < kOrphans; ++i)
+        EXPECT_EQ(stored[static_cast<std::size_t>(i)].position,
+                  kOrphanFrom + i);
+    EXPECT_EQ(session.orphan_events(), static_cast<std::size_t>(kOrphans));
+    EXPECT_EQ(session.store().total_events(),
+              static_cast<std::size_t>(kEvents));
+    expect_same_store(session.store(), append_in_batches(stream),
+                      session.registry().size());
 }
 
 // The incremental sink gets the store's events, every one exactly once,
