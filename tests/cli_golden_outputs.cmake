@@ -7,7 +7,8 @@
 #   dsspy watch <app> --interval-ms 5 --report --csv-usecases --csv-instances
 #       with its `[watch]` tick lines dropped, which must equal
 #       dsspy run <app> --incremental with the same flags (ticks print
-#       a summary table under --summary, so that flag is left out).
+#       a summary table under --summary, so that flag is left out);
+#   the file dsspy run <app> --postmortem --html FILE writes.
 # Every output is deterministic (fixed app seeds, thread-count-independent
 # analysis), so a changed digest means a changed report, not noise.
 # Run as: cmake -DDSSPY_BIN=<path-to-dsspy> -P cli_golden_outputs.cmake
@@ -53,6 +54,27 @@ function(expect_watch_digest digest)
   if(NOT actual STREQUAL digest)
     message(SEND_ERROR
       "dsspy watch ${shown}: stdout digest ${actual}, expected ${digest}")
+  endif()
+endfunction()
+
+# Like expect_digest, for a file dsspy writes: `dsspy <args>` must
+# write `path`, whose bytes are hashed and then removed.
+function(expect_file_digest digest path)
+  file(REMOVE "${path}")
+  execute_process(COMMAND ${DSSPY_BIN} ${ARGN}
+                  RESULT_VARIABLE code
+                  OUTPUT_QUIET
+                  ERROR_QUIET)
+  string(JOIN " " shown ${ARGN})
+  if(NOT code EQUAL 0 OR NOT EXISTS "${path}")
+    message(SEND_ERROR "dsspy ${shown}: exit ${code}, wrote no ${path}")
+    return()
+  endif()
+  file(SHA256 "${path}" actual)
+  file(REMOVE "${path}")
+  if(NOT actual STREQUAL digest)
+    message(SEND_ERROR
+      "dsspy ${shown}: file digest ${actual}, expected ${digest}")
   endif()
 endfunction()
 
@@ -117,3 +139,26 @@ expect_watch("Mandelbrot"
   3f87b0e1a21bb6f89841da596afad896b29d6a7f0556daad51e7a91d7179af37)
 expect_watch("WordWheelSolver"
   be169605ccc9c217e350b57d59e0b1faabf56f31028e2239c8f355ddedbec9f4)
+
+# app  digest of the --html report of a post-mortem run
+function(expect_html app digest)
+  string(MAKE_C_IDENTIFIER "${app}" stem)
+  set(path "${CMAKE_CURRENT_BINARY_DIR}/golden_${stem}.html")
+  expect_file_digest(${digest} ${path}
+                     run ${app} --postmortem --html ${path})
+endfunction()
+
+expect_html("Algorithmia"
+  90de4e093865ef76985a76b3e923c7fb5a176355ba7e33a620f8c75e43b8cd0e)
+expect_html("Astrogrep"
+  4f7048abdf3c220590bdc2e8fc8fa0c3a3b35facaea6a7bfdf8db2e5d2e11a7e)
+expect_html("Contentfinder"
+  dd1982f65e588aef66f13f31d81daad386841c8256b6345fa9b60afd6ed07fc9)
+expect_html("CPU Benchmarks"
+  be073398d89183cb19eafa2112b59f4d92d7489096c82ab81d84da2dd6a33f8c)
+expect_html("Gpdotnet"
+  4c7a409d02565f0e5fb38d2e60493f0123bbf1e35e770228499a190923d6deae)
+expect_html("Mandelbrot"
+  9898f13f53e68d66aaa8207b3f2e00e983bcead55535c7c8c1df780737f08df0)
+expect_html("WordWheelSolver"
+  e3b5f09f3d545a6bfb27c3aedcf3b936c2cb8b96319f7f578c2b1bc6b68ea602)
