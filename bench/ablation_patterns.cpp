@@ -5,7 +5,10 @@
 // too large and short real streaks disappear.  This bench sweeps the knob
 // over a mixed workload and reports pattern counts plus detector runtime.
 #include <iostream>
+#include <vector>
 
+#include "core/column_analysis.hpp"
+#include "core/detector_kernels.hpp"
 #include "core/dsspy.hpp"
 #include "ds/ds.hpp"
 #include "support/rng.hpp"
@@ -36,11 +39,16 @@ int main() {
     }
     session.stop();
 
-    const core::RuntimeProfile profile(session.registry().info(id),
-                                       session.store().events(id));
+    // The instance's rows, as the post-mortem engine's detector reads them.
+    const runtime::ColumnStore& columns = session.store().columns();
+    std::vector<std::uint8_t> types(columns.total_events());
+    core::kernels::derive_types(columns.op(), columns.total_events(),
+                                types.data());
+    const core::ColumnSlice profile =
+        core::make_slice(columns, columns.range(id), types.data());
 
     std::cout << "Ablation - minimum pattern length over a mixed workload ("
-              << profile.total_events() << " events; streak lengths "
+              << profile.n << " events; streak lengths "
                  "2/3/5/8/16/64/256 x20 plus noise)\n\n";
 
     Table table({"min_pattern_events", "Patterns found", "Pattern events",
@@ -48,13 +56,12 @@ int main() {
     for (const std::size_t min_len : {2u, 3u, 4u, 6u, 9u, 17u, 65u}) {
         core::DetectorConfig config;
         config.min_pattern_events = min_len;
-        const core::PatternDetector detector(config);
 
         support::Stopwatch sw;
         std::vector<core::Pattern> patterns;
         constexpr int kReps = 50;
         for (int rep = 0; rep < kReps; ++rep)
-            patterns = detector.detect(profile);
+            patterns = core::detect_patterns_columns(profile, config);
         const double us = sw.elapsed_ns() / 1e3 / kReps;
 
         std::size_t covered = 0;

@@ -2,17 +2,19 @@
 //
 // Builds a synthetic workload (256 instances, ~10.5M access events with
 // mixed access patterns), then measures the columnar analysis core
-// (DESIGN.md §11) against the pre-columnar AoS reference path:
+// (DESIGN.md §11) against the per-event AoS oracle:
 //
-//   * aos_sequential     — Dsspy::analyze_reference, no pool (the seed
-//                          implementation; the acceptance baseline)
+//   * aos_sequential     — oracle::analyze over the store's events,
+//                          gathered once beforehand (tests/aos_oracle.hpp:
+//                          the seed implementation's per-event algorithm;
+//                          the acceptance baseline)
 //   * scalar_sequential  — columnar analyze with SIMD dispatch forced to
 //                          the scalar fallback
 //   * analyze_sequential — columnar analyze at the detected SIMD level
 //   * analyze_pool N     — columnar analyze over event-balanced shards on
 //                          an N-thread pool
 //
-// Every variant's verdicts are digest-checked against the AoS reference;
+// Every variant's verdicts are checked against the AoS oracle;
 // the emitted JSON carries the identity flags next to the timings, plus
 // hardware/provenance fields (hardware_concurrency, the --threads setting,
 // the active SIMD level).  The same harness also times the parallel
@@ -27,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "aos_oracle.hpp"
 #include "core/detector_kernels.hpp"
 #include "core/dsspy.hpp"
 #include "parallel/thread_pool.hpp"
@@ -112,8 +115,8 @@ bool identical(const core::AnalysisResult& a, const core::AnalysisResult& b) {
         const core::InstanceAnalysis& y = b.instances()[i];
         if (x.patterns != y.patterns) return false;
         if (x.use_cases != y.use_cases) return false;
-        if (x.profile.info() != y.profile.info()) return false;
-        if (x.profile.total_events() != y.profile.total_events()) return false;
+        if (x.stats.info != y.stats.info) return false;
+        if (x.stats.total != y.stats.total) return false;
     }
     return a.total_events() == b.total_events() &&
            a.flagged_instances() == b.flagged_instances();
@@ -168,24 +171,25 @@ int main(int argc, char** argv) {
         finalize_par_ms = std::min(finalize_par_ms, ms_between(t0, t1));
     }
 
-    // --- AoS reference baseline (the seed implementation) ------------------
-    const core::Dsspy analyzer;
+    // --- AoS oracle baseline (the seed implementation) ---------------------
+    const oracle::EventsById events = oracle::events_by_id(store);
     const core::AnalysisResult reference =
-        analyzer.analyze_reference(instances, store);
+        oracle::analyze(instances, events).result;
     double aos_ms = 1e100;
     for (int r = 0; r < rounds; ++r) {
         const auto t0 = Clock::now();
         const core::AnalysisResult res =
-            analyzer.analyze_reference(instances, store);
+            oracle::analyze(instances, events).result;
         const auto t1 = Clock::now();
         aos_ms = std::min(aos_ms, ms_between(t0, t1));
         if (!identical(reference, res)) {
-            std::fprintf(stderr, "FATAL: AoS reference analyze not stable\n");
+            std::fprintf(stderr, "FATAL: AoS oracle analyze not stable\n");
             return 1;
         }
     }
 
     // --- columnar, SIMD forced off (mandatory scalar fallback) -------------
+    const core::Dsspy analyzer;
     core::kernels::force_simd_level(core::kernels::SimdLevel::Scalar);
     double scalar_ms = 1e100;
     bool scalar_identical = true;
@@ -229,7 +233,7 @@ int main(int argc, char** argv) {
                 all_identical = false;
                 std::fprintf(stderr,
                              "FATAL: parallel analyze (%u threads) deviates "
-                             "from the AoS reference result\n",
+                             "from the AoS oracle result\n",
                              threads);
             }
         }

@@ -156,7 +156,7 @@ std::array<Counts, core::kUseCaseKindCount> evaluate(
         ls.session.stop();
         const core::AnalysisResult analysis = analyzer.analyze(ls.session);
         for (const core::InstanceAnalysis& ia : analysis.instances()) {
-            const auto it = ls.truth.find(ia.profile.info().id);
+            const auto it = ls.truth.find(ia.stats.info.id);
             if (it == ls.truth.end()) continue;  // unlabeled helper
             const Label& expected = it->second;
             Label detected;

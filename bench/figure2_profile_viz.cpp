@@ -31,13 +31,13 @@ int main() {
     }
     session.stop();
 
-    const core::RuntimeProfile profile(session.registry().info(id),
-                                       session.store().events(id));
+    const runtime::InstanceInfo info = session.registry().info(id);
+    const runtime::ColumnStore& columns = session.store().columns();
 
     std::cout << "Figure 2 - Runtime profile for the example list\n\n";
     Table table({"#", "Op", "Type", "Position", "Size", "Thread"});
     std::size_t i = 0;
-    for (const runtime::AccessEvent& ev : profile.events()) {
+    session.store().for_each_event(id, [&](const runtime::AccessEvent& ev) {
         table.add_row({std::to_string(i++),
                        std::string(runtime::op_name(ev.op)),
                        std::string(core::access_type_name(
@@ -45,24 +45,24 @@ int main() {
                        std::to_string(ev.position),
                        std::to_string(ev.size),
                        std::to_string(ev.thread)});
-    }
+    });
     table.print(std::cout);
 
     std::cout << "\nProfile chart (bars = accessed index, '.' = size):\n";
     viz::ChartOptions options;
     options.max_width = 40;
     options.max_height = 11;
-    std::cout << viz::render_profile_bars(profile, options);
+    std::cout << viz::render_profile_bars(columns, info, options);
 
-    const std::string svg = viz::profile_to_svg(profile);
+    const std::string svg = viz::profile_to_svg(columns, info);
     if (viz::write_file("figure2_profile.svg", svg))
         std::cout << "\nWrote figure2_profile.svg\n";
 
     // The two patterns the paper points out in this profile.
-    const auto patterns = core::PatternDetector{}.detect(profile);
+    const core::AnalysisResult analysis = core::Dsspy{}.analyze(session);
     std::cout << "\nDetected patterns (paper: two separate access "
                  "patterns):\n";
-    for (const core::Pattern& p : patterns)
+    for (const core::Pattern& p : analysis.instances().at(id).patterns)
         std::cout << "  " << core::pattern_name(p.kind) << " of length "
                   << p.length << " (positions " << p.start_pos << " -> "
                   << p.end_pos << ")\n";

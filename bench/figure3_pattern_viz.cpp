@@ -38,32 +38,29 @@ int main() {
     }
     session.stop();
 
-    const core::RuntimeProfile profile(session.registry().info(id),
-                                       session.store().events(id));
+    const runtime::InstanceInfo info = session.registry().info(id);
+    const runtime::ColumnStore& columns = session.store().columns();
 
     std::cout << "Figure 3 - Index-sequential inserts and reads\n\n";
     viz::ChartOptions options;
     options.max_width = 110;
     options.max_height = 14;
-    std::cout << viz::render_profile_scatter(profile, options);
+    std::cout << viz::render_profile_scatter(columns, info, options);
 
-    const std::string svg = viz::profile_to_svg(profile);
+    const std::string svg = viz::profile_to_svg(columns, info);
     if (viz::write_file("figure3_profile.svg", svg))
         std::cout << "\nWrote figure3_profile.svg\n";
 
-    const auto patterns = core::PatternDetector{}.detect(profile);
-    std::size_t insert_back = 0;
-    std::size_t read_forward = 0;
-    for (const core::Pattern& p : patterns) {
-        if (p.kind == core::PatternKind::InsertBack) ++insert_back;
-        if (p.kind == core::PatternKind::ReadForward) ++read_forward;
-    }
-    std::cout << "\nPatterns: " << insert_back << "x Insert-Back, "
-              << read_forward
+    const core::AnalysisResult analysis = core::Dsspy{}.analyze(session);
+    const auto& counts = analysis.instances().at(id).stats.pattern_counts;
+    const auto count = [&counts](core::PatternKind kind) {
+        return counts[static_cast<std::size_t>(kind)];
+    };
+    std::cout << "\nPatterns: " << count(core::PatternKind::InsertBack)
+              << "x Insert-Back, " << count(core::PatternKind::ReadForward)
               << "x Read-Forward (paper: \"several hundreds times\" over "
                  "the full run)\n\n";
 
-    const core::AnalysisResult analysis = core::Dsspy{}.analyze(session);
     std::cout << "Derived use cases (paper: Long-Insert and "
                  "Frequent-Long-Read):\n\n";
     core::print_use_case_report(std::cout, analysis);

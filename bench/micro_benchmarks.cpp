@@ -7,6 +7,8 @@
 #include <span>
 #include <vector>
 
+#include "core/column_analysis.hpp"
+#include "core/detector_kernels.hpp"
 #include "core/dsspy.hpp"
 #include "ds/ds.hpp"
 #include "parallel/algorithms.hpp"
@@ -134,15 +136,19 @@ void BM_PatternDetection(benchmark::State& state) {
         id = list.instance_id();
     }
     session.stop();
-    const core::RuntimeProfile profile(session.registry().info(id),
-                                       session.store().events(id));
-    const core::PatternDetector detector;
+    const runtime::ColumnStore& columns = session.store().columns();
+    std::vector<std::uint8_t> types(columns.total_events());
+    core::kernels::derive_types(columns.op(), columns.total_events(),
+                                types.data());
+    const core::ColumnSlice profile =
+        core::make_slice(columns, columns.range(id), types.data());
+    const core::DetectorConfig config;
     for (auto _ : state) {
-        auto patterns = detector.detect(profile);
+        auto patterns = core::detect_patterns_columns(profile, config);
         benchmark::DoNotOptimize(patterns.data());
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(profile.total_events()));
+                            static_cast<std::int64_t>(profile.n));
 }
 BENCHMARK(BM_PatternDetection)->Arg(1 << 12)->Arg(1 << 16);
 

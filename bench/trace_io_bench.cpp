@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "aos_oracle.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/trace_binary.hpp"
 #include "runtime/trace_io.hpp"
@@ -177,9 +178,9 @@ int main(int argc, char** argv) {
                             par_trace.store.total_events();
         for (std::size_t id = 0;
              par_identical && id < seq_trace.store.instance_slots(); ++id) {
-            const auto a = seq_trace.store.events(static_cast<InstanceId>(id));
-            const auto b = par_trace.store.events(static_cast<InstanceId>(id));
-            par_identical = std::equal(a.begin(), a.end(), b.begin(), b.end());
+            const auto iid = static_cast<InstanceId>(id);
+            par_identical = oracle::events_of(seq_trace.store, iid) ==
+                            oracle::events_of(par_trace.store, iid);
         }
     }
 

@@ -55,8 +55,8 @@ int main() {
     const core::AnalysisResult analysis = core::Dsspy{}.analyze(session);
     const core::InstanceAnalysis& ia = analysis.instances().front();
 
-    std::cout << "Recorded " << ia.profile.total_events() << " events from "
-              << ia.profile.thread_count() << " threads.\n\n";
+    std::cout << "Recorded " << ia.stats.total << " events from "
+              << ia.stats.thread_count << " threads.\n\n";
 
     // Per-thread pattern separation.
     std::array<std::size_t, 8> per_thread{};

@@ -51,7 +51,8 @@ int main() {
         viz::ChartOptions options;
         options.max_width = 96;
         options.max_height = 12;
-        viz::print_profile(std::cout, ia.profile, options);
+        viz::print_profile(std::cout, *analysis.columns(), ia.stats.info,
+                           options);
         std::cout << '\n';
     }
 

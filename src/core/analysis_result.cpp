@@ -1,17 +1,18 @@
 #include "core/analysis_result.hpp"
 
+#include <utility>
+
 namespace dsspy::core {
 
-void AnalysisResult::reset(const std::vector<runtime::InstanceInfo>& instances,
-                           std::size_t total_events) {
-    instances_.clear();
-    instances_.resize(instances.size());
-    total_instances_ = instances.size();
-    total_events_ = total_events;
-    list_array_instances_ = 0;
-    for (const runtime::InstanceInfo& info : instances) {
-        if (info.kind == runtime::DsKind::List ||
-            info.kind == runtime::DsKind::Array)
+AnalysisResult::AnalysisResult(std::vector<InstanceAnalysis> instances,
+                               std::size_t total_events,
+                               const runtime::ColumnStore* columns)
+    : instances_(std::move(instances)),
+      columns_(columns),
+      total_events_(total_events) {
+    for (const InstanceAnalysis& ia : instances_) {
+        const runtime::DsKind kind = ia.stats.info.kind;
+        if (kind == runtime::DsKind::List || kind == runtime::DsKind::Array)
             ++list_array_instances_;
     }
 }

@@ -5,9 +5,10 @@
 // and classify it through UseCaseEngine::classify, so one result type
 // carries either: every printer and exporter (report.hpp, export.hpp)
 // renders from `stats` and `use_cases`, and identical stats give
-// byte-identical output whichever engine produced them.  The profile and
-// pattern list are the post-mortem-only view; the incremental engine
-// leaves them empty.
+// byte-identical output whichever engine produced them.  A post-mortem
+// result also keeps each instance's pattern list and the ColumnStore it
+// analyzed, whose row ranges are the instances' runtime profiles (the
+// charts draw from them); the incremental engine leaves both empty.
 #pragma once
 
 #include <array>
@@ -16,18 +17,16 @@
 
 #include "core/instance_stats.hpp"
 #include "core/patterns.hpp"
-#include "core/profile.hpp"
 #include "core/use_cases.hpp"
+#include "runtime/column_store.hpp"
 
 namespace dsspy::core {
 
 /// Per-instance analysis output: the folded stats, the use cases
-/// classified from them, and (post-mortem only) the profile view and its
-/// patterns.
+/// classified from them, and (post-mortem only) the detected patterns.
 struct InstanceAnalysis {
     InstanceStats stats;
     std::vector<UseCase> use_cases;
-    RuntimeProfile profile;          ///< Post-mortem only.
     std::vector<Pattern> patterns;   ///< Post-mortem only.
 
     [[nodiscard]] bool flagged() const noexcept { return !use_cases.empty(); }
@@ -49,13 +48,29 @@ struct InstanceAnalysis {
 
 /// Whole-session analysis result.
 ///
-/// Lifetime: a post-mortem result holds spans into the session's (or
-/// trace's) ProfileStore — the store must outlive the result.
+/// Lifetime: a post-mortem result points at the ColumnStore it analyzed
+/// (the session's or trace's ProfileStore columns, or a bare column
+/// trace) — the store must outlive the result.
 class AnalysisResult {
 public:
+    AnalysisResult() = default;
+
+    /// A result over one analysis per registered instance, each with its
+    /// `stats.info` set; `columns` is the store a post-mortem engine
+    /// analyzed (null for incremental results).
+    AnalysisResult(std::vector<InstanceAnalysis> instances,
+                   std::size_t total_events,
+                   const runtime::ColumnStore* columns = nullptr);
+
     [[nodiscard]] const std::vector<InstanceAnalysis>& instances()
         const noexcept {
         return instances_;
+    }
+
+    /// The analyzed columns: an instance's runtime profile is its row
+    /// range (`columns()->range(info.id)`).  Null for incremental results.
+    [[nodiscard]] const runtime::ColumnStore* columns() const noexcept {
+        return columns_;
     }
 
     /// All use cases across all instances, in instance order.
@@ -74,7 +89,7 @@ public:
 
     /// All registered instances regardless of kind.
     [[nodiscard]] std::size_t total_instances() const noexcept {
-        return total_instances_;
+        return instances_.size();
     }
 
     /// List/array instances flagged with at least one parallel use case.
@@ -91,16 +106,9 @@ public:
     }
 
 private:
-    friend class Dsspy;
-    friend class IncrementalAnalyzer;
-
-    /// Size the result for `instances` and count the list/array ones.
-    void reset(const std::vector<runtime::InstanceInfo>& instances,
-               std::size_t total_events);
-
     std::vector<InstanceAnalysis> instances_;
+    const runtime::ColumnStore* columns_ = nullptr;
     std::size_t list_array_instances_ = 0;
-    std::size_t total_instances_ = 0;
     std::size_t total_events_ = 0;
 };
 

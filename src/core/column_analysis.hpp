@@ -1,14 +1,16 @@
 // Per-instance analysis over event columns (DESIGN.md §11).
 //
-// The columnar twin of the AoS pipeline profile -> patterns -> stats: the
-// same aggregates, patterns, and InstanceStats the event-struct path
-// produces, computed from raw ColumnStore ranges with the vectorized
-// kernels in detector_kernels.hpp.  Everything downstream (UseCaseEngine,
-// reports) consumes the shared InstanceStats/RuntimeProfile types, so
-// verdicts are bit-identical by construction; the differential suite in
-// tests/test_column_analysis.cpp enforces it.
+// The post-mortem engine's per-instance steps — profile aggregates,
+// patterns, InstanceStats — computed from raw ColumnStore ranges with the
+// vectorized kernels in detector_kernels.hpp.  An instance's runtime
+// profile ("all access events to a data structure instance ... in
+// chronological order", Section II-B) is its row range.  Everything
+// downstream (UseCaseEngine, reports) consumes InstanceStats; the
+// differential suite in tests/test_column_analysis.cpp holds the verdicts
+// to a per-event oracle (tests/aos_oracle.hpp).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -17,11 +19,38 @@
 #include "core/instance_stats.hpp"
 #include "core/pattern_machine.hpp"
 #include "core/patterns.hpp"
-#include "core/profile.hpp"
+#include "runtime/bulk_buffer.hpp"
 #include "runtime/column_store.hpp"
 #include "runtime/instance_registry.hpp"
 
 namespace dsspy::core {
+
+/// A maximal run of events with the same derived access type.
+/// ("DSspy executes the phase detection on the access profiles".)
+struct Phase {
+    AccessType type = AccessType::Read;
+    std::uint32_t first = 0;   ///< Index of the first event of the instance.
+    std::uint32_t last = 0;    ///< Index of the last event (inclusive).
+    [[nodiscard]] std::size_t length() const noexcept {
+        return static_cast<std::size_t>(last) - first + 1;
+    }
+};
+
+/// Phases of one instance.  A phase-dense instance (reads and writes
+/// alternating) has one phase per one or two events, so the list is as
+/// large as a column and lives on a bulk buffer (runtime/bulk_buffer.hpp).
+using PhaseList = std::vector<Phase, runtime::BulkAllocator<Phase>>;
+
+/// Aggregates of one instance's profile: event count, per-access-type
+/// counts, phases, maximum size, duration and thread count.
+struct ProfileAggregates {
+    std::size_t total_events = 0;
+    std::array<std::size_t, kAccessTypeCount> counts{};
+    PhaseList phases;
+    std::size_t max_size = 0;
+    std::uint64_t duration_ns = 0;
+    std::size_t thread_count = 0;
+};
 
 /// One instance's event rows as raw column pointers.  `types` is the
 /// derived access-type column (kernels::derive_types over the op column),
@@ -50,8 +79,8 @@ struct ColumnSlice {
                                      runtime::ColumnRange range,
                                      const std::uint8_t* types_base);
 
-/// Profile aggregates (counts, phases, max size, duration, thread count) —
-/// the numbers the RuntimeProfile AoS constructor derives per event.
+/// Profile aggregates (counts, phases, max size, duration, thread count)
+/// from the kernel scans.
 [[nodiscard]] ProfileAggregates aggregates_from_columns(const ColumnSlice& s);
 
 namespace detail {
@@ -121,17 +150,17 @@ void drive_patterns(PatternMachine& machine, const ColumnSlice& s,
 
 }  // namespace detail
 
-/// The eight-pattern detector over columns.  Emits exactly the patterns
-/// PatternDetector::detect finds on the equivalent event span, in the same
-/// order: the per-thread PatternMachine still arbitrates run state, but
-/// rows that provably extend the current run are consumed in bulk by the
+/// The eight-pattern detector over columns, patterns ordered by first
+/// event.  Emits exactly what stepping every row through the per-thread
+/// PatternMachine emits: the machine still arbitrates run state, but rows
+/// that provably extend the current run are consumed in bulk by the
 /// vectorized streak scans instead of one step() call each.
 [[nodiscard]] std::vector<Pattern> detect_patterns_columns(
     const ColumnSlice& s, const DetectorConfig& config);
 
-/// InstanceStats from columns + detected patterns, field-for-field equal
-/// to compute_instance_stats on the equivalent profile.  `agg` must come
-/// from aggregates_from_columns over the same slice.
+/// InstanceStats from columns + detected patterns.  `agg` must come from
+/// aggregates_from_columns over the same slice, `patterns` from
+/// detect_patterns_columns with the same configuration.
 [[nodiscard]] InstanceStats instance_stats_from_columns(
     const runtime::InstanceInfo& info, const ColumnSlice& s,
     const ProfileAggregates& agg, const std::vector<Pattern>& patterns,

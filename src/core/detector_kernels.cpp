@@ -813,9 +813,9 @@ std::size_t distinct_threads(const std::uint16_t* threads, std::size_t n) {
             if (i == n) return 1;
         }
     }
-    // Small profiles: insertion scan over the handful of ids seen, exactly
-    // like the AoS profile constructor.  Large profiles: one bit per
-    // possible ThreadId (8 KiB) beats the quadratic scan.
+    // Small profiles: insertion scan over the handful of ids seen.  Large
+    // profiles: one bit per possible ThreadId (8 KiB) beats the quadratic
+    // scan.
     if (n < 1024) {
         std::vector<std::uint16_t> seen;
         for (std::size_t i = 0; i < n; ++i) {

@@ -3,13 +3,14 @@
 // Every kernel is a flat scan over raw column data from a
 // runtime::ColumnStore: access-type histograms, position-regularity
 // streaks, end-traffic window counts, weighted read totals.  Each has a
-// branch-light scalar core (the reference semantics, shared with the AoS
-// path via the helpers in instance_stats.hpp) and optional SSE4.2/AVX2
-// paths selected by runtime dispatch — the scalar fallback is mandatory
-// and always compiled, so every kernel returns the same bits at every
-// dispatch level.  All counters are integers; the only floating-point
-// outputs (weighted read shares) are computed from exact integer sums, so
-// SIMD lane order cannot perturb verdicts.
+// branch-light scalar core (the reference semantics, shared with the
+// incremental analyzer's per-event fold via the helpers in
+// instance_stats.hpp) and optional SSE4.2/AVX2 paths selected by runtime
+// dispatch — the scalar fallback is mandatory and always compiled, so
+// every kernel returns the same bits at every dispatch level.  All
+// counters are integers; the only floating-point outputs (weighted read
+// shares) are computed from exact integer sums, so SIMD lane order cannot
+// perturb verdicts.
 //
 // Dispatch policy: AVX2 > SSE4.2 > scalar, decided once per process from
 // CPUID, demoted by the DSSPY_FORCE_SCALAR=1 environment variable (or at
@@ -24,8 +25,8 @@
 #include <vector>
 
 #include "core/access_type.hpp"
+#include "core/column_analysis.hpp"
 #include "core/instance_stats.hpp"
-#include "core/profile.hpp"
 #include "runtime/op.hpp"
 
 namespace dsspy::core::kernels {
@@ -98,8 +99,7 @@ struct WeightedReads {
                                            const std::uint32_t* sizes,
                                            std::size_t n);
 
-/// Maximal same-type phases over the type column — the same boundaries
-/// RuntimeProfile derives from the AoS event span.
+/// Maximal same-type phases over the type column.
 [[nodiscard]] PhaseList phases_from_types(const std::uint8_t* types,
                                           std::size_t n);
 

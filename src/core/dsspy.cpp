@@ -23,22 +23,13 @@ AnalysisResult Dsspy::analyze(const runtime::ProfilingSession& session,
 AnalysisResult Dsspy::analyze(
     const std::vector<runtime::InstanceInfo>& instances,
     const runtime::ProfileStore& store, par::ThreadPool* pool) const {
-    return analyze_columns_impl(instances, store.columns(pool), &store, pool);
+    return analyze(instances, store.columns(pool), pool);
 }
 
 AnalysisResult Dsspy::analyze(
     const std::vector<runtime::InstanceInfo>& instances,
     const runtime::ColumnStore& columns, par::ThreadPool* pool) const {
-    return analyze_columns_impl(instances, columns, nullptr, pool);
-}
-
-AnalysisResult Dsspy::analyze_columns_impl(
-    const std::vector<runtime::InstanceInfo>& instances,
-    const runtime::ColumnStore& columns,
-    const runtime::ProfileStore* store, par::ThreadPool* pool) const {
     DSSPY_TRACE_SPAN("analyze.total");
-    AnalysisResult result;
-    result.reset(instances, columns.total_events());
 
     // Derived access types for the whole store, computed once and shared
     // read-only by every shard (one pshufb pass instead of a per-event
@@ -63,6 +54,7 @@ AnalysisResult Dsspy::analyze_columns_impl(
         obs::MetricsRegistry::global().histogram("analyze.instance_ns");
     const std::size_t count = instances.size();
     const bool telemetry = obs::enabled();
+    std::vector<InstanceAnalysis> analyses(count);
     std::vector<ProfileAggregates> aggregates(count);
     std::vector<std::uint64_t> scan_ns(telemetry ? 2 * count : 0);
     const auto scans_done = std::make_unique<std::atomic<int>[]>(count);
@@ -70,7 +62,7 @@ AnalysisResult Dsspy::analyze_columns_impl(
         const std::uint64_t begin_ns = telemetry ? support::now_ns() : 0;
         const std::size_t i = task / 2;
         const runtime::InstanceInfo& info = instances[i];
-        InstanceAnalysis& ia = result.instances_[i];
+        InstanceAnalysis& ia = analyses[i];
         const ColumnSlice slice =
             make_slice(columns, columns.range(info.id), types.get());
         if (task % 2 == 0)
@@ -85,7 +77,9 @@ AnalysisResult Dsspy::analyze_columns_impl(
         const std::uint64_t fold_ns = telemetry ? support::now_ns() : 0;
         ia.stats = instance_stats_from_columns(info, slice, aggregates[i],
                                                ia.patterns, config_);
-        ia.profile = RuntimeProfile(info, store, std::move(aggregates[i]));
+        // A phase-dense instance's phase list is as large as a column:
+        // free it once folded.
+        aggregates[i] = {};
         ia.use_cases = engine_.classify(ia.stats);
         if (telemetry)
             obs::MetricsRegistry::global().observe(
@@ -132,46 +126,8 @@ AnalysisResult Dsspy::analyze_columns_impl(
     } else {
         for (std::size_t t = 0; t < 2 * count; ++t) run_task(t);
     }
-    return result;
-}
-
-AnalysisResult Dsspy::analyze_reference(
-    const std::vector<runtime::InstanceInfo>& instances,
-    const runtime::ProfileStore& store, par::ThreadPool* pool) const {
-    DSSPY_TRACE_SPAN("analyze.total");
-    AnalysisResult result;
-    result.reset(instances, store.total_events());
-    static const obs::MetricId instance_ns_metric =
-        obs::MetricsRegistry::global().histogram("analyze.instance_ns");
-    auto analyze_range = [&](std::size_t lo, std::size_t hi) {
-        const bool telemetry = obs::enabled();
-        for (std::size_t i = lo; i < hi; ++i) {
-            const std::uint64_t begin_ns =
-                telemetry ? support::now_ns() : 0;
-            const runtime::InstanceInfo& info = instances[i];
-            InstanceAnalysis& ia = result.instances_[i];
-            ia.profile = RuntimeProfile(info, store.events(info.id));
-            ia.patterns = detector_.detect(ia.profile);
-            ia.stats =
-                compute_instance_stats(ia.profile, ia.patterns, config_);
-            ia.use_cases = engine_.classify(ia.stats);
-            if (telemetry)
-                obs::MetricsRegistry::global().observe(
-                    instance_ns_metric, support::now_ns() - begin_ns);
-        }
-    };
-    if (pool != nullptr && instances.size() > 1) {
-        const obs::TraceContext analyze_ctx = obs::current_trace_context();
-        par::parallel_for_chunks(
-            *pool, 0, instances.size(),
-            [&](std::size_t lo, std::size_t hi) {
-                DSSPY_TRACE_SPAN_UNDER("analyze.shard", analyze_ctx);
-                analyze_range(lo, hi);
-            });
-    } else {
-        analyze_range(0, instances.size());
-    }
-    return result;
+    return AnalysisResult(std::move(analyses), columns.total_events(),
+                          &columns);
 }
 
 }  // namespace dsspy::core

@@ -11,7 +11,6 @@
 #include "core/analysis_result.hpp"
 #include "core/detector_config.hpp"
 #include "core/incremental.hpp"
-#include "core/patterns.hpp"
 #include "core/use_cases.hpp"
 #include "runtime/column_store.hpp"
 #include "runtime/session.hpp"
@@ -26,13 +25,13 @@ namespace dsspy::core {
 class Dsspy {
 public:
     explicit Dsspy(DetectorConfig config = {})
-        : config_(config), detector_(config), engine_(config) {}
+        : config_(config), engine_(config) {}
 
-    /// Analyze a stopped session: build a profile per instance, detect
-    /// patterns, classify use cases.  With a pool, instances are analyzed
-    /// in parallel; the result is bit-identical to the sequential run (the
-    /// detector and engine are stateless and each instance writes its own
-    /// pre-allocated slot).
+    /// Analyze a stopped session: aggregate each instance's profile,
+    /// detect patterns, classify use cases.  With a pool, instances are
+    /// analyzed in parallel; the result is bit-identical to the sequential
+    /// run (the detector and engine are stateless and each instance writes
+    /// its own pre-allocated slot).
     [[nodiscard]] AnalysisResult analyze(
         const runtime::ProfilingSession& session,
         par::ThreadPool* pool = nullptr) const;
@@ -40,29 +39,18 @@ public:
     /// Analyze explicit instance metadata + a finalized store (e.g. a
     /// trace deserialized with runtime::read_trace).  The store must
     /// outlive the result.  Runs over the store's columns with the
-    /// vectorized kernels (DESIGN.md §11); the profiles fetch their event
-    /// rows from the store only if the HTML export or a chart asks.
+    /// vectorized kernels (DESIGN.md §11).
     [[nodiscard]] AnalysisResult analyze(
         const std::vector<runtime::InstanceInfo>& instances,
         const runtime::ProfileStore& store,
         par::ThreadPool* pool = nullptr) const;
 
     /// Analyze a bare columnar store (the zero-copy DST1 path,
-    /// runtime::read_trace_columns): identical verdicts without any AoS
-    /// events behind them — profiles have empty events() spans.  The
-    /// store must outlive the result.
+    /// runtime::read_trace_columns): the same verdicts and charts without
+    /// a ProfileStore behind them.  The store must outlive the result.
     [[nodiscard]] AnalysisResult analyze(
         const std::vector<runtime::InstanceInfo>& instances,
         const runtime::ColumnStore& columns,
-        par::ThreadPool* pool = nullptr) const;
-
-    /// The pre-columnar AoS implementation, kept as the differential
-    /// reference: per-event RuntimeProfile construction, per-step pattern
-    /// machine, instance-count work partitioning.  The differential suite
-    /// and the benchmark baseline compare analyze() against this.
-    [[nodiscard]] AnalysisResult analyze_reference(
-        const std::vector<runtime::InstanceInfo>& instances,
-        const runtime::ProfileStore& store,
         par::ThreadPool* pool = nullptr) const;
 
     /// Live snapshot of an incremental analyzer attached to a running
@@ -87,13 +75,7 @@ public:
     }
 
 private:
-    [[nodiscard]] AnalysisResult analyze_columns_impl(
-        const std::vector<runtime::InstanceInfo>& instances,
-        const runtime::ColumnStore& columns,
-        const runtime::ProfileStore* store, par::ThreadPool* pool) const;
-
     DetectorConfig config_;
-    PatternDetector detector_;
     UseCaseEngine engine_;
 };
 

@@ -420,18 +420,17 @@ AnalysisResult IncrementalAnalyzer::report_from(
 
     std::size_t total_events = 0;
     for (const State& st : states) total_events += st.next_index;
-    AnalysisResult result;
-    result.reset(instances, total_events);
+    std::vector<InstanceAnalysis> analyses(instances.size());
     static const State kEmptyState;
     for (std::size_t i = 0; i < instances.size(); ++i) {
         const runtime::InstanceInfo& info = instances[i];
         const State& st =
             info.id < states.size() ? states[info.id] : kEmptyState;
-        InstanceAnalysis& ia = result.instances_[i];
+        InstanceAnalysis& ia = analyses[i];
         ia.stats = to_stats(st, info);
         ia.use_cases = engine_.classify(ia.stats);
     }
-    return result;
+    return AnalysisResult(std::move(analyses), total_events);
 }
 
 AnalysisResult IncrementalAnalyzer::snapshot(

@@ -36,10 +36,10 @@
 #include <vector>
 
 #include "core/analysis_result.hpp"
+#include "core/column_analysis.hpp"
 #include "core/detector_config.hpp"
 #include "core/instance_stats.hpp"
 #include "core/pattern_machine.hpp"
-#include "core/profile.hpp"
 #include "core/use_cases.hpp"
 #include "runtime/access_event.hpp"
 #include "runtime/instance_registry.hpp"

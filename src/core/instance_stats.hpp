@@ -3,9 +3,9 @@
 // InstanceStats is everything the eight use-case rules (Section III-B)
 // consume, reduced to O(1) numbers per instance.  Two producers fill it:
 //
-//   * compute_instance_stats — post-mortem, from a finalized RuntimeProfile
-//     and its detected patterns (use_cases.cpp);
-//   * IncrementalAnalyzer — streaming, folding one event at a time
+//   * instance_stats_from_columns — post-mortem, from an instance's column
+//     range and its detected patterns (column_analysis.hpp, DESIGN.md §11);
+//   * IncrementalAnalyzer — streaming, folding events as they arrive
 //     (incremental.hpp, DESIGN.md §8).
 //
 // Both feed the same UseCaseEngine::classify(const InstanceStats&), so the
@@ -17,7 +17,6 @@
 #include <cstdint>
 
 #include "core/access_type.hpp"
-#include "core/detector_config.hpp"
 #include "core/patterns.hpp"
 #include "runtime/access_event.hpp"
 #include "runtime/instance_registry.hpp"
@@ -46,9 +45,10 @@ struct EndTraffic {
 
 /// Fold one access into the end-traffic counters (accesses within `window`
 /// slots of position 0 / the last index count as front / back traffic).
-/// This field form is the single source of truth: the AoS event overload
-/// below and the columnar scalar kernel (detector_kernels.hpp) both call
-/// it, so the two analysis paths cannot drift.
+/// This field form is the single source of truth: the event overload below
+/// (the incremental analyzer's per-event fold) and the columnar scalar
+/// kernel (detector_kernels.hpp) both call it, so the two engines cannot
+/// drift.
 inline void accumulate_end_traffic(EndTraffic& t, AccessType type,
                                    std::int64_t position, std::uint32_t size,
                                    std::size_t window) noexcept {
@@ -139,12 +139,5 @@ struct InstanceStats {
     friend bool operator==(const InstanceStats&,
                            const InstanceStats&) = default;
 };
-
-/// Post-mortem producer: reduce a finalized profile + its patterns to the
-/// aggregate form.  `patterns` must come from a PatternDetector with the
-/// same configuration, run over the same profile.
-[[nodiscard]] InstanceStats compute_instance_stats(
-    const RuntimeProfile& profile, const std::vector<Pattern>& patterns,
-    const DetectorConfig& config);
 
 }  // namespace dsspy::core

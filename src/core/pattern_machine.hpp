@@ -1,15 +1,16 @@
 // Streaming form of the eight-pattern detector (Section III-A).
 //
 // The per-thread run state machine lives here so that the post-mortem
-// PatternDetector and the incremental analyzer (DESIGN.md §8) share one
-// implementation: both fold events through PatternMachine::step and receive
-// completed patterns through a sink callback.  Whatever the detector would
-// have emitted over the full profile, the machine emits piecewise — the
+// detector (detect_patterns_columns) and the incremental analyzer
+// (DESIGN.md §8) share one implementation: both drive events through
+// PatternMachine (detail::drive_patterns in column_analysis.hpp) and
+// receive completed patterns through a sink callback.  Whatever the
+// detector emits over the full profile, the machine emits piecewise — the
 // incremental path is equivalent by construction, not by reimplementation.
 //
-// Indices passed to step() are per-instance event indices (the position the
-// event would have in the finalized RuntimeProfile), so emitted Pattern
-// first/last fields are identical to the post-mortem detector's.
+// Indices passed to step() are per-instance event indices (the event's
+// position in the instance's row range), so emitted Pattern first/last
+// fields are identical to the post-mortem detector's.
 #pragma once
 
 #include <algorithm>

@@ -1,4 +1,4 @@
-// The eight access-pattern types and their detector (Section III-A).
+// The eight access-pattern types (Section III-A).
 //
 //   Read-Forward / Write-Forward   : adjacent reads/writes, ascending.
 //   Read-Backward / Write-Backward : adjacent reads/writes, descending.
@@ -9,15 +9,16 @@
 // events we also capture the thread id and bind it to each access event").
 // A ForAll event (whole-container traversal through the interface) is
 // materialized as a synthetic full-coverage Read-Forward pattern, since the
-// traversal reads every element in order.
+// traversal reads every element in order.  The detector is the per-thread
+// PatternMachine (pattern_machine.hpp), driven over an instance's columns
+// by detect_patterns_columns (column_analysis.hpp).
 #pragma once
 
 #include <cstdint>
 #include <string_view>
 #include <vector>
 
-#include "core/detector_config.hpp"
-#include "core/profile.hpp"
+#include "runtime/access_event.hpp"
 
 namespace dsspy::core {
 
@@ -71,7 +72,7 @@ inline constexpr std::size_t kPatternKindCount =
            kind == PatternKind::DeleteBack;
 }
 
-/// One located pattern instance inside a runtime profile.
+/// One located pattern instance inside an instance's runtime profile.
 struct Pattern {
     PatternKind kind = PatternKind::ReadForward;
     std::uint32_t first = 0;    ///< Index of the first event in the profile.
@@ -85,27 +86,5 @@ struct Pattern {
 
     friend bool operator==(const Pattern&, const Pattern&) = default;
 };
-
-/// Locates the eight patterns in a runtime profile.
-class PatternDetector {
-public:
-    explicit PatternDetector(DetectorConfig config = {})
-        : config_(config) {}
-
-    /// All patterns of the profile, ordered by first event index.
-    [[nodiscard]] std::vector<Pattern> detect(
-        const RuntimeProfile& profile) const;
-
-    [[nodiscard]] const DetectorConfig& config() const noexcept {
-        return config_;
-    }
-
-private:
-    DetectorConfig config_;
-};
-
-/// Per-kind pattern counts (e.g. for Table II / Table III style summaries).
-[[nodiscard]] std::vector<std::size_t> count_by_kind(
-    const std::vector<Pattern>& patterns);
 
 }  // namespace dsspy::core

@@ -26,86 +26,6 @@ std::string_view recommended_action(UseCaseKind kind) noexcept {
     return advice_action_text(advice_action_for(kind));
 }
 
-InstanceStats compute_instance_stats(const RuntimeProfile& profile,
-                                     const std::vector<Pattern>& patterns,
-                                     const DetectorConfig& config) {
-    InstanceStats s;
-    s.info = profile.info();
-    s.total = profile.total_events();
-    for (std::size_t t = 0; t < kAccessTypeCount; ++t)
-        s.counts[t] = profile.count(static_cast<AccessType>(t));
-    s.thread_count = profile.thread_count();
-    s.duration_ns = profile.duration_ns();
-    s.max_size = profile.max_size();
-
-    const auto events = profile.events();
-    for (const runtime::AccessEvent& ev : events) {
-        accumulate_end_traffic(s.iq_traffic, ev, config.iq_end_window);
-        accumulate_end_traffic(s.edge_traffic, ev, 1);
-        if (ev.op == runtime::OpKind::Resize) ++s.resizes;
-        // ForAll traversals weigh as many reads as elements they touch:
-        // one for_each over n elements is n reads for the 50%-reads rule.
-        const AccessType type = derive_access_type(ev.op);
-        const double weight = type == AccessType::ForAll && ev.size > 0
-                                  ? static_cast<double>(ev.size)
-                                  : 1.0;
-        s.weighted_total += weight;
-        if (is_read_like(type)) s.weighted_reads += weight;
-    }
-
-    for (const Pattern& p : patterns) {
-        ++s.pattern_counts[static_cast<std::size_t>(p.kind)];
-        if (is_read_pattern(p.kind)) {
-            if (!p.synthetic) s.read_pattern_events += p.length;
-            if (p.coverage >= config.flr_min_coverage) ++s.long_read_patterns;
-        }
-        if (!counts_as_insertion_pattern(p, s.info.kind)) continue;
-        if (p.length >= config.li_min_phase_events) {
-            s.long_insert_events += p.length;
-            if (!p.synthetic)
-                s.long_insert_ns +=
-                    events[p.last].time_ns - events[p.first].time_ns;
-            // Longest qualifying phase; first-seen wins ties (patterns are
-            // ordered by first event index).
-            if (!s.has_longest_insert ||
-                p.length > s.longest_insert_length) {
-                s.has_longest_insert = true;
-                s.longest_insert_length = p.length;
-                s.longest_insert_front = p.kind == PatternKind::InsertFront;
-            }
-        }
-    }
-
-    // Sort-After-Insert: the earliest Sort trailing a qualifying insertion
-    // phase within the gap window; among that Sort's phases, the earliest.
-    for (std::uint32_t i = 0; i < events.size() && !s.sai_match; ++i) {
-        if (derive_access_type(events[i].op) != AccessType::Sort) continue;
-        for (const Pattern& p : patterns) {
-            if (!counts_as_insertion_pattern(p, s.info.kind)) continue;
-            if (p.length < config.sai_min_phase_events) continue;
-            if (p.last < i && i - p.last <= config.sai_max_gap_events) {
-                s.sai_match = true;
-                s.sai_phase_length = p.length;
-                break;
-            }
-        }
-    }
-
-    if (!profile.phases().empty()) {
-        const Phase& tail = profile.phases().back();
-        s.tail_type = tail.type;
-        s.tail_length = tail.length();
-        s.tail_last_size = events[tail.last].size;
-    }
-    return s;
-}
-
-std::vector<UseCase> UseCaseEngine::classify(
-    const RuntimeProfile& profile,
-    const std::vector<Pattern>& patterns) const {
-    return classify(compute_instance_stats(profile, patterns, config_));
-}
-
 std::vector<UseCase> UseCaseEngine::classify(const InstanceStats& s) const {
     std::vector<UseCase> out;
     const runtime::InstanceInfo& info = s.info;

@@ -20,7 +20,6 @@
 #include "core/detector_config.hpp"
 #include "core/instance_stats.hpp"
 #include "core/patterns.hpp"
-#include "core/profile.hpp"
 
 namespace dsspy::core {
 
@@ -144,17 +143,10 @@ struct UseCase {
     friend bool operator==(const UseCase&, const UseCase&) = default;
 };
 
-/// Applies the use-case rules to a profile and its detected patterns.
+/// Applies the use-case rules to an instance's folded stats.
 class UseCaseEngine {
 public:
     explicit UseCaseEngine(DetectorConfig config = {}) : config_(config) {}
-
-    /// Classify a profile.  `patterns` must come from a PatternDetector
-    /// with the same configuration, run over the same profile.  Equivalent
-    /// to `classify(compute_instance_stats(profile, patterns, config()))`.
-    [[nodiscard]] std::vector<UseCase> classify(
-        const RuntimeProfile& profile,
-        const std::vector<Pattern>& patterns) const;
 
     /// Classify from pre-folded aggregates.  This is the single emission
     /// path both the post-mortem and the incremental pipeline go through;

@@ -6,10 +6,11 @@
 // is one sink; build_sinks() assembles the sinks a plan requests in the
 // canonical emission order, and emit_reports() runs them over an outcome.
 // Most sinks render RunOutcome::result(), which either engine fills.  The
-// post-mortem sinks (plan, json, csv-patterns, html) need profiles and
-// patterns, so they render only `outcome.analysis` and emit nothing for an
-// incremental outcome; plan validation rejects those combinations up
-// front (OutputSelection::needs_postmortem).
+// post-mortem sinks (plan, json, csv-patterns, html) need patterns (and
+// the HTML charts the analyzed columns), so they render only
+// `outcome.analysis` and emit nothing for an incremental outcome; plan
+// validation rejects those combinations up front
+// (OutputSelection::needs_postmortem).
 #pragma once
 
 #include <iosfwd>

@@ -130,9 +130,9 @@ inline constexpr int kExitUsageError = 2;
 
 /// Typed result of executing one RunPlan.  Exactly one of `analysis` /
 /// `stream` is engaged on success (postmortem vs incremental engine; both
-/// hold the same result type, but only `analysis` carries profiles and
-/// patterns); the outcome owns the session/trace backing them, because a
-/// post-mortem result holds spans into its session's ProfileStore.
+/// hold the same result type, but only `analysis` carries the analyzed
+/// columns and patterns); the outcome owns the session/trace backing
+/// them, because a post-mortem result points at their columns.
 struct RunOutcome {
     int exit_code = kExitOk;
     std::string label;       ///< The plan's display name.
@@ -148,9 +148,9 @@ struct RunOutcome {
     std::optional<core::AnalysisResult> stream;    ///< Incremental result.
 
     /// Backing storage for `analysis` (live runs / trace loads).  Binary
-    /// traces analyzed without event-level outputs load as columns only
-    /// (`column_trace`, DESIGN.md §11); everything else fills `trace` or
-    /// `session`.
+    /// traces analyzed post-mortem without --trace re-emission load as
+    /// columns only (`column_trace`, DESIGN.md §11); everything else fills
+    /// `trace` or `session`.
     std::unique_ptr<runtime::ProfilingSession> session;
     std::unique_ptr<runtime::Trace> trace;
     std::unique_ptr<runtime::ColumnTrace> column_trace;

@@ -156,12 +156,11 @@ RunOutcome PipelineRunner::run_trace(const RunPlan& plan, std::ostream& out,
         return outcome;
     }
 
-    // Post-mortem DST1 analysis that never touches event-level outputs
-    // (no trace re-emission, no HTML event timeline) can skip the
-    // ProfileStore entirely: mmap the file and decode straight into columns.
-    // Half the peak memory, and the analysis runs on the same columnar
-    // kernels either way, so verdicts are identical.
-    if (plan.trace_out.empty() && plan.outputs.html_path.empty() &&
+    // Post-mortem DST1 analysis that does not re-emit the trace skips the
+    // ProfileStore entirely: mmap the file and decode straight into
+    // columns.  Half the peak memory, and the analysis and the HTML charts
+    // read the same columns either way, so every output is identical.
+    if (plan.trace_out.empty() &&
         runtime::is_binary_trace_file(plan.target)) {
         auto columns = std::make_unique<runtime::ColumnTrace>();
         try {

@@ -47,9 +47,10 @@ struct ColumnRange {
 
 /// Five per-field event columns plus the per-instance row ranges.
 ///
-/// Rows within one instance's range are in ascending `seq` order (the
-/// chronological order RuntimeProfile expects); `seq` itself is not a
-/// column here — producers that need it keep it beside the store.
+/// Rows within one instance's range are in ascending `seq` order: the
+/// range is the instance's runtime profile, its events in chronological
+/// order.  `seq` itself is not a column here — producers that need it
+/// keep it beside the store.
 class ColumnStore {
 public:
     ColumnStore() = default;

@@ -121,7 +121,6 @@ ProfileStore& ProfileStore::operator=(ProfileStore&& other) noexcept {
         pending_ = std::exchange(other.pending_, {});
         columns_ = std::move(other.columns_);
         seq_ = std::move(other.seq_);
-        event_view_ = std::move(other.event_view_);
     }
     return *this;
 }
@@ -188,16 +187,21 @@ void ProfileStore::finalize_locked(par::ThreadPool* pool) const {
     if (pending_.empty()) return;
     if (columns_.total_events() > 0) {
         // Appends after an earlier finalize: the placed rows rejoin the
-        // pending events in front, counted off their ranges, and the
-        // placement below sorts it out.
+        // pending events in front, as events in row order, counted off
+        // their ranges, and the placement below sorts it out.
         const std::size_t rows = columns_.total_events();
         PendingChunk placed{
             EventChunk{make_bulk_buffer<AccessEvent>(rows), rows, rows},
             placed_counts_locked()};
-        gather_locked(std::get<EventChunk>(placed.rows).events.get());
+        AccessEvent* out = std::get<EventChunk>(placed.rows).events.get();
+        for (std::size_t slot = 0; slot < columns_.instance_slots(); ++slot) {
+            const auto id = static_cast<InstanceId>(slot);
+            const ColumnRange range = columns_.range(id);
+            for (std::size_t row = range.begin; row < range.end; ++row)
+                out[row] = event_at(row, id);
+        }
         pending_.insert(pending_.begin(), std::move(placed));
     }
-    event_view_.reset();
 
     // The placement reads a chunk through `fn(rows, n)`, compiled once per
     // row layout, and returns what `fn` returns.
@@ -351,29 +355,6 @@ const ColumnStore& ProfileStore::columns(par::ThreadPool* pool) const {
     return columns_;
 }
 
-void ProfileStore::gather_locked(AccessEvent* out) const {
-    // Rows are laid out in instance id order, so each instance's events
-    // land in its own row range of `out`.
-    for (std::size_t slot = 0; slot < columns_.instance_slots(); ++slot) {
-        const auto id = static_cast<InstanceId>(slot);
-        const ColumnRange range = columns_.range(id);
-        for (std::size_t row = range.begin; row < range.end; ++row)
-            out[row] = event_at(row, id);
-    }
-}
-
-std::span<const AccessEvent> ProfileStore::events(InstanceId id) const {
-    std::scoped_lock lock(mutex_);
-    finalize_locked(nullptr);
-    const ColumnRange range = columns_.range(id);
-    if (range.empty()) return {};
-    if (!event_view_) {
-        event_view_ = make_bulk_buffer<AccessEvent>(columns_.total_events());
-        gather_locked(event_view_.get());
-    }
-    return {event_view_.get() + range.begin, range.size()};
-}
-
 std::size_t ProfileStore::total_events() const {
     return columns().total_events();
 }
@@ -398,11 +379,6 @@ std::size_t ProfileStore::orphan_events(
          ++id)
         orphans += cols.range(static_cast<InstanceId>(id)).size();
     return orphans;
-}
-
-bool ProfileStore::has_event_view() const {
-    std::scoped_lock lock(mutex_);
-    return event_view_ != nullptr;
 }
 
 }  // namespace dsspy::runtime

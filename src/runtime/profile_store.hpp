@@ -23,15 +23,14 @@
 // finalize() sums the counts per contiguous group of chunks into each
 // group's first row per instance, then places every event straight into
 // its row, one template over the two row layouts, and frees each chunk
-// once its events are placed.  Chunks, columns, the `seq` column and the
-// events() view are bulk buffers (runtime/bulk_buffer.hpp): from 2 MiB up
-// they are huge-page mappings, so a chunk freed during finalize goes back
-// to the OS at once.  Only instances whose rows arrived out of `seq`
-// order (several recording threads, appended batches, externally built
-// traces) are re-sorted, by the shared permutation regroup
-// (column_store.hpp).  An AccessEvent view of the rows is gathered only
-// when a caller asks for events(): the HTML and chart output, tests and
-// the reference analyzer.
+// once its events are placed.  Chunks, columns and the `seq` column are
+// bulk buffers (runtime/bulk_buffer.hpp): from 2 MiB up they are
+// huge-page mappings, so a chunk freed during finalize goes back to the OS
+// at once.  Only instances whose rows arrived out of `seq` order (several
+// recording threads, appended batches, externally built traces) are
+// re-sorted, by the shared permutation regroup (column_store.hpp).  The
+// columns are the store's one event representation: for_each_event builds
+// whole AccessEvents from them on the fly, one at a time.
 #pragma once
 
 #include <cstddef>
@@ -197,17 +196,9 @@ public:
     [[nodiscard]] const ColumnStore& columns(
         par::ThreadPool* pool = nullptr) const;
 
-    /// Event sequence of one instance (empty if none were recorded), with
-    /// every field — `seq` and `instance` included.  The first call
-    /// gathers an AccessEvent view of all rows (40 bytes per event, kept
-    /// until the next finalize); the span is invalidated by further
-    /// appends.  Paths that do not need whole events read columns() or
-    /// for_each_event() instead.
-    [[nodiscard]] std::span<const AccessEvent> events(InstanceId id) const;
-
     /// Call `fn(const AccessEvent&)` for each of one instance's events in
-    /// `seq` order, built from the columns on the fly (no AccessEvent
-    /// view; the trace writers' path).
+    /// `seq` order, with every field — `seq` and `instance` included —
+    /// built from the columns on the fly (the trace writers' path).
     template <class Fn>
     void for_each_event(InstanceId id, Fn&& fn) const {
         const ColumnRange range = columns().range(id);
@@ -233,10 +224,6 @@ public:
     /// and the self-telemetry registry instead of only on disk.
     [[nodiscard]] std::size_t orphan_events(
         std::size_t registered_instances) const;
-
-    /// True once events() has gathered its AccessEvent view (tests use
-    /// this to pin which outputs stay on the columns).
-    [[nodiscard]] bool has_event_view() const;
 
 private:
     /// Rows must be placed (see columns()).
@@ -287,8 +274,6 @@ private:
     void finalize_locked(par::ThreadPool* pool) const;
     /// Counts of the placed rows, read off their ranges.
     [[nodiscard]] ChunkCounts placed_counts_locked() const;
-    /// Write every placed row to out[row] as an AccessEvent.
-    void gather_locked(AccessEvent* out) const;
 
     // Reads finalize pending events, so everything below is mutable and
     // guarded by mutex_.
@@ -296,8 +281,6 @@ private:
     mutable std::vector<PendingChunk> pending_;  ///< Arrival order.
     mutable ColumnStore columns_;
     mutable BulkBuffer<std::uint64_t> seq_;  ///< Parallel to rows.
-    /// Gathered by events(), parallel to rows; null until then.
-    mutable BulkBuffer<AccessEvent> event_view_;
 };
 
 }  // namespace dsspy::runtime

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/access_type.hpp"
+
 namespace dsspy::viz {
 
 namespace {
@@ -32,18 +34,18 @@ struct Column {
     char mark = ' ';
 };
 
-std::vector<Column> downsample(const core::RuntimeProfile& profile,
+std::vector<Column> downsample(const runtime::ColumnStore& columns,
+                               runtime::ColumnRange range,
                                std::size_t max_width) {
-    const auto events = profile.events();
     std::vector<Column> cols;
-    if (events.empty() || max_width == 0) return cols;
-    const std::size_t n = events.size();
+    if (range.empty() || max_width == 0) return cols;
+    const std::size_t n = range.size();
     const std::size_t width = std::min(max_width, n);
     cols.resize(width);
     for (std::size_t c = 0; c < width; ++c) {
         // Representative event: first event of the column's bucket.
-        const std::size_t i = c * n / width;
-        const runtime::AccessEvent& ev = events[i];
+        const runtime::AccessEvent ev =
+            columns.row(range.begin + c * n / width);
         cols[c].position = ev.position;
         cols[c].size = ev.size;
         cols[c].mark = mark_for(core::derive_access_type(ev.op));
@@ -63,10 +65,12 @@ std::string legend() {
            "O=sort  .=container size\n";
 }
 
-std::string render(const core::RuntimeProfile& profile,
+std::string render(const runtime::ColumnStore& columns,
+                   const runtime::InstanceInfo& info,
                    const ChartOptions& options, bool bars) {
+    const runtime::ColumnRange range = columns.range(info.id);
     const std::vector<Column> cols =
-        downsample(profile, options.max_width);
+        downsample(columns, range, options.max_width);
     std::string out;
     if (cols.empty()) return "(empty profile)\n";
 
@@ -105,9 +109,10 @@ std::string render(const core::RuntimeProfile& profile,
     }
     out += std::string(cols.size(), '-');
     out += "> time (";
-    out += std::to_string(profile.total_events());
+    out += std::to_string(range.size());
     out += " events, max size ";
-    out += std::to_string(profile.max_size());
+    out += std::to_string(*std::max_element(columns.sizes() + range.begin,
+                                            columns.sizes() + range.end));
     out += ")\n";
     if (options.show_legend) out += legend();
     return out;
@@ -115,21 +120,24 @@ std::string render(const core::RuntimeProfile& profile,
 
 }  // namespace
 
-std::string render_profile_bars(const core::RuntimeProfile& profile,
+std::string render_profile_bars(const runtime::ColumnStore& columns,
+                                const runtime::InstanceInfo& info,
                                 const ChartOptions& options) {
-    return render(profile, options, /*bars=*/true);
+    return render(columns, info, options, /*bars=*/true);
 }
 
-std::string render_profile_scatter(const core::RuntimeProfile& profile,
+std::string render_profile_scatter(const runtime::ColumnStore& columns,
+                                   const runtime::InstanceInfo& info,
                                    const ChartOptions& options) {
-    return render(profile, options, /*bars=*/false);
+    return render(columns, info, options, /*bars=*/false);
 }
 
-void print_profile(std::ostream& os, const core::RuntimeProfile& profile,
+void print_profile(std::ostream& os, const runtime::ColumnStore& columns,
+                   const runtime::InstanceInfo& info,
                    const ChartOptions& options) {
-    os << "Runtime profile of " << profile.info().type_name << " @ "
-       << profile.info().location.to_string() << '\n'
-       << render_profile_scatter(profile, options);
+    os << "Runtime profile of " << info.type_name << " @ "
+       << info.location.to_string() << '\n'
+       << render_profile_scatter(columns, info, options);
 }
 
 }  // namespace dsspy::viz

@@ -6,12 +6,15 @@
 // encoded as characters:
 //   R read    W write    I insert    D delete    S search
 //   and '.' marks the container-size line.
+// An instance's runtime profile is its row range in a ColumnStore (a
+// post-mortem result's AnalysisResult::columns()).
 #pragma once
 
 #include <ostream>
 #include <string>
 
-#include "core/profile.hpp"
+#include "runtime/column_store.hpp"
+#include "runtime/instance_registry.hpp"
 
 namespace dsspy::viz {
 
@@ -25,15 +28,18 @@ struct ChartOptions {
 /// Figure-2 style bar chart: one column per access event, bar height equal
 /// to the accessed index, size line in the background.
 [[nodiscard]] std::string render_profile_bars(
-    const core::RuntimeProfile& profile, const ChartOptions& options = {});
+    const runtime::ColumnStore& columns, const runtime::InstanceInfo& info,
+    const ChartOptions& options = {});
 
 /// Figure-3 style scatter/line chart: access positions over time as single
 /// marks (not bars) — better for long profiles with overlapping patterns.
 [[nodiscard]] std::string render_profile_scatter(
-    const core::RuntimeProfile& profile, const ChartOptions& options = {});
+    const runtime::ColumnStore& columns, const runtime::InstanceInfo& info,
+    const ChartOptions& options = {});
 
 /// Convenience: render scatter to a stream with a heading.
-void print_profile(std::ostream& os, const core::RuntimeProfile& profile,
+void print_profile(std::ostream& os, const runtime::ColumnStore& columns,
+                   const runtime::InstanceInfo& info,
                    const ChartOptions& options = {});
 
 }  // namespace dsspy::viz

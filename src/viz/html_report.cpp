@@ -98,6 +98,10 @@ void write_html_report(std::ostream& os, const core::AnalysisResult& result,
 
     // --- per-instance detail sections ------------------------------------
     os << "<h2>Flagged locations</h2>\n";
+    // Incremental results keep no columns: their charts are empty.
+    static const runtime::ColumnStore kNoColumns;
+    const runtime::ColumnStore& columns =
+        result.columns() != nullptr ? *result.columns() : kNoColumns;
     bool any = false;
     for (const core::InstanceAnalysis& ia : result.instances()) {
         const bool charted =
@@ -113,14 +117,12 @@ void write_html_report(std::ostream& os, const core::AnalysisResult& result,
            << "</h3>\n";
 
         os << "<div class=\"chart\">"
-           << profile_to_svg(ia.profile, options.svg_columns)
+           << profile_to_svg(columns, ia.stats.info, options.svg_columns)
            << "</div>\n";
 
-        if (!ia.patterns.empty()) {
+        if (ia.total_patterns() > 0) {
             os << "<p>Patterns: ";
-            std::array<std::size_t, core::kPatternKindCount> counts{};
-            for (const core::Pattern& p : ia.patterns)
-                ++counts[static_cast<std::size_t>(p.kind)];
+            const auto& counts = ia.stats.pattern_counts;
             bool first = true;
             for (std::size_t k = 0; k < core::kPatternKindCount; ++k) {
                 if (counts[k] == 0) continue;

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "core/access_type.hpp"
+
 namespace dsspy::viz {
 
 namespace {
@@ -77,10 +79,11 @@ std::string SvgWriter::finish() {
     return body_;
 }
 
-std::string profile_to_svg(const core::RuntimeProfile& profile,
+std::string profile_to_svg(const runtime::ColumnStore& columns,
+                           const runtime::InstanceInfo& info,
                            std::size_t max_columns) {
-    const auto events = profile.events();
-    const std::size_t n = events.size();
+    const runtime::ColumnRange range = columns.range(info.id);
+    const std::size_t n = range.size();
     const std::size_t cols = std::min(max_columns, n == 0 ? 1 : n);
 
     constexpr double kMarginLeft = 40.0;
@@ -94,11 +97,11 @@ std::string profile_to_svg(const core::RuntimeProfile& profile,
                   kMarginTop + kPlotHeight + kMarginBottom);
 
     std::size_t max_value = 1;
-    for (const runtime::AccessEvent& ev : events) {
-        max_value = std::max(max_value, static_cast<std::size_t>(ev.size));
-        if (ev.position > 0)
-            max_value =
-                std::max(max_value, static_cast<std::size_t>(ev.position));
+    for (std::size_t row = range.begin; row < range.end; ++row) {
+        max_value = std::max<std::size_t>(max_value, columns.sizes()[row]);
+        if (columns.position()[row] > 0)
+            max_value = std::max(
+                max_value, static_cast<std::size_t>(columns.position()[row]));
     }
 
     auto y_of = [&](double value) {
@@ -107,13 +110,11 @@ std::string profile_to_svg(const core::RuntimeProfile& profile,
     };
 
     svg.text(kMarginLeft, 14.0,
-             profile.info().type_name + " @ " +
-                 profile.info().location.to_string(),
-             11.0);
+             info.type_name + " @ " + info.location.to_string(), 11.0);
 
     for (std::size_t c = 0; c < cols && n > 0; ++c) {
-        const std::size_t i = c * n / cols;
-        const runtime::AccessEvent& ev = events[i];
+        const runtime::AccessEvent ev =
+            columns.row(range.begin + c * n / cols);
         const double x = kMarginLeft + static_cast<double>(c) * col_width;
 
         // Grey background bar: container size at this access.

@@ -10,7 +10,8 @@
 #include <string_view>
 #include <vector>
 
-#include "core/profile.hpp"
+#include "runtime/column_store.hpp"
+#include "runtime/instance_registry.hpp"
 
 namespace dsspy::viz {
 
@@ -43,10 +44,12 @@ private:
     bool finished_ = false;
 };
 
-/// Figure-2 style SVG chart of a runtime profile.  Reads are green bars,
-/// writes/inserts red, deletes orange, the container size is a grey
-/// background bar per event.  Events are downsampled to `max_columns`.
-[[nodiscard]] std::string profile_to_svg(const core::RuntimeProfile& profile,
+/// Figure-2 style SVG chart of one instance's runtime profile: its row
+/// range in `columns`.  Reads are green bars, writes/inserts red, deletes
+/// orange, the container size is a grey background bar per event.  Events
+/// are downsampled to `max_columns`.
+[[nodiscard]] std::string profile_to_svg(const runtime::ColumnStore& columns,
+                                         const runtime::InstanceInfo& info,
                                          std::size_t max_columns = 400);
 
 /// One bar of a stacked bar chart (Figure 1 style).

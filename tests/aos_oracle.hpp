@@ -1,0 +1,79 @@
+// Test-only oracle: the per-event (array-of-structs) analysis engine.
+//
+// The post-mortem engine (core::Dsspy::analyze) scans each instance's
+// column range with vectorized kernels and bulk streak scans.  This oracle
+// derives the same verdicts the plain way, one whole AccessEvent at a
+// time: per-event profile aggregates, every event stepped through the
+// pattern machine, per-event stats.  The differential suites and
+// bench/analysis_scaling (its identity gate and its aos_sequential
+// baseline) hold the engine to it; nothing in src/ links it.  It reads a
+// store's events only through ProfileStore::for_each_event, and
+// events_of() is how tests and benches read whole events out of a store.
+#pragma once
+
+#include <span>
+#include <vector>
+
+#include "core/analysis_result.hpp"
+#include "core/column_analysis.hpp"
+#include "core/detector_config.hpp"
+#include "core/instance_stats.hpp"
+#include "core/patterns.hpp"
+#include "runtime/access_event.hpp"
+#include "runtime/instance_registry.hpp"
+#include "runtime/profile_store.hpp"
+
+namespace dsspy::oracle {
+
+/// One instance's events in `seq` order, every field set (empty if none
+/// were recorded).
+[[nodiscard]] std::vector<runtime::AccessEvent> events_of(
+    const runtime::ProfileStore& store, runtime::InstanceId id);
+
+/// Every instance's events, indexed by instance id.
+using EventsById = std::vector<std::vector<runtime::AccessEvent>>;
+[[nodiscard]] EventsById events_by_id(const runtime::ProfileStore& store);
+
+/// Counts, phases, max size, duration and thread count, event by event.
+[[nodiscard]] core::ProfileAggregates aggregates(
+    std::span<const runtime::AccessEvent> events);
+
+/// Every event stepped through the pattern machine; patterns ordered by
+/// first event index.
+[[nodiscard]] std::vector<core::Pattern> detect_patterns(
+    std::span<const runtime::AccessEvent> events,
+    const core::DetectorConfig& config);
+
+/// InstanceStats event by event.  `agg` and `patterns` must come from
+/// aggregates() and detect_patterns() over the same events.
+[[nodiscard]] core::InstanceStats instance_stats(
+    const runtime::InstanceInfo& info,
+    std::span<const runtime::AccessEvent> events,
+    const core::ProfileAggregates& agg,
+    const std::vector<core::Pattern>& patterns,
+    const core::DetectorConfig& config);
+
+/// The oracle's analysis: the result Dsspy::analyze must reproduce (with
+/// no columns behind it) and each instance's aggregates.
+struct Analysis {
+    core::AnalysisResult result;
+    std::vector<core::ProfileAggregates> aggregates;  ///< Per instance.
+};
+
+/// Analyze `instances` over events gathered with events_by_id.
+[[nodiscard]] Analysis analyze(
+    const std::vector<runtime::InstanceInfo>& instances,
+    const EventsById& events, const core::DetectorConfig& config = {});
+
+/// Analyze `instances` over a store's events.
+[[nodiscard]] Analysis analyze(
+    const std::vector<runtime::InstanceInfo>& instances,
+    const runtime::ProfileStore& store,
+    const core::DetectorConfig& config = {});
+
+/// The engine's side of a differential: each instance's aggregates from
+/// a post-mortem result's columns, by aggregates_from_columns.
+[[nodiscard]] std::vector<core::ProfileAggregates> column_aggregates(
+    const core::AnalysisResult& result);
+
+}  // namespace dsspy::oracle

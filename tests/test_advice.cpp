@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "aos_oracle.hpp"
 #include "apps/app_registry.hpp"
 #include "core/advice.hpp"
 #include "core/dsspy.hpp"
@@ -297,9 +298,12 @@ TEST(AdviceDifferential, RenderedTextMatchesLegacyFormatterOnAllApps) {
         app.run_sequential(&session);
         session.stop();
         const AnalysisResult result = Dsspy{config}.analyze(session);
-        for (const dsspy::core::InstanceAnalysis& inst : result.instances()) {
-            const InstanceStats stats = dsspy::core::compute_instance_stats(
-                inst.profile, inst.patterns, config);
+        const dsspy::oracle::Analysis reference = dsspy::oracle::analyze(
+            session.registry().snapshot(), session.store(), config);
+        for (std::size_t k = 0; k < result.instances().size(); ++k) {
+            const dsspy::core::InstanceAnalysis& inst = result.instances()[k];
+            const InstanceStats& stats =
+                reference.result.instances()[k].stats;
             const std::vector<LegacyText> legacy =
                 legacy_classify(stats, config);
             ASSERT_EQ(inst.use_cases.size(), legacy.size())
@@ -399,7 +403,7 @@ TEST(AdviceJson, StreamDocumentMatchesPostmortemDocument) {
     const auto instances = session.registry().snapshot();
     for (const auto& info : instances) analyzer.declare_instance(info);
     for (const auto& info : instances)
-        analyzer.fold(session.store().events(info.id));
+        analyzer.fold(dsspy::oracle::events_of(session.store(), info.id));
     const dsspy::core::AnalysisResult stream = analyzer.finish(instances);
     std::ostringstream st_os;
     dsspy::core::write_advice_json(st_os, stream);

@@ -191,7 +191,7 @@ TEST(Gpdotnet, FlagsTableVLocations) {
     bool fitness_li = false;
     bool fitness_flr = false;
     for (const auto& ia : analysis.instances()) {
-        const auto& loc = ia.profile.info().location;
+        const auto& loc = ia.stats.info.location;
         for (const auto& uc : ia.use_cases) {
             if (loc.method == ".ctor") {
                 population_li |= uc.kind == UseCaseKind::LongInsert;

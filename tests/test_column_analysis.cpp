@@ -6,8 +6,8 @@
 //      adversarial fuzzed columns (remainder lengths, negative positions,
 //      saturated sizes).
 //   2. Verdict level — Dsspy::analyze (columnar, SIMD, event-balanced
-//      shards) produces digest-identical results to analyze_reference (the
-//      pre-columnar AoS path) across the seven evaluation apps and the
+//      shards) produces digest-identical results to the per-event oracle
+//      (aos_oracle.hpp) across the seven evaluation apps and the
 //      whole empirical-study corpus, for scalar and SIMD dispatch, under
 //      1/2/4 worker threads, and through the zero-copy column reader.
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "aos_oracle.hpp"
 #include "apps/app_registry.hpp"
 #include "core/column_analysis.hpp"
 #include "core/detector_kernels.hpp"
@@ -352,20 +353,22 @@ TEST_F(KernelSweep, ForcedLevelClampsToCpuAndNames) {
 // --------------------------------------------------- verdict differential
 
 /// Everything that constitutes a verdict, flattened to text: profile
-/// aggregates, every pattern field, every use-case field.  Two analyses
-/// are "bit-identical" iff their digests compare equal.
-std::string digest(const AnalysisResult& result) {
+/// aggregates (`aggregates`, one per instance), every pattern field, every
+/// use-case field.  Two analyses are "bit-identical" iff their digests
+/// compare equal.
+std::string digest(const AnalysisResult& result,
+                   const std::vector<ProfileAggregates>& aggregates) {
     std::ostringstream os;
     os << result.total_instances() << '|' << result.list_array_instances()
        << '|' << result.flagged_instances() << '|' << result.total_events()
        << '\n';
-    for (const InstanceAnalysis& ia : result.instances()) {
-        const RuntimeProfile& p = ia.profile;
-        os << p.info().id << ':' << p.total_events() << ':' << p.max_size()
-           << ':' << p.duration_ns() << ':' << p.thread_count();
-        for (std::size_t t = 0; t < kAccessTypeCount; ++t)
-            os << ',' << p.count(static_cast<AccessType>(t));
-        for (const Phase& ph : p.phases())
+    for (std::size_t i = 0; i < result.instances().size(); ++i) {
+        const InstanceAnalysis& ia = result.instances()[i];
+        const ProfileAggregates& p = aggregates[i];
+        os << ia.stats.info.id << ':' << p.total_events << ':' << p.max_size
+           << ':' << p.duration_ns << ':' << p.thread_count;
+        for (const std::size_t count : p.counts) os << ',' << count;
+        for (const Phase& ph : p.phases)
             os << ';' << static_cast<int>(ph.type) << '.' << ph.first << '.'
                << ph.last;
         os << '\n';
@@ -382,16 +385,25 @@ std::string digest(const AnalysisResult& result) {
     return std::move(os).str();
 }
 
-/// Run `analyze` (columnar) against `analyze_reference` (AoS) over the
-/// same session, sweeping dispatch tiers and worker-thread counts.
+/// The oracle's digest.
+std::string digest(const oracle::Analysis& reference) {
+    return digest(reference.result, reference.aggregates);
+}
+
+/// The engine's digest, its aggregates from aggregates_from_columns.
+std::string digest(const AnalysisResult& result) {
+    return digest(result, oracle::column_aggregates(result));
+}
+
+/// Run `analyze` (columnar) against the per-event oracle over the same
+/// session, sweeping dispatch tiers and worker-thread counts.
 void expect_columnar_matches_reference(const runtime::ProfilingSession& s,
                                        const std::string& label) {
     const std::vector<runtime::InstanceInfo> instances =
         s.registry().snapshot();
     const Dsspy analyzer;
     kernels::reset_forced_simd_level();
-    const std::string ref =
-        digest(analyzer.analyze_reference(instances, s.store()));
+    const std::string ref = digest(oracle::analyze(instances, s.store()));
 
     for (const SimdLevel level : sweep_levels()) {
         kernels::force_simd_level(level);
@@ -452,8 +464,7 @@ TEST_F(VerdictDifferential, ZeroCopyColumnReaderMatchesAoSAnalysis) {
     const runtime::ColumnTrace cols = runtime::read_trace_columns(bytes);
 
     const Dsspy analyzer;
-    const std::string ref =
-        digest(analyzer.analyze_reference(aos.instances, aos.store));
+    const std::string ref = digest(oracle::analyze(aos.instances, aos.store));
     EXPECT_EQ(digest(analyzer.analyze(cols.instances, cols.columns)), ref);
     par::ThreadPool pool(4);
     EXPECT_EQ(digest(analyzer.analyze(cols.instances, cols.columns, &pool)),

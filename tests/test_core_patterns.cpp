@@ -1,65 +1,23 @@
-// Tests for the eight-access-pattern detector.
+// Tests for the eight-access-pattern detector.  Hand-written profiles run
+// through the post-mortem engine (profile_builder.hpp), so the edge cases
+// exercise the columnar detector and its streak scans.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/patterns.hpp"
+#include "profile_builder.hpp"
 
 namespace dsspy::core {
 namespace {
 
-using runtime::AccessEvent;
-using runtime::DsKind;
-using runtime::InstanceInfo;
 using runtime::OpKind;
+using test::BuiltProfile;
+using test::ProfileBuilder;
 
-struct ProfileBuilder {
-    std::vector<AccessEvent> events;
-    std::uint64_t seq = 0;
-
-    ProfileBuilder& ev(OpKind op, std::int64_t pos, std::uint32_t size,
-                       runtime::ThreadId thread = 0) {
-        AccessEvent e;
-        e.seq = seq;
-        e.time_ns = seq * 100;
-        e.position = pos;
-        e.instance = 0;
-        e.size = size;
-        e.op = op;
-        e.thread = thread;
-        events.push_back(e);
-        ++seq;
-        return *this;
-    }
-
-    /// n appends (pos == size-1 afterwards).
-    ProfileBuilder& append_run(int n, std::uint32_t start_size = 0,
-                               runtime::ThreadId thread = 0) {
-        for (int i = 0; i < n; ++i)
-            ev(OpKind::Add, start_size + static_cast<std::uint32_t>(i),
-               start_size + static_cast<std::uint32_t>(i) + 1, thread);
-        return *this;
-    }
-
-    /// Forward read sweep over [0, n) at container size `size`.
-    ProfileBuilder& read_forward(int n, std::uint32_t size,
-                                 runtime::ThreadId thread = 0) {
-        for (int i = 0; i < n; ++i) ev(OpKind::Get, i, size, thread);
-        return *this;
-    }
-
-    [[nodiscard]] RuntimeProfile build(DsKind kind = DsKind::List) const {
-        InstanceInfo info;
-        info.id = 0;
-        info.kind = kind;
-        info.type_name = "List<Int32>";
-        info.location = {"C", "M", 1};
-        return RuntimeProfile(info, events);
-    }
-};
-
-std::vector<Pattern> detect(const RuntimeProfile& profile) {
-    return PatternDetector{}.detect(profile);
+std::vector<Pattern> detect(const BuiltProfile& profile,
+                            const DetectorConfig& config = {}) {
+    return profile.instance(config).patterns;
 }
 
 TEST(PatternDetector, EmptyProfileHasNoPatterns) {
@@ -154,7 +112,7 @@ TEST(PatternDetector, MinimumRunLengthIsConfigurable) {
 
     DetectorConfig config;
     config.min_pattern_events = 2;
-    const auto patterns = PatternDetector(config).detect(profile);
+    const auto patterns = detect(profile, config);
     ASSERT_EQ(patterns.size(), 1u);
     EXPECT_EQ(patterns[0].length, 2u);
 }
@@ -264,7 +222,7 @@ TEST(PatternDetector, MixedEndInsertsEmitNothing) {
     b.ev(OpKind::InsertAt, 2, 5);   // middle
     const auto profile = b.build();
     for (const Pattern& p : detect(profile))
-        EXPECT_GE(p.length, PatternDetector{}.config().min_pattern_events);
+        EXPECT_GE(p.length, DetectorConfig{}.min_pattern_events);
 }
 
 TEST(PatternDetector, Figure2Profile) {
@@ -286,7 +244,7 @@ TEST(PatternDetector, CountByKind) {
     b.append_run(5);
     b.read_forward(5, 5);
     const auto profile = b.build();
-    const auto counts = count_by_kind(detect(profile));
+    const auto counts = profile.instance().stats.pattern_counts;
     EXPECT_EQ(counts[static_cast<size_t>(PatternKind::InsertBack)], 1u);
     EXPECT_EQ(counts[static_cast<size_t>(PatternKind::ReadForward)], 1u);
     EXPECT_EQ(counts[static_cast<size_t>(PatternKind::DeleteBack)], 0u);

@@ -1,73 +1,26 @@
 // Tests for the use-case engine: each of the eight rules fires exactly on
-// its documented evidence and respects its thresholds.
+// its documented evidence and respects its thresholds.  Hand-written
+// profiles run through the post-mortem engine (profile_builder.hpp).
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/use_cases.hpp"
+#include "profile_builder.hpp"
 
 namespace dsspy::core {
 namespace {
 
 using runtime::AccessEvent;
 using runtime::DsKind;
-using runtime::InstanceInfo;
 using runtime::OpKind;
 
-struct ProfileBuilder {
-    std::vector<AccessEvent> events;
-    std::uint64_t seq = 0;
+using test::BuiltProfile;
+using test::ProfileBuilder;
 
-    ProfileBuilder& ev(OpKind op, std::int64_t pos, std::uint32_t size,
-                       runtime::ThreadId thread = 0) {
-        AccessEvent e;
-        e.seq = seq;
-        e.time_ns = seq * 100;
-        e.position = pos;
-        e.instance = 0;
-        e.size = size;
-        e.op = op;
-        e.thread = thread;
-        events.push_back(e);
-        ++seq;
-        return *this;
-    }
-
-    ProfileBuilder& append_run(int n, std::uint32_t start_size = 0) {
-        for (int i = 0; i < n; ++i)
-            ev(OpKind::Add, start_size + static_cast<std::uint32_t>(i),
-               start_size + static_cast<std::uint32_t>(i) + 1);
-        return *this;
-    }
-
-    ProfileBuilder& read_forward(int n, std::uint32_t size) {
-        for (int i = 0; i < n; ++i) ev(OpKind::Get, i, size);
-        return *this;
-    }
-
-    ProfileBuilder& jump_reads(int n, std::uint32_t size) {
-        int pos = 0;
-        for (int i = 0; i < n; ++i) {
-            ev(OpKind::Get, pos, size);
-            pos = (pos + 7) % static_cast<int>(size);
-        }
-        return *this;
-    }
-
-    [[nodiscard]] RuntimeProfile build(DsKind kind = DsKind::List) const {
-        InstanceInfo info;
-        info.id = 0;
-        info.kind = kind;
-        info.type_name = "List<Int32>";
-        info.location = {"C", "M", 1};
-        return RuntimeProfile(info, events);
-    }
-};
-
-std::vector<UseCase> classify(const RuntimeProfile& profile,
-                              DetectorConfig config = {}) {
-    const auto patterns = PatternDetector(config).detect(profile);
-    return UseCaseEngine(config).classify(profile, patterns);
+std::vector<UseCase> classify(const BuiltProfile& profile,
+                              const DetectorConfig& config = {}) {
+    return profile.instance(config).use_cases;
 }
 
 bool has(const std::vector<UseCase>& ucs, UseCaseKind kind) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "aos_oracle.hpp"
 #include "ds/ds.hpp"
 #include "support/rng.hpp"
 
@@ -22,7 +23,7 @@ using runtime::ProfilingSession;
 std::vector<AccessEvent> events_of(ProfilingSession& session,
                                    InstanceId id) {
     session.stop();
-    const auto span = session.store().events(id);
+    const auto span = oracle::events_of(session.store(), id);
     return {span.begin(), span.end()};
 }
 

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "aos_oracle.hpp"
 #include "apps/app_registry.hpp"
 #include "core/detector_kernels.hpp"
 #include "core/dsspy.hpp"
@@ -65,20 +66,24 @@ std::string report_text(const AnalysisResult& result) {
     return os.str();
 }
 
-/// A post-mortem result's stats must agree with the profile view they
-/// were folded from: the printers read the stats, so a drift here would
-/// change post-mortem output.
+/// A post-mortem result's stats must agree with the per-event oracle's
+/// aggregates of the rows it analyzed: the printers read the stats, so a
+/// drift here would change post-mortem output.
 void expect_stats_match_profiles(const AnalysisResult& pm) {
+    ASSERT_NE(pm.columns(), nullptr);
+    const runtime::ColumnStore& columns = *pm.columns();
     for (const core::InstanceAnalysis& ia : pm.instances()) {
         SCOPED_TRACE("instance " + std::to_string(ia.stats.info.id));
-        const core::RuntimeProfile& p = ia.profile;
-        EXPECT_EQ(ia.stats.info, p.info());
-        EXPECT_EQ(ia.stats.total, p.total_events());
-        for (std::size_t t = 0; t < core::kAccessTypeCount; ++t)
-            EXPECT_EQ(ia.stats.counts[t],
-                      p.count(static_cast<core::AccessType>(t)));
-        EXPECT_EQ(ia.stats.thread_count, p.thread_count());
-        EXPECT_EQ(ia.stats.max_size, p.max_size());
+        const runtime::ColumnRange range = columns.range(ia.stats.info.id);
+        std::vector<AccessEvent> events;
+        for (std::size_t row = range.begin; row < range.end; ++row)
+            events.push_back(columns.row(row));
+        const core::ProfileAggregates p = oracle::aggregates(events);
+        EXPECT_EQ(ia.stats.total, p.total_events);
+        EXPECT_EQ(ia.stats.counts, p.counts);
+        EXPECT_EQ(ia.stats.thread_count, p.thread_count);
+        EXPECT_EQ(ia.stats.max_size, p.max_size);
+        EXPECT_EQ(ia.stats.duration_ns, p.duration_ns);
         EXPECT_EQ(ia.total_patterns(), ia.patterns.size());
     }
 }
@@ -99,6 +104,7 @@ void expect_results_equal(const AnalysisResult& pm,
                           const AnalysisResult& inc,
                           bool same_recording = true) {
     expect_stats_match_profiles(pm);
+    EXPECT_EQ(inc.columns(), nullptr);
     ASSERT_EQ(pm.instances().size(), inc.instances().size());
     EXPECT_EQ(pm.total_instances(), inc.total_instances());
     EXPECT_EQ(pm.list_array_instances(), inc.list_array_instances());
@@ -117,7 +123,6 @@ void expect_results_equal(const AnalysisResult& pm,
             EXPECT_TRUE(without_clock(a.stats) == without_clock(b.stats));
         }
         EXPECT_TRUE(b.patterns.empty());
-        EXPECT_EQ(b.profile.total_events(), 0u);
         ASSERT_EQ(a.use_cases.size(), b.use_cases.size());
         for (std::size_t u = 0; u < a.use_cases.size(); ++u) {
             SCOPED_TRACE("use case " + std::to_string(u));
@@ -145,7 +150,7 @@ void expect_equivalent(const ProfilingSession& session,
     IncrementalAnalyzer inc(config);
     for (const InstanceInfo& info : instances) inc.declare_instance(info);
     for (const InstanceInfo& info : instances)
-        inc.fold(session.store().events(info.id));
+        inc.fold(oracle::events_of(session.store(), info.id));
     expect_results_equal(pm, inc.finish(instances));
 }
 
@@ -252,8 +257,8 @@ TEST(ExampleDifferential, EventByEventFoldMatchesBatchFold) {
         single.declare_instance(info);
     }
     for (const InstanceInfo& info : instances) {
-        const std::span<const AccessEvent> events =
-            session.store().events(info.id);
+        const std::vector<AccessEvent> events =
+            oracle::events_of(session.store(), info.id);
         batched.fold(events);
         for (const AccessEvent& ev : events) single.fold(ev);
     }
@@ -355,8 +360,9 @@ TEST(LiveSessionDifferential, SnapshotDoesNotPerturbAndMatchesPrefix) {
     session.stop();
     const std::vector<InstanceInfo> instances = session.registry().snapshot();
     ASSERT_EQ(instances.size(), 1u);
-    const std::span<const AccessEvent> events =
-        session.store().events(instances[0].id);
+    const std::vector<AccessEvent> stored =
+        oracle::events_of(session.store(), instances[0].id);
+    const std::span<const AccessEvent> events = stored;
     const std::size_t half = events.size() / 2;
 
     IncrementalAnalyzer streamed, prefix_only;
@@ -647,8 +653,8 @@ using Stream = std::vector<AccessEvent>;
 Stream instance_order(const ProfilingSession& session) {
     Stream stream;
     for (const InstanceInfo& info : session.registry().snapshot()) {
-        const std::span<const AccessEvent> events =
-            session.store().events(info.id);
+        const std::vector<AccessEvent> events =
+            oracle::events_of(session.store(), info.id);
         stream.insert(stream.end(), events.begin(), events.end());
     }
     return stream;
@@ -1084,8 +1090,8 @@ void expect_stream_matches_slurp(const std::string& bytes,
     for (std::size_t i = 0; i < sink.instances.size(); ++i)
         EXPECT_TRUE(sink.instances[i] == trace.instances[i]);
     for (const InstanceInfo& info : trace.instances) {
-        const std::span<const AccessEvent> expected =
-            trace.store.events(info.id);
+        const std::vector<AccessEvent> expected =
+            oracle::events_of(trace.store, info.id);
         const std::vector<AccessEvent>& got = sink.events[info.id];
         ASSERT_EQ(got.size(), expected.size());
         for (std::size_t i = 0; i < got.size(); ++i)

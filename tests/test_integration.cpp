@@ -118,13 +118,13 @@ TEST(Pipeline, MultithreadedAccessIsAnalyzedPerThread) {
 
     const AnalysisResult analysis = Dsspy{}.analyze(session);
     const auto& ia = analysis.instances()[0];
-    ASSERT_EQ(ia.profile.info().id, id);
+    ASSERT_EQ(ia.stats.info.id, id);
     std::size_t full_read_sweeps = 0;
     for (const auto& p : ia.patterns)
         if (p.kind == PatternKind::ReadForward && p.length == 1000)
             ++full_read_sweeps;
     EXPECT_EQ(full_read_sweeps, 2u);
-    EXPECT_EQ(ia.profile.thread_count(), 3u);  // main + 2 workers
+    EXPECT_EQ(ia.stats.thread_count, 3u);  // main + 2 workers
 }
 
 TEST(Pipeline, SearchSpaceReductionCountsOnlyListsAndArrays) {
@@ -226,7 +226,7 @@ TEST(Pipeline, RecommendationIsActionable) {
     const AnalysisResult analysis = Dsspy{}.analyze(session);
     bool flr = false;
     for (const auto& ia : analysis.instances())
-        if (ia.profile.info().id == id)
+        if (ia.stats.info.id == id)
             for (const auto& uc : ia.use_cases)
                 flr |= uc.kind == UseCaseKind::FrequentLongRead;
     ASSERT_TRUE(flr);

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "aos_oracle.hpp"
 #include "core/dsspy.hpp"
 #include "core/report.hpp"
 #include "ds/ds.hpp"
@@ -27,7 +28,7 @@ TEST(Probe, MoveTransfersRecordingOwnership) {
     b.rec(runtime::OpKind::Add, 0, 1);
     a.rec(runtime::OpKind::Add, 1, 2);  // no-op: a was moved from
     session.stop();
-    EXPECT_EQ(session.store().events(id).size(), 1u);
+    EXPECT_EQ(oracle::events_of(session.store(), id).size(), 1u);
     // The instance is NOT yet deallocated: b still owns it.
     // (b goes out of scope after stop(); mark happens then.)
 }

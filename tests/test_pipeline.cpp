@@ -14,7 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -467,43 +468,45 @@ TEST(PipelineExitCodes, TraceWriteFailureStillEmitsButExitsOne) {
 }
 
 // ---------------------------------------------------------------------------
-// One event representation: outputs that need no event rows read the
-// store's columns and never gather its AccessEvent view.
+// One event representation: the HTML charts draw each instance from its
+// column rows, so a post-mortem DST1 analysis with --html stays on the
+// zero-copy column path and renders what the store path renders.
 
-TEST(PipelineEventView, ColumnOutputsNeverGatherTheEventView) {
-    const std::filesystem::path dir = std::filesystem::temp_directory_path();
-    pipeline::OutputSelection outputs;
-    outputs.summary = outputs.report = outputs.plan = outputs.advice = true;
-    outputs.json = outputs.csv_usecases = outputs.csv_instances = true;
-    outputs.csv_patterns = true;
-    for (const runtime::TraceFormat format :
-         {runtime::TraceFormat::Binary, runtime::TraceFormat::Csv}) {
-        pipeline::RunPlan plan = app_plan("WordWheelSolver", outputs);
+TEST(PipelineEventView, DstColumnPathHtmlMatchesCsvStorePath) {
+    const std::string dst =
+        record_trace("WordWheelSolver", runtime::TraceFormat::Binary);
+    const std::string csv = ::testing::TempDir() + "pipeline_html_trace.csv";
+    {
+        const runtime::Trace trace = runtime::read_trace_file(dst);
+        ASSERT_TRUE(runtime::write_trace_file(csv, trace.instances,
+                                              trace.store,
+                                              runtime::TraceFormat::Csv));
+    }
+    const auto html_of = [](const std::string& path, bool column_path) {
+        pipeline::RunPlan plan;
+        plan.input = pipeline::InputKind::TraceFile;
+        plan.target = path;
         plan.engine = pipeline::EngineChoice::Postmortem;
-        plan.trace_out = (dir / "dsspy_event_view_trace.out").string();
-        plan.trace_format = format;
+        plan.outputs.html_path = path + ".html";
         std::ostringstream out;
         std::ostringstream err;
         const pipeline::RunOutcome outcome =
             pipeline::PipelineRunner().run(plan, out, err);
-        std::remove(plan.trace_out.c_str());
-        ASSERT_TRUE(outcome.ok()) << err.str();
-        ASSERT_NE(outcome.session, nullptr);
-        EXPECT_GT(outcome.session->store().total_events(), 0u);
-        EXPECT_FALSE(outcome.session->store().has_event_view());
-    }
-
-    // The HTML report draws per-event charts: it is what gathers the view.
-    pipeline::OutputSelection html;
-    html.html_path = (dir / "dsspy_event_view_report.html").string();
-    const pipeline::RunPlan plan = app_plan("WordWheelSolver", html);
-    std::ostringstream out;
-    std::ostringstream err;
-    const pipeline::RunOutcome outcome =
-        pipeline::PipelineRunner().run(plan, out, err);
-    std::remove(html.html_path.c_str());
-    ASSERT_TRUE(outcome.ok()) << err.str();
-    EXPECT_TRUE(outcome.session->store().has_event_view());
+        EXPECT_TRUE(outcome.ok()) << err.str();
+        // DST1 decodes into bare columns; CSV loads into a ProfileStore.
+        EXPECT_EQ(outcome.column_trace != nullptr, column_path);
+        EXPECT_EQ(outcome.trace != nullptr, !column_path);
+        std::ifstream in(plan.outputs.html_path, std::ios::binary);
+        std::string html{std::istreambuf_iterator<char>(in), {}};
+        std::remove(plan.outputs.html_path.c_str());
+        return html;
+    };
+    const std::string from_columns = html_of(dst, true);
+    EXPECT_NE(from_columns.find("<svg"), std::string::npos);
+    EXPECT_EQ(from_columns.find("time (0 access events)"), std::string::npos);
+    EXPECT_EQ(from_columns, html_of(csv, false));
+    std::remove(dst.c_str());
+    std::remove(csv.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "aos_oracle.hpp"
 #include "core/dsspy.hpp"
 #include "ds/ds.hpp"
 #include "live_sink.hpp"
@@ -76,7 +77,7 @@ TEST_P(PipelinePropertyTest, PatternInvariants) {
     const AnalysisResult analysis = Dsspy{}.analyze(session);
 
     for (const InstanceAnalysis& ia : analysis.instances()) {
-        const std::size_t events = ia.profile.total_events();
+        const std::size_t events = ia.stats.total;
         // Per-thread patterns must not overlap and must lie inside the
         // profile.  (Synthetic ForAll patterns occupy a single event.)
         std::map<runtime::ThreadId, std::uint32_t> last_end;
@@ -116,16 +117,19 @@ TEST_P(PipelinePropertyTest, PhasesPartitionTheProfile) {
     random_workload(session, GetParam());
     session.stop();
     const AnalysisResult analysis = Dsspy{}.analyze(session);
+    const std::vector<core::ProfileAggregates> aggregates =
+        oracle::column_aggregates(analysis);
 
-    for (const InstanceAnalysis& ia : analysis.instances()) {
-        const auto& phases = ia.profile.phases();
-        if (ia.profile.total_events() == 0) {
+    for (std::size_t inst = 0; inst < aggregates.size(); ++inst) {
+        const core::InstanceStats& stats = analysis.instances()[inst].stats;
+        const core::PhaseList& phases = aggregates[inst].phases;
+        if (stats.total == 0) {
             EXPECT_TRUE(phases.empty());
             continue;
         }
         ASSERT_FALSE(phases.empty());
         EXPECT_EQ(phases.front().first, 0u);
-        EXPECT_EQ(phases.back().last, ia.profile.total_events() - 1);
+        EXPECT_EQ(phases.back().last, stats.total - 1);
         for (std::size_t i = 1; i < phases.size(); ++i) {
             EXPECT_EQ(phases[i].first, phases[i - 1].last + 1);
             // Adjacent phases have different access types (maximality).
@@ -137,8 +141,7 @@ TEST_P(PipelinePropertyTest, PhasesPartitionTheProfile) {
             from_phases[static_cast<std::size_t>(phase.type)] +=
                 phase.length();
         for (std::size_t t = 0; t < core::kAccessTypeCount; ++t)
-            EXPECT_EQ(from_phases[t],
-                      ia.profile.count(static_cast<core::AccessType>(t)));
+            EXPECT_EQ(from_phases[t], stats.counts[t]);
     }
 }
 
@@ -155,7 +158,7 @@ TEST_P(PipelinePropertyTest, UseCasesAreConsistentlyLabeled) {
                       core::has_parallel_potential(uc.kind));
             EXPECT_FALSE(uc.reason().empty());
             EXPECT_FALSE(uc.recommendation().empty());
-            EXPECT_EQ(uc.instance.id, ia.profile.info().id);
+            EXPECT_EQ(uc.instance.id, ia.stats.info.id);
         }
         if (ia.flagged_parallel()) ++parallel_flagged;
     }
@@ -177,7 +180,7 @@ TEST_P(PipelinePropertyTest, CaptureModesAgree) {
         const AnalysisResult analysis = Dsspy{}.analyze(session);
         std::ostringstream fingerprint;
         for (const InstanceAnalysis& ia : analysis.instances()) {
-            fingerprint << ia.profile.total_events() << ':'
+            fingerprint << ia.stats.total << ':'
                         << ia.patterns.size() << ':' << ia.use_cases.size()
                         << ';';
         }

@@ -13,6 +13,7 @@
 #include <sanitizer/asan_interface.h>
 #endif
 
+#include "aos_oracle.hpp"
 #include "live_sink.hpp"
 #include "runtime/bulk_buffer.hpp"
 #include "runtime/column_store.hpp"
@@ -121,7 +122,7 @@ TEST(BulkBuffer, SmallSessionCreatesNoMapping) {
     for (int i = 0; i < 100; ++i) session.record(id, OpKind::Add, i, i + 1);
     session.stop();
     ASSERT_EQ(session.store().total_events(), 100u);
-    EXPECT_EQ(session.store().events(id).size(), 100u);
+    EXPECT_EQ(oracle::events_of(session.store(), id).size(), 100u);
     EXPECT_EQ(bulk_mappings_created(), before);
 }
 
@@ -182,13 +183,13 @@ TEST(ProfileStore, GroupsByInstanceAndSortsBySeq) {
     store.finalize();
     EXPECT_EQ(store.total_events(), 3u);
     EXPECT_EQ(store.populated_instances(), 2u);
-    const auto ev0 = store.events(0);
+    const auto ev0 = oracle::events_of(store, 0);
     ASSERT_EQ(ev0.size(), 2u);
     EXPECT_EQ(ev0[0].seq, 1u);  // sorted by seq
     EXPECT_EQ(ev0[1].seq, 2u);
-    EXPECT_EQ(store.events(1).size(), 0u);
-    EXPECT_EQ(store.events(2).size(), 1u);
-    EXPECT_EQ(store.events(77).size(), 0u);  // out of range -> empty
+    EXPECT_EQ(oracle::events_of(store, 1).size(), 0u);
+    EXPECT_EQ(oracle::events_of(store, 2).size(), 1u);
+    EXPECT_EQ(oracle::events_of(store, 77).size(), 0u);  // out of range
 }
 
 TEST(ProfileStore, IgnoresInvalidInstance) {
@@ -211,7 +212,7 @@ TEST_P(SessionModeTest, RecordsEventsWithMetadata) {
         session.record(id, OpKind::Add, i, static_cast<std::uint32_t>(i + 1));
     session.stop();
 
-    const auto events = session.store().events(id);
+    const auto events = oracle::events_of(session.store(), id);
     ASSERT_EQ(events.size(), 100u);
     for (int i = 0; i < 100; ++i) {
         EXPECT_EQ(events[static_cast<size_t>(i)].position, i);
@@ -252,7 +253,7 @@ TEST_P(SessionModeTest, MultiThreadedRecordingLosesNothing) {
 
     std::size_t total = 0;
     for (const InstanceId id : ids) {
-        const auto events = session.store().events(id);
+        const auto events = oracle::events_of(session.store(), id);
         EXPECT_EQ(events.size(), static_cast<std::size_t>(kPerThread));
         total += events.size();
         // Per-instance events come from one thread: positions in order.
@@ -276,7 +277,7 @@ TEST_P(SessionModeTest, StopIsIdempotentAndStopsCapture) {
     EXPECT_FALSE(session.capturing());
     session.record(id, OpKind::Add, 1, 2);  // ignored after stop
     session.stop();                         // idempotent
-    EXPECT_EQ(session.store().events(id).size(), 1u);
+    EXPECT_EQ(oracle::events_of(session.store(), id).size(), 1u);
     EXPECT_GT(session.capture_duration_ns(), 0u);
     sink.expect_complete(session, GetParam());
 }
@@ -311,7 +312,7 @@ TEST(Session, LiveDrainBackpressureLosesNothingWithTinyBound) {
     for (auto& th : threads) th.join();
     session.stop();
     for (const InstanceId id : ids) {
-        const auto events = session.store().events(id);
+        const auto events = oracle::events_of(session.store(), id);
         ASSERT_EQ(events.size(), static_cast<std::size_t>(kPerThread));
         for (size_t i = 0; i < events.size(); ++i)
             EXPECT_EQ(events[i].position, static_cast<std::int64_t>(i));
@@ -333,10 +334,10 @@ TEST(Session, TwoLiveSessionsDoNotInterfere) {
     }
     s1.stop();
     s2.stop();
-    EXPECT_EQ(s1.store().events(a).size(), 10u);
-    EXPECT_EQ(s2.store().events(b).size(), 10u);
-    EXPECT_EQ(s1.store().events(a)[0].op, OpKind::Add);
-    EXPECT_EQ(s2.store().events(b)[0].op, OpKind::Get);
+    EXPECT_EQ(oracle::events_of(s1.store(), a).size(), 10u);
+    EXPECT_EQ(oracle::events_of(s2.store(), b).size(), 10u);
+    EXPECT_EQ(oracle::events_of(s1.store(), a)[0].op, OpKind::Add);
+    EXPECT_EQ(oracle::events_of(s2.store(), b)[0].op, OpKind::Get);
 }
 
 // A thread caches four sessions.  Recording round-robin into five evicts
@@ -366,7 +367,7 @@ TEST(Session, FiveLiveSessionsOnOneThreadKeepOneChannel) {
         EXPECT_EQ(session.thread_count(), 1u) << "session " << s;
         const ColumnStore& cols = session.store().columns();
         ASSERT_EQ(cols.total_events(), static_cast<std::size_t>(kRecords));
-        const auto events = session.store().events(ids[s]);
+        const auto events = oracle::events_of(session.store(), ids[s]);
         for (int i = 0; i < kRecords; ++i) {
             EXPECT_EQ(cols.thread()[i], 0u) << "session " << s << ":" << i;
             EXPECT_EQ(cols.position()[i], i);

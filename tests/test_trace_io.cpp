@@ -16,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "aos_oracle.hpp"
 #include "core/dsspy.hpp"
 #include "ds/ds.hpp"
 #include "parallel/thread_pool.hpp"
@@ -78,8 +79,9 @@ void expect_traces_equal(const Trace& a, const Trace& b) {
     const std::size_t slots =
         std::max(a.store.instance_slots(), b.store.instance_slots());
     for (std::size_t id = 0; id < slots; ++id) {
-        const auto ea = a.store.events(static_cast<InstanceId>(id));
-        const auto eb = b.store.events(static_cast<InstanceId>(id));
+        const auto iid = static_cast<InstanceId>(id);
+        const auto ea = oracle::events_of(a.store, iid);
+        const auto eb = oracle::events_of(b.store, iid);
         ASSERT_EQ(ea.size(), eb.size()) << "instance " << id;
         for (std::size_t i = 0; i < ea.size(); ++i)
             EXPECT_EQ(ea[i], eb[i]) << "instance " << id << " event " << i;
@@ -115,8 +117,9 @@ TEST(TraceIo, RoundTripPreservesEverything) {
         EXPECT_EQ(restored.location, original.location);
         EXPECT_EQ(restored.deallocated, original.deallocated);
 
-        const auto orig_events = session.store().events(original.id);
-        const auto rest_events = trace.store.events(original.id);
+        const auto orig_events =
+            oracle::events_of(session.store(), original.id);
+        const auto rest_events = oracle::events_of(trace.store, original.id);
         ASSERT_EQ(orig_events.size(), rest_events.size());
         for (std::size_t i = 0; i < orig_events.size(); ++i)
             EXPECT_EQ(orig_events[i], rest_events[i]);
@@ -281,10 +284,10 @@ TEST(TraceIo, OrphanStoreEventsSurviveRoundTrip) {
         EXPECT_EQ(write_trace(buffer, instances, store, format), 2u);
         const Trace trace = read_trace(buffer);
         EXPECT_EQ(trace.store.total_events(), 2u);
-        ASSERT_EQ(trace.store.events(5).size(), 1u);
-        EXPECT_EQ(trace.store.events(5)[0], orphan_ev);
-        ASSERT_EQ(trace.store.events(0).size(), 1u);
-        EXPECT_EQ(trace.store.events(0)[0], known_ev);
+        ASSERT_EQ(oracle::events_of(trace.store, 5).size(), 1u);
+        EXPECT_EQ(oracle::events_of(trace.store, 5)[0], orphan_ev);
+        ASSERT_EQ(oracle::events_of(trace.store, 0).size(), 1u);
+        EXPECT_EQ(oracle::events_of(trace.store, 0)[0], known_ev);
     }
 }
 
@@ -351,7 +354,7 @@ TEST(TraceIoAdversarial, ExtremeFieldValuesRoundTrip) {
         const Trace trace = read_trace(buffer);
         ASSERT_EQ(trace.instances.size(), 1u);
         EXPECT_EQ(trace.instances[0], info);
-        const auto events = trace.store.events(0);
+        const auto events = oracle::events_of(trace.store, 0);
         ASSERT_EQ(events.size(), 3u);
         // The store re-sorts by seq on finalize; compare against that order.
         EXPECT_EQ(events[0], extremes[0]);
@@ -514,7 +517,8 @@ void expect_columns_match_trace(const ColumnTrace& cols, const Trace& aos) {
     const std::size_t slots =
         std::max(cols.columns.instance_slots(), aos.store.instance_slots());
     for (std::size_t id = 0; id < slots; ++id) {
-        const auto events = aos.store.events(static_cast<InstanceId>(id));
+        const auto events =
+            oracle::events_of(aos.store, static_cast<InstanceId>(id));
         const ColumnRange range =
             cols.columns.range(static_cast<InstanceId>(id));
         ASSERT_EQ(range.size(), events.size()) << "instance " << id;
@@ -619,7 +623,7 @@ TEST(TraceIoColumns, InterleavedTraceTakesArgsortFallback) {
     bytes += payload;
 
     const Trace aos = read_trace_binary(bytes);
-    ASSERT_EQ(aos.store.events(0).size(), kEvents / 2);
+    ASSERT_EQ(oracle::events_of(aos.store, 0).size(), kEvents / 2);
     expect_columns_match_trace(read_trace_columns(bytes), aos);
 }
 

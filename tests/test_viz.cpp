@@ -13,22 +13,22 @@ namespace {
 
 using runtime::ProfilingSession;
 
-/// Build the Figure 2 profile: fill 10 values front-to-back, read them
-/// back-to-front.
-core::RuntimeProfile figure2_profile(ProfilingSession& session) {
+/// Record the Figure 2 profile: fill 10 values front-to-back, read them
+/// back-to-front.  Returns the list's instance.
+runtime::InstanceInfo figure2_profile(ProfilingSession& session) {
     ds::ProfiledList<int> list(&session, {"Example", "Main", 1}, 10);
     for (int i = 0; i < 10; ++i) list.add(i);
     for (int i = 9; i >= 0; --i) (void)list.get(static_cast<size_t>(i));
     const auto id = list.instance_id();
     session.stop();
-    return core::RuntimeProfile(session.registry().info(id),
-                                session.store().events(id));
+    return session.registry().info(id);
 }
 
 TEST(AsciiChart, RendersBarsWithMarksAndAxis) {
     ProfilingSession session;
-    const auto profile = figure2_profile(session);
-    const std::string chart = render_profile_bars(profile);
+    const auto info = figure2_profile(session);
+    const std::string chart =
+        render_profile_bars(session.store().columns(), info);
     EXPECT_NE(chart.find('I'), std::string::npos);  // insert marks
     EXPECT_NE(chart.find('R'), std::string::npos);  // read marks
     EXPECT_NE(chart.find("> time"), std::string::npos);
@@ -38,17 +38,18 @@ TEST(AsciiChart, RendersBarsWithMarksAndAxis) {
 
 TEST(AsciiChart, ScatterOmitsBars) {
     ProfilingSession session;
-    const auto profile = figure2_profile(session);
+    const auto info = figure2_profile(session);
     ChartOptions options;
     options.show_legend = false;
-    const std::string chart = render_profile_scatter(profile, options);
+    const std::string chart =
+        render_profile_scatter(session.store().columns(), info, options);
     EXPECT_EQ(chart.find("legend:"), std::string::npos);
     EXPECT_NE(chart.find('R'), std::string::npos);
 }
 
 TEST(AsciiChart, EmptyProfile) {
-    core::RuntimeProfile profile;
-    EXPECT_EQ(render_profile_bars(profile), "(empty profile)\n");
+    EXPECT_EQ(render_profile_bars(runtime::ColumnStore{}, {}),
+              "(empty profile)\n");
 }
 
 TEST(AsciiChart, DownsamplesWideProfiles) {
@@ -57,11 +58,10 @@ TEST(AsciiChart, DownsamplesWideProfiles) {
     for (int i = 0; i < 5000; ++i) list.add(i);
     const auto id = list.instance_id();
     session.stop();
-    const core::RuntimeProfile profile(session.registry().info(id),
-                                       session.store().events(id));
     ChartOptions options;
     options.max_width = 80;
-    const std::string chart = render_profile_scatter(profile, options);
+    const std::string chart = render_profile_scatter(
+        session.store().columns(), session.registry().info(id), options);
     // No line longer than the axis line + margin.
     std::istringstream in(chart);
     std::string line;
@@ -70,9 +70,9 @@ TEST(AsciiChart, DownsamplesWideProfiles) {
 
 TEST(AsciiChart, PrintProfileIncludesHeader) {
     ProfilingSession session;
-    const auto profile = figure2_profile(session);
+    const auto info = figure2_profile(session);
     std::ostringstream os;
-    print_profile(os, profile);
+    print_profile(os, session.store().columns(), info);
     EXPECT_NE(os.str().find("List<Int32>"), std::string::npos);
     EXPECT_NE(os.str().find("Example.Main:1"), std::string::npos);
 }
@@ -94,8 +94,8 @@ TEST(SvgWriter, ProducesWellFormedDocument) {
 
 TEST(SvgExport, ProfileChartHasBarsForEveryDownsampledEvent) {
     ProfilingSession session;
-    const auto profile = figure2_profile(session);
-    const std::string svg = profile_to_svg(profile);
+    const auto info = figure2_profile(session);
+    const std::string svg = profile_to_svg(session.store().columns(), info);
     EXPECT_NE(svg.find("<svg"), std::string::npos);
     // Reads green, writes/inserts red, size bars grey.
     EXPECT_NE(svg.find("#2e9e4f"), std::string::npos);

@@ -10,9 +10,11 @@
 //       Offline analysis of a recorded trace (CSV or DST1 binary; the
 //       format is auto-detected — see runtime/trace_io.hpp).  Streams the
 //       trace through the incremental analyzer by default; --postmortem
-//       loads it whole and runs the post-mortem pipeline (required for
+//       runs the post-mortem pipeline over the whole trace (required for
 //       --json/--html/--csv-patterns/--plan, which need materialized
-//       patterns).
+//       patterns).  A DST1 trace then decodes straight into columns; a
+//       CSV trace, or any trace re-emitted with --trace, loads into a
+//       ProfileStore.
 //   dsspy convert <in> <out> [--format=csv|binary]
 //       Re-encode a trace (default: to the compact DST1 binary format).
 //   dsspy run <app> [--trace FILE [--format=csv|binary]] [output options]
