@@ -10,6 +10,7 @@
 #include "core/column_analysis.hpp"
 #include "core/detector_kernels.hpp"
 #include "core/dsspy.hpp"
+#include "core/instance_fold.hpp"
 #include "ds/ds.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
@@ -39,7 +40,8 @@ int main() {
     }
     session.stop();
 
-    // The instance's rows, as the post-mortem engine's detector reads them.
+    // The instance's rows, as the post-mortem engine's pattern scan reads
+    // them.
     const runtime::ColumnStore& columns = session.store().columns();
     std::vector<std::uint8_t> types(columns.total_events());
     core::kernels::derive_types(columns.op(), columns.total_events(),
@@ -60,8 +62,12 @@ int main() {
         support::Stopwatch sw;
         std::vector<core::Pattern> patterns;
         constexpr int kReps = 50;
-        for (int rep = 0; rep < kReps; ++rep)
-            patterns = core::detect_patterns_columns(profile, config);
+        for (int rep = 0; rep < kReps; ++rep) {
+            patterns.clear();
+            core::PatternFold fold(config, runtime::DsKind::List);
+            fold.fold(profile, 0, &patterns);
+            fold.finish(&patterns);
+        }
         const double us = sw.elapsed_ns() / 1e3 / kReps;
 
         std::size_t covered = 0;

@@ -10,6 +10,7 @@
 #include "core/column_analysis.hpp"
 #include "core/detector_kernels.hpp"
 #include "core/dsspy.hpp"
+#include "core/instance_fold.hpp"
 #include "ds/ds.hpp"
 #include "parallel/algorithms.hpp"
 #include "runtime/session.hpp"
@@ -144,7 +145,10 @@ void BM_PatternDetection(benchmark::State& state) {
         core::make_slice(columns, columns.range(id), types.data());
     const core::DetectorConfig config;
     for (auto _ : state) {
-        auto patterns = core::detect_patterns_columns(profile, config);
+        std::vector<core::Pattern> patterns;
+        core::PatternFold fold(config, runtime::DsKind::List);
+        fold.fold(profile, 0, &patterns);
+        fold.finish(&patterns);
         benchmark::DoNotOptimize(patterns.data());
     }
     state.SetItemsProcessed(state.iterations() *

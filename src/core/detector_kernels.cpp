@@ -59,8 +59,6 @@ constexpr std::uint8_t kTypeDelete =
     static_cast<std::uint8_t>(AccessType::Delete);
 constexpr std::uint8_t kTypeSearch =
     static_cast<std::uint8_t>(AccessType::Search);
-constexpr std::uint8_t kTypeCopy =
-    static_cast<std::uint8_t>(AccessType::Copy);
 constexpr std::uint8_t kTypeForAll =
     static_cast<std::uint8_t>(AccessType::ForAll);
 
@@ -69,11 +67,6 @@ constexpr std::uint8_t kTypeForAll =
 void derive_types_scalar(const std::uint8_t* ops, std::size_t n,
                          std::uint8_t* types) {
     for (std::size_t i = 0; i < n; ++i) types[i] = kOpToType[ops[i] & 0x0F];
-}
-
-void type_histogram_scalar(const std::uint8_t* types, std::size_t n,
-                           std::array<std::size_t, kAccessTypeCount>& counts) {
-    for (std::size_t i = 0; i < n; ++i) ++counts[types[i]];
 }
 
 std::uint32_t max_size_scalar(const std::uint32_t* sizes, std::size_t n) {
@@ -111,22 +104,6 @@ void end_traffic_span_scalar(std::uint8_t type,
         accumulate_end_traffic(iq, ty, positions[i], sizes[i], iq_window);
         accumulate_end_traffic(edge, ty, positions[i], sizes[i], 1);
     }
-}
-
-WeightedReads weighted_reads_scalar(const std::uint8_t* types,
-                                    const std::uint32_t* sizes,
-                                    std::size_t n) {
-    WeightedReads acc;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint8_t t = types[i];
-        const std::uint64_t weight =
-            (t == kTypeForAll && sizes[i] > 0) ? sizes[i] : 1;
-        acc.total += weight;
-        const bool read_like = t == kTypeRead || t == kTypeSearch ||
-                               t == kTypeCopy || t == kTypeForAll;
-        acc.reads += read_like ? weight : 0;
-    }
-    return acc;
 }
 
 /// Rows whose value differs from the row before.
@@ -208,9 +185,9 @@ std::size_t flushable_streak_scalar(const std::uint8_t* types,
 
 // ------------------------------------------------------------ SSE4.2 path
 //
-// SSE covers the byte-wide scans (type derivation, histograms, counts,
-// equality streaks) where 16-lane compares already pay off; the 64-bit
-// predicate folds stay on the scalar core at this tier.
+// SSE covers the byte-wide scans (type derivation, counts, equality
+// streaks) where 16-lane compares already pay off; the 64-bit predicate
+// folds stay on the scalar core at this tier.
 
 #if DSSPY_X86_SIMD
 
@@ -226,23 +203,6 @@ __attribute__((target("sse4.2"))) void derive_types_sse42(
                          _mm_shuffle_epi8(table, v));
     }
     derive_types_scalar(ops + i, n - i, types + i);
-}
-
-__attribute__((target("sse4.2"))) void type_histogram_sse42(
-    const std::uint8_t* types, std::size_t n,
-    std::array<std::size_t, kAccessTypeCount>& counts) {
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i v =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(types + i));
-        for (std::size_t t = 0; t < kAccessTypeCount; ++t) {
-            const __m128i eq = _mm_cmpeq_epi8(
-                v, _mm_set1_epi8(static_cast<char>(t)));
-            counts[t] += static_cast<std::size_t>(
-                __builtin_popcount(_mm_movemask_epi8(eq)));
-        }
-    }
-    type_histogram_scalar(types + i, n - i, counts);
 }
 
 __attribute__((target("sse4.2"))) std::size_t count_op_sse42(
@@ -304,23 +264,6 @@ __attribute__((target("avx2"))) void derive_types_avx2(
                             _mm256_shuffle_epi8(table, v));
     }
     derive_types_scalar(ops + i, n - i, types + i);
-}
-
-__attribute__((target("avx2"))) void type_histogram_avx2(
-    const std::uint8_t* types, std::size_t n,
-    std::array<std::size_t, kAccessTypeCount>& counts) {
-    std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m256i v =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(types + i));
-        for (std::size_t t = 0; t < kAccessTypeCount; ++t) {
-            const __m256i eq = _mm256_cmpeq_epi8(
-                v, _mm256_set1_epi8(static_cast<char>(t)));
-            counts[t] += static_cast<std::size_t>(__builtin_popcount(
-                static_cast<unsigned>(_mm256_movemask_epi8(eq))));
-        }
-    }
-    type_histogram_scalar(types + i, n - i, counts);
 }
 
 __attribute__((target("avx2"))) std::size_t count_op_avx2(
@@ -474,6 +417,11 @@ __attribute__((target("avx2"))) void end_traffic_avx2(
         outs[win]->front_read += hsum_epi64(acc[win][4]);
         outs[win]->back_read += hsum_epi64(acc[win][5]);
     }
+    // The scalar tail is a sibling call that GCC emits without a
+    // vzeroupper; left dirty, the upper halves slow every later SSE
+    // instruction on this thread (the caller's, or an app's double math)
+    // until the next vzeroupper.
+    _mm256_zeroupper();
     end_traffic_scalar(types + i, positions + i, sizes + i, n - i, iq_window,
                        iq, edge);
 }
@@ -541,44 +489,9 @@ __attribute__((target("avx2"))) void end_traffic_span_avx2(
     const std::uint8_t type = kClass == SpanClass::Insert   ? kTypeInsert
                               : kClass == SpanClass::Delete ? kTypeDelete
                                                             : kTypeRead;
+    _mm256_zeroupper();  // See end_traffic_avx2.
     end_traffic_span_scalar(type, positions + i, sizes + i, n - i, iq_window,
                             iq, edge);
-}
-
-__attribute__((target("avx2"))) WeightedReads weighted_reads_avx2(
-    const std::uint8_t* types, const std::uint32_t* sizes, std::size_t n) {
-    const __m256i zero = _mm256_setzero_si256();
-    const __m256i one = _mm256_set1_epi64x(1);
-    const __m256i forall_t = _mm256_set1_epi64x(kTypeForAll);
-    const __m256i read_t = _mm256_set1_epi64x(kTypeRead);
-    const __m256i search_t = _mm256_set1_epi64x(kTypeSearch);
-    const __m256i copy_t = _mm256_set1_epi64x(kTypeCopy);
-    __m256i total_acc = zero;
-    __m256i reads_acc = zero;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i ty = load4_u8_epi64(types + i);
-        const __m256i sz = load4_u32_epi64(sizes + i);
-        const __m256i is_forall = _mm256_cmpeq_epi64(ty, forall_t);
-        const __m256i sized = _mm256_cmpgt_epi64(sz, zero);
-        const __m256i weighted = _mm256_and_si256(is_forall, sized);
-        const __m256i weight = _mm256_blendv_epi8(one, sz, weighted);
-        const __m256i read_like = _mm256_or_si256(
-            _mm256_or_si256(_mm256_cmpeq_epi64(ty, read_t),
-                            _mm256_cmpeq_epi64(ty, search_t)),
-            _mm256_or_si256(_mm256_cmpeq_epi64(ty, copy_t), is_forall));
-        total_acc = _mm256_add_epi64(total_acc, weight);
-        reads_acc = _mm256_add_epi64(reads_acc,
-                                     _mm256_and_si256(weight, read_like));
-    }
-    WeightedReads acc;
-    acc.total = hsum_epi64(total_acc);
-    acc.reads = hsum_epi64(reads_acc);
-    const WeightedReads tail = weighted_reads_scalar(types + i, sizes + i,
-                                                     n - i);
-    acc.total += tail.total;
-    acc.reads += tail.reads;
-    return acc;
 }
 
 /// Mask of the leading lanes (of 4) satisfying `mask`; returns the streak
@@ -766,18 +679,6 @@ void derive_types(const std::uint8_t* ops, std::size_t n,
     derive_types_scalar(ops, n, types);
 }
 
-void type_histogram(const std::uint8_t* types, std::size_t n,
-                    std::array<std::size_t, kAccessTypeCount>& counts) {
-#if DSSPY_X86_SIMD
-    switch (active_simd_level()) {
-        case SimdLevel::Avx2: type_histogram_avx2(types, n, counts); return;
-        case SimdLevel::Sse42: type_histogram_sse42(types, n, counts); return;
-        case SimdLevel::Scalar: break;
-    }
-#endif
-    type_histogram_scalar(types, n, counts);
-}
-
 std::uint32_t max_size_u32(const std::uint32_t* sizes, std::size_t n) {
 #if DSSPY_X86_SIMD
     switch (active_simd_level()) {
@@ -787,51 +688,6 @@ std::uint32_t max_size_u32(const std::uint32_t* sizes, std::size_t n) {
     }
 #endif
     return max_size_scalar(sizes, n);
-}
-
-std::size_t distinct_threads(const std::uint16_t* threads, std::size_t n) {
-    if (n == 0) return 0;
-    // All-equal fast path: single-threaded instances dominate real
-    // captures, and the blockwise xor-fold autovectorizes to wide
-    // compares — no per-row bitmap work for the common case.
-    {
-        const std::uint16_t first = threads[0];
-        std::size_t i = 1;
-        bool uniform = true;
-        for (; i + 32 <= n; i += 32) {
-            std::uint16_t acc = 0;
-            for (std::size_t k = 0; k < 32; ++k)
-                acc = static_cast<std::uint16_t>(acc | (threads[i + k] ^
-                                                        first));
-            if (acc != 0) {
-                uniform = false;
-                break;
-            }
-        }
-        if (uniform) {
-            while (i < n && threads[i] == first) ++i;
-            if (i == n) return 1;
-        }
-    }
-    // Small profiles: insertion scan over the handful of ids seen.  Large
-    // profiles: one bit per possible ThreadId (8 KiB) beats the quadratic
-    // scan.
-    if (n < 1024) {
-        std::vector<std::uint16_t> seen;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (std::find(seen.begin(), seen.end(), threads[i]) ==
-                seen.end())
-                seen.push_back(threads[i]);
-        }
-        return seen.size();
-    }
-    std::vector<std::uint64_t> bitmap(65536 / 64, 0);
-    for (std::size_t i = 0; i < n; ++i)
-        bitmap[threads[i] >> 6] |= std::uint64_t{1} << (threads[i] & 63);
-    std::size_t count = 0;
-    for (const std::uint64_t word : bitmap)
-        count += static_cast<std::size_t>(__builtin_popcountll(word));
-    return count;
 }
 
 std::size_t count_op(const std::uint8_t* ops, std::size_t n,
@@ -887,21 +743,6 @@ void end_traffic_span(std::uint8_t type, const std::int64_t* positions,
     }
 #endif
     end_traffic_span_scalar(type, positions, sizes, n, iq_window, iq, edge);
-}
-
-WeightedReads weighted_reads(const std::uint8_t* types,
-                             const std::uint32_t* sizes, std::size_t n) {
-#if DSSPY_X86_SIMD
-    if (active_simd_level() == SimdLevel::Avx2)
-        return weighted_reads_avx2(types, sizes, n);
-#endif
-    return weighted_reads_scalar(types, sizes, n);
-}
-
-PhaseList phases_from_types(const std::uint8_t* types, std::size_t n) {
-    PhaseList phases;
-    phases_from_types(types, n, phases);
-    return phases;
 }
 
 void phases_from_types(const std::uint8_t* types, std::size_t n,

@@ -1,16 +1,15 @@
 // Vectorized detector kernels over event columns (DESIGN.md §11).
 //
 // Every kernel is a flat scan over raw column data from a
-// runtime::ColumnStore: access-type histograms, position-regularity
-// streaks, end-traffic window counts, weighted read totals.  Each has a
-// branch-light scalar core (the reference semantics, shared with the
-// incremental analyzer's per-event fold via the helpers in
-// instance_stats.hpp) and optional SSE4.2/AVX2 paths selected by runtime
-// dispatch — the scalar fallback is mandatory and always compiled, so
-// every kernel returns the same bits at every dispatch level.  All
-// counters are integers; the only floating-point outputs (weighted read
-// shares) are computed from exact integer sums, so SIMD lane order cannot
-// perturb verdicts.
+// runtime::ColumnStore: type derivation, same-type phases, maximum size,
+// op counts, end-traffic window counts and position-regularity streaks —
+// the slice step of the per-instance fold (instance_fold.hpp).  Each has
+// a branch-light scalar core (the reference semantics, shared with the
+// fold's per-event step via the helpers in instance_stats.hpp) and
+// optional SSE4.2/AVX2 paths selected by runtime dispatch — the scalar
+// fallback is mandatory and always compiled, so every kernel returns the
+// same bits at every dispatch level.  All outputs are integers, so SIMD
+// lane order cannot perturb verdicts.
 //
 // Dispatch policy: AVX2 > SSE4.2 > scalar, decided once per process from
 // CPUID, demoted by the DSSPY_FORCE_SCALAR=1 environment variable (or at
@@ -18,7 +17,6 @@
 // force_simd_level().
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -55,17 +53,9 @@ void reset_forced_simd_level() noexcept;
 void derive_types(const std::uint8_t* ops, std::size_t n,
                   std::uint8_t* types);
 
-/// Histogram of derived access-type codes.
-void type_histogram(const std::uint8_t* types, std::size_t n,
-                    std::array<std::size_t, kAccessTypeCount>& counts);
-
 /// Maximum of the size column; 0 when n == 0.
 [[nodiscard]] std::uint32_t max_size_u32(const std::uint32_t* sizes,
                                          std::size_t n);
-
-/// Number of distinct thread ids among `n` rows.
-[[nodiscard]] std::size_t distinct_threads(const std::uint16_t* threads,
-                                           std::size_t n);
 
 /// Number of rows whose raw op equals `op`.
 [[nodiscard]] std::size_t count_op(const std::uint8_t* ops, std::size_t n,
@@ -89,21 +79,8 @@ void end_traffic_span(std::uint8_t type, const std::int64_t* positions,
                       std::size_t iq_window, EndTraffic& iq,
                       EndTraffic& edge);
 
-/// Exact integer form of the weighted read share: ForAll events weigh
-/// their size (when > 0), everything else weighs 1.
-struct WeightedReads {
-    std::uint64_t reads = 0;
-    std::uint64_t total = 0;
-};
-[[nodiscard]] WeightedReads weighted_reads(const std::uint8_t* types,
-                                           const std::uint32_t* sizes,
-                                           std::size_t n);
-
-/// Maximal same-type phases over the type column.
-[[nodiscard]] PhaseList phases_from_types(const std::uint8_t* types,
-                                          std::size_t n);
-
-/// The same phases into `phases` (cleared first), reusing its capacity.
+/// Maximal same-type phases over the type column, into `phases` (cleared
+/// first, its capacity reused).
 void phases_from_types(const std::uint8_t* types, std::size_t n,
                        PhaseList& phases);
 

@@ -7,6 +7,7 @@
 
 #include "core/column_analysis.hpp"
 #include "core/detector_kernels.hpp"
+#include "core/instance_fold.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
@@ -38,24 +39,27 @@ AnalysisResult Dsspy::analyze(
         runtime::make_bulk_buffer<std::uint8_t>(columns.total_events());
     kernels::derive_types(columns.op(), columns.total_events(), types.get());
 
-    // Each instance is two independent scans over its read-only slice —
-    // aggregates (phases, type histogram) and pattern detection — run as
-    // separate tasks 2i and 2i+1, so a dominant instance's two scans run
-    // side by side on two workers.  Whichever of the pair finishes second
-    // folds both into the stats and verdicts.  Every task writes only its
-    // instance's slots (the detector and engine are stateless), so the
-    // result is the same under any schedule: same instances, same order,
-    // same bits.
+    // Each instance's row range is folded in place by the two halves of
+    // its InstanceFold — aggregates (phases, type histogram, end traffic)
+    // and pattern detection — run as separate tasks 2i and 2i+1, so a
+    // dominant instance's two scans run side by side on two workers.  The
+    // halves write disjoint members; whichever finishes second reads both
+    // into the stats and verdicts.  Every task writes only its instance's
+    // slots (the engine is stateless), so the result is the same under
+    // any schedule: same instances, same order, same bits.
     // Per-instance latency histogram, registered once (call sites guard on
     // obs::enabled(); threads observe into their own shards, so the
     // parallel loop stays contention-free).  An instance's latency is the
-    // sum of its scans and its fold.
+    // sum of its scans and its classification.
     static const obs::MetricId instance_ns_metric =
         obs::MetricsRegistry::global().histogram("analyze.instance_ns");
     const std::size_t count = instances.size();
     const bool telemetry = obs::enabled();
     std::vector<InstanceAnalysis> analyses(count);
-    std::vector<ProfileAggregates> aggregates(count);
+    std::vector<InstanceFold> folds;
+    folds.reserve(count);
+    for (const runtime::InstanceInfo& info : instances)
+        folds.emplace_back(config_, info.kind);
     std::vector<std::uint64_t> scan_ns(telemetry ? 2 * count : 0);
     const auto scans_done = std::make_unique<std::atomic<int>[]>(count);
     const auto run_task = [&](std::size_t task) {
@@ -63,28 +67,34 @@ AnalysisResult Dsspy::analyze(
         const std::size_t i = task / 2;
         const runtime::InstanceInfo& info = instances[i];
         InstanceAnalysis& ia = analyses[i];
+        InstanceFold& fold = folds[i];
         const ColumnSlice slice =
             make_slice(columns, columns.range(info.id), types.get());
-        if (task % 2 == 0)
-            aggregates[i] = aggregates_from_columns(slice);
-        else
-            ia.patterns = detect_patterns_columns(slice, config_);
+        if (task % 2 == 0) {
+            // A phase-dense instance's phase list is as large as a column;
+            // it lives only as long as this scan.
+            PhaseList phases;
+            fold.aggregates.fold(slice, phases);
+        } else {
+            fold.patterns.fold(slice, 0, &ia.patterns);
+            fold.patterns.finish(&ia.patterns);
+            std::sort(ia.patterns.begin(), ia.patterns.end(),
+                      [](const Pattern& a, const Pattern& b) {
+                          return a.first < b.first;
+                      });
+        }
         if (telemetry) scan_ns[task] = support::now_ns() - begin_ns;
         // The acq_rel pairs the two scans: the second sees the first's
         // writes.
         if (scans_done[i].fetch_add(1, std::memory_order_acq_rel) == 0)
             return;
-        const std::uint64_t fold_ns = telemetry ? support::now_ns() : 0;
-        ia.stats = instance_stats_from_columns(info, slice, aggregates[i],
-                                               ia.patterns, config_);
-        // A phase-dense instance's phase list is as large as a column:
-        // free it once folded.
-        aggregates[i] = {};
+        const std::uint64_t classify_ns = telemetry ? support::now_ns() : 0;
+        ia.stats = fold.to_stats(info);
         ia.use_cases = engine_.classify(ia.stats);
         if (telemetry)
             obs::MetricsRegistry::global().observe(
                 instance_ns_metric, scan_ns[2 * i] + scan_ns[2 * i + 1] +
-                                        support::now_ns() - fold_ns);
+                                        support::now_ns() - classify_ns);
     };
     if (pool != nullptr && count > 0) {
         // Shard by event count, not task count: a scan's cost is

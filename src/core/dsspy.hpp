@@ -27,11 +27,11 @@ public:
     explicit Dsspy(DetectorConfig config = {})
         : config_(config), engine_(config) {}
 
-    /// Analyze a stopped session: aggregate each instance's profile,
-    /// detect patterns, classify use cases.  With a pool, instances are
-    /// analyzed in parallel; the result is bit-identical to the sequential
-    /// run (the detector and engine are stateless and each instance writes
-    /// its own pre-allocated slot).
+    /// Analyze a stopped session: fold each instance's profile
+    /// (InstanceFold: aggregates and patterns), classify use cases.  With
+    /// a pool, instances are analyzed in parallel; the result is
+    /// bit-identical to the sequential run (the engine is stateless and
+    /// each instance writes its own pre-allocated slot).
     [[nodiscard]] AnalysisResult analyze(
         const runtime::ProfilingSession& session,
         par::ThreadPool* pool = nullptr) const;

@@ -1,16 +1,13 @@
 // Order-folded aggregates of one instance's event stream.
 //
 // InstanceStats is everything the eight use-case rules (Section III-B)
-// consume, reduced to O(1) numbers per instance.  Two producers fill it:
-//
-//   * instance_stats_from_columns — post-mortem, from an instance's column
-//     range and its detected patterns (column_analysis.hpp, DESIGN.md §11);
-//   * IncrementalAnalyzer — streaming, folding events as they arrive
-//     (incremental.hpp, DESIGN.md §8).
-//
-// Both feed the same UseCaseEngine::classify(const InstanceStats&), so the
-// two pipelines cannot drift apart: equal stats imply byte-identical use
-// cases, reasons, recommendations, and confidences.
+// consume, reduced to O(1) numbers per instance.  One producer fills it:
+// InstanceFold (instance_fold.hpp, DESIGN.md §8.2), which the post-mortem
+// engine runs over each instance's row range and the incremental analyzer
+// feeds as events arrive.  Both engines classify through the same
+// UseCaseEngine::classify(const InstanceStats&), so equal event streams
+// give byte-identical use cases, reasons, recommendations, and
+// confidences.
 #pragma once
 
 #include <array>
@@ -46,8 +43,8 @@ struct EndTraffic {
 /// Fold one access into the end-traffic counters (accesses within `window`
 /// slots of position 0 / the last index count as front / back traffic).
 /// This field form is the single source of truth: the event overload below
-/// (the incremental analyzer's per-event fold) and the columnar scalar
-/// kernel (detector_kernels.hpp) both call it, so the two engines cannot
+/// (the fold's per-event step) and the columnar scalar kernel
+/// (detector_kernels.hpp) both call it, so the two fold paths cannot
 /// drift.
 inline void accumulate_end_traffic(EndTraffic& t, AccessType type,
                                    std::int64_t position, std::uint32_t size,

@@ -1,16 +1,15 @@
 // Streaming form of the eight-pattern detector (Section III-A).
 //
-// The per-thread run state machine lives here so that the post-mortem
-// detector (detect_patterns_columns) and the incremental analyzer
-// (DESIGN.md §8) share one implementation: both drive events through
-// PatternMachine (detail::drive_patterns in column_analysis.hpp) and
-// receive completed patterns through a sink callback.  Whatever the
-// detector emits over the full profile, the machine emits piecewise — the
-// incremental path is equivalent by construction, not by reimplementation.
+// The per-thread run state machine.  The per-instance fold's pattern half
+// (PatternFold, instance_fold.hpp) steps events through it one at a time
+// or drives column slices through it with the vectorized streak scans,
+// and receives completed patterns through a sink callback.  Whatever the
+// machine emits over a whole profile, it emits piecewise over any split
+// of the profile into steps and slices.
 //
 // Indices passed to step() are per-instance event indices (the event's
 // position in the instance's row range), so emitted Pattern first/last
-// fields are identical to the post-mortem detector's.
+// fields index the instance's profile whichever way it was fed.
 #pragma once
 
 #include <algorithm>
@@ -62,8 +61,8 @@ enum class RunCat : std::uint8_t { None, Read, Write, Insert, Delete };
 }
 
 /// Per-thread open run.  first/last are per-instance event indices;
-/// first_ns/last_ns mirror them in wall-clock time (the incremental
-/// analyzer needs run durations without keeping the events around).
+/// first_ns/last_ns mirror them in wall-clock time (the fold needs run
+/// durations without keeping the events around).
 struct PatternRun {
     RunCat cat = RunCat::None;
     std::uint32_t first = 0;
@@ -137,11 +136,13 @@ public:
         step(index, ev, derive_access_type(ev.op), sink);
     }
 
-    /// Same fold with the access type already derived (the columnar
-    /// detector computes the whole type column up front).
+    /// Same fold with the access type already derived (the slice step
+    /// reads it from the type column).  Forced inline into the fold's
+    /// per-event step, its hot loop.
     template <class Sink>
-    void step(std::uint32_t index, const runtime::AccessEvent& ev,
-              AccessType type, Sink&& sink) {
+    [[gnu::always_inline]] void step(std::uint32_t index,
+                                     const runtime::AccessEvent& ev,
+                                     AccessType type, Sink&& sink) {
         PatternRun& run = state_for(ev.thread);
 
         // ForAll: a whole-container traversal is a full sequential read.
@@ -232,8 +233,8 @@ public:
         for (PatternRun& run : per_thread_) flush(run, sink);
     }
 
-    /// Visit every open (non-None) run; the incremental analyzer peeks at
-    /// these for Sort-After-Insert bookkeeping and for snapshots.
+    /// Visit every open (non-None) run; the fold peeks at these for its
+    /// Sort-After-Insert bookkeeping.
     template <class Fn>
     void visit_open_runs(Fn&& fn) const {
         for (const PatternRun& run : per_thread_)
@@ -241,7 +242,7 @@ public:
     }
 
     /// Open run of one thread (cat == None when the run is closed).  The
-    /// columnar detector inspects this to decide whether a vectorized
+    /// fold's slice step inspects this to decide whether a vectorized
     /// streak scan (detector_kernels.hpp) can extend the run in bulk.
     [[nodiscard]] const PatternRun& peek_run(runtime::ThreadId tid) {
         return state_for(tid);

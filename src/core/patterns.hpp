@@ -10,8 +10,8 @@
 // A ForAll event (whole-container traversal through the interface) is
 // materialized as a synthetic full-coverage Read-Forward pattern, since the
 // traversal reads every element in order.  The detector is the per-thread
-// PatternMachine (pattern_machine.hpp), driven over an instance's columns
-// by detect_patterns_columns (column_analysis.hpp).
+// PatternMachine (pattern_machine.hpp), driven over an instance's events
+// by the per-instance fold (instance_fold.hpp).
 #pragma once
 
 #include <cstdint>

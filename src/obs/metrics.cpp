@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/thread_slots.hpp"
+
 namespace dsspy::obs {
 
 namespace detail {
@@ -16,15 +18,8 @@ std::uint64_t next_registry_token() noexcept {
 }
 
 /// Thread-local cache resolving (registry token) -> shard without locking
-/// on the hot path; same LRU-shift scheme as the session's channel cache.
-/// Tokens are never reused, so entries for destroyed registries can only
-/// go stale, never alias a live one.
-struct ShardSlot {
-    std::uint64_t token = 0;
-    void* shard = nullptr;
-};
-
-thread_local std::array<ShardSlot, 4> t_shard_slots{};
+/// on the hot path (obs/thread_slots.hpp).
+thread_local detail::ThreadSlots t_shard_slots{};
 
 }  // namespace
 
@@ -51,21 +46,8 @@ void MetricsRegistry::set_enabled(bool on) noexcept {
 }
 
 MetricsRegistry::Shard& MetricsRegistry::shard_for_current_thread() noexcept {
-    for (ShardSlot& slot : t_shard_slots) {
-        if (slot.token == token_) return *static_cast<Shard*>(slot.shard);
-    }
-    // Slow path: allocate this thread's shard and push-front onto the
-    // lock-free list — registration never stalls readers or other writers.
-    auto* shard = new Shard();
-    Shard* head = shards_head_.load(std::memory_order_relaxed);
-    do {
-        shard->next = head;
-    } while (!shards_head_.compare_exchange_weak(
-        head, shard, std::memory_order_release, std::memory_order_relaxed));
-    for (std::size_t i = t_shard_slots.size() - 1; i > 0; --i)
-        t_shard_slots[i] = t_shard_slots[i - 1];
-    t_shard_slots[0] = ShardSlot{token_, shard};
-    return *shard;
+    return detail::thread_entry(t_shard_slots, token_, shards_head_,
+                                [] { return new Shard(); });
 }
 
 MetricId MetricsRegistry::register_metric(std::string_view name,

@@ -165,7 +165,8 @@ private:
 
     struct Shard {
         std::array<std::atomic<std::uint64_t>, kShardCells> cells{};
-        Shard* next = nullptr;  ///< Lock-free registration list link.
+        std::uint64_t owner = 0;  ///< this_thread_serial of the writer.
+        Shard* next = nullptr;    ///< Lock-free registration list link.
     };
 
     struct Desc {

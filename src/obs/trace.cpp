@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/thread_slots.hpp"
+
 namespace dsspy::obs {
 
 namespace detail {
@@ -26,15 +28,8 @@ std::uint32_t current_thread_index() noexcept {
 }
 
 /// Thread-local cache resolving (recorder token) -> buffer without
-/// locking; same LRU-shift scheme as the metrics registry's shard cache.
-/// Tokens are never reused, so entries for destroyed recorders can only
-/// go stale, never alias a live one.
-struct BufferSlot {
-    std::uint64_t token = 0;
-    void* buffer = nullptr;
-};
-
-thread_local std::array<BufferSlot, 4> t_buffer_slots{};
+/// locking (obs/thread_slots.hpp).
+thread_local detail::ThreadSlots t_buffer_slots{};
 
 /// The innermost open ScopedSpan on this thread (global recorder only).
 thread_local TraceContext t_current_context{};
@@ -73,20 +68,9 @@ void TraceRecorder::set_enabled(bool on) noexcept {
 
 TraceRecorder::ThreadBuffer&
 TraceRecorder::buffer_for_current_thread() noexcept {
-    for (BufferSlot& slot : t_buffer_slots) {
-        if (slot.token == token_)
-            return *static_cast<ThreadBuffer*>(slot.buffer);
-    }
-    auto* buf = new ThreadBuffer(current_thread_index());
-    ThreadBuffer* head = buffers_head_.load(std::memory_order_relaxed);
-    do {
-        buf->next = head;
-    } while (!buffers_head_.compare_exchange_weak(
-        head, buf, std::memory_order_release, std::memory_order_relaxed));
-    for (std::size_t i = t_buffer_slots.size() - 1; i > 0; --i)
-        t_buffer_slots[i] = t_buffer_slots[i - 1];
-    t_buffer_slots[0] = BufferSlot{token_, buf};
-    return *buf;
+    return detail::thread_entry(t_buffer_slots, token_, buffers_head_, [] {
+        return new ThreadBuffer(current_thread_index());
+    });
 }
 
 void TraceRecorder::publish(SpanRecord&& rec) noexcept {

@@ -219,6 +219,7 @@ private:
         Chunk* tail = &head;    ///< Owner-only append cursor.
         std::array<OpenSlot, kOpenDepth> open{};
         std::atomic<std::uint32_t> depth{0};
+        std::uint64_t owner = 0;       ///< this_thread_serial of the writer.
         ThreadBuffer* next = nullptr;  ///< Lock-free registration link.
     };
 

@@ -62,8 +62,8 @@ struct OutputSelection {
     std::string metrics_out;     ///< Metrics JSON snapshot file.
     /// Chrome trace-event / Perfetto JSON span-tree file
     /// (`--trace-spans-out`).  Written by the caller AFTER the run's root
-    /// span closes — it is not a ReportSink because sinks run inside the
-    /// run while the root span is still open.
+    /// span closes — not by emit_reports(), which runs inside the run
+    /// while the root span is still open.
     std::string trace_spans_out;
 
     /// Outputs only the post-mortem engine can produce (they need

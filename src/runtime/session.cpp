@@ -15,6 +15,7 @@
 #endif
 
 #include "obs/metrics.hpp"
+#include "obs/thread_slots.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/stopwatch.hpp"
@@ -97,15 +98,6 @@ std::uint64_t next_session_token() noexcept {
     return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// A process-wide serial for the calling thread, unique over the process
-/// lifetime (std::thread::id values are reused once a thread is joined).
-std::uint64_t this_thread_serial() noexcept {
-    static std::atomic<std::uint64_t> counter{1};
-    thread_local const std::uint64_t serial =
-        counter.fetch_add(1, std::memory_order_relaxed);
-    return serial;
-}
-
 /// Record how many of a sealed chain's slots hold events: every chunk is
 /// full except the last, which holds the rest of `events`.
 void seal_chain(std::vector<CaptureChunk>& chunks, std::uint64_t events) {
@@ -180,7 +172,7 @@ ProfilingSession::Channel& ProfilingSession::channel_for_current_thread() {
     }
     // Not cached: this thread may still own a channel whose slot was
     // evicted by other sessions.
-    const std::uint64_t owner = this_thread_serial();
+    const std::uint64_t owner = obs::detail::this_thread_serial();
     Channel* chan = channels_head_.load(std::memory_order_acquire);
     while (chan != nullptr && chan->owner != owner) chan = chan->next;
     if (chan == nullptr) {

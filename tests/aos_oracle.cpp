@@ -25,9 +25,9 @@ EventsById events_by_id(const runtime::ProfileStore& store) {
     return out;
 }
 
-core::ProfileAggregates aggregates(
+ProfileAggregates aggregates(
     std::span<const runtime::AccessEvent> events) {
-    core::ProfileAggregates agg;
+    ProfileAggregates agg;
     agg.total_events = events.size();
     if (events.empty()) return agg;
 
@@ -79,7 +79,7 @@ std::vector<core::Pattern> detect_patterns(
 core::InstanceStats instance_stats(
     const runtime::InstanceInfo& info,
     std::span<const runtime::AccessEvent> events,
-    const core::ProfileAggregates& agg,
+    const ProfileAggregates& agg,
     const std::vector<core::Pattern>& patterns,
     const core::DetectorConfig& config) {
     using core::AccessType;
@@ -187,16 +187,25 @@ Analysis analyze(const std::vector<runtime::InstanceInfo>& instances,
     return analyze(instances, events_by_id(store), config);
 }
 
-std::vector<core::ProfileAggregates> column_aggregates(
+std::vector<ProfileAggregates> column_aggregates(
     const core::AnalysisResult& result) {
     const runtime::ColumnStore& columns = *result.columns();
     std::vector<std::uint8_t> types(columns.total_events());
     core::kernels::derive_types(columns.op(), columns.total_events(),
                                 types.data());
-    std::vector<core::ProfileAggregates> out;
-    for (const core::InstanceAnalysis& ia : result.instances())
-        out.push_back(core::aggregates_from_columns(core::make_slice(
-            columns, columns.range(ia.stats.info.id), types.data())));
+    std::vector<ProfileAggregates> out;
+    for (const core::InstanceAnalysis& ia : result.instances()) {
+        const core::InstanceStats& st = ia.stats;
+        ProfileAggregates& agg = out.emplace_back();
+        agg.total_events = st.total;
+        agg.counts = st.counts;
+        agg.max_size = st.max_size;
+        agg.duration_ns = st.duration_ns;
+        agg.thread_count = st.thread_count;
+        const runtime::ColumnRange range = columns.range(st.info.id);
+        core::kernels::phases_from_types(types.data() + range.begin,
+                                         range.size(), agg.phases);
+    }
     return out;
 }
 

@@ -11,6 +11,9 @@
 // events_of() is how tests and benches read whole events out of a store.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -34,8 +37,19 @@ namespace dsspy::oracle {
 using EventsById = std::vector<std::vector<runtime::AccessEvent>>;
 [[nodiscard]] EventsById events_by_id(const runtime::ProfileStore& store);
 
+/// Aggregates of one instance's profile: event count, per-access-type
+/// counts, phases, maximum size, duration and thread count.
+struct ProfileAggregates {
+    std::size_t total_events = 0;
+    std::array<std::size_t, core::kAccessTypeCount> counts{};
+    core::PhaseList phases;
+    std::size_t max_size = 0;
+    std::uint64_t duration_ns = 0;
+    std::size_t thread_count = 0;
+};
+
 /// Counts, phases, max size, duration and thread count, event by event.
-[[nodiscard]] core::ProfileAggregates aggregates(
+[[nodiscard]] ProfileAggregates aggregates(
     std::span<const runtime::AccessEvent> events);
 
 /// Every event stepped through the pattern machine; patterns ordered by
@@ -49,7 +63,7 @@ using EventsById = std::vector<std::vector<runtime::AccessEvent>>;
 [[nodiscard]] core::InstanceStats instance_stats(
     const runtime::InstanceInfo& info,
     std::span<const runtime::AccessEvent> events,
-    const core::ProfileAggregates& agg,
+    const ProfileAggregates& agg,
     const std::vector<core::Pattern>& patterns,
     const core::DetectorConfig& config);
 
@@ -57,7 +71,7 @@ using EventsById = std::vector<std::vector<runtime::AccessEvent>>;
 /// no columns behind it) and each instance's aggregates.
 struct Analysis {
     core::AnalysisResult result;
-    std::vector<core::ProfileAggregates> aggregates;  ///< Per instance.
+    std::vector<ProfileAggregates> aggregates;  ///< Per instance.
 };
 
 /// Analyze `instances` over events gathered with events_by_id.
@@ -71,9 +85,10 @@ struct Analysis {
     const runtime::ProfileStore& store,
     const core::DetectorConfig& config = {});
 
-/// The engine's side of a differential: each instance's aggregates from
-/// a post-mortem result's columns, by aggregates_from_columns.
-[[nodiscard]] std::vector<core::ProfileAggregates> column_aggregates(
+/// The engine's side of a differential: each instance's aggregates as a
+/// post-mortem result reports them (its stats), with the phases of its
+/// rows by kernels::phases_from_types.
+[[nodiscard]] std::vector<ProfileAggregates> column_aggregates(
     const core::AnalysisResult& result);
 
 }  // namespace dsspy::oracle

@@ -29,8 +29,9 @@ struct BuiltProfile {
         return analyze(config).instances().front();
     }
 
-    /// The instance's profile aggregates, by aggregates_from_columns.
-    [[nodiscard]] core::ProfileAggregates aggregates() const {
+    /// The instance's profile aggregates as the engine reports them
+    /// (oracle::column_aggregates).
+    [[nodiscard]] oracle::ProfileAggregates aggregates() const {
         return oracle::column_aggregates(analyze()).front();
     }
 };

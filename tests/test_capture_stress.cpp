@@ -119,7 +119,9 @@ TEST_P(ReconciliationTest, SharedInstancePreservesPerThreadProgramOrder) {
     std::uint64_t prev_seq = 0;
     bool first = true;
     for (const AccessEvent& ev : events) {
-        if (!first) EXPECT_LT(prev_seq, ev.seq);  // strict total order
+        if (!first) {
+            EXPECT_LT(prev_seq, ev.seq);  // strict total order
+        }
         prev_seq = ev.seq;
         first = false;
         const auto t = static_cast<std::size_t>(ev.position / 1'000'000LL);
@@ -154,7 +156,9 @@ TEST(CaptureStress, AmortizedTimestampsAreMonotonicAndAdvance) {
     ASSERT_EQ(events.size(), static_cast<std::size_t>(kEvents));
     std::set<std::uint64_t> distinct;
     for (std::size_t i = 0; i < events.size(); ++i) {
-        if (i > 0) EXPECT_LE(events[i - 1].time_ns, events[i].time_ns);
+        if (i > 0) {
+            EXPECT_LE(events[i - 1].time_ns, events[i].time_ns);
+        }
         distinct.insert(events[i].time_ns);
     }
     // The clock is read once per kTimestampStride events plus once per

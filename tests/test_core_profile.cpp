@@ -127,5 +127,19 @@ TEST(RuntimeProfile, ThreadCountAndDuration) {
     EXPECT_EQ(s.duration_ns, 300u);  // time_ns = seq*100
 }
 
+// The thread set skips 32-row blocks of one id: ids that appear first at
+// a block's first or last row, or at the slice's last row, still count.
+TEST(RuntimeProfile, ThreadCountAcrossSkippedBlocks) {
+    ProfileBuilder b;
+    for (int i = 0; i < 130; ++i) {
+        const runtime::ThreadId thread = i == 33 || i == 70 ? 1
+                                         : i == 64          ? 2
+                                         : i == 129         ? 3
+                                                            : 0;
+        b.ev(OpKind::Get, i, 130, thread);
+    }
+    EXPECT_EQ(b.build().instance().stats.thread_count, 4u);
+}
+
 }  // namespace
 }  // namespace dsspy::core

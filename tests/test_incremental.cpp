@@ -78,7 +78,7 @@ void expect_stats_match_profiles(const AnalysisResult& pm) {
         std::vector<AccessEvent> events;
         for (std::size_t row = range.begin; row < range.end; ++row)
             events.push_back(columns.row(row));
-        const core::ProfileAggregates p = oracle::aggregates(events);
+        const oracle::ProfileAggregates p = oracle::aggregates(events);
         EXPECT_EQ(ia.stats.total, p.total_events);
         EXPECT_EQ(ia.stats.counts, p.counts);
         EXPECT_EQ(ia.stats.thread_count, p.thread_count);

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -121,6 +122,28 @@ TEST(ObsRegistry, GaugesAggregateAsMax) {
     const MetricValue* m = find_metric(metrics, "test.depth");
     ASSERT_NE(m, nullptr);
     EXPECT_EQ(m->value, 9u);
+}
+
+// A thread whose cached slot was evicted by four other registries still
+// writes into the shard it owns: a gauge it lowers reads the lower value,
+// not the max over a stale shard and a second one.
+TEST(ObsRegistry, EvictedThreadKeepsItsShard) {
+    MetricsRegistry reg;
+    reg.set_enabled(true);
+    const MetricId level = reg.gauge("test.level");
+    reg.gauge_set(level, 10);
+    std::vector<std::unique_ptr<MetricsRegistry>> others;
+    for (int i = 0; i < 4; ++i) {
+        MetricsRegistry& other =
+            *others.emplace_back(std::make_unique<MetricsRegistry>());
+        other.set_enabled(true);
+        other.add(other.counter("test.other"));
+    }
+    reg.gauge_set(level, 5);
+    const std::vector<MetricValue> metrics = reg.collect();
+    const MetricValue* m = find_metric(metrics, "test.level");
+    ASSERT_NE(m, nullptr);
+    EXPECT_EQ(m->value, 5u);
 }
 
 TEST(ObsRegistry, InvalidMetricUpdatesAreNoOps) {

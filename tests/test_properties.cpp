@@ -117,7 +117,7 @@ TEST_P(PipelinePropertyTest, PhasesPartitionTheProfile) {
     random_workload(session, GetParam());
     session.stop();
     const AnalysisResult analysis = Dsspy{}.analyze(session);
-    const std::vector<core::ProfileAggregates> aggregates =
+    const std::vector<oracle::ProfileAggregates> aggregates =
         oracle::column_aggregates(analysis);
 
     for (std::size_t inst = 0; inst < aggregates.size(); ++inst) {
