@@ -8,7 +8,10 @@
 #       with its `[watch]` tick lines dropped, which must equal
 #       dsspy run <app> --incremental with the same flags (ticks print
 #       a summary table under --summary, so that flag is left out);
-#   the file dsspy run <app> --postmortem --html FILE writes.
+#   the file dsspy run <app> --postmortem --html FILE writes;
+#   the trace files dsspy run <app> --postmortem --trace FILE writes as
+#       CSV and as DST1, their dsspy convert round trips, and the stdout
+#       of dsspy analyze on each (see expect_trace below).
 # Every output is deterministic (fixed app seeds, thread-count-independent
 # analysis), so a changed digest means a changed report, not noise.
 # Run as: cmake -DDSSPY_BIN=<path-to-dsspy> -P cli_golden_outputs.cmake
@@ -162,3 +165,83 @@ expect_html("Mandelbrot"
   9898f13f53e68d66aaa8207b3f2e00e983bcead55535c7c8c1df780737f08df0)
 expect_html("WordWheelSolver"
   e3b5f09f3d545a6bfb27c3aedcf3b936c2cb8b96319f7f578c2b1bc6b68ea602)
+
+# Runs `dsspy <args>` and fails the test unless it exits 0.
+function(expect_ok)
+  execute_process(COMMAND ${DSSPY_BIN} ${ARGN}
+                  RESULT_VARIABLE code
+                  OUTPUT_QUIET
+                  ERROR_QUIET)
+  if(NOT code EQUAL 0)
+    string(JOIN " " shown ${ARGN})
+    message(SEND_ERROR "dsspy ${shown}: exit ${code}")
+  endif()
+endfunction()
+
+# The SHA-256 of a CSV trace with each event's time_ns field replaced by
+# `T`: timestamps are wall-clock readings, everything else is
+# deterministic.
+function(expect_csv_trace_digest digest path)
+  file(READ "${path}" text)
+  string(REGEX REPLACE "\nE,([0-9]+),[0-9]+," "\nE,\\1,T," text "${text}")
+  string(SHA256 actual "${text}")
+  if(NOT actual STREQUAL digest)
+    message(SEND_ERROR
+      "${path}: timestamp-free digest ${actual}, expected ${digest}")
+  endif()
+endfunction()
+
+function(expect_same_file a b)
+  file(SHA256 "${a}" da)
+  file(SHA256 "${b}" db)
+  if(NOT da STREQUAL db)
+    message(SEND_ERROR "${b} differs from ${a}")
+  endif()
+endfunction()
+
+# app  timestamp-free CSV trace digest  report+summary+csv digest
+#      json+plan+csv digest
+# Records the app's trace as CSV and as DST1.  Both re-encode through
+# dsspy convert to the other format and back to the very bytes written
+# directly; the DST1 trace converted to CSV carries the pinned content.
+# dsspy analyze prints the same bytes for either format as dsspy run
+# does for the app (no output names the trace path).
+function(expect_trace app csv report json)
+  string(MAKE_C_IDENTIFIER "${app}" stem)
+  set(base "${CMAKE_CURRENT_BINARY_DIR}/golden_${stem}")
+  set(files ${base}.csv ${base}.dst ${base}_dst.csv ${base}_csv.dst
+            ${base}_round.csv ${base}_round.dst)
+  file(REMOVE ${files})
+  expect_ok(run ${app} --postmortem --trace ${base}.csv --format=csv)
+  expect_ok(run ${app} --postmortem --trace ${base}.dst --format=binary)
+  expect_ok(convert ${base}.dst ${base}_dst.csv --format=csv)
+  expect_ok(convert ${base}.csv ${base}_csv.dst)
+  expect_ok(convert ${base}_dst.csv ${base}_round.dst --format=binary)
+  expect_ok(convert ${base}_csv.dst ${base}_round.csv --format=csv)
+  foreach(path IN LISTS files)
+    if(NOT EXISTS "${path}")
+      message(SEND_ERROR "${app}: ${path} was not written")
+      file(REMOVE ${files})
+      return()
+    endif()
+  endforeach()
+  expect_csv_trace_digest(${csv} ${base}.csv)
+  expect_csv_trace_digest(${csv} ${base}_dst.csv)
+  expect_same_file(${base}.dst ${base}_round.dst)
+  expect_same_file(${base}.csv ${base}_round.csv)
+  foreach(trace ${base}.csv ${base}.dst)
+    expect_digest(${report} analyze ${trace} --postmortem
+                  --report --summary --csv-usecases --csv-instances)
+    expect_digest(${json} analyze ${trace} --json --plan --csv-patterns)
+  endforeach()
+  file(REMOVE ${files})
+endfunction()
+
+expect_trace("Astrogrep"
+  6f923b9cd6720ecbe0525b7ae978a477a3e9138313fddf58a15ef966fd09704b
+  97c587b1453495a96723f7234456b750e8761600008d5f08772c338aa02059fa
+  46b5a31e32a72a6b9876970d98c044ef10e1a66ec3c98c82688db9cc778ef031)
+expect_trace("WordWheelSolver"
+  1544e8cce7541f9f0d88377d21caef10412dec68dadcd26027433ed4e3fa8e4b
+  226dd05fb141e0fbf0aa3c9b75e0e10e2e9fe2111cc93aab20a9ed1034113702
+  d769027368abf7fe9c36a48d9a0b57d7ac452094ff5060eb20a470071544c92b)
