@@ -4,9 +4,13 @@
 #include <ostream>
 #include <string>
 
+#include "support/strings.hpp"
+
 namespace dsspy::core {
 
 namespace {
+
+using support::json_escape;
 
 std::string csv_escape(const std::string& field) {
     if (field.find_first_of(",\"\n") == std::string::npos) return field;
@@ -16,30 +20,6 @@ std::string csv_escape(const std::string& field) {
         out += ch;
     }
     out += '"';
-    return out;
-}
-
-std::string json_escape(std::string_view text) {
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (char ch : text) {
-        switch (ch) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(ch) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x",
-                                  static_cast<unsigned>(ch));
-                    out += buf;
-                } else {
-                    out += ch;
-                }
-        }
-    }
     return out;
 }
 

@@ -4,9 +4,13 @@
 #include <fstream>
 #include <ostream>
 
+#include "support/strings.hpp"
+
 namespace dsspy::obs {
 
 namespace {
+
+using support::json_escape;
 
 const char* kind_name(MetricKind kind) {
     switch (kind) {
@@ -55,25 +59,6 @@ std::string prom_label_value(std::string_view value) {
             out += ch;
         } else if (ch == '\n') {
             out += "\\n";
-        } else {
-            out += ch;
-        }
-    }
-    return out;
-}
-
-/// JSON string escaping for metric names (they are ASCII identifiers, but
-/// stay safe against future names).
-std::string json_escape(const std::string& s) {
-    std::string out;
-    for (const char ch : s) {
-        if (ch == '"' || ch == '\\') {
-            out += '\\';
-            out += ch;
-        } else if (static_cast<unsigned char>(ch) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-            out += buf;
         } else {
             out += ch;
         }

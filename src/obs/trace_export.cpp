@@ -9,28 +9,13 @@
 #include <set>
 #include <string_view>
 
+#include "support/strings.hpp"
+
 namespace dsspy::obs {
 
 namespace {
 
-/// JSON string escaping; span names are identifiers but annotations can
-/// carry arbitrary bytes (tenant names, file paths).
-std::string json_escape(std::string_view s) {
-    std::string out;
-    for (const char ch : s) {
-        if (ch == '"' || ch == '\\') {
-            out += '\\';
-            out += ch;
-        } else if (static_cast<unsigned char>(ch) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-            out += buf;
-        } else {
-            out += ch;
-        }
-    }
-    return out;
-}
+using support::json_escape;
 
 /// Microseconds with nanosecond resolution, as trace-event ts/dur want.
 std::string us_fixed(std::uint64_t ns) {

@@ -13,10 +13,13 @@
 #include "obs/trace_export.hpp"
 #include "runtime/trace_io.hpp"
 #include "serve/wire.hpp"
+#include "support/strings.hpp"
 
 namespace dsspy::serve {
 
 namespace {
+
+using support::json_escape;
 
 /// Daemon-wide obs counters (name-only; per-tenant dimensions render as
 /// labeled samples in render_metrics instead).
@@ -55,23 +58,6 @@ void bump(obs::MetricId id, std::uint64_t delta = 1) {
 /// Largest HTTP request we bother reading; status endpoints have no
 /// bodies, so anything bigger is not one of ours.
 constexpr std::size_t kMaxHttpRequestBytes = 8192;
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    for (const char ch : s) {
-        if (ch == '"' || ch == '\\') {
-            out += '\\';
-            out += ch;
-        } else if (static_cast<unsigned char>(ch) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-            out += buf;
-        } else {
-            out += ch;
-        }
-    }
-    return out;
-}
 
 const char* io_status_reason(IoStatus status) {
     switch (status) {

@@ -1,6 +1,7 @@
 #include "support/strings.hpp"
 
 #include <cctype>
+#include <cstdio>
 
 namespace dsspy::support {
 
@@ -98,6 +99,25 @@ std::size_t count_occurrences(std::string_view haystack,
         pos += needle.size();
     }
     return count;
+}
+
+std::string json_escape(std::string_view text) {
+    std::string out;
+    out.reserve(text.size());
+    for (const char ch : text) {
+        if (ch == '"' || ch == '\\') {
+            out += '\\';
+            out += ch;
+        } else if (static_cast<unsigned char>(ch) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(ch));
+            out += buf;
+        } else {
+            out += ch;
+        }
+    }
+    return out;
 }
 
 }  // namespace dsspy::support

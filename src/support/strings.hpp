@@ -38,4 +38,9 @@ namespace dsspy::support {
 [[nodiscard]] std::size_t count_occurrences(std::string_view haystack,
                                             std::string_view needle);
 
+/// Escape `text` for a JSON string literal: `"` and `\` get a backslash,
+/// every control byte below 0x20 becomes `\u00XX`; other bytes (UTF-8
+/// included) pass through.
+[[nodiscard]] std::string json_escape(std::string_view text);
+
 }  // namespace dsspy::support

@@ -157,6 +157,14 @@ TEST(Strings, CountOccurrences) {
     EXPECT_EQ(count_occurrences("abc", ""), 0u);
 }
 
+TEST(Strings, JsonEscapeUsesUnicodeFormForControlBytes) {
+    EXPECT_EQ(json_escape("plain"), "plain");
+    EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+    EXPECT_EQ(json_escape("line\nfeed\ttab\r\x01"),
+              "line\\u000afeed\\u0009tab\\u000d\\u0001");
+    EXPECT_EQ(json_escape("\xce\xb4"), "\xce\xb4");  // UTF-8 passes through
+}
+
 TEST(Table, FormatHelpers) {
     EXPECT_EQ(Table::fmt(2.126, 2), "2.13");
     EXPECT_EQ(Table::with_commas(936356), "936,356");
