@@ -581,6 +581,7 @@ __attribute__((target("avx2"))) std::size_t end_anchor_streak_avx2(
         const std::size_t lanes = leading_lanes(ok);
         if (lanes < 4) return i + lanes;
     }
+    _mm256_zeroupper();  // See end_traffic_avx2.
     return i + end_anchor_streak_scalar(types + i, positions + i, sizes + i,
                                         threads + i, n - i, type, tid,
                                         anchor);
