@@ -37,7 +37,8 @@ int main() {
     std::cout << "Figure 2 - Runtime profile for the example list\n\n";
     Table table({"#", "Op", "Type", "Position", "Size", "Thread"});
     std::size_t i = 0;
-    session.store().for_each_event(id, [&](const runtime::AccessEvent& ev) {
+    runtime::for_each_event(columns, session.store().seq(), id,
+                            [&](const runtime::AccessEvent& ev) {
         table.add_row({std::to_string(i++),
                        std::string(runtime::op_name(ev.op)),
                        std::string(core::access_type_name(

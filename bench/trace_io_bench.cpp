@@ -3,8 +3,10 @@
 // Builds a synthetic but realistically shaped trace (64 instances worked
 // in phases: append bursts, read sweeps, occasional clears, a few
 // threads, amortized-timestamp plateaus — the patterns the capture path
-// actually produces), then measures serialized size and write/read
-// throughput for both formats plus the parallel binary decode.  Results
+// actually produces), then measures serialized size, write throughput
+// and load throughput of the one post-mortem loader (read_trace_columns)
+// for both formats plus the parallel binary decode.  Both loads and the
+// parallel decode must land identical columns, seq and ranges.  Results
 // land as machine-readable JSON (default: BENCH_trace.json) so the
 // storage-format trajectory is tracked across PRs; DESIGN.md §7 quotes
 // these numbers.
@@ -16,12 +18,12 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "aos_oracle.hpp"
 #include "parallel/thread_pool.hpp"
-#include "runtime/trace_binary.hpp"
 #include "runtime/trace_io.hpp"
+#include "runtime/trace_mmap.hpp"
 
 namespace {
 
@@ -29,8 +31,8 @@ using namespace dsspy;
 using runtime::AccessEvent;
 using runtime::InstanceId;
 using runtime::InstanceInfo;
+using runtime::ColumnTrace;
 using runtime::OpKind;
-using runtime::Trace;
 using runtime::TraceFormat;
 using Clock = std::chrono::steady_clock;
 
@@ -38,12 +40,19 @@ constexpr std::size_t kInstances = 64;
 constexpr unsigned kThreads = 4;
 constexpr std::uint64_t kTimestampStride = 64;  // capture-path plateau
 
+/// The synthetic trace: instance metadata plus the store it is written
+/// from.
+struct SourceTrace {
+    std::vector<InstanceInfo> instances;
+    runtime::ProfileStore store;
+};
+
 /// Synthesize `target_events` events shaped like a real capture: each
 /// instance is filled in append bursts, swept by reads, occasionally
 /// cleared; seq is globally contiguous, timestamps plateau and advance
 /// ~25ns per event, threads switch per phase.
-Trace build_trace(std::size_t target_events) {
-    Trace trace;
+SourceTrace build_trace(std::size_t target_events) {
+    SourceTrace trace;
     for (InstanceId id = 0; id < kInstances; ++id) {
         InstanceInfo info;
         info.id = id;
@@ -118,6 +127,28 @@ double best_ms(int rounds, Body body) {
     return best;
 }
 
+/// Equal instances, and equal columns, seq and ranges row for row.
+bool same_columns(const ColumnTrace& a, const ColumnTrace& b) {
+    const runtime::ColumnStore& x = a.columns;
+    const runtime::ColumnStore& y = b.columns;
+    if (a.instances != b.instances || x.total_events() != y.total_events() ||
+        x.instance_slots() != y.instance_slots())
+        return false;
+    for (std::size_t id = 0; id < x.instance_slots(); ++id) {
+        const auto iid = static_cast<InstanceId>(id);
+        if (x.range(iid).begin != y.range(iid).begin ||
+            x.range(iid).end != y.range(iid).end)
+            return false;
+    }
+    const std::size_t n = x.total_events();
+    return std::equal(a.seq.get(), a.seq.get() + n, b.seq.get()) &&
+           std::equal(x.time_ns(), x.time_ns() + n, y.time_ns()) &&
+           std::equal(x.position(), x.position() + n, y.position()) &&
+           std::equal(x.sizes(), x.sizes() + n, y.sizes()) &&
+           std::equal(x.op(), x.op() + n, y.op()) &&
+           std::equal(x.thread(), x.thread() + n, y.thread());
+}
+
 double mb_per_s(std::size_t bytes, double ms) {
     return ms > 0 ? static_cast<double>(bytes) / 1e6 / (ms / 1e3) : 0.0;
 }
@@ -131,7 +162,7 @@ int main(int argc, char** argv) {
         argc > 3 ? static_cast<std::size_t>(std::atoll(argv[3])) : 1'000'000;
 
     std::printf("building %zu-event synthetic trace...\n", events);
-    const Trace trace = build_trace(events);
+    const SourceTrace trace = build_trace(events);
     const std::size_t total = trace.store.total_events();
 
     // Serialize once for sizes and as read input.
@@ -154,35 +185,24 @@ int main(int argc, char** argv) {
         write_trace(os, trace.instances, trace.store, TraceFormat::Binary);
     });
     const double csv_read_ms = best_ms(rounds, [&] {
-        std::istringstream is(csv_bytes);
-        (void)runtime::read_trace(is);
+        (void)runtime::read_trace_columns(csv_bytes);
     });
     const double bin_read_ms = best_ms(rounds, [&] {
-        std::istringstream is(bin_bytes);
-        (void)runtime::read_trace(is);
+        (void)runtime::read_trace_columns(bin_bytes);
     });
     par::ThreadPool pool;
     const double bin_read_par_ms = best_ms(rounds, [&] {
-        std::istringstream is(bin_bytes);
-        (void)runtime::read_trace(is, &pool);
+        (void)runtime::read_trace_columns(bin_bytes, &pool);
     });
 
-    // Bit-identical discipline: the parallel decode must reproduce the
-    // sequential decode exactly.
-    bool par_identical = true;
-    {
-        const Trace seq_trace = runtime::read_trace_binary(bin_bytes);
-        const Trace par_trace = runtime::read_trace_binary(bin_bytes, &pool);
-        par_identical = seq_trace.instances == par_trace.instances &&
-                        seq_trace.store.total_events() ==
-                            par_trace.store.total_events();
-        for (std::size_t id = 0;
-             par_identical && id < seq_trace.store.instance_slots(); ++id) {
-            const auto iid = static_cast<InstanceId>(id);
-            par_identical = oracle::events_of(seq_trace.store, iid) ==
-                            oracle::events_of(par_trace.store, iid);
-        }
-    }
+    // Bit-identical discipline: the CSV load and the parallel decode must
+    // reproduce the sequential decode exactly.
+    const ColumnTrace from_binary = runtime::read_trace_columns(bin_bytes);
+    const bool par_identical = same_columns(
+        from_binary, runtime::read_trace_columns(bin_bytes, &pool));
+    const bool formats_identical =
+        from_binary.columns.total_events() == total &&
+        same_columns(from_binary, runtime::read_trace_columns(csv_bytes));
 
     const double ev = static_cast<double>(total);
     const double size_ratio =
@@ -199,9 +219,13 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"events\": %zu,\n", total);
     std::fprintf(f, "  \"instances\": %zu,\n", trace.instances.size());
     std::fprintf(f, "  \"rounds\": %d,\n", rounds);
+    std::fprintf(f, "  \"hardware_threads\": %u,\n",
+                 std::thread::hardware_concurrency());
     std::fprintf(f, "  \"pool_threads\": %u,\n", pool.thread_count());
     std::fprintf(f, "  \"parallel_decode_bit_identical\": %s,\n",
                  par_identical ? "true" : "false");
+    std::fprintf(f, "  \"csv_and_binary_load_identical\": %s,\n",
+                 formats_identical ? "true" : "false");
     std::fprintf(f, "  \"csv_over_binary_size\": %.2f,\n", size_ratio);
     std::fprintf(f, "  \"csv_over_binary_read_time\": %.2f,\n", read_speedup);
     std::fprintf(f, "  \"results\": [\n");
@@ -236,6 +260,11 @@ int main(int argc, char** argv) {
     std::printf("binary read (par) %8.1f ms\n", bin_read_par_ms);
     std::printf("parallel decode bit-identical: %s\n",
                 par_identical ? "yes" : "NO");
+    std::printf("csv and binary loads identical: %s\n",
+                formats_identical ? "yes" : "NO");
     std::printf("wrote %s\n", out_path.c_str());
-    return (par_identical && size_ratio >= 5.0 && read_speedup >= 3.0) ? 0 : 1;
+    return (par_identical && formats_identical && size_ratio >= 5.0 &&
+            read_speedup >= 3.0)
+               ? 0
+               : 1;
 }

@@ -9,8 +9,9 @@
 //   3. a hand-written trace (as a foreign tool would emit) is analyzed
 //      the same way, and
 //   4. the same session is persisted as compact DST1 binary and read back
-//      through the auto-detecting file API (which throws on missing
-//      files — a lost trace is an error, not an empty profile).
+//      through the same loader, which detects the format on its own and
+//      throws on missing files — a lost trace is an error, not an empty
+//      profile.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -20,6 +21,7 @@
 #include "core/report.hpp"
 #include "ds/ds.hpp"
 #include "runtime/trace_io.hpp"
+#include "runtime/trace_mmap.hpp"
 
 namespace {
 
@@ -54,13 +56,12 @@ std::string record_phase() {
 
 void analyze_phase(const std::string& trace_text) {
     using namespace dsspy;
-    std::istringstream in(trace_text);
-    const runtime::Trace trace = runtime::read_trace(in);
+    const runtime::ColumnTrace trace = runtime::read_trace_columns(trace_text);
     std::cout << "[analyzer] loaded " << trace.instances.size()
-              << " instances, " << trace.store.total_events()
+              << " instances, " << trace.columns.total_events()
               << " events\n\n";
     const core::AnalysisResult analysis =
-        core::Dsspy{}.analyze(trace.instances, trace.store);
+        core::Dsspy{}.analyze(trace.instances, trace.columns);
     core::print_use_case_report(std::cout, analysis);
 }
 
@@ -93,28 +94,28 @@ std::string foreign_trace() {
 }
 
 /// Persist the CSV trace as DST1 binary, reload it through the
-/// format-auto-detecting file API, and show the size difference.
+/// format-auto-detecting file loader, and show the size difference.
 void binary_round_trip(const std::string& trace_text) {
     using namespace dsspy;
-    std::istringstream in(trace_text);
-    const runtime::Trace trace = runtime::read_trace(in);
+    const runtime::ColumnTrace trace = runtime::read_trace_columns(trace_text);
 
     const std::string path = "offline_analysis_trace.dst";
-    if (!runtime::write_trace_file(path, trace.instances, trace.store,
+    if (!runtime::write_trace_file(path, trace,
                                    runtime::TraceFormat::Binary)) {
         std::cerr << "[binary] failed to write " << path << '\n';
         return;
     }
-    const runtime::Trace reloaded = runtime::read_trace_file(path);
+    const runtime::ColumnTrace reloaded =
+        runtime::read_trace_columns_file(path);
     std::cout << "[binary] " << trace_text.size() << " bytes of CSV became "
-              << "a DST1 file holding " << reloaded.store.total_events()
+              << "a DST1 file holding " << reloaded.columns.total_events()
               << " events\n";
     std::remove(path.c_str());
 
     // A missing trace file throws — callers cannot confuse "file gone"
     // with "program recorded nothing".
     try {
-        (void)runtime::read_trace_file(path);
+        (void)runtime::read_trace_columns_file(path);
     } catch (const std::runtime_error& e) {
         std::cout << "[binary] re-reading the deleted file throws: "
                   << e.what() << '\n';

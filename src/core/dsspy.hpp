@@ -36,8 +36,8 @@ public:
         const runtime::ProfilingSession& session,
         par::ThreadPool* pool = nullptr) const;
 
-    /// Analyze explicit instance metadata + a finalized store (e.g. a
-    /// trace deserialized with runtime::read_trace).  The store must
+    /// Analyze explicit instance metadata + a finalized store (e.g. one a
+    /// tool built with ProfileStore::append).  The store must
     /// outlive the result.  Runs over the store's columns with the
     /// vectorized kernels (DESIGN.md §11).
     [[nodiscard]] AnalysisResult analyze(
@@ -45,7 +45,7 @@ public:
         const runtime::ProfileStore& store,
         par::ThreadPool* pool = nullptr) const;
 
-    /// Analyze a bare columnar store (the zero-copy DST1 path,
+    /// Analyze a bare columnar store (a trace loaded by
     /// runtime::read_trace_columns): the same verdicts and charts without
     /// a ProfileStore behind them.  The store must outlive the result.
     [[nodiscard]] AnalysisResult analyze(

@@ -131,7 +131,7 @@ inline constexpr int kExitUsageError = 2;
 /// Typed result of executing one RunPlan.  Exactly one of `analysis` /
 /// `stream` is engaged on success (postmortem vs incremental engine; both
 /// hold the same result type, but only `analysis` carries the analyzed
-/// columns and patterns); the outcome owns the session/trace backing
+/// columns and patterns); the outcome owns the session or trace backing
 /// them, because a post-mortem result points at their columns.
 struct RunOutcome {
     int exit_code = kExitOk;
@@ -147,12 +147,10 @@ struct RunOutcome {
     std::optional<core::AnalysisResult> analysis;  ///< Post-mortem result.
     std::optional<core::AnalysisResult> stream;    ///< Incremental result.
 
-    /// Backing storage for `analysis` (live runs / trace loads).  Binary
-    /// traces analyzed post-mortem without --trace re-emission load as
-    /// columns only (`column_trace`, DESIGN.md §11); everything else fills
-    /// `trace` or `session`.
+    /// Backing storage for `analysis`: the session of a live run, or the
+    /// columns a post-mortem trace run loaded (either format, DESIGN.md
+    /// §7 and §11; their `seq` column is released once written).
     std::unique_ptr<runtime::ProfilingSession> session;
-    std::unique_ptr<runtime::Trace> trace;
     std::unique_ptr<runtime::ColumnTrace> column_trace;
 
     [[nodiscard]] bool ok() const noexcept { return exit_code == kExitOk; }

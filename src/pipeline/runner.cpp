@@ -156,61 +156,32 @@ RunOutcome PipelineRunner::run_trace(const RunPlan& plan, std::ostream& out,
         return outcome;
     }
 
-    // Post-mortem DST1 analysis that does not re-emit the trace skips the
-    // ProfileStore entirely: mmap the file and decode straight into
-    // columns.  Half the peak memory, and the analysis and the HTML charts
-    // read the same columns either way, so every output is identical.
-    if (plan.trace_out.empty() &&
-        runtime::is_binary_trace_file(plan.target)) {
-        auto columns = std::make_unique<runtime::ColumnTrace>();
-        try {
-            *columns = runtime::read_trace_columns_file(plan.target, &pool());
-        } catch (const std::runtime_error& e) {
-            return fail_runtime(outcome.label,
-                                "Cannot read trace " + plan.target + ": " +
-                                    e.what(),
-                                err);
-        }
-        if (columns->instances.empty() &&
-            columns->columns.total_events() == 0)
-            return fail_runtime(outcome.label,
-                                "No trace data in " + plan.target, err);
-        outcome.events = columns->columns.total_events();
-        if (plan.outputs.any_analysis_output()) {
-            const core::Dsspy analyzer(plan.config);
-            outcome.analysis = analyzer.analyze(columns->instances,
-                                                columns->columns, &pool());
-        }
-        outcome.column_trace = std::move(columns);
-        if (!emit_reports(plan.outputs, outcome, out, err))
-            outcome.exit_code = kExitRuntimeError;
-        return outcome;
-    }
-
-    auto trace = std::make_unique<runtime::Trace>();
+    // Post-mortem: load the whole trace, either format, into columns.
+    auto trace = std::make_unique<runtime::ColumnTrace>();
     try {
-        *trace = runtime::read_trace_file(plan.target, &pool());
+        *trace = runtime::read_trace_columns_file(plan.target, &pool());
     } catch (const std::runtime_error& e) {
         return fail_runtime(outcome.label,
                             "Cannot read trace " + plan.target + ": " +
                                 e.what(),
                             err);
     }
-    if (trace->instances.empty() && trace->store.total_events() == 0)
+    const std::size_t events = trace->columns.total_events();
+    if (trace->instances.empty() && events == 0)
         return fail_runtime(outcome.label, "No trace data in " + plan.target,
                             err);
-    outcome.events = trace->store.total_events();
+    outcome.events = events;
 
     if (!plan.trace_out.empty()) {
         const runtime::TraceFormat format = trace_out_format(plan);
-        const bool wrote = runtime::write_trace_file(
-            plan.trace_out, trace->instances, trace->store, format);
+        const bool wrote =
+            runtime::write_trace_file(plan.trace_out, *trace, format);
         if (plan.trace_note == TraceNoteStyle::ConvertNote) {
             // Re-encoding is the whole job: a failed write is terminal.
             if (!wrote)
                 return fail_runtime(outcome.label,
                                     "Failed to write " + plan.trace_out, err);
-            err << "Wrote " << trace->store.total_events() << " events ("
+            err << "Wrote " << events << " events ("
                 << (format == runtime::TraceFormat::Binary ? "binary" : "csv")
                 << ") to " << plan.trace_out << '\n';
         } else if (wrote) {
@@ -221,13 +192,15 @@ RunOutcome PipelineRunner::run_trace(const RunPlan& plan, std::ostream& out,
             outcome.error = "Failed to write trace to " + plan.trace_out;
         }
     }
+    // Only the writers read the seq column; the analysis reads the rest.
+    trace->seq.reset();
 
     if (plan.outputs.any_analysis_output()) {
         const core::Dsspy analyzer(plan.config);
         outcome.analysis =
-            analyzer.analyze(trace->instances, trace->store, &pool());
+            analyzer.analyze(trace->instances, trace->columns, &pool());
     }
-    outcome.trace = std::move(trace);
+    outcome.column_trace = std::move(trace);
     if (!emit_reports(plan.outputs, outcome, out, err))
         outcome.exit_code = kExitRuntimeError;
     return outcome;

@@ -13,17 +13,20 @@
 // sits on one huge-page mapping, so filling it costs a fault per 2 MiB
 // rather than per 4 KiB, and rounding wastes at most 2 MiB per store.
 //
-// Two producers fill it, and both write rows straight from where events
-// arrive, with no AccessEvent vector in between:
+// Two producers fill it:
 //   * ProfileStore::finalize — a counting scatter of the captured event
 //     chunks into per-instance row ranges, from counts that arrive with
 //     the chunks (profile_store.hpp);
-//   * runtime::read_trace_columns — the shared DST1 chunk walk
-//     (trace_codec.hpp) decoding mmapped chunks into rows (trace_mmap.hpp).
-//     The decoder rejects the kInvalidInstance sentinel, so every range id
-//     it sets is a real instance.
+//   * runtime::read_trace_columns — the post-mortem trace loader
+//     (trace_mmap.hpp): the shared DST1 chunk walk (trace_codec.hpp)
+//     decodes mmapped chunks straight into rows, and CSV records are
+//     collected column by column.  Neither sets a range for the
+//     kInvalidInstance sentinel: DST1 rejects it, CSV drops its events.
 // Rows that arrive out of `seq` order are put back in order by one shared
-// permutation regroup, sort_rows() below.
+// permutation regroup, sort_rows() below.  Both producers keep the `seq`
+// of every row beside the store, and for_each_event() below rebuilds
+// whole AccessEvents from the columns and that `seq` (the trace writers'
+// path).
 #pragma once
 
 #include <cstddef>
@@ -108,17 +111,25 @@ public:
         return thread_;
     }
 
-    /// Reconstruct one row as an AccessEvent (tests and debugging; `seq`
-    /// is synthesized as the row index, not the original capture seq).
-    [[nodiscard]] AccessEvent row(std::size_t i) const noexcept {
+    /// Row `i` as the AccessEvent of instance `id` whose capture seq is
+    /// `seq`.
+    [[nodiscard]] AccessEvent event(std::size_t i, InstanceId id,
+                                    std::uint64_t seq) const noexcept {
         AccessEvent ev;
-        ev.seq = i;
+        ev.seq = seq;
         ev.time_ns = time_ns_[i];
         ev.position = position_[i];
+        ev.instance = id;
         ev.size = size_[i];
         ev.op = static_cast<OpKind>(op_[i]);
         ev.thread = thread_[i];
         return ev;
+    }
+
+    /// Reconstruct one row as an AccessEvent (tests and debugging: no
+    /// instance id, and `seq` is the row index, not the capture seq).
+    [[nodiscard]] AccessEvent row(std::size_t i) const noexcept {
+        return event(i, kInvalidInstance, i);
     }
 
 private:
@@ -133,6 +144,17 @@ private:
     std::uint8_t* op_ = nullptr;
     std::vector<ColumnRange> ranges_;
 };
+
+/// Call `fn(const AccessEvent&)` for each of instance `id`'s rows in
+/// range (`seq`) order, every field built on the fly; `seq` is the column
+/// of capture seqs parallel to the rows.
+template <class Fn>
+void for_each_event(const ColumnStore& columns, const std::uint64_t* seq,
+                    InstanceId id, Fn&& fn) {
+    const ColumnRange range = columns.range(id);
+    for (std::size_t row = range.begin; row < range.end; ++row)
+        fn(columns.event(row, id, seq[row]));
+}
 
 /// The permutation regroup: stable-sort rows [`begin`, `end`) by
 /// (`instance`, `seq`), moving every column of `columns` and the `seq` and

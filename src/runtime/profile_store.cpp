@@ -147,16 +147,6 @@ void ProfileStore::append(std::span<const AccessEvent> events) {
     }
 }
 
-void ProfileStore::adopt(std::vector<EventChunk> chunks) {
-    std::scoped_lock lock(mutex_);
-    for (EventChunk& chunk : chunks) {
-        if (chunk.size == 0) continue;
-        PendingChunk& pending = pending_.emplace_back();
-        pending.counts.add(EventRows{chunk.events.get()}, chunk.size);
-        pending.rows = std::move(chunk);
-    }
-}
-
 void ProfileStore::adopt(CaptureChain chain) {
     std::scoped_lock lock(mutex_);
     for (CaptureChunk& chunk : chain.chunks) {
@@ -198,7 +188,7 @@ void ProfileStore::finalize_locked(par::ThreadPool* pool) const {
             const auto id = static_cast<InstanceId>(slot);
             const ColumnRange range = columns_.range(id);
             for (std::size_t row = range.begin; row < range.end; ++row)
-                out[row] = event_at(row, id);
+                out[row] = columns_.event(row, id, seq_[row]);
         }
         pending_.insert(pending_.begin(), std::move(placed));
     }
@@ -353,6 +343,12 @@ const ColumnStore& ProfileStore::columns(par::ThreadPool* pool) const {
     std::scoped_lock lock(mutex_);
     finalize_locked(pool);
     return columns_;
+}
+
+const std::uint64_t* ProfileStore::seq(par::ThreadPool* pool) const {
+    std::scoped_lock lock(mutex_);
+    finalize_locked(pool);
+    return seq_.get();
 }
 
 std::size_t ProfileStore::total_events() const {

@@ -11,15 +11,15 @@
 // Buffered capture hands each thread's CaptureChain over without copying
 // (adopt): 24-byte CaptureRows whose `seq`, `time_ns` and `thread` are
 // derived from the row's index in its chain and the small side tables
-// its chunk carries (DESIGN.md §6).  The trace readers and other
-// callers bring whole AccessEvents (append, or adopt of decoded chunks).
-// Every pending chunk arrives with its ChunkCounts — events per instance
-// and the span of its seqs — so finalize() never reads an event to count
-// it.  A capture chunk's counts come from the tally its recording thread
-// kept while the rows were still in L1 (ProfilingSession::refill); every
-// other chunk is counted by one helper where its events are touched
-// anyway: append counts while it copies, adopt counts decoded chunks, and
-// a re-finalize reads the counts of its placed rows off their ranges.
+// its chunk carries (DESIGN.md §6).  Tests, benches and tools that build
+// stores directly bring whole AccessEvents (append).  Every pending chunk
+// arrives with its ChunkCounts — events per instance and the span of its
+// seqs — so finalize() never reads an event to count it.  A capture
+// chunk's counts come from the tally its recording thread kept while the
+// rows were still in L1 (ProfilingSession::refill); every other chunk is
+// counted by one helper where its events are touched anyway: append
+// counts while it copies, and a re-finalize reads the counts of its
+// placed rows off their ranges.
 // finalize() sums the counts per contiguous group of chunks into each
 // group's first row per instance, then places every event straight into
 // its row, one template over the two row layouts, and frees each chunk
@@ -29,8 +29,9 @@
 // at once.  Only instances whose rows arrived out of `seq` order (several
 // recording threads, appended batches, externally built traces) are
 // re-sorted, by the shared permutation regroup (column_store.hpp).  The
-// columns are the store's one event representation: for_each_event builds
-// whole AccessEvents from them on the fly, one at a time.
+// columns and `seq` are the store's one event representation:
+// runtime::for_each_event builds whole AccessEvents from them on the fly,
+// one at a time.
 #pragma once
 
 #include <cstddef>
@@ -63,8 +64,8 @@ struct CaptureRow {
 
 static_assert(sizeof(CaptureRow) == 24, "keep capture rows compact");
 
-/// A block of events in arrival order: the unit append() fills and that
-/// ProfileStore::adopt takes over without copying.
+/// A block of events in arrival order: the unit ProfileStore::append
+/// fills.
 struct EventChunk {
     BulkBuffer<AccessEvent> events;
     std::size_t capacity = 0;  ///< Allocated slots.
@@ -170,17 +171,15 @@ public:
     ProfileStore(const ProfileStore&) = delete;
     ProfileStore& operator=(const ProfileStore&) = delete;
 
-    /// Append a copy of a batch of events (trace readers, tests).  Events
-    /// with the kInvalidInstance sentinel are dropped.
+    /// Append a copy of a batch of events (tests, benches, tools that
+    /// build traces directly).  Events with the kInvalidInstance sentinel
+    /// are dropped.
     void append(std::span<const AccessEvent> events);
 
-    /// Take over a chain of event chunks without copying them; each
-    /// chunk's first `size` events count, and are counted here.
-    /// finalize() frees each chunk as soon as its events are placed.
-    void adopt(std::vector<EventChunk> chunks);
-
-    /// Take over one thread's capture chain the same way.  A chunk's
-    /// tally serves as its counts; chunks without one are counted here.
+    /// Take over one thread's capture chain without copying it; each
+    /// chunk's first `size` rows count.  A chunk's tally serves as its
+    /// counts; chunks without one are counted here.  finalize() frees
+    /// each chunk as soon as its events are placed.
     void adopt(CaptureChain chain);
 
     /// Place every pending event into its instance's column rows.  With a
@@ -196,15 +195,11 @@ public:
     [[nodiscard]] const ColumnStore& columns(
         par::ThreadPool* pool = nullptr) const;
 
-    /// Call `fn(const AccessEvent&)` for each of one instance's events in
-    /// `seq` order, with every field — `seq` and `instance` included —
-    /// built from the columns on the fly (the trace writers' path).
-    template <class Fn>
-    void for_each_event(InstanceId id, Fn&& fn) const {
-        const ColumnRange range = columns().range(id);
-        for (std::size_t row = range.begin; row < range.end; ++row)
-            fn(event_at(row, id));
-    }
+    /// The capture seq of every row, parallel to columns() (whole events
+    /// come from both through runtime::for_each_event).  Finalizes
+    /// pending events first (with `pool`); invalidated like columns().
+    [[nodiscard]] const std::uint64_t* seq(
+        par::ThreadPool* pool = nullptr) const;
 
     /// Total number of stored events.
     [[nodiscard]] std::size_t total_events() const;
@@ -226,20 +221,6 @@ public:
         std::size_t registered_instances) const;
 
 private:
-    /// Rows must be placed (see columns()).
-    [[nodiscard]] AccessEvent event_at(std::size_t row,
-                                       InstanceId id) const noexcept {
-        AccessEvent ev;
-        ev.seq = seq_[row];
-        ev.time_ns = columns_.time_ns()[row];
-        ev.position = columns_.position()[row];
-        ev.instance = id;
-        ev.size = columns_.sizes()[row];
-        ev.op = static_cast<OpKind>(columns_.op()[row]);
-        ev.thread = columns_.thread()[row];
-        return ev;
-    }
-
     /// Capture rows waiting for finalize, with the thread that recorded
     /// them (the rows do not store it).
     struct ThreadChunk {

@@ -168,10 +168,10 @@ bool is_binary_trace(std::string_view bytes) {
 
 std::size_t write_trace_binary(std::ostream& os,
                                const std::vector<InstanceInfo>& instances,
-                               const ProfileStore& store) {
+                               const ColumnStore& columns,
+                               const std::uint64_t* seq) {
     const std::vector<InstanceId> order =
-        detail::event_write_order(instances, store);
-    const ColumnStore& columns = store.columns();
+        detail::event_write_order(instances, columns);
     std::uint64_t event_count = 0;
     for (const InstanceId id : order) event_count += columns.range(id).size();
 
@@ -209,7 +209,7 @@ std::size_t write_trace_binary(std::ostream& os,
     };
     std::size_t written = 0;
     for (const InstanceId id : order) {
-        store.for_each_event(id, [&](const AccessEvent& ev) {
+        for_each_event(columns, seq, id, [&](const AccessEvent& ev) {
             put_event(payload, ev, prev);
             prev = ev;
             ++written;
@@ -259,28 +259,5 @@ void decode_chunks(std::size_t chunk_count, par::ThreadPool* pool,
 }
 
 }  // namespace codec
-
-Trace read_trace_binary(std::string_view bytes, par::ThreadPool* pool) {
-    ChunkIndex index = index_chunks(bytes);
-    // Each DST1 chunk decodes into its own store chunk; the store adopts
-    // the chain in file order, so the result does not depend on how the
-    // decode was scheduled.
-    std::vector<EventChunk> decoded(index.chunks.size());
-    decode_chunks(index.chunks.size(), pool, [&](std::size_t i) {
-        const ChunkRef& chunk = index.chunks[i];
-        EventChunk& out = decoded[i];
-        out.events = make_bulk_buffer<AccessEvent>(chunk.count);
-        out.capacity = out.size = chunk.count;
-        decode_chunk(chunk, [&](std::uint32_t row, const AccessEvent& ev) {
-            out.events[row] = ev;
-        });
-    });
-
-    Trace trace;
-    trace.instances = std::move(index.instances);
-    trace.store.adopt(std::move(decoded));
-    trace.store.finalize(pool);
-    return trace;
-}
 
 }  // namespace dsspy::runtime

@@ -37,8 +37,8 @@
 //
 // A sequential read sweep is one control byte per event; an append run is
 // two bytes.  Chunk-local baselines keep every chunk independently
-// decodable, which is what lets `read_trace` fan the decode out over a
-// ThreadPool while appending chunks in file order — the store is
+// decodable, which is what lets `read_trace_columns` fan the decode out
+// over a ThreadPool, each chunk into its own rows — the columns are
 // bit-identical to a sequential decode.
 #pragma once
 
@@ -60,20 +60,14 @@ inline constexpr std::uint32_t kTraceBinaryVersion = 1;
 /// Events per chunk (the last chunk may be shorter).
 inline constexpr std::size_t kTraceBinaryChunkEvents = 64 * 1024;
 
-/// Serialize instances/events as DST1.  Returns the number of events
-/// written.  Event sequences are emitted in `detail::event_write_order`.
+/// Serialize instances and column rows as DST1 (`seq` is the capture
+/// seq column parallel to the rows; write_trace's core calls this).
+/// Returns the number of events written.  Event sequences are emitted in
+/// `detail::event_write_order`.
 std::size_t write_trace_binary(std::ostream& os,
                                const std::vector<InstanceInfo>& instances,
-                               const ProfileStore& store);
-
-/// Decode a complete DST1 byte buffer (including the magic).  Throws
-/// std::runtime_error on truncated or corrupt input (bad magic/version,
-/// unterminated varint, chunk size or event-count mismatch, out-of-range
-/// enum or field values, the kInvalidInstance sentinel as an instance
-/// id).  With a pool, chunks decode concurrently; the returned store
-/// is finalized and bit-identical to a sequential decode.
-[[nodiscard]] Trace read_trace_binary(std::string_view bytes,
-                                      par::ThreadPool* pool = nullptr);
+                               const ColumnStore& columns,
+                               const std::uint64_t* seq);
 
 /// True if `bytes` starts with the DST1 magic.
 [[nodiscard]] bool is_binary_trace(std::string_view bytes);
@@ -83,7 +77,7 @@ std::size_t write_trace_binary(std::ostream& os,
 /// at a time to `sink`.  Memory stays bounded by one chunk regardless of
 /// trace size, and by the bytes actually received: a length the input
 /// declares is never allocated up front.  Same decoder, validation and
-/// errors as read_trace_binary, except the up-front "instance count
+/// errors as read_trace_columns, except the up-front "instance count
 /// exceeds input size" check (a stream's size is unknown; the instance
 /// table then fails where it runs out).  Returns the events delivered.
 std::size_t read_trace_binary_stream(std::istream& is, std::string_view prefix,

@@ -1,12 +1,12 @@
 // The one DST1 decoder (format reference: trace_binary.hpp).
 //
-// read_trace_binary (chunks a ProfileStore adopts), read_trace_columns
-// (ColumnStore rows, trace_mmap.cpp) and read_trace_binary_stream (chunks
-// to a TraceSink) differ only in where bytes come from and where events go.  So the
-// prelude parser and the chunk-header walk here are generic over the byte
-// source (an in-memory Cursor or the stream reader's source), the
-// control-byte event walk hands each event to a destination callback, and
-// every validation rule and error message exists exactly once.
+// Its two readers, read_trace_columns (ColumnStore rows, trace_mmap.cpp)
+// and read_trace_binary_stream (chunks to a TraceSink), differ only in
+// where bytes come from and where events go.  So the prelude parser and
+// the chunk-header walk here are generic over the byte source (an
+// in-memory Cursor or the stream reader's source), the control-byte event
+// walk hands each event to a destination callback, and every validation
+// rule and error message exists exactly once.
 #pragma once
 
 #include <cstddef>

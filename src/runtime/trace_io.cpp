@@ -5,7 +5,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <streambuf>
 #include <string_view>
@@ -104,8 +103,8 @@ T parse_number(std::string_view field, const char* what) {
 /// twice (no net change), so quoted fields may span physical lines — and,
 /// here, buffer refills: the quote state and any partial record carry over
 /// between feed() calls, so a boundary can fall anywhere (even between the
-/// two '"' of an escaped quote) without changing what is parsed.  Both the
-/// slurped read_trace path and the streaming reader run on this scanner.
+/// two '"' of an escaped quote) without changing what is parsed.  The
+/// column loader (parse_csv_trace) and the streaming reader run on it.
 class CsvRecordScanner {
 public:
     /// Scan `chunk`, invoking `emit(std::string_view record)` for every
@@ -205,26 +204,15 @@ std::size_t parse_csv_record(std::string_view line, TraceSink& sink,
                              "'");
 }
 
-/// Builds an in-memory Trace from sink callbacks (the slurped path).
-class TraceBuildSink final : public TraceSink {
-public:
-    void on_instance(const InstanceInfo& info) override {
-        trace.instances.push_back(info);
-    }
-    void on_events(std::span<const AccessEvent> events) override {
-        trace.store.append(events);
-    }
-    Trace trace;
-};
-
 std::size_t write_trace_csv(std::ostream& os,
                             const std::vector<InstanceInfo>& instances,
-                            const ProfileStore& store) {
+                            const ColumnStore& columns,
+                            const std::uint64_t* seq) {
     for (const InstanceInfo& info : instances)
         detail::write_csv_instance_record(os, info);
     std::size_t events = 0;
-    for (const InstanceId id : detail::event_write_order(instances, store)) {
-        store.for_each_event(id, [&](const AccessEvent& ev) {
+    for (const InstanceId id : detail::event_write_order(instances, columns)) {
+        for_each_event(columns, seq, id, [&](const AccessEvent& ev) {
             detail::write_csv_event_record(os, ev);
             ++events;
         });
@@ -232,20 +220,43 @@ std::size_t write_trace_csv(std::ostream& os,
     return events;
 }
 
-Trace read_trace_csv(const std::string& data, par::ThreadPool* pool) {
-    TraceBuildSink sink;
-    std::vector<AccessEvent> batch;
-    batch.reserve(1024);
-    CsvRecordScanner scanner;
-    const auto handle = [&](std::string_view line) {
-        parse_csv_record(line, sink, batch);
-    };
-    scanner.feed(data, handle);
-    scanner.finish(handle);
-    if (!batch.empty()) sink.on_events(batch);
-    Trace trace = std::move(sink.trace);
-    trace.store.finalize(pool);
-    return trace;
+/// The one trace writer: instances, then each instance's rows in
+/// detail::event_write_order.  Every public write_trace overload
+/// forwards here.
+std::size_t write_rows(std::ostream& os,
+                       const std::vector<InstanceInfo>& instances,
+                       const ColumnStore& columns, const std::uint64_t* seq,
+                       TraceFormat format) {
+    DSSPY_TRACE_SPAN("trace.write");
+    const std::streampos before = obs::enabled() ? os.tellp()
+                                                 : std::streampos{-1};
+    const std::size_t events =
+        format == TraceFormat::Binary
+            ? write_trace_binary(os, instances, columns, seq)
+            : write_trace_csv(os, instances, columns, seq);
+    if (obs::enabled()) {
+        auto& reg = obs::MetricsRegistry::global();
+        reg.add(trace_metrics().events_written, events);
+        // Non-seekable sinks (pipes) report -1; skip the byte count then.
+        const std::streampos after = os.tellp();
+        if (before >= std::streampos{0} && after >= before)
+            reg.add(trace_metrics().bytes_written,
+                    static_cast<std::uint64_t>(after - before));
+    }
+    return events;
+}
+
+/// Open `path` for writing and run `write` on it; false when the file
+/// cannot be opened or the flushed stream reports a short write.
+template <class Write>
+bool write_file(const std::string& path, Write&& write) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out) return false;
+    write(out);
+    // A short write (full disk, dead pipe) may only surface at flush time;
+    // report it instead of pretending the trace landed.
+    out.flush();
+    return static_cast<bool>(out);
 }
 
 /// Streaming CSV: refill a fixed buffer and feed it through the scanner;
@@ -273,11 +284,7 @@ std::size_t read_trace_csv_stream(std::istream& is, std::string_view first,
         throw std::runtime_error("trace_io: I/O error while reading trace");
     scanner.finish(handle);
     if (!batch.empty()) sink.on_events(batch);
-    if (obs::enabled()) {
-        auto& reg = obs::MetricsRegistry::global();
-        reg.add(trace_metrics().bytes_read, bytes);
-        reg.add(trace_metrics().events_read, events);
-    }
+    detail::count_trace_read(bytes, events);
     return events;
 }
 
@@ -286,10 +293,9 @@ std::size_t read_trace_csv_stream(std::istream& is, std::string_view first,
 namespace detail {
 
 std::vector<InstanceId> event_write_order(
-    const std::vector<InstanceInfo>& instances, const ProfileStore& store) {
+    const std::vector<InstanceInfo>& instances, const ColumnStore& columns) {
     std::vector<InstanceId> order;
     order.reserve(instances.size());
-    const ColumnStore& columns = store.columns();
     std::vector<bool> listed(columns.instance_slots(), false);
     for (const InstanceInfo& info : instances) {
         order.push_back(info.id);
@@ -319,27 +325,43 @@ void write_csv_event_record(std::ostream& os, const AccessEvent& ev) {
        << ',' << ev.thread << '\n';
 }
 
+std::size_t parse_csv_trace(std::string_view bytes, TraceSink& sink) {
+    CsvRecordScanner scanner;
+    std::vector<AccessEvent> batch;
+    batch.reserve(1024);
+    std::size_t events = 0;
+    const auto handle = [&](std::string_view line) {
+        events += parse_csv_record(line, sink, batch);
+    };
+    scanner.feed(bytes, handle);
+    scanner.finish(handle);
+    if (!batch.empty()) sink.on_events(batch);
+    return events;
+}
+
+void count_trace_read(std::size_t bytes, std::size_t events) {
+    if (!obs::enabled()) return;
+    auto& reg = obs::MetricsRegistry::global();
+    reg.add(trace_metrics().bytes_read, bytes);
+    reg.add(trace_metrics().events_read, events);
+}
+
 }  // namespace detail
 
 std::size_t write_trace(std::ostream& os,
                         const std::vector<InstanceInfo>& instances,
                         const ProfileStore& store, TraceFormat format) {
-    DSSPY_TRACE_SPAN("trace.write");
-    const std::streampos before = obs::enabled() ? os.tellp()
-                                                 : std::streampos{-1};
-    const std::size_t events = format == TraceFormat::Binary
-                                   ? write_trace_binary(os, instances, store)
-                                   : write_trace_csv(os, instances, store);
-    if (obs::enabled()) {
-        auto& reg = obs::MetricsRegistry::global();
-        reg.add(trace_metrics().events_written, events);
-        // Non-seekable sinks (pipes) report -1; skip the byte count then.
-        const std::streampos after = os.tellp();
-        if (before >= std::streampos{0} && after >= before)
-            reg.add(trace_metrics().bytes_written,
-                    static_cast<std::uint64_t>(after - before));
-    }
-    return events;
+    const ColumnStore& columns = store.columns();
+    return write_rows(os, instances, columns, store.seq(), format);
+}
+
+std::size_t write_trace(std::ostream& os, const ColumnTrace& trace,
+                        TraceFormat format) {
+    if (trace.seq == nullptr && trace.columns.total_events() > 0)
+        throw std::invalid_argument(
+            "trace_io: cannot write a trace whose seq column was released");
+    return write_rows(os, trace.instances, trace.columns, trace.seq.get(),
+                      format);
 }
 
 std::size_t write_trace(std::ostream& os, const ProfilingSession& session,
@@ -408,50 +430,24 @@ std::size_t read_trace_stream(const ChunkSource& next_chunk, TraceSink& sink,
     return read_trace_stream(is, sink, buffer_bytes);
 }
 
-Trace read_trace(std::istream& is, par::ThreadPool* pool) {
-    DSSPY_TRACE_SPAN("trace.read");
-    // Slurp the stream once and dispatch on the magic: binary decode needs
-    // random access for the chunk index, and CSV record extraction is
-    // simpler over a contiguous buffer than across getline boundaries.
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    if (is.bad())
-        throw std::runtime_error("trace_io: I/O error while reading trace");
-    const std::string data = std::move(buffer).str();
-    Trace trace = is_binary_trace(data) ? read_trace_binary(data, pool)
-                                        : read_trace_csv(data, pool);
-    if (obs::enabled()) {
-        auto& reg = obs::MetricsRegistry::global();
-        reg.add(trace_metrics().bytes_read, data.size());
-        reg.add(trace_metrics().events_read, trace.store.total_events());
-    }
-    return trace;
-}
-
 bool write_trace_file(const std::string& path,
                       const std::vector<InstanceInfo>& instances,
                       const ProfileStore& store, TraceFormat format) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    write_trace(out, instances, store, format);
-    // A short write (full disk, dead pipe) may only surface at flush time;
-    // report it instead of pretending the trace landed.
-    out.flush();
-    return static_cast<bool>(out);
+    return write_file(path, [&](std::ostream& os) {
+        write_trace(os, instances, store, format);
+    });
+}
+
+bool write_trace_file(const std::string& path, const ColumnTrace& trace,
+                      TraceFormat format) {
+    return write_file(path,
+                      [&](std::ostream& os) { write_trace(os, trace, format); });
 }
 
 bool write_trace_file(const std::string& path, const ProfilingSession& session,
                       TraceFormat format) {
     return write_trace_file(path, session.registry().snapshot(),
                             session.store(), format);
-}
-
-Trace read_trace_file(const std::string& path, par::ThreadPool* pool) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error("trace_io: cannot open trace file '" + path +
-                                 "'");
-    return read_trace(in, pool);
 }
 
 }  // namespace dsspy::runtime

@@ -12,15 +12,20 @@
 //      E,<seq>,<time_ns>,<instance>,<op>,<position>,<size>,<thread>
 //
 //    Instance records come first; event records follow in arbitrary order
-//    (the store is re-sorted on finalize).  Text fields are CSV-escaped;
-//    quoted fields may span physical lines (a name may contain newlines).
+//    (the loader regroups them by instance and seq).  Text fields are
+//    CSV-escaped; quoted fields may span physical lines (a name may
+//    contain newlines).
 //
 //  * DST1 — the compact binary format in trace_binary.hpp: a fixed header,
 //    an instance table, then ~64K-event chunks with delta/varint-encoded
 //    fields.  Roughly an order of magnitude smaller and several times
 //    faster to read than CSV; chunks decode in parallel on a ThreadPool.
 //
-// `read_trace` auto-detects the format from the leading magic bytes.
+// Both readers auto-detect the format from the leading magic bytes:
+// read_trace_columns (trace_mmap.hpp) loads a whole trace into a
+// ColumnTrace for post-mortem analysis, and read_trace_stream below hands
+// it to a TraceSink in bounded memory.  Both writers' overloads — a
+// ProfileStore or a ColumnTrace — forward to one writer core.
 #pragma once
 
 #include <cstddef>
@@ -34,10 +39,7 @@
 #include "runtime/instance_registry.hpp"
 #include "runtime/profile_store.hpp"
 #include "runtime/session.hpp"
-
-namespace dsspy::par {
-class ThreadPool;
-}
+#include "runtime/trace_mmap.hpp"
 
 namespace dsspy::runtime {
 
@@ -45,12 +47,6 @@ namespace dsspy::runtime {
 enum class TraceFormat {
     Csv,     ///< Line-oriented text (human-inspectable, foreign-tool-friendly).
     Binary,  ///< DST1 chunked binary (compact, fast, parallel-decodable).
-};
-
-/// A deserialized trace: instance metadata plus the finalized store.
-struct Trace {
-    std::vector<InstanceInfo> instances;
-    ProfileStore store;
 };
 
 /// Write a stopped session's registry and events to `os`.
@@ -67,14 +63,11 @@ std::size_t write_trace(std::ostream& os,
                         const ProfileStore& store,
                         TraceFormat format = TraceFormat::Csv);
 
-/// Parse a trace written by `write_trace`, auto-detecting the format from
-/// the magic bytes.  Throws std::runtime_error on malformed input (wrong
-/// field counts, non-numeric fields, unknown record tags, truncated or
-/// corrupt binary data).  The returned store is finalized.  With a pool,
-/// binary chunk decode and the finalize sort run in parallel; the result
-/// is bit-identical to the sequential path.
-[[nodiscard]] Trace read_trace(std::istream& is,
-                               par::ThreadPool* pool = nullptr);
+/// Write a loaded trace back out (`dsspy convert`, `analyze --trace`): the
+/// same bytes the trace's source store writes.  Needs `trace.seq`; throws
+/// std::invalid_argument when it was released and there are events.
+std::size_t write_trace(std::ostream& os, const ColumnTrace& trace,
+                        TraceFormat format = TraceFormat::Csv);
 
 /// Incremental consumer for read_trace_stream: instance metadata and event
 /// batches are delivered as they are decoded, without materializing the
@@ -92,9 +85,10 @@ public:
 /// for CSV, one ~64K-event chunk for DST1 — never the whole trace).  The
 /// format is auto-detected from the magic bytes; CSV quote state is
 /// carried across buffer refills, so quoted fields spanning any boundary
-/// parse exactly as in read_trace.  Throws std::runtime_error on the same
-/// malformed inputs read_trace rejects.  Returns the number of events
-/// delivered.
+/// parse exactly as in read_trace_columns.  Throws std::runtime_error on
+/// the same malformed inputs read_trace_columns rejects (bar the few the
+/// DST1 stream decoder cannot see, trace_binary.hpp).  Returns the number
+/// of events delivered.
 std::size_t read_trace_stream(std::istream& is, TraceSink& sink,
                               std::size_t buffer_bytes = 1u << 20);
 
@@ -119,28 +113,25 @@ using ChunkSource = std::function<std::string_view()>;
 std::size_t read_trace_stream(const ChunkSource& next_chunk, TraceSink& sink,
                               std::size_t buffer_bytes = 1u << 20);
 
-/// Convenience: file-path overloads.  `write_trace_file` returns false if
-/// the file cannot be opened or the flushed stream reports a short write;
-/// `read_trace_file` throws std::runtime_error when the file cannot be
-/// opened (a missing trace is not an empty trace) and propagates
-/// `read_trace` parse errors.
+/// Convenience: file-path overloads.  They return false if the file
+/// cannot be opened or the flushed stream reports a short write.
 bool write_trace_file(const std::string& path, const ProfilingSession& session,
                       TraceFormat format = TraceFormat::Csv);
 bool write_trace_file(const std::string& path,
                       const std::vector<InstanceInfo>& instances,
                       const ProfileStore& store,
                       TraceFormat format = TraceFormat::Csv);
-[[nodiscard]] Trace read_trace_file(const std::string& path,
-                                    par::ThreadPool* pool = nullptr);
+bool write_trace_file(const std::string& path, const ColumnTrace& trace,
+                      TraceFormat format = TraceFormat::Csv);
 
 namespace detail {
 
 /// The instance-id order in which writers emit event sequences: ids from
 /// `instances` first (in list order), then store-only ("orphan") ids in
 /// ascending order.  Both the CSV and DST1 writers follow this order, so
-/// cross-format conversions produce identically ordered stores.
+/// cross-format conversions produce identically ordered files.
 std::vector<InstanceId> event_write_order(
-    const std::vector<InstanceInfo>& instances, const ProfileStore& store);
+    const std::vector<InstanceInfo>& instances, const ColumnStore& columns);
 
 /// Emit one CSV instance/event record (including the trailing newline) in
 /// exactly the encoding write_trace produces.  Shared with the serve
@@ -148,6 +139,16 @@ std::vector<InstanceId> event_write_order(
 /// encoder means a live stream and a written file parse identically.
 void write_csv_instance_record(std::ostream& os, const InstanceInfo& info);
 void write_csv_event_record(std::ostream& os, const AccessEvent& ev);
+
+/// Parse a complete CSV trace held in `bytes`, handing instances and
+/// event batches to `sink` — the record scanner and parser the streaming
+/// reader runs on.  Throws std::runtime_error on malformed records.
+/// Returns the number of events parsed.
+std::size_t parse_csv_trace(std::string_view bytes, TraceSink& sink);
+
+/// Count a trace read in the self-telemetry registry (`trace.bytes_read`,
+/// `trace.events_read`) when it is enabled.
+void count_trace_read(std::size_t bytes, std::size_t events);
 
 }  // namespace detail
 

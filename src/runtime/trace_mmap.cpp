@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -18,6 +19,7 @@
 #include "obs/trace.hpp"
 #include "runtime/trace_binary.hpp"
 #include "runtime/trace_codec.hpp"
+#include "runtime/trace_io.hpp"
 
 namespace dsspy::runtime {
 
@@ -60,19 +62,21 @@ bool runs_grouped(const std::vector<InstanceRun>& runs,
     return std::adjacent_find(ids.begin(), ids.end()) == ids.end();
 }
 
-}  // namespace
-
-bool is_binary_trace_file(const std::string& path) {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) return false;
-    char magic[sizeof(kTraceBinaryMagic)];
-    is.read(magic, sizeof(magic));
-    return is.gcount() == sizeof(magic) &&
-           std::memcmp(magic, kTraceBinaryMagic, sizeof(magic)) == 0;
+/// The step both formats end in: set one row range per instance, after
+/// regrouping the rows (with `trace.seq` and `instance_col`) by
+/// (instance, seq) unless they already are.
+void group_rows(ColumnTrace& trace, std::uint32_t* instance_col) {
+    const std::size_t rows = trace.columns.total_events();
+    std::vector<InstanceRun> runs = collect_runs(instance_col, rows);
+    if (!runs_grouped(runs, trace.seq.get())) {
+        sort_rows(trace.columns, trace.seq.get(), instance_col, 0, rows);
+        runs = collect_runs(instance_col, rows);
+    }
+    for (const InstanceRun& run : runs)
+        trace.columns.set_range(run.id, run.begin, run.end);
 }
 
-ColumnTrace read_trace_columns(std::string_view bytes,
-                               par::ThreadPool* pool) {
+ColumnTrace decode_dst1(std::string_view bytes, par::ThreadPool* pool) {
     // The kernels downstream issue wide aligned-friendly loads; a mapping
     // that is not even word-aligned indicates a broken producer (mmap
     // returns page-aligned addresses, partial-page offsets do not).
@@ -85,18 +89,18 @@ ColumnTrace read_trace_columns(std::string_view bytes,
     trace.instances = std::move(index.instances);
     const std::size_t rows = index.event_count;
     trace.columns.allocate(rows, 0);
-    const BulkBuffer<std::uint64_t> seqs =
-        make_bulk_buffer<std::uint64_t>(rows);
+    trace.seq = make_bulk_buffer<std::uint64_t>(rows);
     const BulkBuffer<std::uint32_t> instance_col =
         make_bulk_buffer<std::uint32_t>(rows);
 
-    // Chunks write disjoint row ranges (plus the temporary seq/instance
-    // columns used for grouping), so the decode parallelizes without
-    // synchronization and lands bit-identical to a sequential pass.
+    // Chunks write disjoint row ranges (of the columns, the seq column and
+    // the temporary instance column used for grouping), so the decode
+    // parallelizes without synchronization and lands bit-identical to a
+    // sequential pass.
     codec::decode_chunks(index.chunks.size(), pool, [&](std::size_t c) {
         const codec::ChunkRef& chunk = index.chunks[c];
         const std::size_t first = chunk.first_row;
-        std::uint64_t* seq_col = seqs.get() + first;
+        std::uint64_t* seq_col = trace.seq.get() + first;
         std::uint32_t* inst_col = instance_col.get() + first;
         std::uint64_t* time_col = trace.columns.mutable_time_ns() + first;
         std::int64_t* pos_col = trace.columns.mutable_position() + first;
@@ -113,14 +117,85 @@ ColumnTrace read_trace_columns(std::string_view bytes,
             thread_col[i] = ev.thread;
         });
     });
+    group_rows(trace, instance_col.get());
+    return trace;
+}
 
-    std::vector<InstanceRun> runs = collect_runs(instance_col.get(), rows);
-    if (!runs_grouped(runs, seqs.get())) {
-        sort_rows(trace.columns, seqs.get(), instance_col.get(), 0, rows);
-        runs = collect_runs(instance_col.get(), rows);
+/// Collects parsed CSV records column by column.  Events on the
+/// kInvalidInstance sentinel are dropped, as ProfileStore::append drops
+/// them.
+class ColumnCollector final : public TraceSink {
+public:
+    void on_instance(const InstanceInfo& info) override {
+        instances.push_back(info);
     }
-    for (const InstanceRun& run : runs)
-        trace.columns.set_range(run.id, run.begin, run.end);
+
+    void on_events(std::span<const AccessEvent> events) override {
+        for (const AccessEvent& ev : events) {
+            if (ev.instance == kInvalidInstance) continue;
+            seq.push_back(ev.seq);
+            instance.push_back(ev.instance);
+            time_ns.push_back(ev.time_ns);
+            position.push_back(ev.position);
+            size.push_back(ev.size);
+            op.push_back(static_cast<std::uint8_t>(ev.op));
+            thread.push_back(ev.thread);
+        }
+    }
+
+    std::vector<InstanceInfo> instances;
+    std::vector<std::uint64_t> seq;
+    std::vector<std::uint32_t> instance;
+    std::vector<std::uint64_t> time_ns;
+    std::vector<std::int64_t> position;
+    std::vector<std::uint32_t> size;
+    std::vector<std::uint8_t> op;
+    std::vector<std::uint16_t> thread;
+};
+
+ColumnTrace load_csv(std::string_view bytes) {
+    ColumnCollector rows;
+    detail::parse_csv_trace(bytes, rows);
+    ColumnTrace trace;
+    trace.instances = std::move(rows.instances);
+    const std::size_t n = rows.seq.size();
+    trace.columns.allocate(n, 0);
+    trace.seq = make_bulk_buffer<std::uint64_t>(n);
+    const BulkBuffer<std::uint32_t> instance_col =
+        make_bulk_buffer<std::uint32_t>(n);
+    // Each collected column is freed once copied, so the copies never
+    // hold more than one column twice.
+    const auto move_to = [](auto& from, auto* to) {
+        std::copy(from.begin(), from.end(), to);
+        std::exchange(from, {});
+    };
+    move_to(rows.seq, trace.seq.get());
+    move_to(rows.instance, instance_col.get());
+    move_to(rows.time_ns, trace.columns.mutable_time_ns());
+    move_to(rows.position, trace.columns.mutable_position());
+    move_to(rows.size, trace.columns.mutable_sizes());
+    move_to(rows.op, trace.columns.mutable_op());
+    move_to(rows.thread, trace.columns.mutable_thread());
+    group_rows(trace, instance_col.get());
+    return trace;
+}
+
+}  // namespace
+
+bool is_binary_trace_file(const std::string& path) {
+    std::ifstream is(path, std::ios::binary);
+    if (!is) return false;
+    char magic[sizeof(kTraceBinaryMagic)];
+    is.read(magic, sizeof(magic));
+    return is.gcount() == sizeof(magic) &&
+           std::memcmp(magic, kTraceBinaryMagic, sizeof(magic)) == 0;
+}
+
+ColumnTrace read_trace_columns(std::string_view bytes,
+                               par::ThreadPool* pool) {
+    ColumnTrace trace = is_binary_trace(bytes) ? decode_dst1(bytes, pool)
+                                               : load_csv(bytes);
+    detail::count_trace_read(bytes.size(), trace.columns.total_events());
     return trace;
 }
 
@@ -135,9 +210,9 @@ ColumnTrace read_trace_columns_file(const std::string& path,
         fail("cannot stat trace file: " + path);
     }
     const auto size = static_cast<std::size_t>(st.st_size);
-    if (size == 0) {
+    if (size == 0) {  // nothing to map: an empty trace
         ::close(fd);
-        fail("bad magic (not a DST1 trace)");
+        return read_trace_columns(std::string_view{}, pool);
     }
     void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
     ::close(fd);  // the mapping keeps the file alive

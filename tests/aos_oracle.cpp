@@ -10,12 +10,29 @@
 
 namespace dsspy::oracle {
 
+namespace {
+
+std::vector<runtime::AccessEvent> events_of(
+    const runtime::ColumnStore& columns, const std::uint64_t* seq,
+    runtime::InstanceId id) {
+    std::vector<runtime::AccessEvent> out;
+    runtime::for_each_event(
+        columns, seq, id,
+        [&out](const runtime::AccessEvent& ev) { out.push_back(ev); });
+    return out;
+}
+
+}  // namespace
+
 std::vector<runtime::AccessEvent> events_of(
     const runtime::ProfileStore& store, runtime::InstanceId id) {
-    std::vector<runtime::AccessEvent> out;
-    store.for_each_event(
-        id, [&out](const runtime::AccessEvent& ev) { out.push_back(ev); });
-    return out;
+    const runtime::ColumnStore& columns = store.columns();
+    return events_of(columns, store.seq(), id);
+}
+
+std::vector<runtime::AccessEvent> events_of(
+    const runtime::ColumnTrace& trace, runtime::InstanceId id) {
+    return events_of(trace.columns, trace.seq.get(), id);
 }
 
 EventsById events_by_id(const runtime::ProfileStore& store) {

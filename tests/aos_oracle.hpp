@@ -6,9 +6,9 @@
 // time: per-event profile aggregates, every event stepped through the
 // pattern machine, per-event stats.  The differential suites and
 // bench/analysis_scaling (its identity gate and its aos_sequential
-// baseline) hold the engine to it; nothing in src/ links it.  It reads a
-// store's events only through ProfileStore::for_each_event, and
-// events_of() is how tests and benches read whole events out of a store.
+// baseline) hold the engine to it; nothing in src/ links it.  It reads
+// events only through runtime::for_each_event, and events_of() is how
+// tests and benches read whole events out of a store or a loaded trace.
 #pragma once
 
 #include <array>
@@ -25,6 +25,7 @@
 #include "runtime/access_event.hpp"
 #include "runtime/instance_registry.hpp"
 #include "runtime/profile_store.hpp"
+#include "runtime/trace_mmap.hpp"
 
 namespace dsspy::oracle {
 
@@ -32,6 +33,10 @@ namespace dsspy::oracle {
 /// were recorded).
 [[nodiscard]] std::vector<runtime::AccessEvent> events_of(
     const runtime::ProfileStore& store, runtime::InstanceId id);
+
+/// The same for a loaded trace (its `seq` column must still be held).
+[[nodiscard]] std::vector<runtime::AccessEvent> events_of(
+    const runtime::ColumnTrace& trace, runtime::InstanceId id);
 
 /// Every instance's events, indexed by instance id.
 using EventsById = std::vector<std::vector<runtime::AccessEvent>>;

@@ -386,31 +386,32 @@ std::vector<std::vector<EventChunk>> synthetic_chains(std::size_t threads,
     return chains;
 }
 
-enum class Feed { Adopt, AppendBatches };
+enum class Feed { WholeChunks, AppendBatches };
 
-// Adopted chains (the session's hand-off) and round-robin append batches
-// (the trace readers' path), from 1 and 4 threads, with and without a
-// pool.
+// Whole chunks appended chain by chain and round-robin append batches,
+// from 1 and 4 threads, with and without a pool.
 TEST(StoreDifferential, ScatterMatchesGroupThenSortOracle) {
     par::ThreadPool pool(4);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        for (const Feed feed : {Feed::Adopt, Feed::AppendBatches}) {
+        for (const Feed feed : {Feed::WholeChunks, Feed::AppendBatches}) {
             for (par::ThreadPool* with : {static_cast<par::ThreadPool*>(nullptr),
                                           &pool}) {
                 SCOPED_TRACE(::testing::Message()
                              << threads << " threads, "
-                             << (feed == Feed::Adopt ? "adopt" : "append")
+                             << (feed == Feed::WholeChunks ? "chunks"
+                                                             : "batches")
                              << (with != nullptr ? ", pool" : ", no pool"));
                 auto chains = synthetic_chains(threads, 25'000, 17 + threads);
                 OracleStore oracle;
                 ProfileStore store;
                 // The session lists channels newest first.
                 std::reverse(chains.begin(), chains.end());
-                if (feed == Feed::Adopt) {
-                    for (auto& chain : chains) {
-                        for (const EventChunk& chunk : chain)
+                if (feed == Feed::WholeChunks) {
+                    for (const auto& chain : chains) {
+                        for (const EventChunk& chunk : chain) {
                             oracle.append({chunk.events.get(), chunk.size});
-                        store.adopt(std::move(chain));
+                            store.append({chunk.events.get(), chunk.size});
+                        }
                     }
                 } else {
                     // Up to 1024 events per chain per round.

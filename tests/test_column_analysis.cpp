@@ -431,8 +431,8 @@ TEST_F(VerdictDifferential, EmpiricalStudyCorpus) {
 }
 
 TEST_F(VerdictDifferential, ZeroCopyColumnReaderMatchesAoSAnalysis) {
-    // write binary -> mmap-decode to columns -> analyze(columns) must give
-    // the same verdicts as the AoS trace load it replaces.
+    // write binary -> decode to columns -> analyze(columns) must give the
+    // same verdicts as the per-event oracle over the recorded store.
     runtime::ProfilingSession session;
     const apps::AppInfo* app = apps::find_app("WordWheelSolver");
     ASSERT_NE(app, nullptr);
@@ -440,15 +440,12 @@ TEST_F(VerdictDifferential, ZeroCopyColumnReaderMatchesAoSAnalysis) {
     session.stop();
 
     std::ostringstream out;
-    runtime::write_trace_binary(out, session.registry().snapshot(),
-                                session.store());
-    const std::string bytes = std::move(out).str();
-
-    const runtime::Trace aos = runtime::read_trace_binary(bytes);
-    const runtime::ColumnTrace cols = runtime::read_trace_columns(bytes);
+    runtime::write_trace(out, session, runtime::TraceFormat::Binary);
+    const runtime::ColumnTrace cols = runtime::read_trace_columns(out.str());
 
     const Dsspy analyzer;
-    const std::string ref = digest(oracle::analyze(aos.instances, aos.store));
+    const std::string ref = digest(
+        oracle::analyze(session.registry().snapshot(), session.store()));
     EXPECT_EQ(digest(analyzer.analyze(cols.instances, cols.columns)), ref);
     par::ThreadPool pool(4);
     EXPECT_EQ(digest(analyzer.analyze(cols.instances, cols.columns, &pool)),

@@ -1077,21 +1077,20 @@ void drive_hostile_names(ProfilingSession& session) {
 void expect_stream_matches_slurp(const std::string& bytes,
                                  std::size_t buffer_bytes) {
     SCOPED_TRACE("buffer_bytes=" + std::to_string(buffer_bytes));
-    std::istringstream slurp_in(bytes);
-    const runtime::Trace trace = runtime::read_trace(slurp_in);
+    const runtime::ColumnTrace trace = runtime::read_trace_columns(bytes);
 
     RecordingSink sink;
     std::istringstream stream_in(bytes);
     const std::size_t delivered =
         runtime::read_trace_stream(stream_in, sink, buffer_bytes);
 
-    EXPECT_EQ(delivered, trace.store.total_events());
+    EXPECT_EQ(delivered, trace.columns.total_events());
     ASSERT_EQ(sink.instances.size(), trace.instances.size());
     for (std::size_t i = 0; i < sink.instances.size(); ++i)
         EXPECT_TRUE(sink.instances[i] == trace.instances[i]);
     for (const InstanceInfo& info : trace.instances) {
         const std::vector<AccessEvent> expected =
-            oracle::events_of(trace.store, info.id);
+            oracle::events_of(trace, info.id);
         const std::vector<AccessEvent>& got = sink.events[info.id];
         ASSERT_EQ(got.size(), expected.size());
         for (std::size_t i = 0; i < got.size(); ++i)
@@ -1127,7 +1126,7 @@ TEST(StreamingTraceReader, Dst1PrefixCarryMatchesSlurp) {
 
 TEST(StreamingTraceReader, StreamedAnalyzeMatchesPostmortemBothFormats) {
     // The `dsspy analyze` default path: stream the trace into an
-    // IncrementalAnalyzer and compare with slurp + post-mortem analysis.
+    // IncrementalAnalyzer and compare with load + post-mortem analysis.
     ProfilingSession session;
     drive_quickstart(session);
     session.stop();
@@ -1138,10 +1137,9 @@ TEST(StreamingTraceReader, StreamedAnalyzeMatchesPostmortemBothFormats) {
         (void)runtime::write_trace(os, session, format);
         const std::string bytes = os.str();
 
-        std::istringstream slurp_in(bytes);
-        const runtime::Trace trace = runtime::read_trace(slurp_in);
+        const runtime::ColumnTrace trace = runtime::read_trace_columns(bytes);
         const AnalysisResult pm =
-            Dsspy{}.analyze(trace.instances, trace.store);
+            Dsspy{}.analyze(trace.instances, trace.columns);
 
         IncrementalAnalyzer inc;
         struct AnalyzerSink final : runtime::TraceSink {
@@ -1165,9 +1163,8 @@ TEST(StreamingTraceReader, StreamedAnalyzeMatchesPostmortemBothFormats) {
 void expect_both_readers_throw_same(const std::string& bytes) {
     std::string slurp_error;
     try {
-        std::istringstream in(bytes);
-        (void)runtime::read_trace(in);
-        FAIL() << "read_trace accepted malformed input";
+        (void)runtime::read_trace_columns(bytes);
+        FAIL() << "read_trace_columns accepted malformed input";
     } catch (const std::runtime_error& err) {
         slurp_error = err.what();
     }

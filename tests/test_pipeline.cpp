@@ -250,10 +250,10 @@ TEST(PipelineDifferential, TracePostmortemMatchesSeedWiring) {
     const std::string path =
         record_trace("Mandelbrot", runtime::TraceFormat::Csv);
 
-    const runtime::Trace trace = runtime::read_trace_file(path);
+    const runtime::ColumnTrace trace = runtime::read_trace_columns_file(path);
     const core::Dsspy analyzer{core::DetectorConfig{}};
     const core::AnalysisResult analysis =
-        analyzer.analyze(trace.instances, trace.store);
+        analyzer.analyze(trace.instances, trace.columns);
     pipeline::OutputSelection outputs;
     outputs.report = true;
     outputs.json = true;
@@ -458,6 +458,25 @@ TEST(PipelineExitCodes, RuntimeFailuresExitOne) {
     EXPECT_NE(text.err.find("Cannot read trace"), std::string::npos);
 }
 
+// A zero-byte file is an empty trace, not an unreadable one, with either
+// engine.
+TEST(PipelineExitCodes, EmptyTraceFileHasNoTraceData) {
+    const std::string path = ::testing::TempDir() + "pipeline_empty.csv";
+    std::ofstream(path, std::ios::binary).close();
+    for (const auto engine : {pipeline::EngineChoice::Incremental,
+                              pipeline::EngineChoice::Postmortem}) {
+        pipeline::RunPlan plan;
+        plan.input = pipeline::InputKind::TraceFile;
+        plan.target = path;
+        plan.engine = engine;
+        plan.outputs = report_only();
+        const Text text = run_plan(plan);
+        EXPECT_EQ(text.exit_code, pipeline::kExitRuntimeError);
+        EXPECT_EQ(text.err, "No trace data in " + path + "\n");
+    }
+    std::remove(path.c_str());
+}
+
 TEST(PipelineExitCodes, TraceWriteFailureStillEmitsButExitsOne) {
     pipeline::RunPlan plan = app_plan("WordWheelSolver", report_only());
     plan.trace_out = "/no-such-directory/sub/trace.csv";
@@ -468,21 +487,17 @@ TEST(PipelineExitCodes, TraceWriteFailureStillEmitsButExitsOne) {
 }
 
 // ---------------------------------------------------------------------------
-// One event representation: the HTML charts draw each instance from its
-// column rows, so a post-mortem DST1 analysis with --html stays on the
-// zero-copy column path and renders what the store path renders.
+// One post-mortem trace type: either format loads into columns, and the
+// HTML charts draw each instance from its column rows, so a DST1 and a
+// CSV trace of the same run render the same report.
 
 TEST(PipelineEventView, DstColumnPathHtmlMatchesCsvStorePath) {
     const std::string dst =
         record_trace("WordWheelSolver", runtime::TraceFormat::Binary);
     const std::string csv = ::testing::TempDir() + "pipeline_html_trace.csv";
-    {
-        const runtime::Trace trace = runtime::read_trace_file(dst);
-        ASSERT_TRUE(runtime::write_trace_file(csv, trace.instances,
-                                              trace.store,
-                                              runtime::TraceFormat::Csv));
-    }
-    const auto html_of = [](const std::string& path, bool column_path) {
+    ASSERT_TRUE(runtime::write_trace_file(
+        csv, runtime::read_trace_columns_file(dst), runtime::TraceFormat::Csv));
+    const auto html_of = [](const std::string& path) {
         pipeline::RunPlan plan;
         plan.input = pipeline::InputKind::TraceFile;
         plan.target = path;
@@ -493,18 +508,16 @@ TEST(PipelineEventView, DstColumnPathHtmlMatchesCsvStorePath) {
         const pipeline::RunOutcome outcome =
             pipeline::PipelineRunner().run(plan, out, err);
         EXPECT_TRUE(outcome.ok()) << err.str();
-        // DST1 decodes into bare columns; CSV loads into a ProfileStore.
-        EXPECT_EQ(outcome.column_trace != nullptr, column_path);
-        EXPECT_EQ(outcome.trace != nullptr, !column_path);
+        EXPECT_NE(outcome.column_trace, nullptr);
         std::ifstream in(plan.outputs.html_path, std::ios::binary);
         std::string html{std::istreambuf_iterator<char>(in), {}};
         std::remove(plan.outputs.html_path.c_str());
         return html;
     };
-    const std::string from_columns = html_of(dst, true);
+    const std::string from_columns = html_of(dst);
     EXPECT_NE(from_columns.find("<svg"), std::string::npos);
     EXPECT_EQ(from_columns.find("time (0 access events)"), std::string::npos);
-    EXPECT_EQ(from_columns, html_of(csv, false));
+    EXPECT_EQ(from_columns, html_of(csv));
     std::remove(dst.c_str());
     std::remove(csv.c_str());
 }

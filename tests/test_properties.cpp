@@ -196,12 +196,13 @@ TEST_P(PipelinePropertyTest, TraceRoundTripIsLossless) {
 
     std::stringstream buffer;
     runtime::write_trace(buffer, session);
-    const runtime::Trace trace = runtime::read_trace(buffer);
+    const runtime::ColumnTrace trace =
+        runtime::read_trace_columns(buffer.str());
 
     const Dsspy analyzer;
     const AnalysisResult live = analyzer.analyze(session);
     const AnalysisResult offline =
-        analyzer.analyze(trace.instances, trace.store);
+        analyzer.analyze(trace.instances, trace.columns);
     EXPECT_EQ(live.use_case_counts(), offline.use_case_counts());
     EXPECT_EQ(live.total_events(), offline.total_events());
 }

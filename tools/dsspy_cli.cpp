@@ -12,9 +12,8 @@
 //       trace through the incremental analyzer by default; --postmortem
 //       runs the post-mortem pipeline over the whole trace (required for
 //       --json/--html/--csv-patterns/--plan, which need materialized
-//       patterns).  A DST1 trace then decodes straight into columns; a
-//       CSV trace, or any trace re-emitted with --trace, loads into a
-//       ProfileStore.
+//       patterns); it loads the trace, either format, straight into
+//       columns (and re-emits it from them with --trace).
 //   dsspy convert <in> <out> [--format=csv|binary]
 //       Re-encode a trace (default: to the compact DST1 binary format).
 //   dsspy run <app> [--trace FILE [--format=csv|binary]] [output options]
