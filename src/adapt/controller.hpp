@@ -1,7 +1,7 @@
 // Damped hysteresis controller for the adaptive container layer.
 //
 // An adaptive container periodically reclassifies its own access stream
-// (via an embedded IncrementalAnalyzer) and asks this controller which
+// (via an embedded core::InstanceFold) and asks this controller which
 // backing strategy to run.  Raw verdicts flap: a Frequent-Search verdict
 // appears the moment the search threshold is crossed, disappears when an
 // insert burst dilutes the ratios, and reappears two phases later.

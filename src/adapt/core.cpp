@@ -38,10 +38,9 @@ AdaptiveCore::AdaptiveCore(const AdaptConfig& config, runtime::DsKind kind,
             .kind = kind,
             .type_name = std::move(type_name),
             .location = std::move(location)},
-      analyzer_(config.detector),
-      controller_(config.controller) {
-    analyzer_.declare_instance(info_);
-}
+      engine_(config.detector),
+      controller_(config.controller),
+      fold_(config_.detector, kind) {}
 
 void AdaptiveCore::fold(runtime::OpKind op, std::int64_t position) const {
     runtime::AccessEvent ev;
@@ -59,12 +58,19 @@ void AdaptiveCore::fold(runtime::OpKind op, std::int64_t position) const {
     ev.seq = seq_++;
     ev.time_ns = ev.seq;  // Logical clock: classification under the
                           // default config is event-based.
-    analyzer_.fold(ev);
+    fold_.step(ev);
+}
+
+std::vector<core::UseCase> AdaptiveCore::classify() const {
+    std::unique_lock guard(fold_mutex_);
+    core::InstanceFold flushed = fold_;
+    guard.unlock();
+    flushed.patterns.finish();
+    return engine_.classify(flushed.to_stats(info_));
 }
 
 void AdaptiveCore::reclassify() const {
-    const std::vector<core::UseCase> verdicts =
-        analyzer_.snapshot({info_}).all_use_cases();
+    const std::vector<core::UseCase> verdicts = classify();
     std::vector<AdviceSignal> signals;
     signals.reserve(verdicts.size());
     for (const core::UseCase& uc : verdicts)

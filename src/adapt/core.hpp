@@ -1,15 +1,16 @@
 // AdaptiveCore — the loop every adaptive container shares.
 //
 // An adaptive container folds each of its operations, as the event a
-// profiled container would record, into an embedded
-// core::IncrementalAnalyzer.  Every `reclassify_interval` operations it
-// snapshots the analyzer's verdicts, feeds them to the damped
+// profiled container would record, into one core::InstanceFold — the
+// per-instance state the incremental analyzer keeps.  Every
+// `reclassify_interval` operations it classifies that state as the
+// analyzer's snapshot would, feeds the verdicts to the damped
 // adapt::HysteresisController and, when the strategy changes, migrates its
 // backing.  The core owns all of that: the config, the instance
-// declaration, the lock, the analyzer, the controller and the fold
-// sequence.  A container derives from it privately and supplies its
-// element count and its migration.  ValueIndex, below, is the Indexed
-// strategy's value -> first position index that both containers keep.
+// declaration, the lock, the fold, the controller and the fold sequence.
+// A container derives from it privately and supplies its element count
+// and its migration.  ValueIndex, below, is the Indexed strategy's value
+// -> first position index that both containers keep.
 //
 // Threading: a std::shared_mutex.  Reads take the shared lock; mutations
 // and strategy migrations take the exclusive lock.  Whether an operation
@@ -17,12 +18,11 @@
 // atomic counter *before* locking, so a read-only phase still
 // reclassifies (that op upgrades itself to the exclusive lock) and a
 // migration can never run under a shared lock.  Event folding has its own
-// serialization point (fold_mutex_) because IncrementalAnalyzer requires
-// per-instance seq order: two readers under the shared lock must not be
-// able to fold out of the order their seqs were issued in, so seq
-// assignment and the fold happen under one lock.  Read methods are const
-// but may adapt the internal representation — mutable members, the
-// self-organizing-container idiom.
+// serialization point (fold_mutex_) because the fold requires seq order:
+// two readers under the shared lock must not be able to fold out of the
+// order their seqs were issued in, so seq assignment and the fold happen
+// under one lock.  Read methods are const but may adapt the internal
+// representation — mutable members, the self-organizing-container idiom.
 #pragma once
 
 #include <atomic>
@@ -36,7 +36,8 @@
 #include <vector>
 
 #include "adapt/controller.hpp"
-#include "core/incremental.hpp"
+#include "core/instance_fold.hpp"
+#include "core/use_cases.hpp"
 #include "runtime/access_event.hpp"
 #include "runtime/instance_registry.hpp"
 
@@ -85,19 +86,20 @@ public:
         return controller_.suppressed_count();
     }
 
-    /// Current verdicts of the embedded analyzer — what offline analysis
-    /// of the same access stream would report right now.
+    /// Current verdicts of the fold — what offline analysis of the same
+    /// access stream would report right now.
     [[nodiscard]] std::vector<core::UseCase> verdicts() const {
         std::shared_lock lock(mutex_);
-        return analyzer_.snapshot({info_}).all_use_cases();
+        return classify();
     }
 
     [[nodiscard]] std::uint64_t events_folded() const {
-        return analyzer_.events_folded();
+        const std::lock_guard<std::mutex> guard(fold_mutex_);
+        return fold_.aggregates.events();
     }
 
 protected:
-    /// Declares the container to the embedded analyzer as instance 0.
+    /// Declares the container as instance 0 of its own access stream.
     AdaptiveCore(const AdaptConfig& config, runtime::DsKind kind,
                  std::string type_name, support::SourceLoc location);
     virtual ~AdaptiveCore() = default;
@@ -172,13 +174,18 @@ private:
     /// migrate the backing if the strategy changed.
     void reclassify() const;
 
+    /// Classify a copy of the fold whose open pattern runs are flushed,
+    /// as if the stream ended here.  The caller holds mutex_.
+    [[nodiscard]] std::vector<core::UseCase> classify() const;
+
     AdaptConfig config_;
     runtime::InstanceInfo info_;
+    core::UseCaseEngine engine_;
 
     mutable std::shared_mutex mutex_;
-    mutable core::IncrementalAnalyzer analyzer_;
     mutable HysteresisController controller_;
     mutable std::mutex fold_mutex_;
+    mutable core::InstanceFold fold_;  ///< Guarded by fold_mutex_.
     mutable std::uint64_t seq_ = 0;
     mutable std::atomic<std::uint64_t> ops_{0};
     mutable std::uint64_t last_observed_ops_ = 0;

@@ -6,7 +6,7 @@
 #include <cstring>
 #include <limits>
 
-#if defined(__x86_64__) && !defined(DSSPY_DISABLE_SIMD)
+#if defined(__x86_64__)
 #define DSSPY_X86_SIMD 1
 #include <immintrin.h>
 #endif
@@ -20,7 +20,6 @@ namespace {
 SimdLevel cpu_best_level() noexcept {
 #if DSSPY_X86_SIMD
     if (__builtin_cpu_supports("avx2")) return SimdLevel::Avx2;
-    if (__builtin_cpu_supports("sse4.2")) return SimdLevel::Sse42;
 #endif
     return SimdLevel::Scalar;
 }
@@ -183,72 +182,7 @@ std::size_t flushable_streak_scalar(const std::uint8_t* types,
     return i;
 }
 
-// ------------------------------------------------------------ SSE4.2 path
-//
-// SSE covers the byte-wide scans (type derivation, counts, equality
-// streaks) where 16-lane compares already pay off; the 64-bit predicate
-// folds stay on the scalar core at this tier.
-
 #if DSSPY_X86_SIMD
-
-__attribute__((target("sse4.2"))) void derive_types_sse42(
-    const std::uint8_t* ops, std::size_t n, std::uint8_t* types) {
-    const __m128i table = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(kOpToType.data()));
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i v =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(ops + i));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(types + i),
-                         _mm_shuffle_epi8(table, v));
-    }
-    derive_types_scalar(ops + i, n - i, types + i);
-}
-
-__attribute__((target("sse4.2"))) std::size_t count_op_sse42(
-    const std::uint8_t* ops, std::size_t n, std::uint8_t op) {
-    std::size_t count = 0;
-    const __m128i needle = _mm_set1_epi8(static_cast<char>(op));
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i v =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(ops + i));
-        count += static_cast<std::size_t>(
-            __builtin_popcount(_mm_movemask_epi8(_mm_cmpeq_epi8(v, needle))));
-    }
-    return count + count_op_scalar(ops + i, n - i, op);
-}
-
-__attribute__((target("sse4.2"))) std::uint32_t max_size_sse42(
-    const std::uint32_t* sizes, std::size_t n) {
-    __m128i best = _mm_setzero_si128();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m128i v =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(sizes + i));
-        best = _mm_max_epu32(best, v);
-    }
-    alignas(16) std::uint32_t lanes[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(lanes), best);
-    std::uint32_t out = std::max(std::max(lanes[0], lanes[1]),
-                                 std::max(lanes[2], lanes[3]));
-    return std::max(out, max_size_scalar(sizes + i, n - i));
-}
-
-__attribute__((target("sse4.2"))) std::size_t value_streak_sse42(
-    const std::uint8_t* data, std::size_t n, std::uint8_t value) {
-    const __m128i needle = _mm_set1_epi8(static_cast<char>(value));
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i v =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
-        const int mask = _mm_movemask_epi8(_mm_cmpeq_epi8(v, needle));
-        if (mask != 0xFFFF)
-            return i + static_cast<std::size_t>(
-                           __builtin_ctz(~static_cast<unsigned>(mask)));
-    }
-    return i + value_streak_scalar(data + i, n - i, value);
-}
 
 // -------------------------------------------------------------- AVX2 path
 
@@ -623,11 +557,8 @@ __attribute__((target("avx2"))) std::size_t flushable_streak_avx2(
 std::size_t value_streak(const std::uint8_t* data, std::size_t n,
                          std::uint8_t value) {
 #if DSSPY_X86_SIMD
-    switch (active_simd_level()) {
-        case SimdLevel::Avx2: return value_streak_avx2(data, n, value);
-        case SimdLevel::Sse42: return value_streak_sse42(data, n, value);
-        case SimdLevel::Scalar: break;
-    }
+    if (active_simd_level() == SimdLevel::Avx2)
+        return value_streak_avx2(data, n, value);
 #endif
     return value_streak_scalar(data, n, value);
 }
@@ -647,7 +578,6 @@ std::size_t type_changes(const std::uint8_t* data, std::size_t n) {
 std::string_view simd_level_name(SimdLevel level) noexcept {
     switch (level) {
         case SimdLevel::Scalar: return "scalar";
-        case SimdLevel::Sse42: return "sse4.2";
         case SimdLevel::Avx2: return "avx2";
     }
     return "?";
@@ -671,10 +601,9 @@ void reset_forced_simd_level() noexcept {
 void derive_types(const std::uint8_t* ops, std::size_t n,
                   std::uint8_t* types) {
 #if DSSPY_X86_SIMD
-    switch (active_simd_level()) {
-        case SimdLevel::Avx2: derive_types_avx2(ops, n, types); return;
-        case SimdLevel::Sse42: derive_types_sse42(ops, n, types); return;
-        case SimdLevel::Scalar: break;
+    if (active_simd_level() == SimdLevel::Avx2) {
+        derive_types_avx2(ops, n, types);
+        return;
     }
 #endif
     derive_types_scalar(ops, n, types);
@@ -682,11 +611,8 @@ void derive_types(const std::uint8_t* ops, std::size_t n,
 
 std::uint32_t max_size_u32(const std::uint32_t* sizes, std::size_t n) {
 #if DSSPY_X86_SIMD
-    switch (active_simd_level()) {
-        case SimdLevel::Avx2: return max_size_avx2(sizes, n);
-        case SimdLevel::Sse42: return max_size_sse42(sizes, n);
-        case SimdLevel::Scalar: break;
-    }
+    if (active_simd_level() == SimdLevel::Avx2)
+        return max_size_avx2(sizes, n);
 #endif
     return max_size_scalar(sizes, n);
 }
@@ -695,11 +621,8 @@ std::size_t count_op(const std::uint8_t* ops, std::size_t n,
                      runtime::OpKind op) {
     const auto needle = static_cast<std::uint8_t>(op);
 #if DSSPY_X86_SIMD
-    switch (active_simd_level()) {
-        case SimdLevel::Avx2: return count_op_avx2(ops, n, needle);
-        case SimdLevel::Sse42: return count_op_sse42(ops, n, needle);
-        case SimdLevel::Scalar: break;
-    }
+    if (active_simd_level() == SimdLevel::Avx2)
+        return count_op_avx2(ops, n, needle);
 #endif
     return count_op_scalar(ops, n, needle);
 }

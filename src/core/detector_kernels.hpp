@@ -5,15 +5,15 @@
 // op counts, end-traffic window counts and position-regularity streaks —
 // the slice step of the per-instance fold (instance_fold.hpp).  Each has
 // a branch-light scalar core (the reference semantics, shared with the
-// fold's per-event step via the helpers in instance_stats.hpp) and
-// optional SSE4.2/AVX2 paths selected by runtime dispatch — the scalar
+// fold's per-event step via the helpers in instance_stats.hpp) and an
+// optional AVX2 path selected by runtime dispatch — the scalar
 // fallback is mandatory and always compiled, so every kernel returns the
 // same bits at every dispatch level.  All outputs are integers, so SIMD
 // lane order cannot perturb verdicts.
 //
-// Dispatch policy: AVX2 > SSE4.2 > scalar, decided once per process from
-// CPUID, demoted by the DSSPY_FORCE_SCALAR=1 environment variable (or at
-// build time with -DDSSPY_DISABLE_SIMD=ON), and pinned per-test with
+// Dispatch policy: AVX2 when the CPU has it, else scalar, decided once per
+// process from CPUID (non-x86 builds compile scalar only), demoted by the
+// DSSPY_FORCE_SCALAR=1 environment variable, and pinned per-test with
 // force_simd_level().
 #pragma once
 
@@ -30,12 +30,12 @@
 namespace dsspy::core::kernels {
 
 /// Instruction-set tier a kernel call may use.
-enum class SimdLevel : std::uint8_t { Scalar = 0, Sse42 = 1, Avx2 = 2 };
+enum class SimdLevel : std::uint8_t { Scalar = 0, Avx2 = 1 };
 
 [[nodiscard]] std::string_view simd_level_name(SimdLevel level) noexcept;
 
 /// The tier dispatch resolved to: the best level the CPU supports, demoted
-/// to Scalar when DSSPY_FORCE_SCALAR=1 is set or the build disabled SIMD.
+/// to Scalar when DSSPY_FORCE_SCALAR=1 is set.
 [[nodiscard]] SimdLevel active_simd_level() noexcept;
 
 /// Test hook: pin dispatch to `level` (clamped to what the CPU supports).
@@ -48,7 +48,7 @@ void reset_forced_simd_level() noexcept;
 // All kernels read exactly `n` rows starting at the given pointers.
 
 /// Map raw op kinds to derived access types (derive_access_type as a
-/// 16-entry table lookup; AVX2/SSE use pshufb).  `ops` values must be
+/// 16-entry table lookup; AVX2 uses pshufb).  `ops` values must be
 /// valid OpKinds (< kOpKindCount), which decode and capture guarantee.
 void derive_types(const std::uint8_t* ops, std::size_t n,
                   std::uint8_t* types);

@@ -10,18 +10,8 @@ namespace dsspy::core {
 
 namespace {
 
+using support::csv_escape;
 using support::json_escape;
-
-std::string csv_escape(const std::string& field) {
-    if (field.find_first_of(",\"\n") == std::string::npos) return field;
-    std::string out = "\"";
-    for (char ch : field) {
-        if (ch == '"') out += '"';
-        out += ch;
-    }
-    out += '"';
-    return out;
-}
 
 std::string fmt_double(double value) {
     char buf[32];

@@ -101,7 +101,7 @@ void IncrementalAnalyzer::fold_run(
     InstanceFold& st, std::span<const runtime::AccessEvent> run) {
     events_folded_ += run.size();
     // Sized on the first bulk run: analyzers that only fold single events
-    // (one per adaptive container) never hold the ~100 KB of columns.
+    // never hold the ~100 KB of columns.
     if (tile_.ops.empty()) {
         tile_.time_ns.resize(kTileRows);
         tile_.positions.resize(kTileRows);

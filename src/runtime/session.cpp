@@ -38,8 +38,8 @@ struct CaptureMetricIds {
     obs::MetricId orphan_events;       ///< Store-only instance events.
     obs::MetricId collector_yields;    ///< Idle drain rounds, then yield.
     obs::MetricId collector_sleeps;    ///< Idle drain rounds, then sleep.
-    obs::MetricId drain_batch;         ///< Events copied per channel round.
-    obs::MetricId pending_hwm;         ///< Ordered-delivery buffer peak.
+    obs::MetricId drain_batch;         ///< Events acked per channel round.
+    obs::MetricId pending_hwm;         ///< Peak acked, undelivered events.
     obs::MetricId capture_faults;      ///< Minor faults, capture window.
     obs::MetricId finalize_faults;     ///< Minor faults, store finalize.
 };
@@ -73,8 +73,9 @@ const CaptureMetricIds& capture_metrics() {
 /// read the events.
 constexpr std::size_t kParallelFinalizeThreshold = 1u << 16;
 
-/// The collector copies at most this many events per channel per round,
-/// so delivery starts early and the pending buffers stay small.
+/// The collector acknowledges at most this many events per channel per
+/// round, so delivery starts early, and hands the sink at most this many
+/// per call, so the batch it materializes stays small.
 constexpr std::uint64_t kDrainSlice = 4096;
 
 /// Collector backoff: yield this many empty rounds before sleeping.
@@ -233,9 +234,10 @@ void ProfilingSession::refill(Channel& chan, std::uint64_t k) {
         // Blocking backpressure: the mutator waits for the collector
         // rather than dropping events — profiles must be complete for the
         // pattern analysis to be meaningful.  The bound counts events not
-        // yet copied out, never undelivered ones, so the wait cannot hang
-        // on another channel's watermark.  Escalate from yield to a short
-        // sleep in case the collector is in its idle backoff.
+        // yet acknowledged, never undelivered ones, so the wait cannot
+        // hang on another channel's unfilled seq block.  Escalate from
+        // yield to a short sleep in case the collector is in its idle
+        // backoff.
         for (unsigned spins = 0;
              k - chan.drained.load(std::memory_order_relaxed) > drain_bound_;
              ++spins) {
@@ -357,15 +359,14 @@ void ProfilingSession::collector_loop(const std::stop_token& st) {
     // Final drain only: spanning every collector round would flood the
     // trace with millions of idle-loop spans; the steady-state drains are
     // already covered by the drain_batch histogram.  stop() has sealed
-    // every channel, so no count can rise any more and everything still
-    // pending is deliverable.
+    // every channel, so no count can rise any more and every seq no
+    // channel holds is a gap that stays open.
     DSSPY_TRACE_SPAN_UNDER("capture.drain", trace_ctx_);
     while (collect_round()) {}
-    deliver_ordered(/*final_flush=*/true);
+    deliver(/*final_flush=*/true);
 }
 
 bool ProfilingSession::collect_round() {
-    const bool release = analysis_ == AnalysisMode::Incremental;
     bool any = false;
     for (Channel* chan = channels_head_.load(std::memory_order_acquire);
          chan != nullptr; chan = chan->next) {
@@ -377,85 +378,78 @@ bool ProfilingSession::collect_round() {
             chan->drained.load(std::memory_order_relaxed);
         if (from == published) continue;
         const std::uint64_t to = std::min(published, from + kDrainSlice);
-        std::uint64_t k = from;
-        while (k < to) {
-            CaptureView& view = chan->reading;
-            if (k == view.first + view.capacity) {
-                // The thread has moved past this chunk: step to the next,
-                // freeing this one when nothing else will read it.
-                const std::scoped_lock lock(chan->chain_mutex);
-                std::vector<CaptureChunk>& chunks = chan->chain.chunks;
-                if (release && chan->next_chunk > 0)
-                    chunks[chan->next_chunk - 1].storage.reset();
-                view = chunks[chan->next_chunk++];
-            }
-            const std::uint64_t end =
-                std::min<std::uint64_t>(to, view.first + view.capacity);
-            for (; k < end; ++k)
-                chan->pending.push_back(
-                    view.event(k - view.first, chan->chain.thread));
-        }
-        if (obs::enabled())
-            obs::MetricsRegistry::global().observe(
-                capture_metrics().drain_batch, to - from);
         chan->drained.store(to, std::memory_order_relaxed);
-        chan->bound = chan->pending.back().seq + 1;
-        if (obs::enabled())
-            obs::MetricsRegistry::global().gauge_max(
-                capture_metrics().pending_hwm,
-                chan->pending.size() - chan->pending_head);
+        if (obs::enabled()) {
+            auto& reg = obs::MetricsRegistry::global();
+            reg.observe(capture_metrics().drain_batch, to - from);
+            reg.gauge_max(capture_metrics().pending_hwm, to - chan->delivered);
+        }
         any = true;
     }
-    deliver_ordered(/*final_flush=*/false);
+    deliver(/*final_flush=*/false);
     return any;
 }
 
-/// Deliver pending events to the sink in ascending global seq order, up to
-/// the watermark (the minimum over every channel's next undelivered seq or,
-/// for fully-delivered channels, its bound).  With `final_flush` the
-/// bounds are ignored: no further events can appear.
-void ProfilingSession::deliver_ordered(bool final_flush) {
+void ProfilingSession::deliver(bool final_flush) {
+    constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
     for (;;) {
-        Channel* best = nullptr;
-        std::uint64_t best_seq = 0;
-        // Smallest cursor among the *other* channels = how far `best` may
-        // be delivered without risking a seq inversion.
-        std::uint64_t limit = std::numeric_limits<std::uint64_t>::max();
+        Channel* holder = nullptr;
+        std::uint64_t lowest = kNone;
         for (Channel* chan = channels_head_.load(std::memory_order_acquire);
              chan != nullptr; chan = chan->next) {
-            const bool has_pending = chan->pending_head < chan->pending.size();
-            if (!has_pending && final_flush) continue;
-            const std::uint64_t cursor =
-                has_pending ? chan->pending[chan->pending_head].seq
-                            : chan->bound;
-            if (has_pending && (best == nullptr || cursor < best_seq)) {
-                if (best != nullptr) limit = std::min(limit, best_seq);
-                best = chan;
-                best_seq = cursor;
-            } else {
-                limit = std::min(limit, cursor);
+            const std::uint64_t acked =
+                chan->drained.load(std::memory_order_relaxed);
+            if (chan->delivered == acked) continue;
+            const std::uint64_t seq = row_seq(*chan, chan->delivered);
+            if (seq == next_seq_) {
+                holder = chan;
+                break;
             }
+            lowest = std::min(lowest, seq);
         }
-        if (best == nullptr) return;
-        const std::vector<AccessEvent>& pend = best->pending;
-        std::size_t end = best->pending_head;
-        while (end < pend.size() && pend[end].seq < limit) ++end;
-        if (end == best->pending_head) return;  // watermark blocks progress
-        sink_(std::span(pend.data() + best->pending_head,
-                        end - best->pending_head));
-        best->pending_head = end;
-        if (best->pending_head == best->pending.size()) {
-            best->pending.clear();
-            best->pending_head = 0;
-        } else if (best->pending_head >= 4096 &&
-                   best->pending_head * 2 >= best->pending.size()) {
-            best->pending.erase(best->pending.begin(),
-                                best->pending.begin() +
-                                    static_cast<std::ptrdiff_t>(
-                                        best->pending_head));
-            best->pending_head = 0;
+        if (holder == nullptr) {
+            // Live, the row carrying next_seq_ is not acknowledged yet.
+            // Sealed, it never will be: no record fills the rest of its
+            // block, so the lowest seq still held comes next.
+            if (!final_flush || lowest == kNone) return;
+            next_seq_ = lowest;
+            continue;
         }
+        // The holder's run ends at its block end, chunk end or acknowledged
+        // count, and goes on into its next block when that continues the
+        // seqs.
+        const std::uint64_t acked =
+            holder->drained.load(std::memory_order_relaxed);
+        std::uint64_t& k = holder->delivered;
+        batch_.clear();
+        while (k < acked && batch_.size() < kDrainSlice &&
+               row_seq(*holder, k) == next_seq_) {
+            const CaptureView& view = holder->reading;
+            const std::uint64_t end = std::min(
+                {acked, std::uint64_t{view.first + view.capacity},
+                 k - k % kSeqBlockSize + kSeqBlockSize,
+                 k + kDrainSlice - batch_.size()});
+            next_seq_ += end - k;
+            for (; k < end; ++k)
+                batch_.push_back(
+                    view.event(k - view.first, holder->chain.thread));
+        }
+        sink_(batch_);
     }
+}
+
+std::uint64_t ProfilingSession::row_seq(Channel& chan, std::uint64_t k) {
+    CaptureView& view = chan.reading;
+    if (k == view.first + view.capacity) {
+        // Every row of this chunk is delivered: step to the next, freeing
+        // this one when nothing else will read it.
+        const std::scoped_lock lock(chan.chain_mutex);
+        std::vector<CaptureChunk>& chunks = chan.chain.chunks;
+        if (analysis_ == AnalysisMode::Incremental && chan.next_chunk > 0)
+            chunks[chan.next_chunk - 1].storage.reset();
+        view = chunks[chan.next_chunk++];
+    }
+    return view.seq(k - view.first);
 }
 
 void ProfilingSession::stop() {

@@ -9,7 +9,8 @@
 // and the store's finalize places events straight into per-instance
 // columns.  With a sink attached, a collector thread reads each chain's
 // published prefix while the workload runs and delivers the events in
-// global `seq` order; in Incremental mode it frees each chunk it has read.
+// global `seq` order straight from the chunks; in Incremental mode it frees
+// each chunk it has delivered.
 // Both paths run the same capture code, so they record the same events.
 //
 // Hot-path design (the paper reports an average 47x capture slowdown; this
@@ -45,12 +46,14 @@
 //     per-instance tally, one run of equal ids at a time, and stop()
 //     adds the tail.  The store's finalize then sums tallies instead of
 //     reading every row a second time to count it.
-//   * Live drain: the collector acquire-reads a channel's published count
-//     and copies the rows below it out as AccessEvents.  The chain's chunk
-//     vector is shared with it under a per-channel mutex that only chunk
-//     growth and the collector's step to the next chunk take.  A thread
-//     more than `drain_bound` events ahead of the collector's copy waits
-//     in refill.
+//   * Live drain: the collector acknowledges each channel's published
+//     rows and delivers them in seq order straight from the chunks.  Seq
+//     blocks are handed out densely, one channel each, so one cursor
+//     suffices: the channel whose next row carries it delivers its run.
+//     The chain's chunk vector is shared with the collector under a
+//     per-channel mutex that only chunk growth and the collector's step
+//     to the next chunk take.  A thread more than `drain_bound` events
+//     ahead of the collector's acknowledgement waits in refill.
 //   * Registration: channels live on a lock-free intrusive list, so thread
 //     registration never stalls the collector and the collector never
 //     blocks producers.  A thread keeps one channel per session: a thread
@@ -124,7 +127,7 @@ public:
 
     /// `drain_bound` is the live drain's per-channel backpressure bound in
     /// events: with an event sink attached, a recording thread waits
-    /// while more than this many of its events are not yet copied out by
+    /// while more than this many of its events are not yet acknowledged by
     /// the collector.  Without a sink it has no effect.
     explicit ProfilingSession(CaptureMode mode = CaptureMode::Buffered,
                               std::size_t drain_bound = 64 * 1024,
@@ -180,9 +183,9 @@ public:
     /// Delivery is in ascending global `seq` order — which implies each
     /// instance's (and each thread's) events arrive in their program
     /// order, the order the finalized store would present: the collector
-    /// merges the per-thread chains behind a watermark (the smallest seq
-    /// any channel may still deliver) and delivers as the watermark
-    /// advances; stop() delivers the rest.  The sink runs on the
+    /// delivers seq by seq, each run from the chain whose next row carries
+    /// the next seq, and waits while no chain has published it; stop()
+    /// delivers the rest.  The sink runs on the
     /// collector thread and must not call back into this session except
     /// for registry()/snapshot reads.
     void set_event_sink(EventSink sink);
@@ -243,19 +246,14 @@ private:
         /// Guards `chain.chunks` while a collector runs: taken when refill
         /// adds a chunk and when the collector steps to the next one.
         std::mutex chain_mutex;
-        /// Events the collector has copied into `pending`; refill holds
-        /// the thread while it runs more than drain_bound ahead.
+        /// Events the collector has acknowledged; refill holds the thread
+        /// while it runs more than drain_bound ahead.  Delivery may lag.
         std::atomic<std::uint64_t> drained{0};
 
         // Live-drain state, touched only by the collector.
-        CaptureView reading;         ///< The chunk being copied out.
-        std::size_t next_chunk = 0;  ///< Index of the chunk after it.
-        std::vector<AccessEvent> pending;  ///< Copied, not yet delivered.
-        std::size_t pending_head = 0;
-        /// Seq of the last copied event plus one: every event not yet
-        /// copied has a larger seq (seqs rise per thread, and each new
-        /// block comes from the monotonic seq_alloc_).  0 before any.
-        std::uint64_t bound = 0;
+        CaptureView reading;          ///< The chunk holding `delivered`.
+        std::size_t next_chunk = 0;   ///< Index of the chunk after it.
+        std::uint64_t delivered = 0;  ///< Events handed to the sink.
 
         Channel* next = nullptr;  ///< Lock-free registration list link.
     };
@@ -286,10 +284,16 @@ private:
                     const CaptureRow* end) noexcept;
     Channel& channel_for_current_thread();
     void collector_loop(const std::stop_token& st);
-    /// Copy every channel's newly published rows into its pending buffer,
-    /// then deliver up to the watermark.  False when nothing was new.
+    /// Acknowledge every channel's newly published rows, then deliver
+    /// what their seqs allow.  False when nothing was new.
     bool collect_round();
-    void deliver_ordered(bool final_flush);
+    /// Deliver acknowledged rows from `next_seq_` on until no channel
+    /// holds it; with `final_flush` a gap no channel can fill is skipped.
+    void deliver(bool final_flush);
+    /// Seq of `chan`'s acknowledged row `k`, its first undelivered one.  At
+    /// a chunk end the reading steps to the next chunk and, in Incremental
+    /// mode, frees the one behind.
+    std::uint64_t row_seq(Channel& chan, std::uint64_t k);
 
     const std::size_t drain_bound_;
     const AnalysisMode analysis_;
@@ -317,6 +321,8 @@ private:
     std::atomic<Channel*> channels_head_{nullptr};
 
     EventSink sink_;            ///< Ordered-delivery consumer (may be empty).
+    std::uint64_t next_seq_ = 0;      ///< Collector: next seq to deliver.
+    std::vector<AccessEvent> batch_;  ///< Collector: the run it delivers.
     InstanceSink instance_sink_;
     /// Mirrors sink_ presence for refill, without touching std::function.
     std::atomic<bool> has_sink_{false};

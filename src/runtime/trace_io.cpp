@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/trace_binary.hpp"
+#include "support/strings.hpp"
 
 namespace dsspy::runtime {
 
@@ -39,51 +40,6 @@ const TraceMetricIds& trace_metrics() {
         };
     }();
     return ids;
-}
-
-/// CSV-escape a text field (quotes only when needed).
-std::string escape(const std::string& field) {
-    if (field.find_first_of(",\"\n") == std::string::npos) return field;
-    std::string out = "\"";
-    for (char ch : field) {
-        if (ch == '"') out += '"';
-        out += ch;
-    }
-    out += '"';
-    return out;
-}
-
-/// Split one CSV record honoring quoted fields (which may contain commas,
-/// escaped quotes, and newlines — record extraction below guarantees the
-/// record holds a balanced set of quotes).
-std::vector<std::string> split_csv(std::string_view line) {
-    std::vector<std::string> fields;
-    std::string current;
-    bool quoted = false;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        const char ch = line[i];
-        if (quoted) {
-            if (ch == '"') {
-                if (i + 1 < line.size() && line[i + 1] == '"') {
-                    current += '"';
-                    ++i;
-                } else {
-                    quoted = false;
-                }
-            } else {
-                current += ch;
-            }
-        } else if (ch == '"') {
-            quoted = true;
-        } else if (ch == ',') {
-            fields.push_back(std::move(current));
-            current.clear();
-        } else {
-            current += ch;
-        }
-    }
-    fields.push_back(std::move(current));
-    return fields;
 }
 
 template <typename T>
@@ -147,16 +103,46 @@ private:
     bool in_quote_ = false;
 };
 
-/// Parse one CSV record and route it to the sink (events via `batch`,
-/// flushed when full).  Returns the number of events parsed (0 or 1).
-std::size_t parse_csv_record(std::string_view line, TraceSink& sink,
-                             std::vector<AccessEvent>& batch) {
+/// CSV trace bytes in pieces of any size: records from the scanner,
+/// fields split into views, instances and event batches to the sink.
+class CsvTraceParser {
+public:
+    explicit CsvTraceParser(TraceSink& sink) : sink_(sink) {
+        batch_.reserve(1024);
+    }
+
+    void feed(std::string_view bytes) {
+        scanner_.feed(bytes, [this](std::string_view r) { parse_record(r); });
+    }
+
+    /// End of input: parse the last record and flush the batch.  Returns
+    /// the number of events parsed.
+    std::size_t finish() {
+        scanner_.finish([this](std::string_view r) { parse_record(r); });
+        if (!batch_.empty()) sink_.on_events(batch_);
+        batch_.clear();
+        return events_;
+    }
+
+private:
+    void parse_record(std::string_view line);
+
+    TraceSink& sink_;
+    CsvRecordScanner scanner_;
+    std::vector<AccessEvent> batch_;  ///< Flushed when full.
+    std::vector<std::string_view> fields_;
+    std::string scratch_;  ///< Unescaped quoted fields.
+    std::size_t events_ = 0;
+};
+
+void CsvTraceParser::parse_record(std::string_view line) {
     if (line.empty()) {
         if (obs::enabled())
             obs::MetricsRegistry::global().add(trace_metrics().blank_records);
-        return 0;
+        return;
     }
-    const std::vector<std::string> fields = split_csv(line);
+    detail::split_csv_record(line, fields_, scratch_);
+    const std::vector<std::string_view>& fields = fields_;
     if (fields[0] == "I") {
         if (fields.size() != 8)
             throw std::runtime_error(
@@ -174,8 +160,8 @@ std::size_t parse_csv_record(std::string_view line, TraceSink& sink,
         info.location.position =
             parse_number<std::uint32_t>(fields[6], "position");
         info.deallocated = fields[7] == "1";
-        sink.on_instance(info);
-        return 0;
+        sink_.on_instance(info);
+        return;
     }
     if (fields[0] == "E") {
         if (fields.size() != 8)
@@ -193,15 +179,16 @@ std::size_t parse_csv_record(std::string_view line, TraceSink& sink,
         ev.position = parse_number<std::int64_t>(fields[5], "position");
         ev.size = parse_number<std::uint32_t>(fields[6], "size");
         ev.thread = parse_number<ThreadId>(fields[7], "thread");
-        batch.push_back(ev);
-        if (batch.size() == batch.capacity()) {
-            sink.on_events(batch);
-            batch.clear();
+        batch_.push_back(ev);
+        ++events_;
+        if (batch_.size() == batch_.capacity()) {
+            sink_.on_events(batch_);
+            batch_.clear();
         }
-        return 1;
+        return;
     }
-    throw std::runtime_error("trace_io: unknown record tag '" + fields[0] +
-                             "'");
+    throw std::runtime_error("trace_io: unknown record tag '" +
+                             std::string(fields[0]) + "'");
 }
 
 std::size_t write_trace_csv(std::ostream& os,
@@ -263,27 +250,20 @@ bool write_file(const std::string& path, Write&& write) {
 /// quote state and partial records survive the refills.
 std::size_t read_trace_csv_stream(std::istream& is, std::string_view first,
                                   TraceSink& sink, std::size_t buffer_bytes) {
-    CsvRecordScanner scanner;
-    std::vector<AccessEvent> batch;
-    batch.reserve(1024);
-    std::size_t events = 0;
+    CsvTraceParser parser(sink);
     std::size_t bytes = first.size();
-    const auto handle = [&](std::string_view line) {
-        events += parse_csv_record(line, sink, batch);
-    };
-    scanner.feed(first, handle);
+    parser.feed(first);
     std::string buf(buffer_bytes, '\0');
     while (is) {
         is.read(buf.data(), static_cast<std::streamsize>(buf.size()));
         const auto got = static_cast<std::size_t>(is.gcount());
         if (got == 0) break;
         bytes += got;
-        scanner.feed(std::string_view(buf.data(), got), handle);
+        parser.feed(std::string_view(buf.data(), got));
     }
     if (is.bad())
         throw std::runtime_error("trace_io: I/O error while reading trace");
-    scanner.finish(handle);
-    if (!batch.empty()) sink.on_events(batch);
+    const std::size_t events = parser.finish();
     detail::count_trace_read(bytes, events);
     return events;
 }
@@ -312,9 +292,9 @@ std::vector<InstanceId> event_write_order(
 void write_csv_instance_record(std::ostream& os, const InstanceInfo& info) {
     os << "I," << info.id << ','
        << static_cast<unsigned>(info.kind) << ','
-       << escape(info.type_name) << ','
-       << escape(info.location.class_name) << ','
-       << escape(info.location.method) << ','
+       << support::csv_escape(info.type_name) << ','
+       << support::csv_escape(info.location.class_name) << ','
+       << support::csv_escape(info.location.method) << ','
        << info.location.position << ','
        << (info.deallocated ? 1 : 0) << '\n';
 }
@@ -326,17 +306,51 @@ void write_csv_event_record(std::ostream& os, const AccessEvent& ev) {
 }
 
 std::size_t parse_csv_trace(std::string_view bytes, TraceSink& sink) {
-    CsvRecordScanner scanner;
-    std::vector<AccessEvent> batch;
-    batch.reserve(1024);
-    std::size_t events = 0;
-    const auto handle = [&](std::string_view line) {
-        events += parse_csv_record(line, sink, batch);
-    };
-    scanner.feed(bytes, handle);
-    scanner.finish(handle);
-    if (!batch.empty()) sink.on_events(batch);
-    return events;
+    CsvTraceParser parser(sink);
+    parser.feed(bytes);
+    return parser.finish();
+}
+
+void split_csv_record(std::string_view record,
+                      std::vector<std::string_view>& fields,
+                      std::string& scratch) {
+    fields.clear();
+    scratch.clear();
+    // Unescaping never lengthens a field, so the buffer never moves.
+    scratch.reserve(record.size());
+    std::size_t start = 0;
+    for (;;) {
+        const std::size_t stop = record.find_first_of(",\"", start);
+        if (stop == std::string_view::npos || record[stop] == ',') {
+            fields.push_back(record.substr(start, stop - start));
+            if (stop == std::string_view::npos) return;
+            start = stop + 1;
+            continue;
+        }
+        // A quote toggles quoting anywhere in the field, and `""` inside
+        // quotes stands for one quote.
+        const std::size_t from = scratch.size();
+        bool quoted = false;
+        std::size_t i = start;
+        for (; i < record.size(); ++i) {
+            const char ch = record[i];
+            if (ch == '"') {
+                if (quoted && i + 1 < record.size() && record[i + 1] == '"') {
+                    scratch += '"';
+                    ++i;
+                } else {
+                    quoted = !quoted;
+                }
+            } else if (ch == ',' && !quoted) {
+                break;
+            } else {
+                scratch += ch;
+            }
+        }
+        fields.push_back(std::string_view(scratch).substr(from));
+        if (i == record.size()) return;
+        start = i + 1;
+    }
 }
 
 void count_trace_read(std::size_t bytes, std::size_t events) {

@@ -146,6 +146,15 @@ void write_csv_event_record(std::ostream& os, const AccessEvent& ev);
 /// Returns the number of events parsed.
 std::size_t parse_csv_trace(std::string_view bytes, TraceSink& sink);
 
+/// Split one CSV record into `fields`, honoring quotes: a `"` toggles
+/// quoting anywhere in a field, `""` inside quotes is one `"`, and only an
+/// unquoted `,` ends a field.  A field without quotes is a view of
+/// `record`; a field with quotes is unescaped into `scratch`.  The views
+/// stay valid while `record` and `scratch` are unchanged.
+void split_csv_record(std::string_view record,
+                      std::vector<std::string_view>& fields,
+                      std::string& scratch);
+
 /// Count a trace read in the self-telemetry registry (`trace.bytes_read`,
 /// `trace.events_read`) when it is enabled.
 void count_trace_read(std::size_t bytes, std::size_t events);

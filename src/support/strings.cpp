@@ -120,4 +120,16 @@ std::string json_escape(std::string_view text) {
     return out;
 }
 
+std::string csv_escape(std::string_view field) {
+    if (field.find_first_of(",\"\n") == std::string_view::npos)
+        return std::string(field);
+    std::string out = "\"";
+    for (const char ch : field) {
+        if (ch == '"') out += '"';
+        out += ch;
+    }
+    out += '"';
+    return out;
+}
+
 }  // namespace dsspy::support

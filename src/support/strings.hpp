@@ -43,4 +43,8 @@ namespace dsspy::support {
 /// included) pass through.
 [[nodiscard]] std::string json_escape(std::string_view text);
 
+/// Escape `field` for one CSV cell: a field holding `,`, `"` or a newline
+/// is wrapped in quotes with each `"` doubled; any other passes unchanged.
+[[nodiscard]] std::string csv_escape(std::string_view field);
+
 }  // namespace dsspy::support

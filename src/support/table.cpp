@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <iomanip>
 
+#include "support/strings.hpp"
+
 namespace dsspy::support {
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
@@ -67,22 +69,14 @@ void Table::print(std::ostream& os) const {
 }
 
 void Table::print_csv(std::ostream& os) const {
-    auto escape = [](const std::string& s) {
-        if (s.find_first_of(",\"\n") == std::string::npos) return s;
-        std::string out = "\"";
-        for (char ch : s) {
-            if (ch == '"') out += '"';
-            out += ch;
-        }
-        out += '"';
-        return out;
-    };
     for (std::size_t c = 0; c < headers_.size(); ++c)
-        os << escape(headers_[c]) << (c + 1 == headers_.size() ? "\n" : ",");
+        os << csv_escape(headers_[c])
+           << (c + 1 == headers_.size() ? "\n" : ",");
     for (const auto& row : rows_) {
         if (row.separator) continue;
         for (std::size_t c = 0; c < headers_.size(); ++c) {
-            os << (c < row.cells.size() ? escape(row.cells[c]) : std::string{})
+            os << (c < row.cells.size() ? csv_escape(row.cells[c])
+                                        : std::string{})
                << (c + 1 == headers_.size() ? "\n" : ",");
         }
     }

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <set>
 #include <utility>
@@ -811,17 +812,20 @@ TEST(CompactRows, TimestampIsTheReadingAtTheStrideStart) {
 }
 
 // ---------------------------------------------------------------------------
-// Live drain: with an event sink attached, the collector copies each
-// chain's published rows out while the workload records.
+// Live drain: with an event sink attached, the collector acknowledges each
+// chain's published rows while the workload records and delivers them in
+// seq order straight from the chunks.
 
-// A thread held at the drain bound waits for the collector's copy, never
-// for delivery.  Here a second channel records one event first and then
-// idles, so its bound pins the watermark below every event of the busy
-// thread: none of those can be delivered before stop().  A collector that
-// counted delivered events against the bound would hold the busy thread
-// forever.
+// A thread held at the drain bound waits for the collector's
+// acknowledgement, never for delivery.  Here a second channel records one
+// event first and then idles, so the rest of its seq block is never filled
+// and every event of the busy thread, all of them in later blocks, waits
+// for stop().  A collector that counted delivered events against the bound
+// would hold the busy thread forever.  The waiting rows stay where they
+// are: the busy thread's 160 KiB chunks stay alive until delivery.
 TEST(LiveDrain, ProducerAtTheBoundOutrunsAHeldWatermark) {
     constexpr std::uint64_t kEvents = 200'000;
+    const std::size_t live_before = bulk_buffers_live();
     ProfilingSession session(CaptureMode::Buffered, /*drain_bound=*/1024,
                              AnalysisMode::Incremental);
     std::atomic<std::uint64_t> delivered{0};
@@ -849,12 +853,15 @@ TEST(LiveDrain, ProducerAtTheBoundOutrunsAHeldWatermark) {
                            static_cast<std::int64_t>(i), 1);
     });
     busy.join();
-    // Every busy event has a seq above the idle channel's bound.
+    // Every busy event has a seq above the idle channel's open block.
     EXPECT_LE(delivered.load(std::memory_order_relaxed), 1u);
+    EXPECT_GE(bulk_buffers_live() - live_before,
+              (kEvents + 1) * sizeof(CaptureRow) / (160 * 1024));
     release.store(true, std::memory_order_release);
     idle.join();
     session.stop();
     EXPECT_EQ(delivered.load(std::memory_order_relaxed), kEvents + 1);
+    EXPECT_EQ(bulk_buffers_live(), live_before);
 }
 
 // An Incremental session frees each chunk the collector has read while the
@@ -883,6 +890,56 @@ TEST(LiveDrain, IncrementalSessionFreesChunksDuringCapture) {
     EXPECT_EQ(sink.events, kEvents);
     EXPECT_EQ(session.store().total_events(), 0u);
     EXPECT_EQ(bulk_buffers_live(), live_before);
+}
+
+// One thread records 1,500 events, ending inside its second seq block, and
+// exits while three others keep recording: the unfilled rest of that block
+// holds delivery until stop(), whose final flush skips it.  Every event
+// still reaches the sink exactly once, in ascending seq order.
+TEST(LiveDrain, ThreadExitingMidBlockHoldsNothingBack) {
+    constexpr int kBusy = 3;
+    constexpr std::int64_t kShort = 1'500;
+    constexpr std::int64_t kLong = 30'000;
+    ProfilingSession session(CaptureMode::Buffered, 4096,
+                             AnalysisMode::Incremental);
+    std::vector<AccessEvent> stream;
+    session.set_event_sink([&](std::span<const AccessEvent> batch) {
+        stream.insert(stream.end(), batch.begin(), batch.end());
+    });
+    std::vector<InstanceId> ids;
+    for (int t = 0; t <= kBusy; ++t)
+        ids.push_back(session.register_instance(
+            DsKind::List, "List<Int64>",
+            {"Exit", "M", static_cast<std::uint32_t>(t)}));
+
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t <= kBusy; ++t) {
+        threads.emplace_back([&, t] {
+            while (!go.load(std::memory_order_acquire))
+                std::this_thread::yield();
+            const std::int64_t n = t == 0 ? kShort : kLong;
+            for (std::int64_t i = 0; i < n; ++i)
+                session.record(ids[static_cast<std::size_t>(t)], OpKind::Add,
+                               i, 1);
+        });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& th : threads) th.join();
+    session.stop();
+
+    ASSERT_EQ(stream.size(),
+              static_cast<std::size_t>(kShort + kBusy * kLong));
+    for (std::size_t i = 1; i < stream.size(); ++i)
+        ASSERT_LT(stream[i - 1].seq, stream[i].seq) << i;
+    // Per instance the positions arrive as 0, 1, 2, ...: none lost, none
+    // twice.
+    std::map<InstanceId, std::int64_t> next;
+    for (const AccessEvent& ev : stream)
+        ASSERT_EQ(ev.position, next[ev.instance]++);
+    EXPECT_EQ(next[ids[0]], kShort);
+    for (int t = 1; t <= kBusy; ++t)
+        EXPECT_EQ(next[ids[static_cast<std::size_t>(t)]], kLong);
 }
 
 }  // namespace

@@ -84,7 +84,6 @@ std::vector<SimdLevel> sweep_levels() {
     std::vector<SimdLevel> levels{SimdLevel::Scalar};
     kernels::reset_forced_simd_level();
     const SimdLevel best = kernels::active_simd_level();
-    if (best >= SimdLevel::Sse42) levels.push_back(SimdLevel::Sse42);
     if (best >= SimdLevel::Avx2) levels.push_back(SimdLevel::Avx2);
     return levels;
 }
@@ -330,7 +329,6 @@ TEST_F(KernelSweep, ForcedLevelClampsToCpuAndNames) {
     kernels::force_simd_level(SimdLevel::Scalar);
     EXPECT_EQ(kernels::active_simd_level(), SimdLevel::Scalar);
     EXPECT_EQ(kernels::simd_level_name(SimdLevel::Scalar), "scalar");
-    EXPECT_EQ(kernels::simd_level_name(SimdLevel::Sse42), "sse4.2");
     EXPECT_EQ(kernels::simd_level_name(SimdLevel::Avx2), "avx2");
 }
 

@@ -732,8 +732,7 @@ void expect_batch_splits_agree(const std::vector<InstanceInfo>& instances,
             want, fold_in_batches(instances, stream, batch, config), batch);
     }
     for (const core::kernels::SimdLevel level :
-         {core::kernels::SimdLevel::Scalar, core::kernels::SimdLevel::Sse42,
-          core::kernels::SimdLevel::Avx2}) {
+         {core::kernels::SimdLevel::Scalar, core::kernels::SimdLevel::Avx2}) {
         const ForcedSimdLevel forced(level);
         for (const std::size_t batch :
              {std::size_t{63}, std::size_t{64}, std::size_t{65},

@@ -165,6 +165,17 @@ TEST(Strings, JsonEscapeUsesUnicodeFormForControlBytes) {
     EXPECT_EQ(json_escape("\xce\xb4"), "\xce\xb4");  // UTF-8 passes through
 }
 
+TEST(Strings, CsvEscapeQuotesOnlyWhenNeeded) {
+    EXPECT_EQ(csv_escape(""), "");
+    EXPECT_EQ(csv_escape("plain text;\t\r"), "plain text;\t\r");
+    EXPECT_EQ(csv_escape("x,y"), "\"x,y\"");
+    EXPECT_EQ(csv_escape("q\"q"), "\"q\"\"q\"");
+    EXPECT_EQ(csv_escape("\""), "\"\"\"\"");
+    EXPECT_EQ(csv_escape("two\nlines"), "\"two\nlines\"");
+    EXPECT_EQ(csv_escape("List<Int64>, \"a\"\n"),
+              "\"List<Int64>, \"\"a\"\"\n\"");
+}
+
 TEST(Table, FormatHelpers) {
     EXPECT_EQ(Table::fmt(2.126, 2), "2.13");
     EXPECT_EQ(Table::with_commas(936356), "936,356");

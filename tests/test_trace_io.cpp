@@ -25,6 +25,8 @@
 #include "runtime/trace_codec.hpp"
 #include "runtime/trace_io.hpp"
 #include "runtime/trace_mmap.hpp"
+#include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -288,6 +290,78 @@ TEST(TraceIo, HandlesQuotedFieldsWithCommasAndQuotes) {
     EXPECT_EQ(trace.instances[0].type_name, "List<Pair<A, B>>");
     EXPECT_EQ(trace.instances[0].location.class_name, "Cls \"X\"");
     EXPECT_TRUE(trace.instances[0].deallocated);
+}
+
+/// The record splitter the CSV reader used before it split into views: one
+/// heap string per field.  The oracle for split_csv_record.
+std::vector<std::string> split_csv_oracle(std::string_view line) {
+    std::vector<std::string> fields;
+    std::string current;
+    bool quoted = false;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+        const char ch = line[i];
+        if (quoted) {
+            if (ch == '"') {
+                if (i + 1 < line.size() && line[i + 1] == '"') {
+                    current += '"';
+                    ++i;
+                } else {
+                    quoted = false;
+                }
+            } else {
+                current += ch;
+            }
+        } else if (ch == '"') {
+            quoted = true;
+        } else if (ch == ',') {
+            fields.push_back(std::move(current));
+            current.clear();
+        } else {
+            current += ch;
+        }
+    }
+    fields.push_back(std::move(current));
+    return fields;
+}
+
+void expect_split_matches_oracle(std::string_view record,
+                                 std::vector<std::string_view>& fields,
+                                 std::string& scratch) {
+    detail::split_csv_record(record, fields, scratch);
+    const std::vector<std::string> want = split_csv_oracle(record);
+    ASSERT_EQ(fields.size(), want.size()) << '[' << record << ']';
+    for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(fields[i], want[i]) << '[' << record << "] field " << i;
+}
+
+// Field boundaries and quote semantics match the per-field-string splitter
+// on any byte string over the CSV metacharacters, balanced or not, and on
+// records written from quoted, embedded-quote, comma and newline fields.
+TEST(TraceIo, SplitCsvRecordMatchesStringSplitter) {
+    support::Rng rng(0xC5F5EED);
+    std::vector<std::string_view> fields;
+    std::string scratch;
+    constexpr char kBytes[] = {'a', 'Z', ' ', ',', '"', '\n'};
+    for (int round = 0; round < 20'000; ++round) {
+        std::string record(rng.next_below(24), ' ');
+        for (char& ch : record) ch = kBytes[rng.next_below(sizeof(kBytes))];
+        expect_split_matches_oracle(record, fields, scratch);
+    }
+    constexpr std::string_view kPieces[] = {"List<A, B>", "\"", "\"\"", ",",
+                                            "\n", "Cls", "", "1"};
+    for (int round = 0; round < 5'000; ++round) {
+        std::vector<std::string> want(1 + rng.next_below(9));
+        std::string record;
+        for (std::size_t f = 0; f < want.size(); ++f) {
+            for (std::uint64_t n = rng.next_below(4); n > 0; --n)
+                want[f] += kPieces[rng.next_below(std::size(kPieces))];
+            record += (f == 0 ? "" : ",") + support::csv_escape(want[f]);
+        }
+        expect_split_matches_oracle(record, fields, scratch);
+        ASSERT_EQ(fields.size(), want.size());
+        for (std::size_t f = 0; f < want.size(); ++f)
+            ASSERT_EQ(fields[f], want[f]) << '[' << record << ']';
+    }
 }
 
 // Regression: escape() quotes fields containing '\n', but the reader used
