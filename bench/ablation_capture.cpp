@@ -35,8 +35,8 @@ double measure(std::size_t drain_bound, unsigned threads,
     std::atomic<std::size_t> delivered{0};
     if (live)
         session.set_event_sink(
-            [&delivered](std::span<const runtime::AccessEvent> events) {
-                delivered.fetch_add(events.size(), std::memory_order_relaxed);
+            [&delivered](const runtime::EventBatch& batch) {
+                delivered.fetch_add(batch.n, std::memory_order_relaxed);
             });
     std::vector<runtime::InstanceId> ids;
     for (unsigned t = 0; t < threads; ++t)

@@ -1,7 +1,8 @@
 // Capture-path overhead benchmark.
 //
 // Times the record() hot path post-mortem and with a live sink draining
-// the chains, single- and multi-threaded, against the uninstrumented
+// the chains into an IncrementalAnalyzer (the path a default `dsspy run`
+// takes), single- and multi-threaded, against the uninstrumented
 // baseline, and writes the
 // results as machine-readable JSON (default: BENCH_capture.json) so the
 // perf trajectory of the capture path is tracked across PRs.  The paper
@@ -26,17 +27,18 @@
 // Usage: capture_overhead [output.json] [rounds] [obs_output.json]
 //                         [trace_output.json]
 // (`rounds`: best-of rounds per capture-table entry, and on/off pairs per
-// delta.)
+// delta.)  A live capture-table round records four times the drain bound,
+// so a producer that outruns the fold waits at the bound as it does in a
+// default run.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/incremental.hpp"
 #include "ds/profiled_list.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -48,6 +50,17 @@ using namespace dsspy;
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kOpsPerRound = 1u << 16;
+
+/// The live sessions' backpressure bound (the default), and the records
+/// per live capture-table round: longer than the bound, or the producer
+/// could never wait for the collector.
+constexpr std::size_t kDrainBound = 64 * 1024;
+constexpr std::size_t kLiveOpsPerRound = 4 * kDrainBound;
+
+/// Records per capture-table round.
+constexpr std::size_t ops_per_round(bool live_sink) {
+    return live_sink ? kLiveOpsPerRound : kOpsPerRound;
+}
 
 double ns_per_op(Clock::time_point t0, Clock::time_point t1,
                  std::size_t ops) {
@@ -88,28 +101,24 @@ double bench_null_session(int rounds) {
 }
 
 /// The two sessions the benchmark compares: post-mortem capture, and the
-/// live drain into a sink that only counts (AnalysisMode::Incremental, the
-/// `dsspy watch` path minus the analyzer).
+/// live drain folded by an IncrementalAnalyzer (AnalysisMode::Incremental,
+/// the default `dsspy run` path).
 struct BenchSession {
-    std::atomic<std::size_t> delivered{0};
+    core::IncrementalAnalyzer analyzer;  ///< Outlives the session's stop().
     runtime::ProfilingSession session;
 
     explicit BenchSession(bool live_sink)
-        : session(runtime::CaptureMode::Buffered, 64 * 1024,
+        : session(runtime::CaptureMode::Buffered, kDrainBound,
                   live_sink ? runtime::AnalysisMode::Incremental
                             : runtime::AnalysisMode::Postmortem) {
-        if (live_sink)
-            session.set_event_sink(
-                [this](std::span<const runtime::AccessEvent> events) {
-                    delivered.fetch_add(events.size(),
-                                        std::memory_order_relaxed);
-                });
+        if (live_sink) core::attach_incremental(session, analyzer);
     }
 };
 
-/// Times only the record() loop; session setup and stop()/finalize stay
-/// outside the timed window (they are not the per-event hot path).
-double bench_record(bool live_sink, int rounds) {
+/// Times only the record() loop of `ops` records; session setup and
+/// stop()/finalize stay outside the timed window (they are not the
+/// per-event hot path).
+double bench_record(bool live_sink, int rounds, std::size_t ops) {
     double best = 1e100;
     for (int r = 0; r < rounds; ++r) {
         BenchSession bench(live_sink);
@@ -117,29 +126,30 @@ double bench_record(bool live_sink, int rounds) {
         const runtime::InstanceId id = session.register_instance(
             runtime::DsKind::List, "List<Int64>", {"Bench", "Record", 1});
         const auto t0 = Clock::now();
-        for (std::size_t i = 0; i < kOpsPerRound; ++i)
+        for (std::size_t i = 0; i < ops; ++i)
             session.record(id, runtime::OpKind::Add,
                            static_cast<std::int64_t>(i),
                            static_cast<std::uint32_t>(i + 1));
         const auto t1 = Clock::now();
         session.stop();
-        best = std::min(best, ns_per_op(t0, t1, kOpsPerRound));
+        best = std::min(best, ns_per_op(t0, t1, ops));
     }
     return best;
 }
 
 double bench_profiled_list(bool live_sink, int rounds) {
+    const std::size_t ops = ops_per_round(live_sink);
     double best = 1e100;
     for (int r = 0; r < rounds; ++r) {
         BenchSession bench(live_sink);
         runtime::ProfilingSession& session = bench.session;
         ds::ProfiledList<std::int64_t> list(&session, {"Bench", "List", 1});
         const auto t0 = Clock::now();
-        for (std::size_t i = 0; i < kOpsPerRound; ++i)
+        for (std::size_t i = 0; i < ops; ++i)
             list.add(static_cast<std::int64_t>(i));
         const auto t1 = Clock::now();
         session.stop();
-        best = std::min(best, ns_per_op(t0, t1, kOpsPerRound));
+        best = std::min(best, ns_per_op(t0, t1, ops));
     }
     return best;
 }
@@ -147,6 +157,7 @@ double bench_profiled_list(bool live_sink, int rounds) {
 /// Multi-producer record(): `threads` producers hammer one session; the
 /// reported figure is wall-time per event across all producers.
 double bench_record_mt(bool live_sink, unsigned threads, int rounds) {
+    const std::size_t ops = ops_per_round(live_sink);
     double best = 1e100;
     for (int r = 0; r < rounds; ++r) {
         BenchSession bench(live_sink);
@@ -159,9 +170,9 @@ double bench_record_mt(bool live_sink, unsigned threads, int rounds) {
         {
             std::vector<std::thread> workers;
             for (unsigned t = 0; t < threads; ++t) {
-                workers.emplace_back([&session, &ids, t] {
+                workers.emplace_back([&session, &ids, t, ops] {
                     const runtime::InstanceId id = ids[t];
-                    for (std::size_t i = 0; i < kOpsPerRound; ++i)
+                    for (std::size_t i = 0; i < ops; ++i)
                         session.record(id, runtime::OpKind::Add,
                                        static_cast<std::int64_t>(i),
                                        static_cast<std::uint32_t>(i + 1));
@@ -171,7 +182,7 @@ double bench_record_mt(bool live_sink, unsigned threads, int rounds) {
         }
         const auto t1 = Clock::now();
         session.stop();
-        best = std::min(best, ns_per_op(t0, t1, kOpsPerRound * threads));
+        best = std::min(best, ns_per_op(t0, t1, ops * threads));
     }
     return best;
 }
@@ -191,7 +202,7 @@ constexpr std::size_t kDeltaSessionsPerRound = 96;
 double delta_round_ns(bool live_sink) {
     double ns = 0;
     for (std::size_t s = 0; s < kDeltaSessionsPerRound; ++s)
-        ns += bench_record(live_sink, 1);
+        ns += bench_record(live_sink, 1, kOpsPerRound);
     return ns / static_cast<double>(kDeltaSessionsPerRound);
 }
 
@@ -348,8 +359,10 @@ int main(int argc, char** argv) {
     const double plain = bench_plain_list(rounds);
     results.push_back({"plain_list_add", plain});
     results.push_back({"null_session_list_add", bench_null_session(rounds)});
-    results.push_back({"record_buffered", bench_record(false, rounds)});
-    results.push_back({"record_live_sink", bench_record(true, rounds)});
+    results.push_back({"record_buffered",
+                       bench_record(false, rounds, ops_per_round(false))});
+    results.push_back({"record_live_sink",
+                       bench_record(true, rounds, ops_per_round(true))});
     results.push_back(
         {"list_add_buffered", bench_profiled_list(false, rounds)});
     results.push_back(
@@ -368,6 +381,8 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"hardware_threads\": %u,\n",
                  std::thread::hardware_concurrency());
     std::fprintf(f, "  \"ops_per_round\": %zu,\n", kOpsPerRound);
+    std::fprintf(f, "  \"live_ops_per_round\": %zu,\n", kLiveOpsPerRound);
+    std::fprintf(f, "  \"drain_bound\": %zu,\n", kDrainBound);
     std::fprintf(f, "  \"rounds\": %d,\n", rounds);
     std::fprintf(f, "  \"seq_block_size\": %llu,\n",
                  static_cast<unsigned long long>(

@@ -61,8 +61,8 @@ std::unique_ptr<runtime::ProfilingSession> live_sink_session(
         runtime::CaptureMode::Buffered, 64 * 1024,
         runtime::AnalysisMode::Incremental);
     session->set_event_sink(
-        [&delivered](std::span<const runtime::AccessEvent> events) {
-            delivered += events.size();
+        [&delivered](const runtime::EventBatch& batch) {
+            delivered += batch.n;
         });
     return session;
 }

@@ -6,7 +6,7 @@
 // input of the vectorized kernels (detector_kernels.hpp) and of the
 // per-instance fold's slice step (instance_fold.hpp): the post-mortem
 // engine hands the fold whole row ranges in place, the incremental
-// analyzer one transposed tile at a time.  The differential suite in
+// analyzer each long same-instance run of a column batch.  The differential suite in
 // tests/test_column_analysis.cpp holds the verdicts to a per-event oracle
 // (tests/aos_oracle.hpp).
 #pragma once

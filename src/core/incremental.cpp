@@ -16,7 +16,7 @@ namespace {
 /// sites guard on obs::enabled()).
 struct IncrementalMetricIds {
     obs::MetricId events_folded;
-    obs::MetricId fold_batch;  ///< Histogram of fold(span) batch sizes.
+    obs::MetricId fold_batch;  ///< Histogram of batch sizes.
     obs::MetricId bulk_events;     ///< Folded through the columnar path.
     obs::MetricId stepped_events;  ///< Folded one event at a time.
 };
@@ -32,6 +32,38 @@ const IncrementalMetricIds& incremental_metrics() {
         };
     }();
     return ids;
+}
+
+/// Count one folded batch of `events`, `bulk` of them folded in bulk.
+void note_batch(std::size_t events, std::size_t bulk) {
+    if (!obs::enabled() || events == 0) return;
+    auto& reg = obs::MetricsRegistry::global();
+    const IncrementalMetricIds& m = incremental_metrics();
+    reg.add(m.events_folded, events);
+    reg.observe(m.fold_batch, events);
+    reg.add(m.bulk_events, bulk);
+    reg.add(m.stepped_events, events - bulk);
+}
+
+// The run loop reads either batch source through these.
+runtime::InstanceId instance_at(const runtime::EventBatch& b,
+                                std::size_t i) {
+    return b.instances[i];
+}
+runtime::InstanceId instance_at(std::span<const runtime::AccessEvent> e,
+                                std::size_t i) {
+    return e[i].instance;
+}
+runtime::AccessEvent event_at(const runtime::EventBatch& b, std::size_t i) {
+    return b.event(i);
+}
+const runtime::AccessEvent& event_at(std::span<const runtime::AccessEvent> e,
+                                     std::size_t i) {
+    return e[i];
+}
+std::size_t rows_in(const runtime::EventBatch& b) { return b.n; }
+std::size_t rows_in(std::span<const runtime::AccessEvent> e) {
+    return e.size();
 }
 
 }  // namespace
@@ -58,33 +90,26 @@ void IncrementalAnalyzer::fold(const runtime::AccessEvent& ev) {
     fold_locked(ev);
 }
 
+void IncrementalAnalyzer::fold(const runtime::EventBatch& batch) {
+    std::size_t bulk = 0;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        bulk = fold_runs(batch);
+    }
+    note_batch(batch.n, bulk);
+}
+
 void IncrementalAnalyzer::fold(
     std::span<const runtime::AccessEvent> events) {
     std::size_t bulk = 0;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        std::size_t i = 0;
-        while (i < events.size()) {
-            const runtime::InstanceId id = events[i].instance;
-            std::size_t end = i + 1;
-            while (end < events.size() && events[end].instance == id) ++end;
-            if (end - i < kMinBulkRun) {
-                for (; i < end; ++i) fold_locked(events[i]);
-                continue;
-            }
-            fold_run(state_for(id), events.subspan(i, end - i));
-            bulk += end - i;
-            i = end;
-        }
+        for (std::size_t begin = 0; begin < events.size();
+             begin += kBatchRows)
+            bulk += fold_runs(events.subspan(
+                begin, std::min(kBatchRows, events.size() - begin)));
     }
-    if (obs::enabled() && !events.empty()) {
-        auto& reg = obs::MetricsRegistry::global();
-        const IncrementalMetricIds& m = incremental_metrics();
-        reg.add(m.events_folded, events.size());
-        reg.observe(m.fold_batch, events.size());
-        reg.add(m.bulk_events, bulk);
-        reg.add(m.stepped_events, events.size() - bulk);
-    }
+    note_batch(events.size(), bulk);
 }
 
 std::uint64_t IncrementalAnalyzer::events_folded() const {
@@ -97,43 +122,66 @@ void IncrementalAnalyzer::fold_locked(const runtime::AccessEvent& ev) {
     state_for(ev.instance).step(ev);
 }
 
-void IncrementalAnalyzer::fold_run(
-    InstanceFold& st, std::span<const runtime::AccessEvent> run) {
-    events_folded_ += run.size();
-    // Sized on the first bulk run: analyzers that only fold single events
-    // never hold the ~100 KB of columns.
-    if (tile_.ops.empty()) {
-        tile_.time_ns.resize(kTileRows);
-        tile_.positions.resize(kTileRows);
-        tile_.sizes.resize(kTileRows);
-        tile_.ops.resize(kTileRows);
-        tile_.types.resize(kTileRows);
-        tile_.threads.resize(kTileRows);
+template <class Source>
+std::size_t IncrementalAnalyzer::fold_runs(const Source& source) {
+    const std::size_t count = rows_in(source);
+    events_folded_ += count;
+    std::size_t bulk = 0;
+    for (std::size_t i = 0; i < count;) {
+        const runtime::InstanceId id = instance_at(source, i);
+        std::size_t end = i + 1;
+        while (end < count && instance_at(source, end) == id) ++end;
+        InstanceFold& st = state_for(id);
+        if (end - i < kMinBulkRun) {
+            for (; i < end; ++i) st.step(event_at(source, i));
+            continue;
+        }
+        st.fold(run_slice(source, i, end - i), phases_);
+        bulk += end - i;
+        i = end;
     }
-    for (std::size_t begin = 0; begin < run.size(); begin += kTileRows)
-        fold_tile(st, run.subspan(begin,
-                                  std::min(kTileRows, run.size() - begin)));
+    return bulk;
 }
 
-// One tile of a same-instance run, transposed into the scratch columns
-// and folded as one slice.
-void IncrementalAnalyzer::fold_tile(
-    InstanceFold& st, std::span<const runtime::AccessEvent> rows) {
-    const std::size_t n = rows.size();
-    Tile& t = tile_;
-    for (std::size_t i = 0; i < n; ++i) {
-        const runtime::AccessEvent& ev = rows[i];
-        t.time_ns[i] = ev.time_ns;
-        t.positions[i] = ev.position;
-        t.sizes[i] = ev.size;
-        t.ops[i] = static_cast<std::uint8_t>(ev.op);
-        t.threads[i] = ev.thread;
+ColumnSlice IncrementalAnalyzer::run_slice(const runtime::EventBatch& b,
+                                           std::size_t i, std::size_t n) {
+    // The run is a view into the batch; only its access types and the
+    // batch's one thread id need columns of their own.
+    if (types_.size() < n) {
+        types_.resize(n);
+        threads_.resize(n);
     }
-    kernels::derive_types(t.ops.data(), n, t.types.data());
-    st.fold(ColumnSlice{t.time_ns.data(), t.positions.data(),
-                        t.sizes.data(), t.ops.data(), t.types.data(),
-                        t.threads.data(), n},
-            t.phases);
+    std::fill_n(threads_.begin(), n, b.thread);
+    kernels::derive_types(b.ops + i, n, types_.data());
+    return {b.time_ns + i, b.positions + i, b.sizes + i, b.ops + i,
+            types_.data(),  threads_.data(),  n};
+}
+
+ColumnSlice IncrementalAnalyzer::run_slice(
+    std::span<const runtime::AccessEvent> events, std::size_t i,
+    std::size_t n) {
+    // Copied into the batch layout, with the thread of every row (a run of
+    // struct events may come from several threads).
+    if (columns_.capacity < n) columns_ = runtime::EventColumns(kBatchRows);
+    if (types_.size() < n) {
+        types_.resize(n);
+        threads_.resize(n);
+    }
+    std::uint64_t* const time = columns_.time_ns.get();
+    std::int64_t* const pos = columns_.positions.get();
+    std::uint32_t* const size = columns_.sizes.get();
+    std::uint8_t* const op = columns_.ops.get();
+    std::uint16_t* const thread = threads_.data();
+    for (std::size_t r = 0; r < n; ++r) {
+        const runtime::AccessEvent& ev = events[i + r];
+        time[r] = ev.time_ns;
+        pos[r] = ev.position;
+        size[r] = ev.size;
+        op[r] = static_cast<std::uint8_t>(ev.op);
+        thread[r] = ev.thread;
+    }
+    kernels::derive_types(op, n, types_.data());
+    return {time, pos, size, op, types_.data(), thread, n};
 }
 
 AnalysisResult IncrementalAnalyzer::report_from(
@@ -185,10 +233,9 @@ void attach_incremental(runtime::ProfilingSession& session,
     session.set_instance_sink([&analyzer](const runtime::InstanceInfo& info) {
         analyzer.declare_instance(info);
     });
-    session.set_event_sink(
-        [&analyzer](std::span<const runtime::AccessEvent> events) {
-            analyzer.fold(events);
-        });
+    session.set_event_sink([&analyzer](const runtime::EventBatch& batch) {
+        analyzer.fold(batch);
+    });
 }
 
 }  // namespace dsspy::core

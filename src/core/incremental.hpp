@@ -8,11 +8,15 @@
 // classifies from that state on demand.  Memory is bounded by the number
 // of live instances (times recording threads), not by the event count.
 //
-// A batch folds each maximal same-instance run of at least kMinBulkRun
-// events through the fold's slice step (columnar kernels and the
-// streak-driven pattern loop), one transposed tile of scratch columns at
-// a time; shorter runs and single events take the fold's per-event step.
-// Both paths reach the same state (DESIGN.md §8.2).
+// The live drain delivers column batches (runtime::EventBatch) filled
+// straight from its capture rows; trace streams and the serve daemon pass
+// AccessEvent spans.  One loop, templated over the two sources, splits a
+// batch into maximal same-instance runs.  A run of at least kMinBulkRun
+// events takes the fold's slice step (columnar kernels and the
+// streak-driven pattern loop) as a ColumnSlice: in place for a column
+// batch, copied into the same column layout for a span.  Shorter runs and
+// single events take the fold's per-event step.  Both paths reach the
+// same state (DESIGN.md §8.2).
 //
 // Equivalence: both engines run the same InstanceFold and classify
 // through the same UseCaseEngine::classify(const InstanceStats&), so
@@ -67,13 +71,19 @@ public:
     /// its seq order.  Same-instance runs of kMinBulkRun events or more
     /// take the columnar bulk path.  Any split of a stream into batches
     /// reaches the same state.
+    void fold(const runtime::EventBatch& batch);
+
+    /// The same for events in struct layout, kBatchRows at a time: a
+    /// long run is copied into the batch layout, a short one steps from
+    /// the events.
     void fold(std::span<const runtime::AccessEvent> events);
 
     /// Shortest same-instance run a batch folds in bulk; shorter runs
     /// (round-robin streams over many instances) step event by event.
     static constexpr std::size_t kMinBulkRun = 32;
-    /// Rows per scratch tile of the bulk path.
-    static constexpr std::size_t kTileRows = 4096;
+    /// Rows fold(span) splits into runs at a time: the longest run it
+    /// copies into columns.
+    static constexpr std::size_t kBatchRows = 4096;
 
     /// Events folded so far.
     [[nodiscard]] std::uint64_t events_folded() const;
@@ -98,24 +108,17 @@ public:
     }
 
 private:
-    /// Scratch columns one tile of a same-instance run is transposed into
-    /// (used under mutex_).
-    struct Tile {
-        std::vector<std::uint64_t> time_ns;
-        std::vector<std::int64_t> positions;
-        std::vector<std::uint32_t> sizes;
-        std::vector<std::uint8_t> ops;
-        std::vector<std::uint8_t> types;
-        std::vector<std::uint16_t> threads;
-        PhaseList phases;
-    };
-
     InstanceFold& state_for(runtime::InstanceId id);
     void fold_locked(const runtime::AccessEvent& ev);
-    void fold_run(InstanceFold& st,
-                  std::span<const runtime::AccessEvent> run);
-    void fold_tile(InstanceFold& st,
-                   std::span<const runtime::AccessEvent> rows);
+    /// The run-splitting loop over a batch of either layout (under
+    /// mutex_); returns the events it folded in bulk.
+    template <class Source>
+    std::size_t fold_runs(const Source& source);
+    /// Rows [i, i + n) of one long same-instance run as a slice.
+    ColumnSlice run_slice(const runtime::EventBatch& batch, std::size_t i,
+                          std::size_t n);
+    ColumnSlice run_slice(std::span<const runtime::AccessEvent> events,
+                          std::size_t i, std::size_t n);
     [[nodiscard]] AnalysisResult report_from(
         std::vector<InstanceFold> states,
         const std::vector<runtime::InstanceInfo>& instances) const;
@@ -125,7 +128,13 @@ private:
     mutable std::mutex mutex_;
     std::vector<InstanceFold> states_;  ///< Indexed by InstanceId.
     std::uint64_t events_folded_ = 0;
-    Tile tile_;
+
+    // Scratch of the bulk path, used under mutex_ and sized on the first
+    // long run: analyzers that only fold single events never hold it.
+    runtime::EventColumns columns_;       ///< fold(span)'s run, copied.
+    std::vector<std::uint8_t> types_;     ///< The run's access types.
+    std::vector<std::uint16_t> threads_;  ///< The run's thread column.
+    PhaseList phases_;
 };
 
 /// Wire an analyzer into a session: instance registrations flow to

@@ -13,9 +13,9 @@
 //     the pattern evidence and the Sort-After-Insert match.
 //
 // Both engines drive it.  The incremental analyzer keeps one fold per
-// instance and feeds it single events and transposed tiles
-// (incremental.hpp); the post-mortem engine folds each instance's row
-// range in place, its two halves as two pool tasks (Dsspy::analyze).
+// instance and feeds it single events and same-instance runs of its column
+// batches (incremental.hpp); the post-mortem engine folds each instance's
+// row range in place, its two halves as two pool tasks (Dsspy::analyze).
 #pragma once
 
 #include <algorithm>

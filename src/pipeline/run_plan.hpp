@@ -33,7 +33,7 @@ enum class InputKind {
 
 /// Which analysis engine executes the plan.
 enum class EngineChoice {
-    Auto,        ///< Postmortem for live runs; streaming for plain trace reads.
+    Auto,        ///< Streaming unless an output or --trace needs rows.
     Postmortem,  ///< Materialize every event, analyze the finalized store.
     Incremental, ///< Fold events as they arrive; memory stays bounded.
 };
@@ -110,15 +110,15 @@ struct RunPlan {
         return label.empty() ? target : label;
     }
 
-    /// The engine the runner will actually use for this plan.
+    /// The engine the runner will actually use for this plan: the
+    /// streaming fold, for every input kind, unless an output needs rows
+    /// or the plan re-emits the trace.
     [[nodiscard]] EngineChoice resolved_engine() const noexcept {
         if (watch) return EngineChoice::Incremental;
         if (engine != EngineChoice::Auto) return engine;
-        if (input == InputKind::TraceFile)
-            return outputs.needs_postmortem() || !trace_out.empty()
-                       ? EngineChoice::Postmortem
-                       : EngineChoice::Incremental;
-        return EngineChoice::Postmortem;
+        return outputs.needs_postmortem() || !trace_out.empty()
+                   ? EngineChoice::Postmortem
+                   : EngineChoice::Incremental;
     }
 };
 

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -44,17 +45,20 @@ private:
     core::IncrementalAnalyzer& analyzer_;
 };
 
-/// The session summary line live app runs print to stderr; orphan
-/// (store-only) events are surfaced when present — they indicate events
-/// recorded against ids the registry never issued.
+/// The line a live run prints to stderr after stop(): an app's checksum
+/// and event count, and orphan events (recorded against ids the registry
+/// never issued) when there are any.
 void print_session_summary(std::ostream& err, const std::string& name,
-                           double checksum,
-                           const runtime::ProfilingSession& session) {
-    err << name << ": checksum " << checksum << ", "
-        << session.store().total_events() << " events";
-    const std::size_t orphans = session.orphan_events();
-    if (orphans > 0) err << ", " << orphans << " orphan";
-    err << '\n';
+                           const RunOutcome& outcome) {
+    if (outcome.has_checksum) {
+        err << name << ": checksum " << outcome.checksum << ", "
+            << outcome.events << " events";
+        if (outcome.orphan_events > 0)
+            err << ", " << outcome.orphan_events << " orphan";
+        err << '\n';
+    } else if (outcome.orphan_events > 0) {
+        err << name << ": " << outcome.orphan_events << " orphan events\n";
+    }
 }
 
 RunOutcome fail_runtime(std::string label, std::string message,
@@ -242,69 +246,58 @@ RunOutcome PipelineRunner::run_live(const RunPlan& plan, std::ostream& out,
         }
     };
 
-    if (plan.resolved_engine() == EngineChoice::Incremental) {
-        // The analyzer folds events as the collector drains them live;
-        // AnalysisMode::Incremental keeps the store empty and frees each
-        // chunk once drained — memory stays bounded however long the
-        // workload runs.
-        auto session = std::make_unique<runtime::ProfilingSession>(
-            runtime::CaptureMode::Buffered, 64 * 1024,
-            runtime::AnalysisMode::Incremental);
-        core::IncrementalAnalyzer incremental(plan.config);
-        core::attach_incremental(*session, incremental);
+    // The streaming engine folds events as the collector drains them live;
+    // AnalysisMode::Incremental keeps the store empty and frees each chunk
+    // once drained — memory stays bounded however long the workload runs.
+    // The post-mortem engine keeps every event for the outputs that need
+    // rows.
+    const bool streaming =
+        plan.resolved_engine() == EngineChoice::Incremental;
+    auto session = std::make_unique<runtime::ProfilingSession>(
+        runtime::CaptureMode::Buffered, 64 * 1024,
+        streaming ? runtime::AnalysisMode::Incremental
+                  : runtime::AnalysisMode::Postmortem);
+    std::optional<core::IncrementalAnalyzer> incremental;
+    if (streaming) {
+        incremental.emplace(plan.config);
+        core::attach_incremental(*session, *incremental);
+    }
 
-        if (plan.watch) {
-            std::mutex done_mutex;
-            std::condition_variable done_cv;
-            bool done = false;
-            std::thread worker([&] {
-                run_workload(session.get());
-                const std::scoped_lock lock(done_mutex);
-                done = true;
-                done_cv.notify_one();
-            });
-            const auto interval =
-                std::chrono::milliseconds(plan.snapshot_interval_ms);
-            std::unique_lock lock(done_mutex);
-            // A tick fires each interval; the workload's end cuts the
-            // current wait short.
-            while (!done_cv.wait_for(lock, interval, [&] { return done; })) {
-                if (!on_tick) continue;
-                lock.unlock();
-                const core::AnalysisResult snap =
-                    core::Dsspy::snapshot(incremental, *session);
-                on_tick(WatchTick{snap, session->events_recorded(),
-                                  incremental.events_folded()});
-                lock.lock();
-            }
-            lock.unlock();
-            worker.join();
-        } else {
+    if (plan.watch) {
+        std::mutex done_mutex;
+        std::condition_variable done_cv;
+        bool done = false;
+        std::thread worker([&] {
             run_workload(session.get());
+            const std::scoped_lock lock(done_mutex);
+            done = true;
+            done_cv.notify_one();
+        });
+        const auto interval =
+            std::chrono::milliseconds(plan.snapshot_interval_ms);
+        std::unique_lock lock(done_mutex);
+        // A tick fires each interval; the workload's end cuts the current
+        // wait short.
+        while (!done_cv.wait_for(lock, interval, [&] { return done; })) {
+            if (!on_tick) continue;
+            lock.unlock();
+            const core::AnalysisResult snap =
+                core::Dsspy::snapshot(*incremental, *session);
+            on_tick(WatchTick{snap, session->events_recorded(),
+                              incremental->events_folded()});
+            lock.lock();
         }
-        session->stop();
-        if (app != nullptr)
-            err << app->name << ": checksum " << outcome.checksum << ", "
-                << incremental.events_folded() << " events\n";
-        outcome.events = incremental.events_folded();
-        outcome.stream = core::Dsspy::finish(incremental, *session);
-        outcome.session = std::move(session);
-        if (!emit_reports(plan.outputs, outcome, out, err))
-            outcome.exit_code = kExitRuntimeError;
-        return outcome;
+        lock.unlock();
+        worker.join();
+    } else {
+        run_workload(session.get());
     }
-
-    auto session = std::make_unique<runtime::ProfilingSession>();
-    run_workload(session.get());
     session->stop();
-    outcome.events = session->store().total_events();
+    outcome.events = streaming ? incremental->events_folded()
+                               : session->store().total_events();
     outcome.orphan_events = session->orphan_events();
-    if (app != nullptr) {
-        print_session_summary(err, app->name, outcome.checksum, *session);
-    } else if (outcome.orphan_events > 0) {
-        err << program->name << ": " << outcome.orphan_events
-            << " orphan events\n";
-    }
+    print_session_summary(err, app != nullptr ? app->name : program->name,
+                          outcome);
 
     if (!plan.trace_out.empty()) {
         if (runtime::write_trace_file(plan.trace_out, *session,
@@ -317,11 +310,14 @@ RunOutcome PipelineRunner::run_live(const RunPlan& plan, std::ostream& out,
         }
     }
 
-    // Live post-mortem plans always analyze, even with no analysis output
-    // selected (`dsspy metrics`): the run fills the analyze-stage span
-    // histograms the metrics document reports on.
-    const core::Dsspy analyzer(plan.config);
-    outcome.analysis = analyzer.analyze(*session, &pool());
+    // Live plans always analyze, even with no analysis output selected
+    // (`dsspy metrics`): the run fills the analysis span histograms the
+    // metrics document reports on.
+    if (streaming) {
+        outcome.stream = core::Dsspy::finish(*incremental, *session);
+    } else {
+        outcome.analysis = core::Dsspy(plan.config).analyze(*session, &pool());
+    }
     outcome.session = std::move(session);
     if (!emit_reports(plan.outputs, outcome, out, err))
         outcome.exit_code = kExitRuntimeError;

@@ -7,7 +7,6 @@
 #include <limits>
 #include <mutex>
 #include <new>
-#include <span>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -75,7 +74,7 @@ constexpr std::size_t kParallelFinalizeThreshold = 1u << 16;
 
 /// The collector acknowledges at most this many events per channel per
 /// round, so delivery starts early, and hands the sink at most this many
-/// per call, so the batch it materializes stays small.
+/// per call, so the batch it fills stays small.
 constexpr std::uint64_t kDrainSlice = 4096;
 
 /// Collector backoff: yield this many empty rounds before sleeping.
@@ -106,6 +105,25 @@ void seal_chain(std::vector<CaptureChunk>& chunks, std::uint64_t events) {
         chunk.size = static_cast<std::size_t>(
             std::min<std::uint64_t>(events, chunk.capacity));
         events -= chunk.size;
+    }
+}
+
+/// Copy the rows of thread event indices [k, end) of `view` into
+/// `out` from row `at` on, each with the clock reading of its stride.
+void copy_rows(const CaptureView& view, std::uint64_t k, std::uint64_t end,
+               EventColumns& out, std::size_t at) noexcept {
+    const CaptureRow* row = view.rows + (k - view.first);
+    while (k < end) {
+        const std::uint64_t stamp = view.stamp(k);
+        const std::uint64_t stride_end = std::min(
+            end, k - k % CaptureView::kStampStride + CaptureView::kStampStride);
+        for (; k < stride_end; ++k, ++row, ++at) {
+            out.instances[at] = row->instance;
+            out.time_ns[at] = stamp;
+            out.positions[at] = row->position;
+            out.sizes[at] = row->size;
+            out.ops[at] = static_cast<std::uint8_t>(row->op);
+        }
     }
 }
 
@@ -148,6 +166,7 @@ InstanceId ProfilingSession::register_instance(DsKind kind,
 
 void ProfilingSession::set_event_sink(EventSink sink) {
     sink_ = std::move(sink);
+    if (sink_ && columns_.capacity == 0) columns_ = EventColumns(kDrainSlice);
     has_sink_.store(static_cast<bool>(sink_), std::memory_order_release);
     if (sink_ && !collector_.joinable() && capturing())
         collector_ = std::jthread(
@@ -421,20 +440,21 @@ void ProfilingSession::deliver(bool final_flush) {
         const std::uint64_t acked =
             holder->drained.load(std::memory_order_relaxed);
         std::uint64_t& k = holder->delivered;
-        batch_.clear();
-        while (k < acked && batch_.size() < kDrainSlice &&
+        const std::uint64_t first_seq = next_seq_;
+        std::size_t n = 0;
+        while (k < acked && n < kDrainSlice &&
                row_seq(*holder, k) == next_seq_) {
             const CaptureView& view = holder->reading;
             const std::uint64_t end = std::min(
                 {acked, std::uint64_t{view.first + view.capacity},
                  k - k % kSeqBlockSize + kSeqBlockSize,
-                 k + kDrainSlice - batch_.size()});
+                 k + kDrainSlice - n});
+            copy_rows(view, k, end, columns_, n);
+            n += end - k;
             next_seq_ += end - k;
-            for (; k < end; ++k)
-                batch_.push_back(
-                    view.event(k - view.first, holder->chain.thread));
+            k = end;
         }
-        sink_(batch_);
+        sink_(columns_.batch(holder->chain.thread, first_seq, n));
     }
 }
 

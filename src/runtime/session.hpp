@@ -9,8 +9,8 @@
 // and the store's finalize places events straight into per-instance
 // columns.  With a sink attached, a collector thread reads each chain's
 // published prefix while the workload runs and delivers the events in
-// global `seq` order straight from the chunks; in Incremental mode it frees
-// each chunk it has delivered.
+// global `seq` order, copied from the chunk rows into column batches; in
+// Incremental mode it frees each chunk it has delivered.
 // Both paths run the same capture code, so they record the same events.
 //
 // Hot-path design (the paper reports an average 47x capture slowdown; this
@@ -47,9 +47,10 @@
 //     adds the tail.  The store's finalize then sums tallies instead of
 //     reading every row a second time to count it.
 //   * Live drain: the collector acknowledges each channel's published
-//     rows and delivers them in seq order straight from the chunks.  Seq
-//     blocks are handed out densely, one channel each, so one cursor
-//     suffices: the channel whose next row carries it delivers its run.
+//     rows and delivers them in seq order from the chunks.  Seq blocks are
+//     handed out densely, one channel each, so one cursor suffices: the
+//     channel whose next row carries it delivers its run, one EventBatch
+//     of that thread's consecutive seqs filled straight from the rows.
 //     The chain's chunk vector is shared with the collector under a
 //     per-channel mutex that only chunk growth and the collector's step
 //     to the next chunk take.  A thread more than `drain_bound` events
@@ -67,7 +68,6 @@
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -121,7 +121,7 @@ public:
                   "every seq block starts with a clock reading");
 
     /// Batch consumer for captured events; see set_event_sink().
-    using EventSink = std::function<void(std::span<const AccessEvent>)>;
+    using EventSink = std::function<void(const EventBatch&)>;
     /// Consumer for instance registrations; see set_instance_sink().
     using InstanceSink = std::function<void(const InstanceInfo&)>;
 
@@ -185,9 +185,9 @@ public:
     /// order, the order the finalized store would present: the collector
     /// delivers seq by seq, each run from the chain whose next row carries
     /// the next seq, and waits while no chain has published it; stop()
-    /// delivers the rest.  The sink runs on the
-    /// collector thread and must not call back into this session except
-    /// for registry()/snapshot reads.
+    /// delivers the rest.  Each batch is one thread's run of consecutive
+    /// seqs.  The sink runs on the collector thread and must not call back
+    /// into this session except for registry()/snapshot reads.
     void set_event_sink(EventSink sink);
 
     /// Install a consumer notified of every instance registration (after
@@ -320,9 +320,9 @@ private:
     /// in the destructor.
     std::atomic<Channel*> channels_head_{nullptr};
 
-    EventSink sink_;            ///< Ordered-delivery consumer (may be empty).
-    std::uint64_t next_seq_ = 0;      ///< Collector: next seq to deliver.
-    std::vector<AccessEvent> batch_;  ///< Collector: the run it delivers.
+    EventSink sink_;              ///< Ordered-delivery consumer (may be empty).
+    std::uint64_t next_seq_ = 0;  ///< Collector: next seq to deliver.
+    EventColumns columns_;        ///< Collector: the run it delivers.
     InstanceSink instance_sink_;
     /// Mirrors sink_ presence for refill, without touching std::function.
     std::atomic<bool> has_sink_{false};

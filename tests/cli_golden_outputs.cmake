@@ -1,7 +1,8 @@
 # Byte-identity goldens for the seven demo apps: the SHA-256 of stdout of
 #   dsspy run <app> --report --summary --csv-usecases --csv-instances
-#       (once with --postmortem, once with --incremental: one shared digest,
-#       both engines must render the same bytes);
+#       (once with --postmortem, once with --incremental and once with no
+#       engine flag: one shared digest, both engines and the default must
+#       render the same bytes);
 #   dsspy advise <app> --json;
 #   dsspy run <app> --json --plan --csv-patterns;
 #   dsspy watch <app> --interval-ms 5 --report --csv-usecases --csv-instances
@@ -83,7 +84,7 @@ endfunction()
 
 # app  report+summary+csv digest  advise --json digest  json+plan+csv digest
 function(expect_app app report advise json)
-  foreach(engine --postmortem --incremental)
+  foreach(engine --postmortem --incremental "")
     expect_digest(${report} run ${app} ${engine}
                   --report --summary --csv-usecases --csv-instances)
   endforeach()

@@ -12,8 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <span>
 #include <string>
+#include <vector>
 
 #include "runtime/session.hpp"
 
@@ -27,6 +27,12 @@ inline std::string delivery_name(
     return info.param == Delivery::Buffered ? "Buffered" : "Streaming";
 }
 
+/// Append the events of `batch` to `out`.
+inline void append_events(std::vector<AccessEvent>& out,
+                          const EventBatch& batch) {
+    for (std::size_t i = 0; i < batch.n; ++i) out.push_back(batch.event(i));
+}
+
 /// A live sink that counts the events it receives and checks that their
 /// seqs ascend.  Read it only after stop(), which joins the collector.
 struct LiveSinkCheck {
@@ -37,12 +43,10 @@ struct LiveSinkCheck {
     /// Attach to `session` when `delivery` is Streaming.
     void attach(ProfilingSession& session, Delivery delivery) {
         if (delivery == Delivery::Buffered) return;
-        session.set_event_sink([this](std::span<const AccessEvent> batch) {
-            for (const AccessEvent& ev : batch) {
-                if (ev.seq < next_seq) ascending = false;
-                next_seq = ev.seq + 1;
-            }
-            events += batch.size();
+        session.set_event_sink([this](const EventBatch& batch) {
+            if (batch.first_seq < next_seq) ascending = false;
+            next_seq = batch.first_seq + batch.n;
+            events += batch.n;
         });
     }
 

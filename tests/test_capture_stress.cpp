@@ -477,7 +477,9 @@ TEST(StoreDifferential, LiveSessionsMatchOracle) {
                 ProfilingSession session(CaptureMode::Buffered, bound);
                 std::mutex sink_mutex;
                 OracleStore oracle;
-                session.set_event_sink([&](std::span<const AccessEvent> ev) {
+                session.set_event_sink([&](const EventBatch& batch) {
+                    std::vector<AccessEvent> ev;
+                    append_events(ev, batch);
                     std::scoped_lock lock(sink_mutex);
                     oracle.append(ev);
                 });
@@ -529,9 +531,8 @@ TEST(StoreDifferential, LiveSessionsMatchOracle) {
 /// identifies the thread.
 void capture_buffered(ProfilingSession& session, int threads, int per_thread,
                       std::vector<AccessEvent>& stream) {
-    session.set_event_sink([&](std::span<const AccessEvent> events) {
-        stream.insert(stream.end(), events.begin(), events.end());
-    });
+    session.set_event_sink(
+        [&](const EventBatch& batch) { append_events(stream, batch); });
     std::vector<InstanceId> ids;
     for (int i = 0; i < 1 + threads; ++i)
         ids.push_back(session.register_instance(
@@ -661,9 +662,8 @@ TEST(CompactRows, CountsArriveWithTheChunks) {
         SCOPED_TRACE(::testing::Message() << threads << " threads");
         ProfilingSession session;
         std::vector<AccessEvent> stream;
-        session.set_event_sink([&](std::span<const AccessEvent> events) {
-            stream.insert(stream.end(), events.begin(), events.end());
-        });
+        session.set_event_sink(
+            [&](const EventBatch& batch) { append_events(stream, batch); });
         std::vector<InstanceId> early;
         for (std::size_t i = 0; i < kEarly; ++i)
             early.push_back(session.register_instance(
@@ -719,9 +719,8 @@ TEST(CompactRows, CountsArriveWithTheChunks) {
 TEST(CompactRows, UnregisteredIdMidChunkIsStoredAsOrphan) {
     ProfilingSession session;
     std::vector<AccessEvent> stream;
-    session.set_event_sink([&](std::span<const AccessEvent> events) {
-        stream.insert(stream.end(), events.begin(), events.end());
-    });
+    session.set_event_sink(
+        [&](const EventBatch& batch) { append_events(stream, batch); });
     std::vector<InstanceId> ids;
     for (std::uint32_t i = 0; i < 3; ++i)
         ids.push_back(session.register_instance(DsKind::List, "List<Int64>",
@@ -829,8 +828,8 @@ TEST(LiveDrain, ProducerAtTheBoundOutrunsAHeldWatermark) {
     ProfilingSession session(CaptureMode::Buffered, /*drain_bound=*/1024,
                              AnalysisMode::Incremental);
     std::atomic<std::uint64_t> delivered{0};
-    session.set_event_sink([&](std::span<const AccessEvent> batch) {
-        delivered.fetch_add(batch.size(), std::memory_order_relaxed);
+    session.set_event_sink([&](const EventBatch& batch) {
+        delivered.fetch_add(batch.n, std::memory_order_relaxed);
     });
     const InstanceId idle_id = session.register_instance(
         DsKind::List, "List<Int64>", {"Held", "Idle", 1});
@@ -903,9 +902,8 @@ TEST(LiveDrain, ThreadExitingMidBlockHoldsNothingBack) {
     ProfilingSession session(CaptureMode::Buffered, 4096,
                              AnalysisMode::Incremental);
     std::vector<AccessEvent> stream;
-    session.set_event_sink([&](std::span<const AccessEvent> batch) {
-        stream.insert(stream.end(), batch.begin(), batch.end());
-    });
+    session.set_event_sink(
+        [&](const EventBatch& batch) { append_events(stream, batch); });
     std::vector<InstanceId> ids;
     for (int t = 0; t <= kBusy; ++t)
         ids.push_back(session.register_instance(

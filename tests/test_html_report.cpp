@@ -5,6 +5,7 @@
 
 #include "core/dsspy.hpp"
 #include "ds/ds.hpp"
+#include "temp_path.hpp"
 #include "viz/html_report.hpp"
 
 namespace dsspy::viz {
@@ -68,7 +69,7 @@ TEST(HtmlReport, CustomTitleAndEmptyAnalysis) {
 TEST(HtmlReport, FileOutput) {
     runtime::ProfilingSession session;
     const auto analysis = make_analysis(session);
-    const std::string path = ::testing::TempDir() + "/dsspy_report.html";
+    const std::string path = testing_support::unique_temp_path(".html");
     EXPECT_TRUE(write_html_report_file(path, analysis));
     std::remove(path.c_str());
     EXPECT_FALSE(write_html_report_file("/nonexistent/dir/x.html", analysis));

@@ -693,6 +693,33 @@ AnalysisResult fold_in_batches(const std::vector<InstanceInfo>& instances,
     return inc.finish(instances);
 }
 
+/// Fold `stream` as the live drain delivers it: column batches of at most
+/// `batch` rows, each cut where the thread changes.
+AnalysisResult fold_column_batches(const std::vector<InstanceInfo>& instances,
+                                   const Stream& stream, std::size_t batch,
+                                   const DetectorConfig& config) {
+    IncrementalAnalyzer inc(config);
+    for (const InstanceInfo& info : instances) inc.declare_instance(info);
+    runtime::EventColumns columns(batch);
+    for (std::size_t i = 0; i < stream.size();) {
+        std::size_t n = 0;
+        for (; i + n < stream.size() && n < batch &&
+               stream[i + n].thread == stream[i].thread;
+             ++n) {
+            const AccessEvent& ev = stream[i + n];
+            columns.instances[n] = ev.instance;
+            columns.time_ns[n] = ev.time_ns;
+            columns.positions[n] = ev.position;
+            columns.sizes[n] = ev.size;
+            columns.ops[n] = static_cast<std::uint8_t>(ev.op);
+        }
+        inc.fold(columns.batch(stream[i].thread, stream[i].seq, n));
+        i += n;
+    }
+    EXPECT_EQ(inc.events_folded(), stream.size());
+    return inc.finish(instances);
+}
+
 /// Pins kernel dispatch to one tier for a scope.
 struct ForcedSimdLevel {
     explicit ForcedSimdLevel(core::kernels::SimdLevel level) {
@@ -718,9 +745,10 @@ void expect_same_stats(const AnalysisResult& want, const AnalysisResult& got,
 }
 
 /// Fold `stream` one event at a time, then in batches of 1, 2, 3, 63, 64,
-/// 65, 4,096 and the whole stream: every split must reach the same
-/// InstanceStats, field for field.  Batches too small to hold a bulk run
-/// fold event by event at any tier; the others run at every SIMD tier.
+/// 65, 4,096 and the whole stream, as AccessEvent spans and as column
+/// batches: every split must reach the same InstanceStats, field for
+/// field.  Batches too small to hold a bulk run fold event by event at any
+/// tier; the others run at every SIMD tier.
 void expect_batch_splits_agree(const std::vector<InstanceInfo>& instances,
                                const Stream& stream,
                                const DetectorConfig& config = {}) {
@@ -730,16 +758,23 @@ void expect_batch_splits_agree(const std::vector<InstanceInfo>& instances,
         static_assert(IncrementalAnalyzer::kMinBulkRun > 3);
         expect_same_stats(
             want, fold_in_batches(instances, stream, batch, config), batch);
+        expect_same_stats(
+            want, fold_column_batches(instances, stream, batch, config),
+            batch);
     }
     for (const core::kernels::SimdLevel level :
          {core::kernels::SimdLevel::Scalar, core::kernels::SimdLevel::Avx2}) {
         const ForcedSimdLevel forced(level);
         for (const std::size_t batch :
              {std::size_t{63}, std::size_t{64}, std::size_t{65},
-              std::size_t{4096}, std::max<std::size_t>(stream.size(), 1)})
+              std::size_t{4096}, std::max<std::size_t>(stream.size(), 1)}) {
             expect_same_stats(
                 want, fold_in_batches(instances, stream, batch, config),
                 batch);
+            expect_same_stats(
+                want, fold_column_batches(instances, stream, batch, config),
+                batch);
+        }
     }
 }
 
@@ -920,10 +955,11 @@ TEST(IncrementalBatch, SortInsideAnotherThreadsStreak) {
 }
 
 TEST(IncrementalBatch, OpenSaiRunAtTileBoundary) {
-    // Insertion runs that cross the bulk path's tile boundary, with the
-    // Sort on the last row of a tile, on the first row of the next, and
-    // a few rows past it; plus a write tail phase spanning a boundary.
-    const std::uint32_t tile = IncrementalAnalyzer::kTileRows;
+    // Insertion runs that cross the boundary of fold(span)'s column
+    // batches (a tile), with the Sort on the last row of a tile, on the
+    // first row of the next, and a few rows past it; plus a write tail
+    // phase spanning a boundary.
+    const std::uint32_t tile = IncrementalAnalyzer::kBatchRows;
     StreamBuilder b;
     for (const std::uint32_t inserts : {tile - 1, tile, tile + 5}) {
         const InstanceId id = b.add(DsKind::List, "SaiAtTile");

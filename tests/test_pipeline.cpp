@@ -278,6 +278,7 @@ TEST(PipelineDifferential, LiveIncrementalMatchesPostmortemReport) {
     // The two engines must classify identically on the same workload
     // (engine bit-identity is pinned elsewhere; here: through RunPlans).
     pipeline::RunPlan post = app_plan("WordWheelSolver", report_only());
+    post.engine = pipeline::EngineChoice::Postmortem;
     pipeline::RunPlan inc = post;
     inc.engine = pipeline::EngineChoice::Incremental;
     const Text a = run_plan(post);
@@ -285,6 +286,75 @@ TEST(PipelineDifferential, LiveIncrementalMatchesPostmortemReport) {
     EXPECT_EQ(a.exit_code, 0);
     EXPECT_EQ(b.exit_code, 0);
     EXPECT_EQ(a.out, b.out);
+}
+
+// ---------------------------------------------------------------------------
+// Engine resolution: one rule for every input kind.  Auto takes the
+// streaming fold unless an output needs rows or the plan re-emits the
+// trace; watch forces the fold; an explicit engine is kept as chosen.
+
+TEST(PipelineEngine, ResolvedEngineCoversEveryInputAndOutput) {
+    using pipeline::EngineChoice;
+    struct Row {
+        const char* flag;
+        void (*select)(pipeline::RunPlan&);
+        EngineChoice want;
+    };
+    const Row rows[] = {
+        {"(none)", [](pipeline::RunPlan&) {}, EngineChoice::Incremental},
+        {"--summary", [](pipeline::RunPlan& p) { p.outputs.summary = true; },
+         EngineChoice::Incremental},
+        {"--report", [](pipeline::RunPlan& p) { p.outputs.report = true; },
+         EngineChoice::Incremental},
+        {"--advice", [](pipeline::RunPlan& p) { p.outputs.advice = true; },
+         EngineChoice::Incremental},
+        {"--csv-usecases",
+         [](pipeline::RunPlan& p) { p.outputs.csv_usecases = true; },
+         EngineChoice::Incremental},
+        {"--csv-instances",
+         [](pipeline::RunPlan& p) { p.outputs.csv_instances = true; },
+         EngineChoice::Incremental},
+        {"metrics",
+         [](pipeline::RunPlan& p) {
+             p.outputs.metrics_doc = pipeline::MetricsDoc::Json;
+         },
+         EngineChoice::Incremental},
+        {"--json", [](pipeline::RunPlan& p) { p.outputs.json = true; },
+         EngineChoice::Postmortem},
+        {"--csv-patterns",
+         [](pipeline::RunPlan& p) { p.outputs.csv_patterns = true; },
+         EngineChoice::Postmortem},
+        {"--plan", [](pipeline::RunPlan& p) { p.outputs.plan = true; },
+         EngineChoice::Postmortem},
+        {"--html",
+         [](pipeline::RunPlan& p) { p.outputs.html_path = "report.html"; },
+         EngineChoice::Postmortem},
+        {"--trace", [](pipeline::RunPlan& p) { p.trace_out = "t.csv"; },
+         EngineChoice::Postmortem},
+    };
+    for (const pipeline::InputKind input :
+         {pipeline::InputKind::App, pipeline::InputKind::CorpusProgram,
+          pipeline::InputKind::TraceFile}) {
+        for (const Row& row : rows) {
+            SCOPED_TRACE(::testing::Message()
+                         << "input " << static_cast<int>(input) << ", "
+                         << row.flag);
+            pipeline::RunPlan plan;
+            plan.input = input;
+            plan.target = "x";
+            row.select(plan);
+            EXPECT_EQ(plan.resolved_engine(), row.want);
+            plan.engine = EngineChoice::Postmortem;
+            EXPECT_EQ(plan.resolved_engine(), EngineChoice::Postmortem);
+            plan.engine = EngineChoice::Incremental;
+            EXPECT_EQ(plan.resolved_engine(), EngineChoice::Incremental);
+            plan.engine = EngineChoice::Auto;
+            plan.watch = true;
+            EXPECT_EQ(plan.resolved_engine(), EngineChoice::Incremental);
+            plan.engine = EngineChoice::Postmortem;
+            EXPECT_EQ(plan.resolved_engine(), EngineChoice::Incremental);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

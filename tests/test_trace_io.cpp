@@ -27,6 +27,7 @@
 #include "runtime/trace_mmap.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -128,7 +129,7 @@ ColumnTrace round_trip(const ProfilingSession& session, TraceFormat format,
 /// Write `bytes` to a scratch file and load it with the file loader.
 ColumnTrace load_file(const std::string& bytes,
                       par::ThreadPool* pool = nullptr) {
-    const std::string path = ::testing::TempDir() + "/dsspy_load_file.trace";
+    const std::string path = testing_support::unique_temp_path(".trace");
     std::ofstream(path, std::ios::binary) << bytes;
     struct Remove {
         const std::string& path;
@@ -205,7 +206,7 @@ TEST(TraceIo, FileRoundTrip) {
     drive_session(session);
     session.stop();
 
-    const std::string path = ::testing::TempDir() + "/dsspy_trace.csv";
+    const std::string path = testing_support::unique_temp_path(".csv");
     ASSERT_TRUE(write_trace_file(path, session));
     const ColumnTrace trace = read_trace_columns_file(path);
     EXPECT_EQ(trace.columns.total_events(), session.store().total_events());
@@ -217,7 +218,7 @@ TEST(TraceIo, BinaryFileRoundTrip) {
     drive_session(session);
     session.stop();
 
-    const std::string path = ::testing::TempDir() + "/dsspy_trace.dst";
+    const std::string path = testing_support::unique_temp_path(".dst");
     ASSERT_TRUE(write_trace_file(path, session, TraceFormat::Binary));
     const ColumnTrace trace = read_trace_columns_file(path);  // auto-detected
     expect_traces_equal(trace, round_trip(session, TraceFormat::Csv));
@@ -830,7 +831,7 @@ TEST(TraceIoColumns, ParallelDecodeIsBitIdenticalToSequential) {
 
 TEST(TraceIoColumns, FileReadMatchesBufferRead) {
     const StoreTrace original = multi_chunk_trace();
-    const std::string path = ::testing::TempDir() + "/dsspy_cols.dst";
+    const std::string path = testing_support::unique_temp_path(".dst");
     ASSERT_TRUE(write_trace_file(path, original.instances, original.store,
                                  TraceFormat::Binary));
     ASSERT_TRUE(is_binary_trace_file(path));
@@ -845,7 +846,7 @@ TEST(TraceIoColumns, FileReadMatchesBufferRead) {
 
 TEST(TraceIoColumns, IsBinaryTraceFileSniffs) {
     EXPECT_FALSE(is_binary_trace_file("/nonexistent/dsspy.dst"));
-    const std::string path = ::testing::TempDir() + "/dsspy_not_dst.csv";
+    const std::string path = testing_support::unique_temp_path(".csv");
     std::ofstream(path) << "I,0,0,List<Int32>,C,M,1,0\n";
     EXPECT_FALSE(is_binary_trace_file(path));
     std::remove(path.c_str());

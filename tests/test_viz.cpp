@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "ds/profiled_list.hpp"
+#include "temp_path.hpp"
 #include "viz/ascii_chart.hpp"
 #include "viz/svg.hpp"
 
@@ -137,7 +138,7 @@ TEST(SvgExport, StackedBarsEmptyInput) {
 }
 
 TEST(SvgExport, WriteFileRoundTrip) {
-    const std::string path = ::testing::TempDir() + "/dsspy_test.svg";
+    const std::string path = testing_support::unique_temp_path(".svg");
     EXPECT_TRUE(write_file(path, "<svg></svg>"));
     FILE* f = std::fopen(path.c_str(), "rb");
     ASSERT_NE(f, nullptr);
