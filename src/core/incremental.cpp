@@ -104,10 +104,7 @@ void IncrementalAnalyzer::fold(
     std::size_t bulk = 0;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        for (std::size_t begin = 0; begin < events.size();
-             begin += kBatchRows)
-            bulk += fold_runs(events.subspan(
-                begin, std::min(kBatchRows, events.size() - begin)));
+        bulk = fold_runs(events);
     }
     note_batch(events.size(), bulk);
 }
@@ -128,9 +125,11 @@ std::size_t IncrementalAnalyzer::fold_runs(const Source& source) {
     events_folded_ += count;
     std::size_t bulk = 0;
     for (std::size_t i = 0; i < count;) {
+        // A run ends where the instance changes or kBatchRows rows in.
         const runtime::InstanceId id = instance_at(source, i);
+        const std::size_t limit = std::min(count, i + kBatchRows);
         std::size_t end = i + 1;
-        while (end < count && instance_at(source, end) == id) ++end;
+        while (end < limit && instance_at(source, end) == id) ++end;
         InstanceFold& st = state_for(id);
         if (end - i < kMinBulkRun) {
             for (; i < end; ++i) st.step(event_at(source, i));
@@ -143,18 +142,24 @@ std::size_t IncrementalAnalyzer::fold_runs(const Source& source) {
     return bulk;
 }
 
+void IncrementalAnalyzer::allocate_scratch() {
+    time_ns_ = std::make_unique_for_overwrite<std::uint64_t[]>(kBatchRows);
+    positions_ = std::make_unique_for_overwrite<std::int64_t[]>(kBatchRows);
+    sizes_ = std::make_unique_for_overwrite<std::uint32_t[]>(kBatchRows);
+    ops_ = std::make_unique_for_overwrite<std::uint8_t[]>(kBatchRows);
+    types_ = std::make_unique_for_overwrite<std::uint8_t[]>(kBatchRows);
+    threads_ = std::make_unique_for_overwrite<std::uint16_t[]>(kBatchRows);
+}
+
 ColumnSlice IncrementalAnalyzer::run_slice(const runtime::EventBatch& b,
                                            std::size_t i, std::size_t n) {
     // The run is a view into the batch; only its access types and the
     // batch's one thread id need columns of their own.
-    if (types_.size() < n) {
-        types_.resize(n);
-        threads_.resize(n);
-    }
-    std::fill_n(threads_.begin(), n, b.thread);
-    kernels::derive_types(b.ops + i, n, types_.data());
+    if (!types_) allocate_scratch();
+    std::fill_n(threads_.get(), n, b.thread);
+    kernels::derive_types(b.ops + i, n, types_.get());
     return {b.time_ns + i, b.positions + i, b.sizes + i, b.ops + i,
-            types_.data(),  threads_.data(),  n};
+            types_.get(),  threads_.get(),  n};
 }
 
 ColumnSlice IncrementalAnalyzer::run_slice(
@@ -162,26 +167,18 @@ ColumnSlice IncrementalAnalyzer::run_slice(
     std::size_t n) {
     // Copied into the batch layout, with the thread of every row (a run of
     // struct events may come from several threads).
-    if (columns_.capacity < n) columns_ = runtime::EventColumns(kBatchRows);
-    if (types_.size() < n) {
-        types_.resize(n);
-        threads_.resize(n);
-    }
-    std::uint64_t* const time = columns_.time_ns.get();
-    std::int64_t* const pos = columns_.positions.get();
-    std::uint32_t* const size = columns_.sizes.get();
-    std::uint8_t* const op = columns_.ops.get();
-    std::uint16_t* const thread = threads_.data();
+    if (!types_) allocate_scratch();
     for (std::size_t r = 0; r < n; ++r) {
         const runtime::AccessEvent& ev = events[i + r];
-        time[r] = ev.time_ns;
-        pos[r] = ev.position;
-        size[r] = ev.size;
-        op[r] = static_cast<std::uint8_t>(ev.op);
-        thread[r] = ev.thread;
+        time_ns_[r] = ev.time_ns;
+        positions_[r] = ev.position;
+        sizes_[r] = ev.size;
+        ops_[r] = static_cast<std::uint8_t>(ev.op);
+        threads_[r] = ev.thread;
     }
-    kernels::derive_types(op, n, types_.data());
-    return {time, pos, size, op, types_.data(), thread, n};
+    kernels::derive_types(ops_.get(), n, types_.get());
+    return {time_ns_.get(), positions_.get(), sizes_.get(),
+            ops_.get(),     types_.get(),     threads_.get(), n};
 }
 
 AnalysisResult IncrementalAnalyzer::report_from(

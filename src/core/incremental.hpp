@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -73,16 +74,15 @@ public:
     /// reaches the same state.
     void fold(const runtime::EventBatch& batch);
 
-    /// The same for events in struct layout, kBatchRows at a time: a
-    /// long run is copied into the batch layout, a short one steps from
-    /// the events.
+    /// The same for events in struct layout: a long run is copied into
+    /// the batch layout, a short one steps from the events.
     void fold(std::span<const runtime::AccessEvent> events);
 
     /// Shortest same-instance run a batch folds in bulk; shorter runs
     /// (round-robin streams over many instances) step event by event.
     static constexpr std::size_t kMinBulkRun = 32;
-    /// Rows fold(span) splits into runs at a time: the longest run it
-    /// copies into columns.
+    /// Longest run folded as one slice (the rows of the scratch columns);
+    /// a longer same-instance run folds as several.
     static constexpr std::size_t kBatchRows = 4096;
 
     /// Events folded so far.
@@ -129,11 +129,17 @@ private:
     std::vector<InstanceFold> states_;  ///< Indexed by InstanceId.
     std::uint64_t events_folded_ = 0;
 
-    // Scratch of the bulk path, used under mutex_ and sized on the first
-    // long run: analyzers that only fold single events never hold it.
-    runtime::EventColumns columns_;       ///< fold(span)'s run, copied.
-    std::vector<std::uint8_t> types_;     ///< The run's access types.
-    std::vector<std::uint16_t> threads_;  ///< The run's thread column.
+    // Scratch of the bulk path, kBatchRows rows per column, used under
+    // mutex_ and allocated on the first long run: analyzers that only fold
+    // single events never hold it.  A column batch's run needs only the
+    // types and threads; a span's run is copied into the other four too.
+    void allocate_scratch();
+    std::unique_ptr<std::uint64_t[]> time_ns_;
+    std::unique_ptr<std::int64_t[]> positions_;
+    std::unique_ptr<std::uint32_t[]> sizes_;
+    std::unique_ptr<std::uint8_t[]> ops_;
+    std::unique_ptr<std::uint8_t[]> types_;
+    std::unique_ptr<std::uint16_t[]> threads_;
     PhaseList phases_;
 };
 
