@@ -166,7 +166,8 @@ InstanceId ProfilingSession::register_instance(DsKind kind,
 
 void ProfilingSession::set_event_sink(EventSink sink) {
     sink_ = std::move(sink);
-    if (sink_ && columns_.capacity == 0) columns_ = EventColumns(kDrainSlice);
+    if (sink_ && !columns_)
+        columns_ = std::make_unique<EventColumns>(kDrainSlice);
     has_sink_.store(static_cast<bool>(sink_), std::memory_order_release);
     if (sink_ && !collector_.joinable() && capturing())
         collector_ = std::jthread(
@@ -449,12 +450,12 @@ void ProfilingSession::deliver(bool final_flush) {
                 {acked, std::uint64_t{view.first + view.capacity},
                  k - k % kSeqBlockSize + kSeqBlockSize,
                  k + kDrainSlice - n});
-            copy_rows(view, k, end, columns_, n);
+            copy_rows(view, k, end, *columns_, n);
             n += end - k;
             next_seq_ += end - k;
             k = end;
         }
-        sink_(columns_.batch(holder->chain.thread, first_seq, n));
+        sink_(columns_->batch(holder->chain.thread, first_seq, n));
     }
 }
 

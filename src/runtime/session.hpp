@@ -322,7 +322,8 @@ private:
 
     EventSink sink_;              ///< Ordered-delivery consumer (may be empty).
     std::uint64_t next_seq_ = 0;  ///< Collector: next seq to deliver.
-    EventColumns columns_;        ///< Collector: the run it delivers.
+    /// Collector: the run it delivers (allocated with the sink).
+    std::unique_ptr<EventColumns> columns_;
     InstanceSink instance_sink_;
     /// Mirrors sink_ presence for refill, without touching std::function.
     std::atomic<bool> has_sink_{false};
